@@ -158,6 +158,9 @@ def cmd_generate(args) -> int:
         raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise SchemaError("spec: expected an object")
+        unknown = sorted(set(raw) - {"rig", "gen"})
+        if unknown:
+            raise SchemaError(f"spec: unknown section {unknown[0]!r}; a spec reads rig, gen")
         rig_data = raw.get("rig", {})
         gen_data = raw.get("gen", {})
     if args.seed is not None:

@@ -17,6 +17,14 @@ meters, while a few-percent trim removes them and barely moves clean
 surface extents (the prior floor absorbs the shrink). Vertical extents stay
 min/max because ground points share the objects' ground plane and cannot
 be vertical outliers.
+
+The range gate scores up to 191 range windows per frustum with a fixed
+number of array operations instead of a loop over windows: one sort by
+range, per-point azimuth bins turned into per-window counts by prefix
+sums, and one +inf-padded block of per-window heights (windows x largest
+window floats) sorted row-wise for the height quantiles. Bins and
+quantiles follow numpy's own index arithmetic, so boxes are bit-identical
+to calling np.histogram and np.quantile per window.
 """
 
 from __future__ import annotations
@@ -61,29 +69,47 @@ class EstimatorConfig:
             raise ValueError("extent_quantile must be in [0, 0.5)")
 
 
-def _span_coverage(values: np.ndarray, full_span: float) -> float:
-    """Fraction of full_span covered by the central 90% of values, capped at 1."""
-    if full_span <= 1e-9:
-        return 1.0
-    span = float(np.quantile(values, 0.95) - np.quantile(values, 0.05))
-    return min(span / full_span, 1.0)
-
-
 _AZ_BINS = 8
 
 
-def _bin_coverage(values: np.ndarray, full_span: float) -> float:
-    """Fraction of full_span bins holding at least 4% of the values.
+def _linear_quantiles(rows: np.ndarray, lengths: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """np.quantile's default ('linear') quantiles of each row's leading values.
 
-    Occupied-bin counting instead of a quantile span: several disjoint
-    bystander clusters inside one window would fake a wide span, but they
-    still leave most bins empty.
+    rows is (W, L), each row sorted over its first lengths[w] entries; qs is
+    a (K, 1) column of quantiles; the result is (K, W).  The index arithmetic
+    is numpy's, so results match np.quantile bit for bit: virtual index
+    (n - 1) * q, an index at or past the last entry takes the last value,
+    and the interpolation switches to b - (b - a) * (1 - t) once t >= 0.5.
     """
-    if full_span <= 1e-9:
-        return 1.0
-    counts, _ = np.histogram(values, bins=_AZ_BINS, range=(0.0, full_span))
-    threshold = max(1, math.ceil(0.04 * len(values)))
-    return float(np.count_nonzero(counts >= threshold)) / _AZ_BINS
+    virtual = (lengths - 1) * qs
+    lower = np.floor(virtual)
+    above = virtual >= lengths - 1
+    lower[above] = -1.0
+    gamma = virtual - lower
+    lo = np.where(above, lengths - 1, lower).astype(np.intp)
+    hi = np.where(above, lengths - 1, lower + 1.0).astype(np.intp)
+    row = np.arange(len(rows))
+    a = rows[row, lo]
+    b = rows[row, hi]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
+def _histogram_bins(values: np.ndarray, span: float) -> np.ndarray:
+    """Bin of each value in np.histogram(values, _AZ_BINS, range=(0, span)).
+
+    Same arithmetic and edge rules as numpy's uniform-bin path: the index
+    is corrected against the linspace edges, the last bin is closed, and
+    values outside [0, span] get the out-of-range bin _AZ_BINS.
+    """
+    edges = np.linspace(0.0, span, _AZ_BINS + 1)
+    keep = (values >= 0.0) & (values <= span)
+    bins = np.where(keep, values / span * _AZ_BINS, 0.0).astype(np.intp)
+    bins[bins == _AZ_BINS] -= 1
+    bins[values < edges[bins]] -= 1
+    bins[(values >= edges[bins + 1]) & (bins != _AZ_BINS - 1)] += 1
+    bins[~keep] = _AZ_BINS
+    return bins
 
 
 def _range_gate(
@@ -98,31 +124,55 @@ def _range_gate(
     nearer objects, and whole objects farther out. The detected object is
     the one the bbox was drawn around, so its points should fill the bbox:
     nearly the whole azimuth extent and roughly the class height. Stage 1
-    slides a window of width 2*half_width over the sorted ground ranges and
-    scores each window by point count times azimuth coverage of the frustum
-    extent times vertical coverage of the height prior; flat ground scores
-    near zero vertically, leaked slices score low on one of the coverages.
-    Stage 2 re-centers on the median range of the winning window and keeps
-    all points within half_width of it.
+    slides a window of width 2*half_width over the sorted ground ranges,
+    starting one at every stride-th point (stride = max(1, n // 96)), and
+    scores each window by point count times azimuth coverage (the share of
+    8 equal bins over the frustum extent that hold at least 4% of the
+    window) times vertical coverage (5%-95% height span over the class
+    height prior, capped at 1); flat ground scores near zero vertically,
+    leaked slices score low on one of the coverages.  Azimuth coverage
+    counts occupied bins rather than a quantile span: several disjoint
+    bystander clusters in one window would fake a wide span, but they
+    still leave most bins empty.  The first best window wins. Stage 2 re-centers on the median range of the winning
+    window and keeps all points within half_width of it.
+
+    All windows are scored at once: the points are sorted by range once,
+    each point's azimuth bin is computed once and every window's bin counts
+    are differences of prefix sums, and the height quantiles come from one
+    block holding each window's heights in a row, right-padded with +inf
+    and sorted row-wise, so it takes windows x largest window floats.  Bin
+    counts and quantiles reproduce np.histogram and np.quantile exactly.
     """
+    n = len(points)
     ranges = np.hypot(points[:, 0], points[:, 1])
     rel_az = np.mod(np.arctan2(points[:, 1], points[:, 0]) - extent[0], 2.0 * math.pi)
     az_width = (extent[1] - extent[0]) % (2.0 * math.pi)
     order = np.argsort(ranges, kind="stable")
     sorted_r = ranges[order]
     width = 2.0 * half_width
-    ends = np.searchsorted(sorted_r, sorted_r + width, side="right")
-    stride = max(1, len(sorted_r) // 96)
-    best_score, best_start = -1.0, 0
-    for start in range(0, len(sorted_r), stride):
-        members = order[start : ends[start]]
-        score = (
-            len(members)
-            * _bin_coverage(rel_az[members], az_width)
-            * _span_coverage(points[members, 2], prior_h)
+    starts = np.arange(0, n, max(1, n // 96))
+    lengths = np.searchsorted(sorted_r, sorted_r[starts] + width, side="right") - starts
+    score = lengths.astype(float)
+    if az_width > 1e-9:
+        bins = _histogram_bins(rel_az[order], az_width)
+        in_bin = bins[:, None] == np.arange(_AZ_BINS)
+        cumulative = np.zeros((n + 1, _AZ_BINS), dtype=np.intp)
+        np.cumsum(in_bin, axis=0, out=cumulative[1:])
+        counts = cumulative[starts + lengths] - cumulative[starts]
+        threshold = np.maximum(1.0, np.ceil(0.04 * lengths))
+        score = score * (np.count_nonzero(counts >= threshold[:, None], axis=1) / _AZ_BINS)
+    if prior_h > 1e-9:
+        heights = points[order, 2]
+        column = np.arange(lengths.max())
+        block = np.where(
+            column < lengths[:, None],
+            heights[np.minimum(starts[:, None] + column, n - 1)],
+            np.inf,
         )
-        if score > best_score:
-            best_score, best_start = score, start
+        block.sort(axis=1)
+        q05, q95 = _linear_quantiles(block, lengths, np.array([[0.05], [0.95]]))
+        score = score * np.minimum((q95 - q05) / prior_h, 1.0)
+    best_start = starts[int(np.argmax(score))]
     in_window = (ranges >= sorted_r[best_start]) & (
         ranges <= sorted_r[best_start] + width
     )
@@ -154,9 +204,11 @@ def _disambiguate(line_angle: float, reference: float) -> float:
 
 
 def _trimmed_extent(values: np.ndarray, quantile: float) -> tuple[float, float]:
-    lo = float(np.quantile(values, quantile))
-    hi = float(np.quantile(values, 1.0 - quantile))
-    return lo, hi
+    """The quantile and 1 - quantile points of values, as np.quantile gives them."""
+    lo, hi = _linear_quantiles(
+        np.sort(values)[None, :], np.array([len(values)]), np.array([[quantile], [1.0 - quantile]])
+    )
+    return float(lo[0]), float(hi[0])
 
 
 def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D:

@@ -19,7 +19,7 @@ run continues with the remaining frames.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -202,6 +202,17 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    """Inverse of config_to_dict; omitted fields keep their defaults.
+
+    Raises ValueError naming the first key that is no PipelineConfig field,
+    so a misspelled or unsupported section is not silently ignored.
+    """
+    sections = [f.name for f in fields(PipelineConfig)]
+    unknown = sorted(set(data) - set(sections))
+    if unknown:
+        raise ValueError(
+            f"unknown section {unknown[0]!r}; a config reads {', '.join(sections)}"
+        )
     gen = data.get("gen", {})
     loss = data.get("loss", {})
     est = data.get("estimator", {})

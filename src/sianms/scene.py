@@ -170,6 +170,12 @@ class BBox2D:
         return self.width * self.height
 
 
+# Corner k of a box sits at these signs times its half dimensions, x slowest.
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+)
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center, dimensions and ground-plane yaw.
@@ -198,15 +204,7 @@ class Box3D:
     def corners(self) -> np.ndarray:
         """The 8 box corners as an (8, 3) array in the vehicle frame."""
         c, s = math.cos(self.theta), math.sin(self.theta)
-        hl, hw, hh = self.l / 2.0, self.w / 2.0, self.h / 2.0
-        local = np.array(
-            [
-                [sx * hl, sy * hw, sz * hh]
-                for sx in (-1.0, 1.0)
-                for sy in (-1.0, 1.0)
-                for sz in (-1.0, 1.0)
-            ]
-        )
+        local = _CORNER_SIGNS * np.array([self.l / 2.0, self.w / 2.0, self.h / 2.0])
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return local @ rot.T + self.center
 
@@ -344,17 +342,17 @@ def project_points(cam: CameraModel, points, depth_epsilon: float = DEPTH_EPSILO
 def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D | None:
     """Axis-aligned image bbox of a 3D box's corners.
 
-    Corners at or behind the image plane are skipped.  With clip=True the
-    bbox is intersected with the image window.  Returns None when every
-    corner is behind the camera or the (clipped) box has zero area.
+    Corners at depth <= DEPTH_EPSILON are skipped and the rest projected
+    as project_points projects them.  With clip=True the bbox is
+    intersected with the image window.  Returns None when every corner is
+    behind the camera or the (clipped) box has zero area.
     """
-    uv, _, valid = project_points(cam, box.corners())
-    if not np.any(valid):
+    p_cam = (box.corners() - cam.pose.translation) @ cam.pose.rotation
+    p_cam = p_cam[p_cam[:, 2] > DEPTH_EPSILON]
+    if not len(p_cam):
         return None
-    us = uv[valid, 0]
-    vs = uv[valid, 1]
-    x_min, x_max = float(us.min()), float(us.max())
-    y_min, y_max = float(vs.min()), float(vs.max())
+    uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :2] / p_cam[:, 2:]
+    (x_min, y_min), (x_max, y_max) = uv.min(axis=0).tolist(), uv.max(axis=0).tolist()
     if clip:
         x_min = min(max(x_min, 0.0), cam.width)
         x_max = min(max(x_max, 0.0), cam.width)

@@ -2,8 +2,9 @@
 
 Deliberately built on different primitives than the library: scipy supplies
 rotations, assignments come from exhaustive enumeration, precision-recall
-curves are scanned directly from their definition.  Slow and obvious beats
-fast with shared blind spots.
+curves are scanned directly from their definition, and the estimator's
+range gate is a loop calling np.quantile and np.histogram per window.  Slow
+and obvious beats fast with shared blind spots.
 """
 
 import itertools
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 from scipy.spatial.transform import Rotation
+
+from sianms.scene import project_points
 
 
 def brute_force_assignment(costs, masked=None):
@@ -287,3 +290,85 @@ def grad_check(f, x, analytic, h=1e-6, rel_tol=1e-5):
         worst = max(worst, abs(numeric - float(analytic[k])) / scale)
     assert worst < rel_tol, f"gradient mismatch: relative error {worst}"
     return worst
+
+
+def _span_coverage_reference(values, full_span):
+    """Fraction of full_span covered by the central 90% of values, capped at 1."""
+    if full_span <= 1e-9:
+        return 1.0
+    span = float(np.quantile(values, 0.95) - np.quantile(values, 0.05))
+    return min(span / full_span, 1.0)
+
+
+def _bin_coverage_reference(values, full_span, n_bins=8):
+    """Fraction of n_bins histogram bins over [0, full_span] holding at
+    least 4% of the values."""
+    if full_span <= 1e-9:
+        return 1.0
+    counts, _ = np.histogram(values, bins=n_bins, range=(0.0, full_span))
+    threshold = max(1, math.ceil(0.04 * len(values)))
+    return float(np.count_nonzero(counts >= threshold)) / n_bins
+
+
+def range_gate_reference(points, half_width, extent, prior_h):
+    """The estimator's range gate as a plain loop over windows.
+
+    Each window of width 2*half_width, started at every stride-th point in
+    range order, is scored by its size times its azimuth-bin coverage
+    (np.histogram) times its 5%-95% height span over prior_h (np.quantile);
+    the points within half_width of the winning window's median range are
+    kept.
+    """
+    ranges = np.hypot(points[:, 0], points[:, 1])
+    rel_az = np.mod(np.arctan2(points[:, 1], points[:, 0]) - extent[0], 2.0 * math.pi)
+    az_width = (extent[1] - extent[0]) % (2.0 * math.pi)
+    order = np.argsort(ranges, kind="stable")
+    sorted_r = ranges[order]
+    width = 2.0 * half_width
+    ends = np.searchsorted(sorted_r, sorted_r + width, side="right")
+    stride = max(1, len(sorted_r) // 96)
+    best_score, best_start = -1.0, 0
+    for start in range(0, len(sorted_r), stride):
+        members = order[start : ends[start]]
+        score = (
+            len(members)
+            * _bin_coverage_reference(rel_az[members], az_width)
+            * _span_coverage_reference(points[members, 2], prior_h)
+        )
+        if score > best_score:
+            best_score, best_start = score, start
+    in_window = (ranges >= sorted_r[best_start]) & (
+        ranges <= sorted_r[best_start] + width
+    )
+    median = float(np.median(ranges[in_window]))
+    return points[np.abs(ranges - median) <= half_width]
+
+
+def bbox2d_via_project_points(cam, box, clip=True):
+    """(x_min, y_min, x_max, y_max) of box3d_to_bbox2d, or None, computed by
+    building the corners one by one and projecting them with
+    scene.project_points."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    half = (box.l / 2.0, box.w / 2.0, box.h / 2.0)
+    local = np.array(
+        [
+            [sx * half[0], sy * half[1], sz * half[2]]
+            for sx in (-1.0, 1.0)
+            for sy in (-1.0, 1.0)
+            for sz in (-1.0, 1.0)
+        ]
+    )
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    uv, _, valid = project_points(cam, local @ rot.T + box.center)
+    if not np.any(valid):
+        return None
+    x_min, x_max = float(uv[valid, 0].min()), float(uv[valid, 0].max())
+    y_min, y_max = float(uv[valid, 1].min()), float(uv[valid, 1].max())
+    if clip:
+        x_min = min(max(x_min, 0.0), cam.width)
+        x_max = min(max(x_max, 0.0), cam.width)
+        y_min = min(max(y_min, 0.0), cam.height)
+        y_max = min(max(y_max, 0.0), cam.height)
+    if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
+        return None
+    return x_min, y_min, x_max, y_max

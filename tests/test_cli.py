@@ -176,3 +176,37 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
                      "--variant", "sianms", "--out", str(out)]) == 3
+
+
+class TestConfigSections:
+    """--spec and --config reject sections their loader would not read."""
+
+    @pytest.mark.parametrize("section", ["match", "nms", "rig"])
+    def test_unknown_config_section_is_two(self, tmp_path, scene_dir, capsys, section):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {"tau": 0.01}}))
+        code = main(["compare", "--scene", str(scene_dir / "scene.json"),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert repr(section) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["estimator", "match"])
+    def test_unknown_spec_section_is_two(self, tmp_path, spec_file, capsys, section):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(json.loads(spec_file.read_text()), **{section: {}})))
+        code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert repr(section) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_config_section_is_read(self, tmp_path, scene_dir):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "gen": {"seed": 37}, "loss": {"alpha": 0.5}, "estimator": {"min_points": 5},
+            "eval2d": {}, "eval3d": {}, "tau": 0.9, "nms_iou": 0.5,
+        }))
+        out = tmp_path / "dets.json"
+        assert main(["simulate", "--scene", str(scene_dir / "scene.json"),
+                     "--config", str(config), "--out", str(out)]) == 0
+        assert out.is_file()

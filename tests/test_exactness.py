@@ -1,0 +1,184 @@
+"""Bit-identity of the vectorized estimator and projection against oracles.
+
+The range gate, the trimmed extents and the 3D-to-2D box projection are
+computed with index arithmetic instead of np.quantile, np.histogram and
+project_points; these tests hold them to the exact bytes of the plain
+implementations in _oracles.py, on random inputs and on every frustum the
+estimator sees on the noisy benchmark scene.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sianms.pipeline as pipeline_module
+from sianms.estimator import EstimatorConfig, _range_gate, _trimmed_extent
+from sianms.pipeline import PipelineConfig, Variant, run_pipeline
+from sianms.scene import Box3D, CameraModel, Pose, box3d_to_bbox2d, matrix_to_quat
+from sianms.synthgen import benchmark_gen_spec
+
+from _oracles import bbox2d_via_project_points, range_gate_reference
+from conftest import build_scene
+
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _frustum_points(n, seed, ties):
+    """n points around a random ground position; ties rounds coordinates to
+    decimeters so ranges and heights repeat."""
+    rng = np.random.default_rng(seed)
+    center = np.array([rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0), 0.0])
+    points = center + rng.normal(size=(n, 3)) * rng.uniform(0.2, 8.0, size=3)
+    return np.round(points, 1) if ties else points
+
+
+def _assert_gate_matches(points, half_width, extent, prior_h):
+    got = _range_gate(points, half_width, extent, prior_h)
+    want = range_gate_reference(points, half_width, extent, prior_h)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRangeGate:
+    @EXAMPLES
+    @given(
+        n=st.integers(1, 450),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        start=st.floats(-math.pi, math.pi),
+        az_width=st.floats(0.0, 2.0 * math.pi - 1e-6),
+        half_width=st.floats(0.05, 6.0),
+        prior_h=st.sampled_from([0.0, 1e-10, 0.5, 1.5, 3.2]),
+    )
+    def test_matches_loop_oracle(self, n, seed, ties, start, az_width, half_width, prior_h):
+        points = _frustum_points(n, seed, ties)
+        _assert_gate_matches(points, half_width, (start, start + az_width), prior_h)
+
+    @pytest.mark.parametrize(
+        "n, ties, extent, prior_h",
+        [
+            (1, False, (0.2, 0.9), 1.5),  # one point
+            (60, True, (-0.5, 0.5), 1.5),  # tied ranges and heights
+            (80, False, (2.0, 2.1), 1.5),  # most points outside the extent
+            (80, False, (0.3, 0.3), 1.5),  # zero-width extent
+            (80, False, (0.3, 0.3 + 1e-12), 1.5),  # below the width floor
+            (80, False, (-1.0, -1.0 + math.pi), 1.5),  # half the circle
+            (80, False, (1.0, 0.5), 1.5),  # wraps past 2*pi - 0.5
+            (80, False, (-0.5, 0.5), 0.0),  # no height prior
+            (193, False, (-0.5, 0.5), 1.5),  # stride 2
+            (1000, True, (-0.5, 0.5), 1.5),  # stride 10, ties
+        ],
+    )
+    def test_edge_cases(self, n, ties, extent, prior_h):
+        for seed in range(5):
+            _assert_gate_matches(_frustum_points(n, seed, ties), 2.0, extent, prior_h)
+
+    def test_identical_points(self):
+        points = np.tile([[12.0, -3.0, 0.4]], (25, 1))
+        _assert_gate_matches(points, 1.0, (-0.4, 0.0), 1.5)
+
+    def test_every_noisy_benchmark_frustum(self, bench_rig, monkeypatch):
+        """Each distinct frustum the estimator sees in the original and
+        sianms variants (the other two reuse the original's) of the noisy
+        benchmark."""
+        gen = benchmark_gen_spec(42, noisy=True)
+        scene = build_scene(bench_rig, gen)
+        cfg = PipelineConfig(gen=gen)
+        seen = {}
+        real_estimate = pipeline_module.estimate_box
+
+        def record(frustum, class_id, est_cfg):
+            key = (frustum.points.tobytes(), frustum.extent, class_id)
+            seen.setdefault(key, (frustum, class_id, est_cfg))
+            return real_estimate(frustum, class_id, est_cfg)
+
+        monkeypatch.setattr(pipeline_module, "estimate_box", record)
+        for variant in (Variant.ORIGINAL, Variant.SIANMS):
+            run_pipeline(scene, variant, cfg)
+        assert len(seen) > 600
+        n_merged = 0
+        for frustum, class_id, est_cfg in seen.values():
+            prior = est_cfg.dim_priors[class_id]
+            gate = max(est_cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
+            points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
+            _assert_gate_matches(points, gate, frustum.extent, prior[2])
+            n_merged += len(frustum.sources) == 2
+        assert n_merged > 100
+
+
+class TestTrimmedExtent:
+    @EXAMPLES
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+        quantile=st.one_of(
+            st.sampled_from([0.0, EstimatorConfig().extent_quantile, 0.25]),
+            st.floats(0.0, 0.4999),
+        ),
+    )
+    def test_matches_np_quantile(self, n, seed, ties, quantile):
+        values = _frustum_points(n, seed, ties)[:, 0]
+        lo, hi = _trimmed_extent(values, quantile)
+        assert np.float64(lo).tobytes() == np.quantile(values, quantile).tobytes()
+        assert np.float64(hi).tobytes() == np.quantile(values, 1.0 - quantile).tobytes()
+
+
+def _assert_bbox_matches(cam, box, clip):
+    """Asserts bit-identity with the oracle; returns whether a bbox came out."""
+    got = box3d_to_bbox2d(cam, box, clip=clip)
+    want = bbox2d_via_project_points(cam, box, clip=clip)
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    edges = np.array([got.x_min, got.y_min, got.x_max, got.y_max])
+    assert edges.tobytes() == np.array(want).tobytes()
+    return True
+
+
+def _camera(yaw, pitch, height, fx, width=1600.0, image_height=900.0):
+    """A camera looking along azimuth yaw, tilted down by pitch."""
+    # camera axes (x right, y down, z forward) in the vehicle frame
+    forward = np.array(
+        [math.cos(yaw) * math.cos(pitch), math.sin(yaw) * math.cos(pitch), -math.sin(pitch)]
+    )
+    right = np.array([math.sin(yaw), -math.cos(yaw), 0.0])
+    down = np.cross(forward, right)
+    rot = np.column_stack([right, down, forward])
+    return CameraModel(
+        id="cam", fx=fx, fy=fx, cx=width / 2.0, cy=image_height / 2.0, width=width,
+        height=image_height, pose=Pose(q=matrix_to_quat(rot), t=(0.1, -0.2, height)),
+    )
+
+
+class TestBoxProjection:
+    @EXAMPLES
+    @given(
+        yaw=st.floats(-math.pi, math.pi),
+        pitch=st.floats(-0.3, 0.3),
+        cam_height=st.floats(0.5, 3.0),
+        fx=st.floats(100.0, 2000.0),
+        x=st.floats(-30.0, 30.0),
+        y=st.floats(-30.0, 30.0),
+        z=st.floats(-2.0, 2.0),
+        dims=st.tuples(st.floats(0.1, 8.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+        theta=st.floats(-4.0, 4.0),
+        clip=st.booleans(),
+    )
+    def test_matches_project_points_oracle(
+        self, yaw, pitch, cam_height, fx, x, y, z, dims, theta, clip
+    ):
+        cam = _camera(yaw, pitch, cam_height, fx)
+        box = Box3D(x=x, y=y, z=z, l=dims[0], w=dims[1], h=dims[2], theta=theta)
+        _assert_bbox_matches(cam, box, clip)
+
+    def test_benchmark_ground_truth_on_every_camera(self, bench_rig, clean_scene):
+        n_visible = 0
+        for frame in clean_scene.frames:
+            for obj in frame.objects:
+                for cam in bench_rig.cameras:
+                    n_visible += _assert_bbox_matches(cam, obj.box, clip=True)
+        assert n_visible > 100
