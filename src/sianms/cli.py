@@ -26,7 +26,6 @@ from .metrics import (
     Pred3D,
     evaluate_3d,
     overlap_region_filter,
-    visible_camera_count,
 )
 from .pipeline import (
     VARIANT_ORDER,
@@ -340,22 +339,19 @@ def cmd_eval_3d(args) -> int:
     scene = load_scene(args.gt)
     region = args.region
     cfg = EvalConfig3D(region=region)
-    gts = []
-    for frame in scene.frames:
-        objects = frame.objects
-        if region == "overlap":
-            objects = overlap_region_filter(scene.rig, objects)
-        gts.extend(
-            Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
-            for obj in objects
-        )
+    gts = [
+        Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
+        for frame in scene.frames
+        for obj in frame.objects
+    ]
     preds = [
         Pred3D(group=b.frame, class_id=b.class_id, score=b.score, box=b.box)
         for frame_boxes in boxes_by_frame.values()
         for b in frame_boxes
     ]
     if region == "overlap":
-        preds = [p for p in preds if visible_camera_count(scene.rig, p.box) >= 2]
+        gts = overlap_region_filter(scene.rig, gts)
+        preds = overlap_region_filter(scene.rig, preds)
     result = evaluate_3d(preds, gts, cfg)
     text_lines = [f"region: {region}"]
     csv_lines = ["class,ap,ate,ase,aoe,num_gt,num_pred,num_matched"]

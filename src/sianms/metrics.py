@@ -20,7 +20,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .scene import BBox2D, Box3D, CameraRig, box3d_to_bbox2d, wrap_angle
+from .scene import DEPTH_EPSILON, BBox2D, Box3D, CameraRig, wrap_angle
 
 N_RECALL_SAMPLES_2D = 40
 N_RECALL_SAMPLES_3D = 101
@@ -47,7 +47,8 @@ class EvalConfig3D:
 
     center_distance_thresholds: ground-plane match radii in meters.
     tp_error_threshold: the radius whose matches feed the error metrics.
-    region: 'all' or 'overlap'; interpreted by the pipeline's region filter.
+    region: 'all' or 'overlap'; eval-3d keeps, for 'overlap', only what
+    overlap_region_filter keeps.
     """
 
     center_distance_thresholds: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
@@ -327,11 +328,37 @@ def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]
     return out
 
 
+def visible_camera_counts(rig: CameraRig, boxes) -> np.ndarray:
+    """Per box, the number of rig cameras in which box3d_to_bbox2d gives a
+    nonempty clipped bbox.
+
+    Each box's corners are computed once and each camera projects every box
+    in one expression, with box3d_to_bbox2d's arithmetic: the same per-box
+    (8, 3) @ (3, 3) products, corners at depth <= DEPTH_EPSILON skipped,
+    and the corner extremes clipped to the image before the area test.
+    """
+    corners = np.array([box.corners() for box in boxes]).reshape(-1, 8, 3)
+    counts = np.zeros(len(corners), dtype=int)
+    for cam in rig.cameras:
+        p_cam = (corners - cam.pose.translation) @ cam.pose.rotation
+        valid = p_cam[:, :, 2:] > DEPTH_EPSILON
+        depth = np.where(valid, p_cam[:, :, 2:], 1.0)
+        focal = np.array([cam.fx, cam.fy])
+        uv = np.array([cam.cx, cam.cy]) + focal * p_cam[:, :, :2] / depth
+        size = np.array([cam.width, cam.height])
+        lo = np.clip(np.where(valid, uv, np.inf).min(axis=1), 0.0, size)
+        hi = np.clip(np.where(valid, uv, -np.inf).max(axis=1), 0.0, size)
+        counts += (hi - lo > 0.0).all(axis=1)
+    return counts
+
+
 def visible_camera_count(rig: CameraRig, box: Box3D) -> int:
     """Number of rig cameras in which the box has a nonempty clipped bbox."""
-    return sum(1 for cam in rig.cameras if box3d_to_bbox2d(cam, box) is not None)
+    return int(visible_camera_counts(rig, [box])[0])
 
 
 def overlap_region_filter(rig: CameraRig, objects):
-    """Objects visible (nonempty clipped projection) in at least 2 cameras."""
-    return [obj for obj in objects if visible_camera_count(rig, obj.box) >= 2]
+    """Items (anything with a .box: scene objects, Gt3D, Pred3D) visible,
+    as a nonempty clipped projection, in at least 2 cameras."""
+    counts = visible_camera_counts(rig, [obj.box for obj in objects])
+    return [obj for obj, n in zip(objects, counts) if n >= 2]

@@ -12,8 +12,11 @@ Four variants over identical inputs:
   from the merged frustum when the pair's frustums share points, otherwise
   from the frustum of the higher-scoring detection.
 
-A frame whose processing raises is recorded under errors and skipped; the
-run continues with the remaining frames.
+All variants run in one loop over the frames: each frame's detections and
+ground truth are built once, then every variant processes the frame.  A
+frame whose processing raises is recorded under errors and skipped by the
+variants it reached (all of them when building its detections or ground
+truth raised); the run continues with the remaining frames.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .estimator import EstimatorConfig, TooFewPoints, estimate_box
 from .frustum import DegenerateExtent, EmptyFrustum, MergeRejected, filter_frustum, merge_frustums
 from .losses import LossConfig
-from .matching import MatchResult, match_adjacent
+from .matching import match_adjacent
 from .metrics import (
     EvalConfig2D,
     EvalConfig3D,
@@ -39,9 +42,8 @@ from .metrics import (
     evaluate_3d,
     iou2d,
     overlap_region_filter,
-    visible_camera_count,
 )
-from .reid_eval import ReidStats, accumulate, evaluate_frame
+from .reid_eval import accumulate, evaluate_frame
 from .scene import Box3D, CameraRig, Detection2D, SceneObject, box3d_to_bbox2d
 from .synthgen import GenSpec, simulate_detections
 
@@ -399,6 +401,132 @@ def _mean_row(per_class: dict) -> dict:
     }
 
 
+@dataclass
+class _VariantRun:
+    """One variant's per-frame outputs, gathered during one call."""
+
+    variant: Variant
+    dropped: dict = field(
+        default_factory=lambda: {"empty_frustum": 0, "too_few_points": 0}
+    )
+    errors: list = field(default_factory=list)
+    boxes: dict = field(default_factory=dict)  # frame index -> PredBox list
+    matches: dict = field(default_factory=dict)  # frame index -> MatchResult
+    pred2d: list = field(default_factory=list)
+    reid_frames: list = field(default_factory=list)
+    n_detections: int = 0
+    seconds: float = 0.0
+
+
+def _frame_error(frame: Frame, exc: Exception) -> dict:
+    return {"frame": frame.index, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
+    """Run the variants over one loop of the frames; results in variant order.
+
+    Per frame, the detections, the 2D ground-truth records and the 3D ground
+    truth with its overlap subset are built once and shared by every variant;
+    each variant then processes the frame on its own.  An exception in the
+    shared work is recorded under that frame by every variant.
+    """
+    rig = scene.rig
+    runs = [_VariantRun(variant) for variant in variants]
+    truth = {}  # frame index -> (Gt2D list, Gt3D list, overlap Gt3D list)
+    shared_s = 0.0
+    for frame in scene.frames:
+        started = time.perf_counter()
+        try:
+            if detections is not None:
+                frame_dets = list(detections.get(frame.index, []))
+            else:
+                frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
+            gt3d = [
+                Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
+                for obj in frame.objects
+            ]
+            truth[frame.index] = (
+                _gt_2d_records(rig, frame), gt3d, overlap_region_filter(rig, gt3d)
+            )
+        except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
+            for run in runs:
+                run.errors.append(_frame_error(frame, exc))
+            continue
+        finally:
+            shared_s += time.perf_counter() - started
+        for run in runs:
+            started = time.perf_counter()
+            try:
+                working, matches, boxes = _process_frame(
+                    rig, frame, frame_dets, run.variant, cfg, run.dropped
+                )
+                if matches is not None:
+                    run.matches[frame.index] = matches
+                    run.reid_frames.append(evaluate_frame(matches, working, rig))
+            except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
+                run.errors.append(_frame_error(frame, exc))
+                continue
+            finally:
+                run.seconds += time.perf_counter() - started
+            run.boxes[frame.index] = boxes
+            run.n_detections += len(working)
+            run.pred2d.extend(
+                Pred2D(
+                    group=(frame.index, det.camera_id),
+                    class_id=det.class_id,
+                    score=det.score,
+                    bbox=det.bbox,
+                )
+                for det in working
+            )
+    return [_evaluate(scene, cfg, run, truth, shared_s) for run in runs]
+
+
+def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float):
+    """Score one variant's gathered outputs against the frames it processed."""
+    started = time.perf_counter()
+    processed = [f for f in scene.frames if f.index in run.boxes]
+    all_boxes = [b for f in processed for b in run.boxes[f.index]]
+    gt2d = [g for f in processed for g in truth[f.index][0]]
+    gt3d_all = [g for f in processed for g in truth[f.index][1]]
+    gt3d_overlap = [g for f in processed for g in truth[f.index][2]]
+    pred3d_all = [
+        Pred3D(group=b.frame, class_id=b.class_id, score=b.score, box=b.box)
+        for b in all_boxes
+    ]
+    metrics_3d = {}
+    for region, gts, preds in (
+        ("all", gt3d_all, pred3d_all),
+        ("overlap", gt3d_overlap, overlap_region_filter(scene.rig, pred3d_all)),
+    ):
+        per_class = evaluate_3d(preds, gts, cfg.eval3d)
+        metrics_3d[region] = {"per_class": per_class, "mean": _mean_row(per_class)}
+    reid = accumulate(run.reid_frames).as_dict() if run.reid_frames else None
+    counts = {
+        "frames": len(scene.frames),
+        "frames_processed": len(processed),
+        "gt_objects": len(gt3d_all),
+        "gt_overlap_objects": len(gt3d_overlap),
+        "detections_2d": run.n_detections,
+        "boxes_3d": len(all_boxes),
+        "merged_boxes": sum(1 for b in all_boxes if b.merged),
+        "dropped_empty_frustum": run.dropped["empty_frustum"],
+        "dropped_too_few_points": run.dropped["too_few_points"],
+    }
+    report = RunReport(
+        variant=run.variant.value,
+        seed=cfg.gen.seed,
+        config=config_to_dict(cfg),
+        counts=counts,
+        ap_2d=ap_2d(run.pred2d, gt2d, cfg.eval2d),
+        reid=reid,
+        metrics_3d=metrics_3d,
+        errors=run.errors,
+        runtime_s=float(shared_s + run.seconds + time.perf_counter() - started),
+    )
+    return PipelineResult(report=report, boxes=run.boxes, matches=run.matches)
+
+
 def run_pipeline(
     scene: Scene,
     variant: Variant,
@@ -410,98 +538,7 @@ def run_pipeline(
     detections maps frame index to supplied Detection2D lists, bypassing the
     simulator when given.
     """
-    variant = Variant(variant)
-    started = time.perf_counter()
-    rig = scene.rig
-    dropped = {"empty_frustum": 0, "too_few_points": 0}
-    errors: list[dict] = []
-    boxes_by_frame: dict[int, list[PredBox]] = {}
-    matches_by_frame: dict[int, MatchResult] = {}
-    pred2d: list[Pred2D] = []
-    gt2d: list[Gt2D] = []
-    reid_frames: list[ReidStats] = []
-    n_detections = 0
-    for frame in scene.frames:
-        try:
-            if detections is not None:
-                frame_dets = list(detections.get(frame.index, []))
-            else:
-                frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
-            working, matches, boxes = _process_frame(
-                rig, frame, frame_dets, variant, cfg, dropped
-            )
-            if matches is not None:
-                matches_by_frame[frame.index] = matches
-                reid_frames.append(evaluate_frame(matches, working, rig))
-        except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
-            errors.append(
-                {"frame": frame.index, "error": f"{type(exc).__name__}: {exc}"}
-            )
-            continue
-        boxes_by_frame[frame.index] = boxes
-        n_detections += len(working)
-        gt2d.extend(_gt_2d_records(rig, frame))
-        for det in working:
-            pred2d.append(
-                Pred2D(
-                    group=(frame.index, det.camera_id),
-                    class_id=det.class_id,
-                    score=det.score,
-                    bbox=det.bbox,
-                )
-            )
-    all_boxes = [b for frame_boxes in boxes_by_frame.values() for b in frame_boxes]
-    processed = [f for f in scene.frames if f.index in boxes_by_frame]
-    gt3d_all = [
-        Gt3D(group=f.index, class_id=obj.class_id, box=obj.box)
-        for f in processed
-        for obj in f.objects
-    ]
-    gt3d_overlap = [
-        Gt3D(group=f.index, class_id=obj.class_id, box=obj.box)
-        for f in processed
-        for obj in overlap_region_filter(rig, f.objects)
-    ]
-    pred3d_all = [
-        Pred3D(group=b.frame, class_id=b.class_id, score=b.score, box=b.box)
-        for b in all_boxes
-    ]
-    pred3d_overlap = [
-        p for p in pred3d_all if visible_camera_count(rig, p.box) >= 2
-    ]
-    metrics_3d = {}
-    for region, gts, preds in (
-        ("all", gt3d_all, pred3d_all),
-        ("overlap", gt3d_overlap, pred3d_overlap),
-    ):
-        per_class = evaluate_3d(preds, gts, cfg.eval3d)
-        metrics_3d[region] = {"per_class": per_class, "mean": _mean_row(per_class)}
-    reid = accumulate(reid_frames).as_dict() if reid_frames else None
-    counts = {
-        "frames": len(scene.frames),
-        "frames_processed": len(processed),
-        "gt_objects": sum(len(f.objects) for f in processed),
-        "gt_overlap_objects": len(gt3d_overlap),
-        "detections_2d": n_detections,
-        "boxes_3d": len(all_boxes),
-        "merged_boxes": sum(1 for b in all_boxes if b.merged),
-        "dropped_empty_frustum": dropped["empty_frustum"],
-        "dropped_too_few_points": dropped["too_few_points"],
-    }
-    report = RunReport(
-        variant=variant.value,
-        seed=cfg.gen.seed,
-        config=config_to_dict(cfg),
-        counts=counts,
-        ap_2d=ap_2d(pred2d, gt2d, cfg.eval2d),
-        reid=reid,
-        metrics_3d=metrics_3d,
-        errors=errors,
-        runtime_s=float(time.perf_counter() - started),
-    )
-    return PipelineResult(
-        report=report, boxes=boxes_by_frame, matches=matches_by_frame
-    )
+    return _run_variants(scene, (Variant(variant),), cfg, detections)[0]
 
 
 @dataclass
@@ -689,11 +726,11 @@ class Comparison:
 def compare_variants(
     scene: Scene, cfg: PipelineConfig, detections: dict | None = None
 ) -> Comparison:
-    """Run all four variants on identical inputs."""
-    reports = {}
-    results = {}
-    for variant in VARIANT_ORDER:
-        result = run_pipeline(scene, variant, cfg, detections=detections)
-        reports[variant.value] = result.report
-        results[variant.value] = result
-    return Comparison(config=config_to_dict(cfg), reports=reports, results=results)
+    """Run all four variants on identical inputs, sharing each frame's
+    detections and ground truth."""
+    results = _run_variants(scene, VARIANT_ORDER, cfg, detections)
+    return Comparison(
+        config=config_to_dict(cfg),
+        reports={r.report.variant: r.report for r in results},
+        results={r.report.variant: r for r in results},
+    )

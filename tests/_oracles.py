@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from sianms.scene import project_points
+from sianms.scene import box3d_to_bbox2d, project_points
 
 
 def brute_force_assignment(costs, masked=None):
@@ -372,3 +372,9 @@ def bbox2d_via_project_points(cam, box, clip=True):
     if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
         return None
     return x_min, y_min, x_max, y_max
+
+
+def visible_camera_count_reference(rig, box) -> int:
+    """Cameras in which the box has a nonempty clipped bbox, one
+    box3d_to_bbox2d call per camera."""
+    return sum(1 for cam in rig.cameras if box3d_to_bbox2d(cam, box) is not None)

@@ -60,13 +60,16 @@ def clean_runs(clean_scene, clean_config):
 
 
 @pytest.fixture(scope="session")
-def noisy_comparison(bench_rig):
+def noisy_scene(bench_rig):
+    return build_scene(bench_rig, benchmark_gen_spec(42, noisy=True))
+
+
+@pytest.fixture(scope="session")
+def noisy_comparison(noisy_scene):
     """All four variants on the noisy benchmark, plus the wall time."""
-    gen = benchmark_gen_spec(42, noisy=True)
-    scene = build_scene(bench_rig, gen)
-    cfg = PipelineConfig(gen=gen)
+    cfg = PipelineConfig(gen=benchmark_gen_spec(42, noisy=True))
     started = time.perf_counter()
-    comparison = compare_variants(scene, cfg)
+    comparison = compare_variants(noisy_scene, cfg)
     return comparison, time.perf_counter() - started
 
 

@@ -2,9 +2,10 @@
 
 The range gate, the trimmed extents and the 3D-to-2D box projection are
 computed with index arithmetic instead of np.quantile, np.histogram and
-project_points; these tests hold them to the exact bytes of the plain
-implementations in _oracles.py, on random inputs and on every frustum the
-estimator sees on the noisy benchmark scene.
+project_points, and the visible-camera count projects every box on a camera
+at once; these tests hold them to the exact results of the plain
+implementations in _oracles.py, on random inputs and on every frustum and
+box of the noisy benchmark scene.
 """
 
 import math
@@ -16,11 +17,23 @@ from hypothesis import strategies as st
 
 import sianms.pipeline as pipeline_module
 from sianms.estimator import EstimatorConfig, _range_gate, _trimmed_extent
+from sianms.metrics import visible_camera_count, visible_camera_counts
 from sianms.pipeline import PipelineConfig, Variant, run_pipeline
-from sianms.scene import Box3D, CameraModel, Pose, box3d_to_bbox2d, matrix_to_quat
-from sianms.synthgen import benchmark_gen_spec
+from sianms.scene import (
+    DEPTH_EPSILON,
+    Box3D,
+    CameraModel,
+    Pose,
+    box3d_to_bbox2d,
+    matrix_to_quat,
+)
+from sianms.synthgen import RigSpec, benchmark_gen_spec, make_rig
 
-from _oracles import bbox2d_via_project_points, range_gate_reference
+from _oracles import (
+    bbox2d_via_project_points,
+    range_gate_reference,
+    visible_camera_count_reference,
+)
 from conftest import build_scene
 
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True)
@@ -182,3 +195,76 @@ class TestBoxProjection:
                 for cam in bench_rig.cameras:
                     n_visible += _assert_bbox_matches(cam, obj.box, clip=True)
         assert n_visible > 100
+
+
+RIGS = {
+    "bench6": RigSpec(),
+    "ring8": RigSpec(n_cameras=8, yaw_spacing_deg=45.0, hfov_deg=100.0),
+}
+
+
+def _assert_counts_match(rig, boxes):
+    got = visible_camera_counts(rig, boxes)
+    want = [visible_camera_count_reference(rig, box) for box in boxes]
+    assert got.tolist() == want
+    assert [visible_camera_count(rig, box) for box in boxes] == want
+    return want
+
+
+def _depths(cam, box):
+    return ((box.corners() - cam.pose.translation) @ cam.pose.rotation)[:, 2]
+
+
+class TestVisibleCameraCount:
+    @EXAMPLES
+    @pytest.mark.parametrize("rig_name", sorted(RIGS))
+    @given(
+        boxes=st.lists(
+            st.builds(
+                Box3D,
+                x=st.floats(-30.0, 30.0),
+                y=st.floats(-30.0, 30.0),
+                z=st.floats(-3.0, 12.0),
+                l=st.floats(0.01, 8.0),
+                w=st.floats(0.01, 4.0),
+                h=st.floats(0.01, 4.0),
+                theta=st.floats(-4.0, 4.0),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_per_camera_oracle(self, rig_name, boxes):
+        _assert_counts_match(make_rig(RIGS[rig_name]), boxes)
+
+    @pytest.mark.parametrize("rig_name", sorted(RIGS))
+    def test_edge_cases(self, rig_name):
+        rig = make_rig(RIGS[rig_name])
+        cam0 = rig.cameras[0]
+        straddling = Box3D(x=0.5, y=0.0, z=0.0, l=4.0, w=2.0, h=1.5, theta=0.0)
+        behind = Box3D(x=-12.0, y=0.0, z=0.0, l=4.0, w=2.0, h=1.5, theta=0.3)
+        beside = Box3D(x=2.0, y=12.0, z=0.0, l=1.0, w=1.0, h=1.0, theta=0.0)
+        overhead = Box3D(x=5.0, y=0.0, z=30.0, l=1.0, w=1.0, h=1.0, theta=0.0)
+        depths = _depths(cam0, straddling)
+        assert (depths > DEPTH_EPSILON).any() and (depths <= DEPTH_EPSILON).any()
+        assert (_depths(cam0, behind) <= DEPTH_EPSILON).all()
+        for box in (beside, overhead):
+            # in front of cam0 but clipped to zero area on its image
+            assert (_depths(cam0, box) > DEPTH_EPSILON).all()
+            assert box3d_to_bbox2d(cam0, box) is None
+            assert box3d_to_bbox2d(cam0, box, clip=False) is not None
+        counts = _assert_counts_match(rig, [straddling, behind, beside, overhead])
+        assert counts[1] >= 1 and counts[3] == 0
+        assert visible_camera_counts(rig, []).tolist() == []
+
+    def test_every_noisy_benchmark_box(self, bench_rig, noisy_scene, noisy_comparison):
+        """Every ground-truth box and every box any variant predicts."""
+        comparison, _ = noisy_comparison
+        gt = [obj.box for frame in noisy_scene.frames for obj in frame.objects]
+        preds = [
+            pred.box
+            for result in comparison.results.values()
+            for frame_boxes in result.boxes.values()
+            for pred in frame_boxes
+        ]
+        counts = _assert_counts_match(bench_rig, gt + preds)
+        assert len(preds) > 2000 and max(counts) >= 2

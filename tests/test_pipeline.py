@@ -1,10 +1,12 @@
 """End-to-end variant pipelines and their comparison artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import sianms.pipeline as pipeline_module
 from sianms.pipeline import (
     PipelineConfig,
     RunReport,
@@ -16,10 +18,10 @@ from sianms.pipeline import (
     nms_greedy,
     run_pipeline,
 )
-from sianms.scene import BBox2D, Detection2D
+from sianms.scene import BBox2D, Detection2D, SceneObject
 from sianms.synthgen import GenSpec, RigSpec, make_rig
 
-from conftest import build_scene
+from conftest import build_scene, simulate_all
 
 SMALL_GEN = GenSpec(seed=7, n_frames=4, objects_per_frame=(3, 5), clutter_points=60)
 
@@ -225,3 +227,76 @@ class TestDeterminism:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+
+def _counting(monkeypatch, name):
+    """Replace pipeline's binding of name with a wrapper; returns its call list."""
+    real = getattr(pipeline_module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, name, wrapper)
+    return calls
+
+
+class _RaisingDetections:
+    def __iter__(self):
+        raise RuntimeError("corrupt detections entry")
+
+
+class TestSharedFrameWork:
+    """compare_variants runs every variant in one loop over the frames."""
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["simulated", "supplied"])
+    def test_compare_reports_equal_single_variant_runs(self, small_scene, supplied):
+        cfg = PipelineConfig(gen=SMALL_GEN)
+        dets = simulate_all(small_scene, SMALL_GEN) if supplied else None
+        comparison = compare_variants(small_scene, cfg, detections=dets)
+        for variant in VARIANT_ORDER:
+            alone = run_pipeline(small_scene, variant, cfg, detections=dets).report.to_dict()
+            shared = comparison.reports[variant.value].to_dict()
+            del alone["runtime_s"], shared["runtime_s"]
+            assert shared == alone
+
+    def test_simulates_each_frame_once(self, small_scene, monkeypatch):
+        calls = _counting(monkeypatch, "simulate_detections")
+        compare_variants(small_scene, PipelineConfig(gen=SMALL_GEN))
+        assert [args[3] for args in calls] == [f.index for f in small_scene.frames]
+
+    def test_stage_calls_reconcile_with_reports(self, small_scene, monkeypatch):
+        estimates = _counting(monkeypatch, "estimate_box")
+        filters = _counting(monkeypatch, "filter_frustum")
+        comparison = compare_variants(small_scene, PipelineConfig(gen=SMALL_GEN))
+        counts = [r.counts for r in comparison.reports.values()]
+        assert len(estimates) == sum(
+            c["boxes_3d"] + c["dropped_too_few_points"] for c in counts
+        )
+        assert len(filters) == sum(c["detections_2d"] for c in counts)
+
+    @pytest.mark.parametrize("broken", ["detections", "ground_truth"])
+    def test_shared_frame_error_recorded_by_every_variant(self, small_scene, broken):
+        cfg = PipelineConfig(gen=SMALL_GEN)
+        dets = simulate_all(small_scene, SMALL_GEN)
+        clean = compare_variants(small_scene, cfg, detections=dets)
+        frames = list(small_scene.frames)
+        if broken == "detections":
+            dets[1] = _RaisingDetections()
+            expected = "RuntimeError: corrupt detections entry"
+        else:
+            ghost = SceneObject(uid="ghost", class_id="car", box=None)
+            frames[1] = dataclasses.replace(frames[1], objects=frames[1].objects + (ghost,))
+            expected = "AttributeError"
+        scene = dataclasses.replace(small_scene, frames=tuple(frames))
+        comparison = compare_variants(scene, cfg, detections=dets)
+        single = run_pipeline(scene, Variant.SIANMS, cfg, detections=dets)
+        for result in [*comparison.results.values(), single]:
+            report = result.report
+            assert [e["frame"] for e in report.errors] == [1]
+            assert report.errors[0]["error"].startswith(expected)
+            assert report.counts["frames_processed"] == len(frames) - 1
+            assert sorted(result.boxes) == [f.index for f in frames if f.index != 1]
+            reference = clean.results[report.variant].boxes
+            assert all(result.boxes[i] == reference[i] for i in result.boxes)
