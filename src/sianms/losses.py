@@ -68,10 +68,9 @@ def cross_entropy(logits, true_class: int) -> tuple[float, np.ndarray]:
     if not 0 <= true_class < len(z):
         raise ValueError(f"true_class {true_class} out of range for {len(z)} logits")
     shift = z - z.max()
-    log_norm = float(np.log(np.sum(np.exp(shift))))
+    log_norm = float(np.log(np.exp(shift).sum()))
     value = log_norm - float(shift[true_class])
-    softmax = np.exp(shift - log_norm)
-    grad = softmax.copy()
+    grad = np.exp(shift - log_norm)
     grad[true_class] -= 1.0
     return value, grad
 
@@ -84,10 +83,10 @@ def positive_pair_term(a, b, cfg: LossConfig):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     diff = a - b
-    dist = float(np.linalg.norm(diff))
+    dist = math.sqrt(diff.dot(diff))  # np.linalg.norm's own arithmetic
     margin = dist - cfg.alpha
     if margin <= 0.0 or dist == 0.0:
-        zero = np.zeros_like(a)
+        zero = np.zeros(a.shape)
         return 0.5 * max(margin, 0.0) ** 2, zero, zero.copy()
     grad_a = (margin / dist) * diff
     return 0.5 * margin * margin, grad_a, -grad_a
@@ -101,14 +100,14 @@ def negative_pair_term(a, b, cfg: LossConfig):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     diff = a - b
-    dist = float(np.linalg.norm(diff))
+    dist = math.sqrt(diff.dot(diff))  # np.linalg.norm's own arithmetic
     margin = cfg.beta - dist
     if margin <= 0.0:
-        zero = np.zeros_like(a)
+        zero = np.zeros(a.shape)
         return 0.0, zero, zero.copy()
     value = 0.5 * margin * margin
     if dist == 0.0:
-        zero = np.zeros_like(a)
+        zero = np.zeros(a.shape)
         return value, zero, zero.copy()
     grad_a = (-margin / dist) * diff
     return value, grad_a, -grad_a
@@ -181,36 +180,36 @@ def _reid_loss(foregrounds, cfg: LossConfig):
     foregrounds is a list of (image_idx, prop_idx, embedding, uid).  Returns
     (value, {(image_idx, prop_idx): grad}).
     """
-    grads = {(i, j): np.zeros_like(emb) for i, j, emb, _ in foregrounds}
     if len(foregrounds) < 2:
-        return 0.0, grads
+        return 0.0, {(i, j): np.zeros(emb.shape) for i, j, emb, _ in foregrounds}
     dims = {len(emb) for _, _, emb, _ in foregrounds}
     if len(dims) > 1:
         raise MismatchedDims(f"embedding dims differ: {sorted(dims)}")
+    embeddings = [emb for _, _, emb, _ in foregrounds]
+    uids = [uid for _, _, _, uid in foregrounds]
+    grads = [np.zeros(emb.shape) for emb in embeddings]
     positives = []
     negatives = []
     for ia in range(len(foregrounds)):
         for ib in range(ia + 1, len(foregrounds)):
-            pair = (foregrounds[ia], foregrounds[ib])
-            if pair[0][3] == pair[1][3]:
-                positives.append(pair)
-            else:
-                negatives.append(pair)
+            (positives if uids[ia] == uids[ib] else negatives).append((ia, ib))
     total = 0.0
-    for fa, fb in positives:
-        value, ga, gb = positive_pair_term(fa[2], fb[2], cfg)
+    for ia, ib in positives:
+        value, ga, gb = positive_pair_term(embeddings[ia], embeddings[ib], cfg)
         total += value
-        grads[(fa[0], fa[1])] += ga
-        grads[(fb[0], fb[1])] += gb
-    neg_terms = [negative_pair_term(fa[2], fb[2], cfg) for fa, fb in negatives]
+        grads[ia] += ga
+        grads[ib] += gb
+    neg_terms = [
+        negative_pair_term(embeddings[ia], embeddings[ib], cfg) for ia, ib in negatives
+    ]
     selected = ohem_select(positives, negatives, [t[0] for t in neg_terms])
     for idx in selected:
-        fa, fb = negatives[idx]
+        ia, ib = negatives[idx]
         value, ga, gb = neg_terms[idx]
         total += value
-        grads[(fa[0], fa[1])] += ga
-        grads[(fb[0], fb[1])] += gb
-    return total, grads
+        grads[ia] += ga
+        grads[ib] += gb
+    return total, {(i, j): g for (i, j, _, _), g in zip(foregrounds, grads)}
 
 
 def batch_loss(images, cfg: LossConfig) -> tuple[BatchLossBreakdown, BatchLossGrads]:
@@ -239,12 +238,12 @@ def batch_loss(images, cfg: LossConfig) -> tuple[BatchLossBreakdown, BatchLossGr
                 if prop.box_residual is None:
                     raise ValueError("foreground proposal lacks a box residual")
                 residual = np.asarray(prop.box_residual, dtype=float)
-                g = np.zeros_like(residual)
-                for k, component in enumerate(residual):
+                g = []
+                for component in residual.tolist():
                     value, dv = smooth_l1(component, cfg.smooth_l1_delta)
                     img_total += value
-                    g[k] = dv
-                res_grads.append(g)
+                    g.append(dv)
+                res_grads.append(np.array(g, dtype=float))
                 if prop.embedding is not None and prop.truth_uid is not None:
                     foregrounds.append(
                         (img_idx, prop_idx, np.asarray(prop.embedding, float), prop.truth_uid)

@@ -20,7 +20,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .scene import DEPTH_EPSILON, BBox2D, Box3D, CameraRig, wrap_angle
+from .scene import BBox2D, Box3D, CameraRig, box_corners, box_image_extents, wrap_angle
 
 N_RECALL_SAMPLES_2D = 40
 N_RECALL_SAMPLES_3D = 101
@@ -330,25 +330,11 @@ def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]
 
 def visible_camera_counts(rig: CameraRig, boxes) -> np.ndarray:
     """Per box, the number of rig cameras in which box3d_to_bbox2d gives a
-    nonempty clipped bbox.
-
-    Each box's corners are computed once and each camera projects every box
-    in one expression, with box3d_to_bbox2d's arithmetic: the same per-box
-    (8, 3) @ (3, 3) products, corners at depth <= DEPTH_EPSILON skipped,
-    and the corner extremes clipped to the image before the area test.
-    """
-    corners = np.array([box.corners() for box in boxes]).reshape(-1, 8, 3)
+    nonempty clipped bbox."""
+    corners = box_corners(boxes)
     counts = np.zeros(len(corners), dtype=int)
     for cam in rig.cameras:
-        p_cam = (corners - cam.pose.translation) @ cam.pose.rotation
-        valid = p_cam[:, :, 2:] > DEPTH_EPSILON
-        depth = np.where(valid, p_cam[:, :, 2:], 1.0)
-        focal = np.array([cam.fx, cam.fy])
-        uv = np.array([cam.cx, cam.cy]) + focal * p_cam[:, :, :2] / depth
-        size = np.array([cam.width, cam.height])
-        lo = np.clip(np.where(valid, uv, np.inf).min(axis=1), 0.0, size)
-        hi = np.clip(np.where(valid, uv, -np.inf).max(axis=1), 0.0, size)
-        counts += (hi - lo > 0.0).all(axis=1)
+        counts += box_image_extents(cam, corners)[1]
     return counts
 
 

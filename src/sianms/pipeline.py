@@ -44,7 +44,15 @@ from .metrics import (
     overlap_region_filter,
 )
 from .reid_eval import accumulate, evaluate_frame
-from .scene import Box3D, CameraRig, Detection2D, SceneObject, box3d_to_bbox2d
+from .scene import (
+    BBox2D,
+    Box3D,
+    CameraRig,
+    Detection2D,
+    SceneObject,
+    box_corners,
+    box_image_extents,
+)
 from .synthgen import GenSpec, simulate_detections
 
 
@@ -366,13 +374,18 @@ def _process_frame(rig, frame, detections, variant, cfg, dropped):
 
 def _gt_2d_records(rig, frame):
     """Projected ground-truth boxes with pixel height and truncation ratio."""
+    corners = box_corners(obj.box for obj in frame.objects)
+    per_camera = []
+    for cam in rig.cameras:
+        clipped, visible = box_image_extents(cam, corners)
+        raw, _ = box_image_extents(cam, corners, clip=False)
+        per_camera.append((cam, clipped.tolist(), raw.tolist(), visible.tolist()))
     records = []
-    for obj in frame.objects:
-        for cam in rig.cameras:
-            clipped = box3d_to_bbox2d(cam, obj.box)
-            if clipped is None:
+    for k, obj in enumerate(frame.objects):
+        for cam, clipped_rows, raw_rows, visible in per_camera:
+            if not visible[k]:
                 continue
-            raw = box3d_to_bbox2d(cam, obj.box, clip=False)
+            clipped, raw = BBox2D(*clipped_rows[k]), BBox2D(*raw_rows[k])
             truncation = 1.0 - clipped.area / raw.area if raw.area > 0.0 else 1.0
             records.append(
                 Gt2D(

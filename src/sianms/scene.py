@@ -339,6 +339,38 @@ def project_points(cam: CameraModel, points, depth_epsilon: float = DEPTH_EPSILO
     return uv, depth, valid
 
 
+def box_corners(boxes) -> np.ndarray:
+    """The corners of each box, stacked as an (n, 8, 3) array."""
+    return np.array([box.corners() for box in boxes]).reshape(-1, 8, 3)
+
+
+def box_image_extents(cam: CameraModel, corners: np.ndarray, clip: bool = True):
+    """box3d_to_bbox2d of many boxes on one camera.
+
+    corners is an (n, 8, 3) stack from box_corners.  Returns (extents,
+    visible): the (n, 4) rows x_min, y_min, x_max, y_max of each box's
+    image bbox, and the mask of boxes that have one.  Each box goes through
+    its own (8, 3) @ (3, 3) product; corners at depth <= DEPTH_EPSILON are
+    left out of the extremes, the rest are projected as f * p / depth + c,
+    and with clip=True the extremes are clipped to the image.  A box is
+    visible when its (clipped) bbox has positive width and height, which a
+    box wholly behind the camera, its extents (inf, inf, -inf, -inf) or
+    clipped from those, never has.
+    """
+    p_cam = (corners - cam.pose.translation) @ cam.pose.rotation
+    in_front = p_cam[:, :, 2:] > DEPTH_EPSILON
+    depth = np.where(in_front, p_cam[:, :, 2:], 1.0)
+    uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :, :2] / depth
+    lo = np.where(in_front, uv, np.inf).min(axis=1)
+    hi = np.where(in_front, uv, -np.inf).max(axis=1)
+    if clip:
+        size = np.array([cam.width, cam.height])
+        lo = np.clip(lo, 0.0, size)
+        hi = np.clip(hi, 0.0, size)
+    visible = ~(hi - lo <= 0.0).any(axis=1)
+    return np.concatenate([lo, hi], axis=1), visible
+
+
 def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D | None:
     """Axis-aligned image bbox of a 3D box's corners.
 
@@ -347,20 +379,8 @@ def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D |
     intersected with the image window.  Returns None when every corner is
     behind the camera or the (clipped) box has zero area.
     """
-    p_cam = (box.corners() - cam.pose.translation) @ cam.pose.rotation
-    p_cam = p_cam[p_cam[:, 2] > DEPTH_EPSILON]
-    if not len(p_cam):
-        return None
-    uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :2] / p_cam[:, 2:]
-    (x_min, y_min), (x_max, y_max) = uv.min(axis=0).tolist(), uv.max(axis=0).tolist()
-    if clip:
-        x_min = min(max(x_min, 0.0), cam.width)
-        x_max = min(max(x_max, 0.0), cam.width)
-        y_min = min(max(y_min, 0.0), cam.height)
-        y_max = min(max(y_max, 0.0), cam.height)
-    if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
-        return None
-    return BBox2D(x_min, y_min, x_max, y_max)
+    extents, visible = box_image_extents(cam, box.corners()[None], clip)
+    return BBox2D(*extents[0].tolist()) if visible[0] else None
 
 
 def angular_extent(cam: CameraModel, bbox: BBox2D) -> tuple[float, float]:

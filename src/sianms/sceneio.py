@@ -1,14 +1,17 @@
 """File formats: scenes, detections, matches, boxes, configs, reports.
 
-All files are UTF-8 JSON. LiDAR clouds may live inline as nested lists or in
-a binary side file of little-endian 32-bit floats, row-major xyz triples,
-referenced by a path relative to the scene file. Malformed input raises
-SchemaError carrying the JSON path of the offending element.
+All files are UTF-8 JSON, written with indent 2 and sorted keys. LiDAR
+clouds may live inline, as a list of [x, y, z] rows under the frame's
+"lidar": {"inline": ...}, or in a binary side file of little-endian 32-bit
+floats, row-major xyz triples, referenced by a path relative to the scene
+file. Malformed input raises SchemaError carrying the JSON path of the
+offending element.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +63,33 @@ def _list(value, path: str, length: int | None = None) -> list:
     return value
 
 
-def _floats(value, path: str, length: int) -> list[float]:
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path, length))]
+def _all_numbers(values) -> bool:
+    """Whether every value is an int or a float (so not a bool)."""
+    return set(map(type, values)) <= {int, float}
+
+
+def _floats(value, path: str, length: int | None = None) -> list[float]:
+    values = _list(value, path, length)
+    if not _all_numbers(values):
+        for i, v in enumerate(values):
+            _num(v, f"{path}[{i}]")
+    return [float(v) for v in values]
+
+
+def _float_rows(value, path: str, length: int) -> np.ndarray:
+    """A list of rows of `length` numbers as an (n, length) float array.
+
+    The whole list is checked at once; only a list that fails the check is
+    walked row by row, so that the SchemaError names the offending element.
+    """
+    rows = _list(value, path)
+    if not (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {length}
+        and _all_numbers(chain.from_iterable(rows))
+    ):
+        rows = [_floats(row, f"{path}[{i}]", length) for i, row in enumerate(rows)]
+    return np.asarray(rows, dtype=float).reshape(-1, length)
 
 
 def _load_json(path) -> object:
@@ -151,10 +179,33 @@ def _box_from_list(data, path: str) -> Box3D:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+# An inline cloud row as json.dumps(indent=2) lays it out at the depth the
+# scene file holds it: frames, frame, "lidar", "inline", row.
+_INLINE_ROW = "          [\n            %s,\n            %s,\n            %s\n          ]"
+
+
+def _inline_cloud_json(cloud: np.ndarray) -> str:
+    """The text json.dumps(indent=2) gives the inline rows of an (n, 3)
+    cloud in a scene file, each value formatted by json itself (float repr,
+    NaN, Infinity), but in one pass over the values."""
+    if not cloud.size:
+        return "[]"
+    if cloud.ndim != 2 or cloud.shape[1] != 3:
+        raise ValueError(f"a cloud must be (N, 3), got shape {cloud.shape}")
+    values = json.dumps(cloud.ravel().tolist())[1:-1].split(", ")
+    rows = ",\n".join([_INLINE_ROW] * len(cloud)) % tuple(values)
+    return f"[\n{rows}\n        ]"
+
+
 def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
-    """Write a scene file; lidar_bin switches clouds to binary side files."""
+    """Write a scene file; lidar_bin switches clouds to binary side files.
+
+    Inline clouds are left out of the json.dumps call, as "inline": null,
+    and their text is put in place of those nulls afterwards.
+    """
     path = Path(path)
     frames = []
+    inline_clouds = []
     for frame in scene.frames:
         cloud = np.asarray(frame.cloud, dtype=float)
         if lidar_bin:
@@ -164,7 +215,8 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
             )
             lidar = {"bin_file": bin_name}
         else:
-            lidar = {"inline": [[float(v) for v in row] for row in cloud]}
+            inline_clouds.append(f'"inline": {_inline_cloud_json(cloud)}')
+            lidar = {"inline": None}
         frames.append(
             {
                 "index": frame.index,
@@ -179,7 +231,12 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
                 "lidar": lidar,
             }
         )
-    _dump_json(path, {"rig": rig_to_dict(scene.rig), "frames": frames})
+    payload = {"rig": rig_to_dict(scene.rig), "frames": frames}
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    # Every other key of the file is fixed here, so this null is a cloud's.
+    pieces = text.split('"inline": null')
+    text = "".join(chain.from_iterable(zip(pieces, inline_clouds + [""])))
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
@@ -188,11 +245,7 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
     if ("inline" in lidar) == ("bin_file" in lidar):
         _fail(path, "expected exactly one of 'inline' or 'bin_file'")
     if "inline" in lidar:
-        rows = _list(lidar["inline"], f"{path}.inline")
-        points = [
-            _floats(row, f"{path}.inline[{i}]", 3) for i, row in enumerate(rows)
-        ]
-        return np.asarray(points, dtype=float).reshape(-1, 3)
+        return _float_rows(lidar["inline"], f"{path}.inline", 3)
     bin_path = scene_dir / _str(lidar["bin_file"], f"{path}.bin_file")
     if not bin_path.is_file():
         _fail(f"{path}.bin_file", f"file not found: {bin_path}")
@@ -271,11 +324,7 @@ def load_detection_records(path) -> list[tuple[int, Detection2D]]:
         bbox = _floats(_get(rec, "bbox", rpath), f"{rpath}.bbox", 4)
         embedding = None
         if "embedding" in rec:
-            values = _list(rec["embedding"], f"{rpath}.embedding")
-            embedding = np.asarray(
-                [_num(v, f"{rpath}.embedding[{k}]") for k, v in enumerate(values)],
-                dtype=float,
-            )
+            embedding = np.asarray(_floats(rec["embedding"], f"{rpath}.embedding"), dtype=float)
         truth_uid = rec.get("truth_uid")
         if truth_uid is not None:
             truth_uid = _int(truth_uid, f"{rpath}.truth_uid")

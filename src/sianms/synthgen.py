@@ -28,7 +28,8 @@ from .scene import (
     Detection2D,
     Pose,
     SceneObject,
-    box3d_to_bbox2d,
+    box_corners,
+    box_image_extents,
     matrix_to_quat,
     wrap_angle,
 )
@@ -233,11 +234,13 @@ def sample_surface_points(box: Box3D, n_points: int, rng) -> np.ndarray:
     choices = rng.choice(len(faces), size=n_points, p=areas / areas.sum())
     offsets_u = rng.uniform(-1.0, 1.0, size=n_points)
     offsets_v = rng.uniform(-1.0, 1.0, size=n_points)
-    pts = np.empty((n_points, 3))
-    for i, (face_idx, ou, ov) in enumerate(zip(choices, offsets_u, offsets_v)):
-        center, axis_u, axis_v, hu, hv = faces[face_idx]
-        pts[i] = center + ou * hu * axis_u + ov * hv * axis_v
-    return pts
+    center, axis_u, axis_v, half_u, half_v = (np.array(column) for column in zip(*faces))
+    # center + (ou * hu) * axis_u + (ov * hv) * axis_v per point, in that order
+    return (
+        center[choices]
+        + (offsets_u * half_u[choices])[:, None] * axis_u[choices]
+        + (offsets_v * half_v[choices])[:, None] * axis_v[choices]
+    )
 
 
 def generate_frame(rig: CameraRig, spec: GenSpec, frame_index: int):
@@ -321,19 +324,20 @@ def simulate_detections(
     """
     rng = np.random.default_rng([spec.seed, 1, frame_index])
     detections = []
+    corners = box_corners(obj.box for obj in objects)
     for cam in rig.cameras:
-        for obj in objects:
-            bbox = box3d_to_bbox2d(cam, obj.box)
-            if bbox is None:
+        extents, visible = box_image_extents(cam, corners)
+        for obj, bbox, seen in zip(objects, extents.tolist(), visible.tolist()):
+            if not seen:
                 continue
             if rng.random() < spec.miss_rate:
                 continue
             j = spec.bbox_jitter_px
             offsets = rng.uniform(-j, j, size=4) if j > 0.0 else np.zeros(4)
-            x_min = min(max(bbox.x_min + offsets[0], 0.0), cam.width)
-            y_min = min(max(bbox.y_min + offsets[1], 0.0), cam.height)
-            x_max = min(max(bbox.x_max + offsets[2], 0.0), cam.width)
-            y_max = min(max(bbox.y_max + offsets[3], 0.0), cam.height)
+            x_min = min(max(bbox[0] + offsets[0], 0.0), cam.width)
+            y_min = min(max(bbox[1] + offsets[1], 0.0), cam.height)
+            x_max = min(max(bbox[2] + offsets[2], 0.0), cam.width)
+            y_max = min(max(bbox[3] + offsets[3], 0.0), cam.height)
             if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
                 continue
             score = float(rng.uniform(0.5, 1.0))

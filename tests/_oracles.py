@@ -5,15 +5,24 @@ rotations, assignments come from exhaustive enumeration, precision-recall
 curves are scanned directly from their definition, and the estimator's
 range gate is a loop calling np.quantile and np.histogram per window.  Slow
 and obvious beats fast with shared blind spots.
+
+The functions from box3d_to_bbox2d_reference on are the plain versions that
+faster code in the package replaced: per-point and per-box loops, the
+nested-list scene writer and the loss primitives as first written.  The
+package must give their results bit for bit.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from sianms.scene import box3d_to_bbox2d, project_points
+from sianms.losses import BatchLossBreakdown, BatchLossGrads, ohem_select, smooth_l1
+from sianms.scene import DEPTH_EPSILON, BBox2D, project_points
+from sianms.sceneio import _box_to_list, rig_to_dict
+from sianms.synthgen import _visible_faces
 
 
 def brute_force_assignment(costs, masked=None):
@@ -376,5 +385,187 @@ def bbox2d_via_project_points(cam, box, clip=True):
 
 def visible_camera_count_reference(rig, box) -> int:
     """Cameras in which the box has a nonempty clipped bbox, one
-    box3d_to_bbox2d call per camera."""
-    return sum(1 for cam in rig.cameras if box3d_to_bbox2d(cam, box) is not None)
+    box3d_to_bbox2d_reference call per camera."""
+    return sum(1 for cam in rig.cameras if box3d_to_bbox2d_reference(cam, box) is not None)
+
+
+def box3d_to_bbox2d_reference(cam, box, clip=True):
+    """scene.box3d_to_bbox2d for one box and camera."""
+    p_cam = (box.corners() - cam.pose.translation) @ cam.pose.rotation
+    p_cam = p_cam[p_cam[:, 2] > DEPTH_EPSILON]
+    if not len(p_cam):
+        return None
+    uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :2] / p_cam[:, 2:]
+    (x_min, y_min), (x_max, y_max) = uv.min(axis=0).tolist(), uv.max(axis=0).tolist()
+    if clip:
+        x_min = min(max(x_min, 0.0), cam.width)
+        x_max = min(max(x_max, 0.0), cam.width)
+        y_min = min(max(y_min, 0.0), cam.height)
+        y_max = min(max(y_max, 0.0), cam.height)
+    if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
+        return None
+    return BBox2D(x_min, y_min, x_max, y_max)
+
+
+def sample_surface_points_reference(box, n_points, rng) -> np.ndarray:
+    """synthgen.sample_surface_points, one point per loop step."""
+    faces = _visible_faces(box)
+    if not faces or n_points <= 0:
+        return np.zeros((0, 3))
+    areas = np.array([4.0 * hu * hv for _, _, _, hu, hv in faces])
+    choices = rng.choice(len(faces), size=n_points, p=areas / areas.sum())
+    offsets_u = rng.uniform(-1.0, 1.0, size=n_points)
+    offsets_v = rng.uniform(-1.0, 1.0, size=n_points)
+    pts = np.empty((n_points, 3))
+    for i, (face_idx, ou, ov) in enumerate(zip(choices, offsets_u, offsets_v)):
+        center, axis_u, axis_v, hu, hv = faces[face_idx]
+        pts[i] = center + ou * hu * axis_u + ov * hv * axis_v
+    return pts
+
+
+def inline_scene_text_reference(scene) -> str:
+    """The text sceneio.write_scene writes for a scene with inline clouds:
+    the whole payload, clouds as nested lists, through one json.dumps."""
+    frames = []
+    for frame in scene.frames:
+        cloud = np.asarray(frame.cloud, dtype=float)
+        frames.append(
+            {
+                "index": frame.index,
+                "objects": [
+                    {"uid": obj.uid, "class": obj.class_id, "box": _box_to_list(obj.box)}
+                    for obj in frame.objects
+                ],
+                "lidar": {"inline": [[float(v) for v in row] for row in cloud]},
+            }
+        )
+    payload = {"rig": rig_to_dict(scene.rig), "frames": frames}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def cross_entropy_reference(logits, true_class):
+    z = np.asarray(logits, dtype=float)
+    if z.ndim != 1 or len(z) == 0:
+        raise ValueError("logits must be a nonempty vector")
+    if not 0 <= true_class < len(z):
+        raise ValueError(f"true_class {true_class} out of range for {len(z)} logits")
+    shift = z - z.max()
+    log_norm = float(np.log(np.sum(np.exp(shift))))
+    value = log_norm - float(shift[true_class])
+    softmax = np.exp(shift - log_norm)
+    grad = softmax.copy()
+    grad[true_class] -= 1.0
+    return value, grad
+
+
+def positive_pair_term_reference(a, b, cfg):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = a - b
+    dist = float(np.linalg.norm(diff))
+    margin = dist - cfg.alpha
+    if margin <= 0.0 or dist == 0.0:
+        zero = np.zeros_like(a)
+        return 0.5 * max(margin, 0.0) ** 2, zero, zero.copy()
+    grad_a = (margin / dist) * diff
+    return 0.5 * margin * margin, grad_a, -grad_a
+
+
+def negative_pair_term_reference(a, b, cfg):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = a - b
+    dist = float(np.linalg.norm(diff))
+    margin = cfg.beta - dist
+    if margin <= 0.0:
+        zero = np.zeros_like(a)
+        return 0.0, zero, zero.copy()
+    value = 0.5 * margin * margin
+    if dist == 0.0:
+        zero = np.zeros_like(a)
+        return value, zero, zero.copy()
+    grad_a = (-margin / dist) * diff
+    return value, grad_a, -grad_a
+
+
+def _reid_loss_reference(foregrounds, cfg):
+    grads = {(i, j): np.zeros_like(emb) for i, j, emb, _ in foregrounds}
+    if len(foregrounds) < 2:
+        return 0.0, grads
+    positives = []
+    negatives = []
+    for ia in range(len(foregrounds)):
+        for ib in range(ia + 1, len(foregrounds)):
+            pair = (foregrounds[ia], foregrounds[ib])
+            if pair[0][3] == pair[1][3]:
+                positives.append(pair)
+            else:
+                negatives.append(pair)
+    total = 0.0
+    for fa, fb in positives:
+        value, ga, gb = positive_pair_term_reference(fa[2], fb[2], cfg)
+        total += value
+        grads[(fa[0], fa[1])] += ga
+        grads[(fb[0], fb[1])] += gb
+    neg_terms = [negative_pair_term_reference(fa[2], fb[2], cfg) for fa, fb in negatives]
+    selected = ohem_select(positives, negatives, [t[0] for t in neg_terms])
+    for idx in selected:
+        fa, fb = negatives[idx]
+        value, ga, gb = neg_terms[idx]
+        total += value
+        grads[(fa[0], fa[1])] += ga
+        grads[(fb[0], fb[1])] += gb
+    return total, grads
+
+
+def batch_loss_reference(images, cfg):
+    """losses.batch_loss, built on the reference primitives above (without
+    its input checks)."""
+    per_image = []
+    fg_counts = []
+    bg_counts = []
+    grad_res = []
+    grad_log = []
+    foregrounds = []
+    for img_idx, proposals in enumerate(images):
+        img_total = 0.0
+        n_fg = 0
+        res_grads = []
+        log_grads = []
+        for prop_idx, prop in enumerate(proposals):
+            is_fg = prop.iou_with_gt > cfg.foreground_iou
+            if is_fg:
+                n_fg += 1
+                residual = np.asarray(prop.box_residual, dtype=float)
+                g = np.zeros_like(residual)
+                for k, component in enumerate(residual):
+                    value, dv = smooth_l1(component, cfg.smooth_l1_delta)
+                    img_total += value
+                    g[k] = dv
+                res_grads.append(g)
+                if prop.embedding is not None and prop.truth_uid is not None:
+                    foregrounds.append(
+                        (img_idx, prop_idx, np.asarray(prop.embedding, float), prop.truth_uid)
+                    )
+            else:
+                res_grads.append(None)
+            ce_value, ce_grad = cross_entropy_reference(prop.class_logits, prop.true_class)
+            img_total += ce_value
+            log_grads.append(ce_grad)
+        per_image.append(img_total)
+        fg_counts.append(n_fg)
+        bg_counts.append(len(proposals) - n_fg)
+        grad_res.append(res_grads)
+        grad_log.append(log_grads)
+    reid, reid_grads = _reid_loss_reference(foregrounds, cfg)
+    grad_emb = [[None] * len(proposals) for proposals in images]
+    for (img_idx, prop_idx), grad in reid_grads.items():
+        grad_emb[img_idx][prop_idx] = grad
+    breakdown = BatchLossBreakdown(
+        per_image_box_head=per_image,
+        reid=reid,
+        total=reid + sum(per_image),
+        foreground_counts=fg_counts,
+        background_counts=bg_counts,
+    )
+    return breakdown, BatchLossGrads(grad_res, grad_log, grad_emb)

@@ -1,11 +1,13 @@
-"""Bit-identity of the vectorized estimator and projection against oracles.
+"""Bit-identity of the vectorized code against plain oracles.
 
 The range gate, the trimmed extents and the 3D-to-2D box projection are
 computed with index arithmetic instead of np.quantile, np.histogram and
-project_points, and the visible-camera count projects every box on a camera
-at once; these tests hold them to the exact results of the plain
-implementations in _oracles.py, on random inputs and on every frustum and
-box of the noisy benchmark scene.
+project_points; every box on a camera is projected at once; surface points
+are sampled without a per-point loop; inline clouds are formatted apart
+from the rest of the scene file; and the loss primitives skip numpy's
+argument handling.  These tests hold each to the exact results of the
+plain implementations in _oracles.py, on random inputs and on every
+frustum and box of the benchmark scenes.
 """
 
 import math
@@ -17,21 +19,40 @@ from hypothesis import strategies as st
 
 import sianms.pipeline as pipeline_module
 from sianms.estimator import EstimatorConfig, _range_gate, _trimmed_extent
+from sianms.losses import (
+    LossConfig,
+    Proposal,
+    batch_loss,
+    cross_entropy,
+    negative_pair_term,
+    positive_pair_term,
+)
 from sianms.metrics import visible_camera_count, visible_camera_counts
-from sianms.pipeline import PipelineConfig, Variant, run_pipeline
+from sianms.pipeline import Frame, PipelineConfig, Scene, Variant, run_pipeline
 from sianms.scene import (
     DEPTH_EPSILON,
     Box3D,
     CameraModel,
     Pose,
+    SceneObject,
     box3d_to_bbox2d,
+    box_corners,
+    box_image_extents,
     matrix_to_quat,
 )
-from sianms.synthgen import RigSpec, benchmark_gen_spec, make_rig
+from sianms.sceneio import write_scene
+from sianms.synthgen import RigSpec, benchmark_gen_spec, make_rig, sample_surface_points
 
 from _oracles import (
+    batch_loss_reference,
     bbox2d_via_project_points,
+    box3d_to_bbox2d_reference,
+    cross_entropy_reference,
+    inline_scene_text_reference,
+    negative_pair_term_reference,
+    positive_pair_term_reference,
     range_gate_reference,
+    sample_surface_points_reference,
     visible_camera_count_reference,
 )
 from conftest import build_scene
@@ -268,3 +289,236 @@ class TestVisibleCameraCount:
         ]
         counts = _assert_counts_match(bench_rig, gt + preds)
         assert len(preds) > 2000 and max(counts) >= 2
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+BOXES = st.builds(
+    Box3D,
+    x=st.floats(-30.0, 30.0),
+    y=st.floats(-30.0, 30.0),
+    z=st.floats(-3.0, 12.0),
+    l=st.floats(0.01, 8.0),
+    w=st.floats(0.01, 4.0),
+    h=st.floats(0.01, 4.0),
+    theta=st.floats(-4.0, 4.0),
+)
+
+
+def _assert_extents_match(cam, boxes):
+    """box_image_extents on the stacked boxes against one
+    box3d_to_bbox2d_reference call per box, clipped and not; returns the
+    number of visible boxes."""
+    n_visible = 0
+    for clip in (True, False):
+        extents, visible = box_image_extents(cam, box_corners(boxes), clip)
+        assert extents.shape == (len(boxes), 4) and visible.shape == (len(boxes),)
+        for row, seen, box in zip(extents.tolist(), visible.tolist(), boxes):
+            want = box3d_to_bbox2d_reference(cam, box, clip)
+            assert seen == (want is not None)
+            if seen:
+                assert _same_bits(row, [want.x_min, want.y_min, want.x_max, want.y_max])
+                n_visible += clip
+    return n_visible
+
+
+class TestBatchedProjection:
+    @EXAMPLES
+    @given(
+        yaw=st.floats(-math.pi, math.pi),
+        pitch=st.floats(-0.3, 0.3),
+        fx=st.floats(100.0, 2000.0),
+        boxes=st.lists(BOXES, max_size=10),
+    )
+    def test_matches_per_box_oracle(self, yaw, pitch, fx, boxes):
+        _assert_extents_match(_camera(yaw, pitch, 1.5, fx), boxes)
+
+    def test_every_benchmark_ground_truth_box(self, bench_rig, clean_scene, noisy_scene):
+        n_visible = 0
+        for scene in (clean_scene, noisy_scene):
+            for frame in scene.frames:
+                boxes = [obj.box for obj in frame.objects]
+                for cam in bench_rig.cameras:
+                    n_visible += _assert_extents_match(cam, boxes)
+        assert n_visible > 500
+
+
+class TestSurfaceSampling:
+    @EXAMPLES
+    @given(box=BOXES, n_points=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle(self, box, n_points, seed):
+        got = sample_surface_points(box, n_points, np.random.default_rng(seed))
+        want = sample_surface_points_reference(box, n_points, np.random.default_rng(seed))
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2])
+    def test_few_points(self, n_points):
+        box = Box3D(x=9.0, y=-4.0, z=-0.9, l=4.5, w=1.9, h=1.6, theta=2.0)
+        for seed in range(20):
+            got = sample_surface_points(box, n_points, np.random.default_rng(seed))
+            want = sample_surface_points_reference(box, n_points, np.random.default_rng(seed))
+            assert _same_bits(got, want)
+            assert got.shape == (max(n_points, 0), 3)
+
+    def test_rng_left_in_the_same_state(self):
+        box = Box3D(x=9.0, y=-4.0, z=-0.9, l=4.5, w=1.9, h=1.6, theta=2.0)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        sample_surface_points(box, 50, rng)
+        sample_surface_points_reference(box, 50, reference_rng)
+        assert rng.random() == reference_rng.random()
+
+
+def _one_frame_scene(cloud, class_id="car"):
+    rig = make_rig(RigSpec(n_cameras=2, yaw_spacing_deg=90.0, hfov_deg=120.0))
+    obj = SceneObject(uid=3, class_id=class_id, box=Box3D(8.0, 1.0, -0.9, 4.5, 1.9, 1.6, 0.2))
+    frames = (
+        Frame(index=0, objects=(obj,), cloud=np.asarray(cloud, dtype=float)),
+        Frame(index=1, objects=(), cloud=np.zeros((0, 3))),
+    )
+    return Scene(rig=rig, frames=frames)
+
+
+def _written_text(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    write_scene(path, scene)
+    return path.read_text(encoding="utf-8")
+
+
+CLOUD_VALUES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, 1e16, -1e16, 1.5e300, 0.1, 1.0 / 3.0]
+)
+
+
+class TestInlineSceneText:
+    @EXAMPLES
+    @given(values=st.lists(CLOUD_VALUES, max_size=60))
+    def test_matches_one_json_dumps(self, tmp_path_factory, values):
+        cloud = np.array(values[: len(values) // 3 * 3], dtype=float).reshape(-1, 3)
+        scene = _one_frame_scene(cloud)
+        text = _written_text(tmp_path_factory.mktemp("scene"), scene)
+        assert text == inline_scene_text_reference(scene)
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            np.zeros((0, 3)),
+            [[1.0, -2.5, 3.25]],
+            [[-0.0, 0.0, -0.0]],
+            [[1e-300, 5e-324, -1e-300]],
+            [[1e16, -1e16, 123456789012345678.0]],
+            [[np.nan, np.inf, -np.inf], [0.1, 0.2, 0.3]],
+        ],
+        ids=["empty", "one-point", "signed-zeros", "tiny", "huge", "non-finite"],
+    )
+    def test_edge_cases(self, tmp_path, cloud):
+        scene = _one_frame_scene(cloud)
+        assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+
+    def test_non_finite_spelled_as_json_does(self, tmp_path):
+        text = _written_text(tmp_path, _one_frame_scene([[np.nan, np.inf, -np.inf]]))
+        assert "NaN,\n" in text and "Infinity,\n" in text and "-Infinity\n" in text
+
+    def test_class_name_that_looks_like_a_cloud(self, tmp_path):
+        scene = _one_frame_scene([[1.0, 2.0, 3.0]], class_id='"inline": null')
+        assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+
+    def test_benchmark_scene(self, tmp_path, clean_scene):
+        scene = Scene(rig=clean_scene.rig, frames=clean_scene.frames[:5])
+        assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+
+
+LOSS_CFG = LossConfig(alpha=0.5, beta=1.5)
+VECTOR_VALUES = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, 0.5, 1.5])
+
+
+def _assert_same_loss_results(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert _same_bits(g, w)
+
+
+class TestLossPrimitives:
+    @EXAMPLES
+    @given(logits=st.lists(VECTOR_VALUES, min_size=1, max_size=8), data=st.data())
+    def test_cross_entropy(self, logits, data):
+        true_class = data.draw(st.integers(0, len(logits) - 1))
+        _assert_same_loss_results(
+            cross_entropy(logits, true_class), cross_entropy_reference(logits, true_class)
+        )
+
+    @EXAMPLES
+    @given(
+        dim=st.integers(1, 6),
+        data=st.data(),
+        coincide=st.booleans(),
+        scale=st.sampled_from([1e-3, 0.3, 1.0, 3.0]),
+    )
+    def test_pair_terms(self, dim, data, coincide, scale):
+        a = np.array(data.draw(st.lists(VECTOR_VALUES, min_size=dim, max_size=dim))) * scale
+        b = a.copy() if coincide else np.array(
+            data.draw(st.lists(VECTOR_VALUES, min_size=dim, max_size=dim))
+        ) * scale
+        for term, reference in (
+            (positive_pair_term, positive_pair_term_reference),
+            (negative_pair_term, negative_pair_term_reference),
+        ):
+            _assert_same_loss_results(term(a, b, LOSS_CFG), reference(a, b, LOSS_CFG))
+
+    def test_pair_terms_at_the_margins(self):
+        a = np.zeros(2)
+        for dist in (0.0, LOSS_CFG.alpha, LOSS_CFG.beta, 1.0, 2.0):
+            b = np.array([dist, 0.0])
+            for term, reference in (
+                (positive_pair_term, positive_pair_term_reference),
+                (negative_pair_term, negative_pair_term_reference),
+            ):
+                _assert_same_loss_results(term(a, b, LOSS_CFG), reference(a, b, LOSS_CFG))
+
+    @EXAMPLES
+    @given(
+        images=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from([None, 1, 2, 3]),
+                    st.sampled_from([0.2, 0.9]),
+                    st.integers(0, 2**32 - 1),
+                ),
+                max_size=5,
+            ),
+            max_size=3,
+        )
+    )
+    def test_batch_loss(self, images):
+        batch = []
+        for proposals in images:
+            batch.append([])
+            for uid, iou, seed in proposals:
+                rng = np.random.default_rng(seed)
+                batch[-1].append(
+                    Proposal(
+                        class_logits=rng.uniform(-4.0, 4.0, 3),
+                        true_class=int(rng.integers(0, 3)),
+                        iou_with_gt=iou,
+                        box_residual=rng.uniform(-2.0, 2.0, 4),
+                        embedding=rng.uniform(-1.0, 1.0, 4),
+                        truth_uid=uid,
+                    )
+                )
+        got_breakdown, got_grads = batch_loss(batch, LOSS_CFG)
+        want_breakdown, want_grads = batch_loss_reference(batch, LOSS_CFG)
+        assert _same_bits(got_breakdown.total, want_breakdown.total)
+        assert _same_bits(got_breakdown.reid, want_breakdown.reid)
+        assert _same_bits(got_breakdown.per_image_box_head, want_breakdown.per_image_box_head)
+        assert got_breakdown.foreground_counts == want_breakdown.foreground_counts
+        assert got_breakdown.background_counts == want_breakdown.background_counts
+        for field in ("residuals", "logits", "embeddings"):
+            got_rows, want_rows = getattr(got_grads, field), getattr(want_grads, field)
+            assert len(got_rows) == len(want_rows)
+            for got_row, want_row in zip(got_rows, want_rows):
+                assert len(got_row) == len(want_row)
+                for g, w in zip(got_row, want_row):
+                    assert (g is None) == (w is None)
+                    if g is not None:
+                        assert _same_bits(g, w)

@@ -149,6 +149,102 @@ class TestDetectionRoundTrip:
             load_detection_records(path)
 
 
+
+BAD_ROWS = [
+    ([1.0, True, 3.0], "[1][1]: expected a number, got bool"),
+    ([1.0, 2.0, "3"], "[1][2]: expected a number, got str"),
+    ([None, 2.0, 3.0], "[1][0]: expected a number, got NoneType"),
+    ([1.0, 2.0], "[1]: expected 3 elements, got 2"),
+    ([1.0, 2.0, 3.0, 4.0], "[1]: expected 3 elements, got 4"),
+    ([1.0, [2.0], 3.0], "[1][1]: expected a number, got list"),
+    ({"x": 1.0}, "[1]: expected a list, got dict"),
+    (2.0, "[1]: expected a list, got float"),
+]
+
+
+class TestMalformedNumbers:
+    """The bulk checks of inline clouds and embeddings fail with the text of
+    an element-by-element walk: the JSON path of the first bad element."""
+
+    def _scene_file(self, tmp_path, tiny_scene, inline):
+        scene, _ = tiny_scene
+        path = tmp_path / "scene.json"
+        write_scene(path, scene)
+        data = json.loads(path.read_text())
+        data["frames"][1]["lidar"]["inline"] = inline
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("later_rows", [[], [[True, "first bad row wins", None]]])
+    @pytest.mark.parametrize("row, message", BAD_ROWS)
+    def test_inline_cloud_row(self, tmp_path, tiny_scene, row, message, later_rows):
+        inline = [[0.5, 1.5, 2.5], row, *later_rows]
+        path = self._scene_file(tmp_path, tiny_scene, inline)
+        with pytest.raises(SchemaError) as err:
+            load_scene(path)
+        assert str(err.value) == f"frames[1].lidar.inline{message}"
+
+    def test_rows_of_two_that_would_reshape(self, tmp_path, tiny_scene):
+        path = self._scene_file(tmp_path, tiny_scene, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        with pytest.raises(SchemaError) as err:
+            load_scene(path)
+        assert str(err.value) == "frames[1].lidar.inline[0]: expected 3 elements, got 2"
+
+    def test_inline_cloud_not_a_list(self, tmp_path, tiny_scene):
+        path = self._scene_file(tmp_path, tiny_scene, {"x": [1.0, 2.0, 3.0]})
+        with pytest.raises(SchemaError) as err:
+            load_scene(path)
+        assert str(err.value) == "frames[1].lidar.inline: expected a list, got dict"
+
+    def test_int_rows_load_as_floats(self, tmp_path, tiny_scene):
+        path = self._scene_file(tmp_path, tiny_scene, [[1, -2, 3], [4.5, 5, 2**60 + 1]])
+        cloud = load_scene(path).frames[1].cloud
+        assert cloud.dtype == np.float64
+        assert cloud.tolist() == [[1.0, -2.0, 3.0], [4.5, 5.0, float(2**60 + 1)]]
+
+    def test_empty_inline_cloud(self, tmp_path, tiny_scene):
+        cloud = load_scene(self._scene_file(tmp_path, tiny_scene, [])).frames[1].cloud
+        assert cloud.shape == (0, 3) and cloud.dtype == np.float64
+
+    def _detections_file(self, tmp_path, embedding):
+        record = {
+            "frame": 0, "camera_id": "cam0", "class": "car",
+            "score": 0.5, "bbox": [0.0, 0.0, 5.0, 5.0],
+        }
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([record, dict(record, embedding=embedding)]))
+        return path
+
+    @pytest.mark.parametrize(
+        "embedding, message",
+        [
+            ([0.1, True, 0.3], "[1]: expected a number, got bool"),
+            ([0.1, 0.2, "0.3"], "[2]: expected a number, got str"),
+            ([None, 0.2], "[0]: expected a number, got NoneType"),
+            ([0.1, [0.2]], "[1]: expected a number, got list"),
+            ("0.1 0.2", ": expected a list, got str"),
+            (0.1, ": expected a list, got float"),
+        ],
+    )
+    def test_embedding(self, tmp_path, embedding, message):
+        with pytest.raises(SchemaError) as err:
+            load_detection_records(self._detections_file(tmp_path, embedding))
+        assert str(err.value) == f"$[1].embedding{message}"
+
+    def test_int_embedding_loads_as_floats(self, tmp_path):
+        records = load_detection_records(self._detections_file(tmp_path, [1, 0, -2]))
+        embedding = records[1][1].embedding
+        assert embedding.dtype == np.float64 and embedding.tolist() == [1.0, 0.0, -2.0]
+
+    def test_bbox_value(self, tmp_path):
+        path = self._detections_file(tmp_path, [0.1])
+        data = json.loads(path.read_text())
+        data[0]["bbox"][3] = False
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_detection_records(path)
+        assert str(err.value) == "$[0].bbox[3]: expected a number, got bool"
+
 class TestMatchesRoundTrip:
     def _setup(self, tiny_scene):
         scene, gen = tiny_scene
