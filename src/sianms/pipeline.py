@@ -44,15 +44,7 @@ from .metrics import (
     overlap_region_filter,
 )
 from .reid_eval import accumulate, evaluate_frame
-from .scene import (
-    BBox2D,
-    Box3D,
-    CameraRig,
-    Detection2D,
-    SceneObject,
-    box_corners,
-    box_image_extents,
-)
+from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, box_corners, box_image_extents
 from .synthgen import GenSpec, simulate_detections
 
 
