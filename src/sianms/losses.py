@@ -75,21 +75,41 @@ def cross_entropy(logits, true_class: int) -> tuple[float, np.ndarray]:
     return value, grad
 
 
+def _hinge_term(a: np.ndarray, b: np.ndarray, cfg: LossConfig, positive: bool):
+    """The positive (pull-in) or negative (push-out) hinge of one pair of
+    float vectors, as (value, grad_a); grad_a is None where the subgradient
+    is taken as 0, and the gradient with respect to b is -grad_a."""
+    diff = a - b
+    dist = math.sqrt(diff.dot(diff))  # np.linalg.norm's own arithmetic
+    if positive:
+        margin = dist - cfg.alpha
+        if margin <= 0.0 or dist == 0.0:
+            return 0.5 * max(margin, 0.0) ** 2, None
+        return 0.5 * margin * margin, (margin / dist) * diff
+    margin = cfg.beta - dist
+    if margin <= 0.0:
+        return 0.0, None
+    value = 0.5 * margin * margin
+    if dist == 0.0:
+        return value, None
+    return value, (-margin / dist) * diff
+
+
+def _pair_term(a, b, cfg: LossConfig, positive: bool):
+    a = np.asarray(a, dtype=float)
+    value, grad_a = _hinge_term(a, np.asarray(b, dtype=float), cfg, positive)
+    if grad_a is None:
+        zero = np.zeros(a.shape)
+        return value, zero, zero.copy()
+    return value, grad_a, -grad_a
+
+
 def positive_pair_term(a, b, cfg: LossConfig):
     """Pull-in hinge 0.5*max(||a-b|| - alpha, 0)^2; returns (value, ga, gb).
 
     The subgradient at the hinge kink and at zero distance is taken as 0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a - b
-    dist = math.sqrt(diff.dot(diff))  # np.linalg.norm's own arithmetic
-    margin = dist - cfg.alpha
-    if margin <= 0.0 or dist == 0.0:
-        zero = np.zeros(a.shape)
-        return 0.5 * max(margin, 0.0) ** 2, zero, zero.copy()
-    grad_a = (margin / dist) * diff
-    return 0.5 * margin * margin, grad_a, -grad_a
+    return _pair_term(a, b, cfg, positive=True)
 
 
 def negative_pair_term(a, b, cfg: LossConfig):
@@ -97,20 +117,7 @@ def negative_pair_term(a, b, cfg: LossConfig):
 
     The subgradient at the hinge kink and at zero distance is taken as 0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a - b
-    dist = math.sqrt(diff.dot(diff))  # np.linalg.norm's own arithmetic
-    margin = cfg.beta - dist
-    if margin <= 0.0:
-        zero = np.zeros(a.shape)
-        return 0.0, zero, zero.copy()
-    value = 0.5 * margin * margin
-    if dist == 0.0:
-        zero = np.zeros(a.shape)
-        return value, zero, zero.copy()
-    grad_a = (-margin / dist) * diff
-    return value, grad_a, -grad_a
+    return _pair_term(a, b, cfg, positive=False)
 
 
 def contrastive_pair_terms(reference, positive, negative, cfg: LossConfig):
@@ -193,22 +200,26 @@ def _reid_loss(foregrounds, cfg: LossConfig):
     for ia in range(len(foregrounds)):
         for ib in range(ia + 1, len(foregrounds)):
             (positives if uids[ia] == uids[ib] else negatives).append((ia, ib))
+    # A pair without a gradient would add zeros, which leaves every sum as is.
     total = 0.0
     for ia, ib in positives:
-        value, ga, gb = positive_pair_term(embeddings[ia], embeddings[ib], cfg)
+        value, grad = _hinge_term(embeddings[ia], embeddings[ib], cfg, positive=True)
         total += value
-        grads[ia] += ga
-        grads[ib] += gb
+        if grad is not None:
+            grads[ia] += grad
+            grads[ib] -= grad
     neg_terms = [
-        negative_pair_term(embeddings[ia], embeddings[ib], cfg) for ia, ib in negatives
+        _hinge_term(embeddings[ia], embeddings[ib], cfg, positive=False)
+        for ia, ib in negatives
     ]
     selected = ohem_select(positives, negatives, [t[0] for t in neg_terms])
     for idx in selected:
         ia, ib = negatives[idx]
-        value, ga, gb = neg_terms[idx]
+        value, grad = neg_terms[idx]
         total += value
-        grads[ia] += ga
-        grads[ib] += gb
+        if grad is not None:
+            grads[ia] += grad
+            grads[ib] -= grad
     return total, {(i, j): g for (i, j, _, _), g in zip(foregrounds, grads)}
 
 
