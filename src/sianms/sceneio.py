@@ -233,7 +233,8 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
         )
     payload = {"rig": rig_to_dict(scene.rig), "frames": frames}
     text = json.dumps(payload, indent=2, sort_keys=True)
-    # Every other key of the file is fixed here, so this null is a cloud's.
+    # Every key is fixed here and json escapes quotes inside strings, so this
+    # text can only be a cloud's placeholder.
     pieces = text.split('"inline": null')
     text = "".join(chain.from_iterable(zip(pieces, inline_clouds + [""])))
     path.write_text(text + "\n", encoding="utf-8")
