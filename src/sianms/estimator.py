@@ -22,9 +22,12 @@ The range gate scores up to 191 range windows per frustum with a fixed
 number of array operations instead of a loop over windows: one sort by
 range, per-point azimuth bins turned into per-window counts by prefix
 sums, and one +inf-padded block of per-window heights (windows x largest
-window floats) sorted row-wise for the height quantiles. Bins and
-quantiles follow numpy's own index arithmetic, so boxes are bit-identical
-to calling np.histogram and np.quantile per window.
+window floats) sorted row-wise for the height quantiles. The winning
+window's median range is read straight from the sorted ranges, and one
+sorted two-row block of along- and across-yaw coordinates gives all four
+planar extents in one quantile call. Bins, quantiles and the median follow
+numpy's own arithmetic, so boxes are bit-identical to calling
+np.histogram, np.quantile and np.median per window and per axis.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ def _histogram_bins(values: np.ndarray, span: float) -> np.ndarray:
     is corrected against the linspace edges, the last bin is closed, and
     values outside [0, span] get the out-of-range bin _AZ_BINS.
     """
-    edges = np.linspace(0.0, span, _AZ_BINS + 1)
+    # np.linspace(0.0, span, _AZ_BINS + 1): k * (span / _AZ_BINS), then span
+    edges = np.arange(_AZ_BINS + 1.0) * (span / _AZ_BINS)
+    edges[-1] = span
     keep = (values >= 0.0) & (values <= span)
     bins = np.where(keep, values / span * _AZ_BINS, 0.0).astype(np.intp)
     bins[bins == _AZ_BINS] -= 1
@@ -133,8 +138,9 @@ def _range_gate(
     leaked slices score low on one of the coverages.  Azimuth coverage
     counts occupied bins rather than a quantile span: several disjoint
     bystander clusters in one window would fake a wide span, but they
-    still leave most bins empty.  The first best window wins. Stage 2 re-centers on the median range of the winning
-    window and keeps all points within half_width of it.
+    still leave most bins empty.  The first best window wins. Stage 2
+    re-centers on the median range of the winning window and keeps all
+    points within half_width of it.
 
     All windows are scored at once: the points are sorted by range once,
     each point's azimuth bin is computed once and every window's bin counts
@@ -142,6 +148,9 @@ def _range_gate(
     block holding each window's heights in a row, right-padded with +inf
     and sorted row-wise, so it takes windows x largest window floats.  Bin
     counts and quantiles reproduce np.histogram and np.quantile exactly.
+    The window holds every point ranged from its start to its end, so it
+    opens at the first range tied with its start, and its median is the
+    middle value, or the mean of the two middle ones, as np.median takes it.
     """
     n = len(points)
     ranges = np.hypot(points[:, 0], points[:, 1])
@@ -150,7 +159,8 @@ def _range_gate(
     order = np.argsort(ranges, kind="stable")
     sorted_r = ranges[order]
     width = 2.0 * half_width
-    starts = np.arange(0, n, max(1, n // 96))
+    stride = max(1, n // 96)
+    starts = np.arange(0, n, stride)
     lengths = np.searchsorted(sorted_r, sorted_r[starts] + width, side="right") - starts
     score = lengths.astype(float)
     if az_width > 1e-9:
@@ -160,32 +170,36 @@ def _range_gate(
         np.cumsum(in_bin, axis=0, out=cumulative[1:])
         counts = cumulative[starts + lengths] - cumulative[starts]
         threshold = np.maximum(1.0, np.ceil(0.04 * lengths))
-        score = score * (np.count_nonzero(counts >= threshold[:, None], axis=1) / _AZ_BINS)
+        score = score * ((counts >= threshold[:, None]).sum(axis=1) / _AZ_BINS)
     if prior_h > 1e-9:
-        heights = points[order, 2]
-        column = np.arange(lengths.max())
-        block = np.where(
-            column < lengths[:, None],
-            heights[np.minimum(starts[:, None] + column, n - 1)],
-            np.inf,
-        )
+        longest = int(lengths.max())
+        padded = np.concatenate((points[order, 2], np.full(longest, np.inf)))
+        # row w views padded[starts[w] : starts[w] + longest]
+        item = padded.itemsize
+        windows = np.ndarray((len(starts), longest), float, buffer=padded, strides=(stride * item, item))
+        block = np.where(np.arange(longest) < lengths[:, None], windows, np.inf)
         block.sort(axis=1)
         q05, q95 = _linear_quantiles(block, lengths, np.array([[0.05], [0.95]]))
         score = score * np.minimum((q95 - q05) / prior_h, 1.0)
-    best_start = starts[int(np.argmax(score))]
-    in_window = (ranges >= sorted_r[best_start]) & (
-        ranges <= sorted_r[best_start] + width
-    )
-    median = float(np.median(ranges[in_window]))
+    best = int(np.argmax(score))
+    # the window runs from the first range tied with its start to its end
+    first = int(np.searchsorted(sorted_r, sorted_r[starts[best]], side="left"))
+    middle, odd = divmod(first + int(starts[best] + lengths[best]), 2)
+    if odd:
+        median = float(sorted_r[middle])
+    else:
+        median = float((sorted_r[middle - 1] + sorted_r[middle]) / 2.0)
     return points[np.abs(ranges - median) <= half_width]
 
 
 def _principal_axis_angle(xy: np.ndarray) -> float:
     """Orientation of the dominant scatter direction, in (-pi/2, pi/2]."""
-    centered = xy - xy.mean(axis=0)
-    sxx = float(np.mean(centered[:, 0] ** 2))
-    syy = float(np.mean(centered[:, 1] ** 2))
-    sxy = float(np.mean(centered[:, 0] * centered[:, 1]))
+    n = len(xy)
+    # .sum() / n is np.mean's own arithmetic, axis by axis
+    u, v = (xy - xy.sum(axis=0) / n).T
+    sxx = float((u * u).sum() / n)
+    syy = float((v * v).sum() / n)
+    sxy = float((u * v).sum() / n)
     angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
     if angle <= -math.pi / 2.0:
         angle += math.pi
@@ -203,12 +217,14 @@ def _disambiguate(line_angle: float, reference: float) -> float:
     return wrap_angle(line_angle + math.pi)
 
 
-def _trimmed_extent(values: np.ndarray, quantile: float) -> tuple[float, float]:
-    """The quantile and 1 - quantile points of values, as np.quantile gives them."""
-    lo, hi = _linear_quantiles(
-        np.sort(values)[None, :], np.array([len(values)]), np.array([[quantile], [1.0 - quantile]])
+def _trimmed_extents(rows: np.ndarray, quantile: float) -> np.ndarray:
+    """The quantile and 1 - quantile points of each row, as np.quantile
+    gives them: row w's are [0, w] and [1, w] of the (2, W) result."""
+    return _linear_quantiles(
+        np.sort(rows, axis=1),
+        np.full(len(rows), rows.shape[1]),
+        np.array([[quantile], [1.0 - quantile]]),
     )
-    return float(lo[0]), float(hi[0])
 
 
 def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D:
@@ -232,20 +248,21 @@ def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D
         line = _principal_axis_angle(gated[:, :2])
         yaw = _disambiguate(line, frustum.central_axis)
     cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    along = gated[:, 0] * cos_y + gated[:, 1] * sin_y
-    across = -gated[:, 0] * sin_y + gated[:, 1] * cos_y
-    lo_along, hi_along = _trimmed_extent(along, cfg.extent_quantile)
-    lo_across, hi_across = _trimmed_extent(across, cfg.extent_quantile)
+    x_col, y_col = gated[:, 0], gated[:, 1]
+    # rows: along (x cos + y sin) and across (-x sin + y cos) the yaw
+    (lo_along, lo_across), (hi_along, hi_across) = _trimmed_extents(
+        np.array([x_col * cos_y + y_col * sin_y, -x_col * sin_y + y_col * cos_y]),
+        cfg.extent_quantile,
+    ).tolist()
     center_along = 0.5 * (lo_along + hi_along)
     center_across = 0.5 * (lo_across + hi_across)
     x = center_along * cos_y - center_across * sin_y
     y = center_along * sin_y + center_across * cos_y
-    z = 0.5 * (gated[:, 2].min() + gated[:, 2].max())
-    dims = []
-    for extent, prior_dim in zip(
-        (hi_along - lo_along, hi_across - lo_across,
-         gated[:, 2].max() - gated[:, 2].min()),
-        prior,
-    ):
-        dims.append(min(max(float(extent), prior_dim), 2.0 * prior_dim))
-    return Box3D(x=float(x), y=float(y), z=float(z), l=dims[0], w=dims[1], h=dims[2], theta=yaw)
+    z_min, z_max = float(gated[:, 2].min()), float(gated[:, 2].max())
+    dims = [
+        min(max(extent, prior_dim), 2.0 * prior_dim)
+        for extent, prior_dim in zip(
+            (hi_along - lo_along, hi_across - lo_across, z_max - z_min), prior
+        )
+    ]
+    return Box3D(x=x, y=y, z=0.5 * (z_min + z_max), l=dims[0], w=dims[1], h=dims[2], theta=yaw)

@@ -135,20 +135,14 @@ def merge_frustums(a: Frustum, b: Frustum) -> Frustum:
     first appearance in a then b.  Raises MergeRejected when the frustums
     are disjoint; the caller decides how to proceed.
     """
-    seen_a = {tuple(row) for row in a.points}
-    rows_b = [tuple(row) for row in b.points]
-    if not any(row in seen_a for row in rows_b):
+    # tuples of floats compare as the coordinates do: 0.0 == -0.0, and a
+    # row holding NaN equals no other row
+    rows_a = list(map(tuple, a.points.tolist()))
+    rows_b = list(map(tuple, b.points.tolist()))
+    if set(rows_a).isdisjoint(rows_b):
         raise MergeRejected("frustums share no point")
-    merged = []
-    seen = set()
-    for row in (tuple(r) for r in a.points):
-        if row not in seen:
-            seen.add(row)
-            merged.append(row)
-    for row in rows_b:
-        if row not in seen:
-            seen.add(row)
-            merged.append(row)
+    # dict keys keep the first of equal rows, in insertion order
+    merged = list(dict.fromkeys(rows_a + rows_b))
     start, width = _combined_hull(a.extent, b.extent)
     extent = (wrap_angle(start), wrap_angle(start + width))
     return Frustum(

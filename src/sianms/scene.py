@@ -31,6 +31,11 @@ class BehindCamera(ValueError):
 
 def wrap_angle(theta):
     """Wrap an angle (scalar or array, radians) into (-pi, pi]."""
+    if isinstance(theta, (float, int)):
+        # Python's float % takes np.mod's fmod-and-adjust steps, so a number
+        # gets the array path's bits without the array round trip
+        wrapped = (float(theta) + math.pi) % (2.0 * math.pi) - math.pi
+        return math.pi if wrapped == -math.pi else wrapped
     wrapped = np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     if np.ndim(theta) == 0:

@@ -295,6 +295,11 @@ def _uid_seed(truth_uid) -> int:
     return int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "little")
 
 
+def _uid_anchor(truth_uid, embed_dim: int) -> np.ndarray:
+    """The standard-normal anchor embedding of a truth uid."""
+    return np.random.default_rng(_uid_seed(truth_uid)).standard_normal(embed_dim)
+
+
 def embedding_provider(truth_uid, spec: GenSpec, rng=None) -> np.ndarray:
     """Embedding = per-uid anchor plus Gaussian noise of scale embed_noise.
 
@@ -303,7 +308,7 @@ def embedding_provider(truth_uid, spec: GenSpec, rng=None) -> np.ndarray:
     distinct identities are far apart with overwhelming probability.  rng is
     required when embed_noise > 0 (noise is re-sampled per detection).
     """
-    anchor = np.random.default_rng(_uid_seed(truth_uid)).standard_normal(spec.embed_dim)
+    anchor = _uid_anchor(truth_uid, spec.embed_dim)
     if rng is None:
         if spec.embed_noise > 0.0:
             raise ValueError("an rng is required when embed_noise > 0")
@@ -319,15 +324,17 @@ def simulate_detections(
 
     Every object visible in a camera yields at most one detection there:
     the clipped projected bbox plus uniform per-edge jitter, a score in
-    [0.5, 1], the truth uid and an embedding.  Detections are dropped with
-    miss_rate, or when jitter collapses the bbox.
+    [0.5, 1], the truth uid and an embedding as embedding_provider gives it.
+    Detections are dropped with miss_rate, or when jitter collapses the bbox.
     """
     rng = np.random.default_rng([spec.seed, 1, frame_index])
     detections = []
     corners = box_corners(obj.box for obj in objects)
+    # each object's anchor is drawn once, from its own uid-seeded generator
+    anchors = [_uid_anchor(obj.uid, spec.embed_dim) for obj in objects]
     for cam in rig.cameras:
         extents, visible = box_image_extents(cam, corners)
-        for obj, bbox, seen in zip(objects, extents.tolist(), visible.tolist()):
+        for obj, anchor, bbox, seen in zip(objects, anchors, extents.tolist(), visible.tolist()):
             if not seen:
                 continue
             if rng.random() < spec.miss_rate:
@@ -341,7 +348,7 @@ def simulate_detections(
             if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
                 continue
             score = float(rng.uniform(0.5, 1.0))
-            embedding = embedding_provider(obj.uid, spec, rng)
+            embedding = anchor + spec.embed_noise * rng.standard_normal(spec.embed_dim)
             detections.append(
                 Detection2D(
                     camera_id=cam.id,

@@ -8,8 +8,10 @@ and obvious beats fast with shared blind spots.
 
 The functions from box3d_to_bbox2d_reference on are the plain versions that
 faster code in the package replaced: per-point and per-box loops, the
-nested-list scene writer and the loss primitives as first written.  The
-package must give their results bit for bit.
+nested-list scene writer, the loss primitives as first written, the box
+estimator with np.quantile extents and the np.median gate, the tuple-loop
+frustum merge and the array-only wrap_angle.  The package must give their
+results bit for bit.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import math
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from sianms.frustum import MergeRejected, _combined_hull
 from sianms.losses import BatchLossBreakdown, BatchLossGrads, ohem_select, smooth_l1
 from sianms.scene import DEPTH_EPSILON, BBox2D, project_points
 from sianms.sceneio import _box_to_list, rig_to_dict
@@ -569,3 +572,107 @@ def batch_loss_reference(images, cfg):
         background_counts=bg_counts,
     )
     return breakdown, BatchLossGrads(grad_res, grad_log, grad_emb)
+
+
+def wrap_angle_reference(theta):
+    """scene.wrap_angle through numpy arrays only."""
+    with np.errstate(invalid="ignore"):
+        wrapped = np.mod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
+    if np.ndim(theta) == 0:
+        return float(wrapped)
+    return wrapped
+
+
+def _principal_axis_angle_reference(xy):
+    centered = xy - xy.mean(axis=0)
+    sxx = float(np.mean(centered[:, 0] ** 2))
+    syy = float(np.mean(centered[:, 1] ** 2))
+    sxy = float(np.mean(centered[:, 0] * centered[:, 1]))
+    angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    if angle <= -math.pi / 2.0:
+        angle += math.pi
+    elif angle > math.pi / 2.0:
+        angle -= math.pi
+    return angle
+
+
+def _disambiguate_reference(line_angle, reference):
+    diff = wrap_angle_reference(line_angle - reference)
+    if -math.pi / 2.0 < diff <= math.pi / 2.0:
+        return wrap_angle_reference(line_angle)
+    return wrap_angle_reference(line_angle + math.pi)
+
+
+def _trimmed_extent_reference(values, quantile):
+    return float(np.quantile(values, quantile)), float(np.quantile(values, 1.0 - quantile))
+
+
+def estimate_box_reference(frustum, class_id, cfg, gated=None):
+    """estimator.estimate_box's fields (x, y, z, l, w, h, theta), None when
+    it raises TooFewPoints: range_gate_reference, then one trimmed extent
+    per axis from np.quantile.  gated, when given, is range_gate_reference's
+    result for the frustum, so a caller that already has it skips the loop.
+    """
+    prior = cfg.dim_priors[class_id]
+    points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
+    if len(points) < cfg.min_points:
+        return None
+    if gated is None:
+        gate = max(cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
+        gated = range_gate_reference(points, gate, frustum.extent, prior[2])
+    if len(gated) < cfg.min_points:
+        gated = points
+    if cfg.yaw_mode == "frustum-axis":
+        yaw = frustum.central_axis
+    else:
+        line = _principal_axis_angle_reference(gated[:, :2])
+        yaw = _disambiguate_reference(line, frustum.central_axis)
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    along = gated[:, 0] * cos_y + gated[:, 1] * sin_y
+    across = -gated[:, 0] * sin_y + gated[:, 1] * cos_y
+    lo_along, hi_along = _trimmed_extent_reference(along, cfg.extent_quantile)
+    lo_across, hi_across = _trimmed_extent_reference(across, cfg.extent_quantile)
+    center_along = 0.5 * (lo_along + hi_along)
+    center_across = 0.5 * (lo_across + hi_across)
+    x = center_along * cos_y - center_across * sin_y
+    y = center_along * sin_y + center_across * cos_y
+    z = 0.5 * (gated[:, 2].min() + gated[:, 2].max())
+    dims = []
+    for extent, prior_dim in zip(
+        (hi_along - lo_along, hi_across - lo_across,
+         gated[:, 2].max() - gated[:, 2].min()),
+        prior,
+    ):
+        dims.append(min(max(float(extent), prior_dim), 2.0 * prior_dim))
+    return (float(x), float(y), float(z), dims[0], dims[1], dims[2], wrap_angle_reference(yaw))
+
+
+def merge_frustums_reference(a, b):
+    """frustum.merge_frustums as (points, extent, central_axis, sources):
+    rows as tuples of numpy scalars, deduplicated in a loop."""
+    seen_a = {tuple(row) for row in a.points}
+    rows_b = [tuple(row) for row in b.points]
+    if not any(row in seen_a for row in rows_b):
+        raise MergeRejected("frustums share no point")
+    merged = []
+    seen = set()
+    for row in (tuple(r) for r in a.points):
+        if row not in seen:
+            seen.add(row)
+            merged.append(row)
+    for row in rows_b:
+        if row not in seen:
+            seen.add(row)
+            merged.append(row)
+    start, width = _combined_hull(a.extent, b.extent)
+    end = start + width
+    central_axis = wrap_angle_reference(
+        math.atan2(math.sin(start) + math.sin(end), math.cos(start) + math.cos(end))
+    )
+    return (
+        np.array(merged, dtype=float).reshape(-1, 3),
+        (wrap_angle_reference(start), wrap_angle_reference(end)),
+        central_axis,
+        a.sources + b.sources,
+    )

@@ -1,16 +1,18 @@
 """Bit-identity of the vectorized code against plain oracles.
 
 The range gate, the trimmed extents and the 3D-to-2D box projection are
-computed with index arithmetic instead of np.quantile, np.histogram and
-project_points; every box on a camera is projected at once; surface points
-are sampled without a per-point loop; inline clouds are formatted apart
-from the rest of the scene file; and the loss primitives skip numpy's
-argument handling.  These tests hold each to the exact results of the
-plain implementations in _oracles.py, on random inputs and on every
-frustum and box of the benchmark scenes.
+computed with index arithmetic instead of np.quantile, np.histogram,
+np.median and project_points; every box on a camera is projected at once;
+surface points are sampled without a per-point loop; inline clouds are
+formatted apart from the rest of the scene file; the loss primitives skip
+numpy's argument handling; frustums are merged on rows of Python floats;
+and wrap_angle wraps a number without an array.  These tests hold each to
+the exact results of the plain implementations in _oracles.py, on random
+inputs and on every frustum and box of the benchmark scenes.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sianms.pipeline as pipeline_module
-from sianms.estimator import EstimatorConfig, _range_gate, _trimmed_extent
+from sianms.estimator import (
+    EstimatorConfig,
+    TooFewPoints,
+    _range_gate,
+    _trimmed_extents,
+    estimate_box,
+)
+from sianms.frustum import DegenerateExtent, Frustum, MergeRejected, merge_frustums
 from sianms.losses import (
     LossConfig,
     Proposal,
@@ -39,21 +48,31 @@ from sianms.scene import (
     box_corners,
     box_image_extents,
     matrix_to_quat,
+    wrap_angle,
 )
 from sianms.sceneio import write_scene
-from sianms.synthgen import RigSpec, benchmark_gen_spec, make_rig, sample_surface_points
+from sianms.synthgen import (
+    CLASS_DIMS,
+    RigSpec,
+    benchmark_gen_spec,
+    make_rig,
+    sample_surface_points,
+)
 
 from _oracles import (
     batch_loss_reference,
     bbox2d_via_project_points,
     box3d_to_bbox2d_reference,
     cross_entropy_reference,
+    estimate_box_reference,
     inline_scene_text_reference,
+    merge_frustums_reference,
     negative_pair_term_reference,
     positive_pair_term_reference,
     range_gate_reference,
     sample_surface_points_reference,
     visible_camera_count_reference,
+    wrap_angle_reference,
 )
 from conftest import build_scene
 
@@ -70,10 +89,47 @@ def _frustum_points(n, seed, ties):
 
 
 def _assert_gate_matches(points, half_width, extent, prior_h):
+    """Asserts bit-identity with the loop oracle; returns the gated points."""
     got = _range_gate(points, half_width, extent, prior_h)
     want = range_gate_reference(points, half_width, extent, prior_h)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    return want
+
+
+def _float_bits(values):
+    """The IEEE bits of each value, which must be a Python float."""
+    assert all(type(v) is float for v in values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _assert_box_matches(frustum, class_id, cfg, gated=None):
+    """estimate_box against the oracle, field bits and TooFewPoints alike."""
+    want = estimate_box_reference(frustum, class_id, cfg, gated)
+    if want is None:
+        with pytest.raises(TooFewPoints):
+            estimate_box(frustum, class_id, cfg)
+        return
+    box = estimate_box(frustum, class_id, cfg)
+    got = (box.x, box.y, box.z, box.l, box.w, box.h, box.theta)
+    assert _float_bits(got) == _float_bits(want)
+
+
+def _merge_outcome(merge, a, b):
+    """(points bytes, extent, central axis, sources), or the exception type."""
+    try:
+        merged = merge(a, b)
+    except (MergeRejected, DegenerateExtent) as exc:
+        return type(exc)
+    if isinstance(merged, Frustum):
+        merged = (merged.points, merged.extent, merged.central_axis, merged.sources)
+    points, extent, central_axis, sources = merged
+    assert points.dtype == float and points.shape == (len(points), 3)
+    return points.tobytes(), _float_bits(extent), _float_bits([central_axis]), sources
+
+
+def _assert_merge_matches(a, b):
+    assert _merge_outcome(merge_frustums, a, b) == _merge_outcome(merge_frustums_reference, a, b)
 
 
 class TestRangeGate:
@@ -114,22 +170,55 @@ class TestRangeGate:
         points = np.tile([[12.0, -3.0, 0.4]], (25, 1))
         _assert_gate_matches(points, 1.0, (-0.4, 0.0), 1.5)
 
+    def test_window_start_inside_a_tie_run(self):
+        """n = 200 gives stride 2, so windows start at even ranks only.  Ranks
+        5-40 share range 10.0; the best window starts at rank 6, inside that
+        run, yet holds rank 5 as well: 195 points, whose median is rank 102
+        (10.2), where ranks 6-199 alone would give (10.2 + 11.8) / 2 and keep
+        the 11.8 points too.  Zero-width extent and no height prior leave the
+        point count as the score."""
+        ranges = np.array([1.0, 1.1, 1.2, 1.3, 1.4] + [10.0] * 36 + [10.2] * 62 + [11.8] * 97)
+        points = np.column_stack([ranges, np.zeros(200), np.zeros(200)])
+        gated = _assert_gate_matches(points, 1.0, (0.3, 0.3), 0.0)
+        assert len(gated) == 98 and gated[:, 0].max() == 10.2
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 95, 96])
+    def test_even_and_odd_windows(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            ranges = np.sort(rng.uniform(10.0, 13.0, n))
+            az = rng.uniform(-0.2, 0.2, n)
+            heights = rng.uniform(-1.5, 0.5, n)
+            points = np.column_stack([ranges * np.cos(az), ranges * np.sin(az), heights])
+            for half_width in (0.6, 1.5, 5.0):  # the whole set is one window at 5.0
+                _assert_gate_matches(points, half_width, (-0.2, 0.2), 1.5)
+                _assert_gate_matches(points, half_width, (0.3, 0.3), 0.0)
+
     def test_every_noisy_benchmark_frustum(self, bench_rig, monkeypatch):
         """Each distinct frustum the estimator sees in the original and
         sianms variants (the other two reuse the original's) of the noisy
-        benchmark."""
+        benchmark, through the range gate and the whole box fit, and each
+        distinct pair the sianms variant merges."""
         gen = benchmark_gen_spec(42, noisy=True)
         scene = build_scene(bench_rig, gen)
         cfg = PipelineConfig(gen=gen)
         seen = {}
+        pairs = {}
         real_estimate = pipeline_module.estimate_box
+        real_merge = pipeline_module.merge_frustums
 
         def record(frustum, class_id, est_cfg):
             key = (frustum.points.tobytes(), frustum.extent, class_id)
             seen.setdefault(key, (frustum, class_id, est_cfg))
             return real_estimate(frustum, class_id, est_cfg)
 
+        def record_merge(a, b):
+            key = (a.points.tobytes(), a.extent, b.points.tobytes(), b.extent)
+            pairs.setdefault(key, (a, b))
+            return real_merge(a, b)
+
         monkeypatch.setattr(pipeline_module, "estimate_box", record)
+        monkeypatch.setattr(pipeline_module, "merge_frustums", record_merge)
         for variant in (Variant.ORIGINAL, Variant.SIANMS):
             run_pipeline(scene, variant, cfg)
         assert len(seen) > 600
@@ -138,27 +227,157 @@ class TestRangeGate:
             prior = est_cfg.dim_priors[class_id]
             gate = max(est_cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
             points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
-            _assert_gate_matches(points, gate, frustum.extent, prior[2])
+            gated = None
+            if len(points) >= est_cfg.min_points:
+                gated = _assert_gate_matches(points, gate, frustum.extent, prior[2])
+            _assert_box_matches(frustum, class_id, est_cfg, gated)
             n_merged += len(frustum.sources) == 2
         assert n_merged > 100
+        assert len(pairs) > 100
+        for a, b in pairs.values():
+            _assert_merge_matches(a, b)
+
+
+QUANTILES = st.one_of(
+    st.sampled_from([0.0, EstimatorConfig().extent_quantile, 0.25]),
+    st.floats(0.0, 0.4999),
+)
 
 
 class TestTrimmedExtent:
+    @EXAMPLES
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), ties=st.booleans(), quantile=QUANTILES)
+    def test_matches_np_quantile(self, n, seed, ties, quantile):
+        rows = _frustum_points(n, seed, ties).T
+        (lows, highs) = _trimmed_extents(rows, quantile)
+        for values, lo, hi in zip(rows, lows, highs):
+            assert lo.tobytes() == np.quantile(values, quantile).tobytes()
+            assert hi.tobytes() == np.quantile(values, 1.0 - quantile).tobytes()
+
+
+def _frustum(points, extent, central_axis=0.0):
+    return Frustum(points=points, extent=extent, central_axis=central_axis)
+
+
+class TestEstimateBox:
     @EXAMPLES
     @given(
         n=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
         ties=st.booleans(),
-        quantile=st.one_of(
-            st.sampled_from([0.0, EstimatorConfig().extent_quantile, 0.25]),
-            st.floats(0.0, 0.4999),
-        ),
+        start=st.floats(-math.pi, math.pi),
+        az_width=st.floats(0.0, 2.0 * math.pi - 1e-6),
+        central_axis=st.floats(-math.pi, math.pi, exclude_min=True),
+        class_id=st.sampled_from(sorted(CLASS_DIMS)),
+        yaw_mode=st.sampled_from(["pca", "frustum-axis"]),
+        min_points=st.integers(1, 12),
+        range_gate_m=st.floats(0.1, 6.0),
+        quantile=QUANTILES,
     )
-    def test_matches_np_quantile(self, n, seed, ties, quantile):
-        values = _frustum_points(n, seed, ties)[:, 0]
-        lo, hi = _trimmed_extent(values, quantile)
-        assert np.float64(lo).tobytes() == np.quantile(values, quantile).tobytes()
-        assert np.float64(hi).tobytes() == np.quantile(values, 1.0 - quantile).tobytes()
+    def test_matches_oracle(
+        self, n, seed, ties, start, az_width, central_axis, class_id, yaw_mode, min_points,
+        range_gate_m, quantile,
+    ):
+        cfg = EstimatorConfig(
+            yaw_mode=yaw_mode, min_points=min_points, range_gate_m=range_gate_m,
+            extent_quantile=quantile,
+        )
+        frustum = _frustum(_frustum_points(n, seed, ties), (start, start + az_width), central_axis)
+        _assert_box_matches(frustum, class_id, cfg)
+
+    def test_falls_back_to_all_points(self):
+        """Three clusters of at most 3 points, 20 m apart: the gate keeps
+        one cluster, fewer than min_points, so the box is fit to all 8."""
+        points = np.array(
+            [[10.0, 0.1 * k, -1.0 + 0.5 * k] for k in range(3)]
+            + [[30.0, 0.2 * k, -1.0 + 0.4 * k] for k in range(3)]
+            + [[50.0, 0.3 * k, -0.5 * k] for k in range(2)]
+        )
+        cfg = EstimatorConfig()
+        frustum = _frustum(points, (-0.05, 0.05))
+        gate = max(cfg.range_gate_m, 0.75 * math.hypot(*CLASS_DIMS["car"][:2]))
+        assert len(_range_gate(points, gate, frustum.extent, CLASS_DIMS["car"][2])) < cfg.min_points
+        _assert_box_matches(frustum, "car", cfg)
+
+    @pytest.mark.parametrize("yaw_mode", ["pca", "frustum-axis"])
+    def test_identical_points(self, yaw_mode):
+        frustum = _frustum(np.tile([[12.0, -3.0, 0.4]], (25, 1)), (-0.4, 0.0), -0.2)
+        _assert_box_matches(frustum, "pedestrian", EstimatorConfig(yaw_mode=yaw_mode))
+
+
+# a few coordinates, so rows repeat within and across frustums, and any float
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -2.25, 3.0, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+ROWS = st.lists(st.tuples(COORDS, COORDS, COORDS), max_size=12)
+EXTENTS = st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 2.0)).map(
+    lambda sw: (sw[0], sw[0] + sw[1])
+)
+
+
+def _merge_input(rows, extent, source):
+    points = np.array(rows, dtype=float).reshape(-1, 3)
+    return Frustum(points=points, extent=extent, central_axis=0.0, sources=(source,))
+
+
+class TestMergeFrustums:
+    @EXAMPLES
+    @given(rows_a=ROWS, rows_b=ROWS, extent_a=EXTENTS, extent_b=EXTENTS)
+    def test_matches_oracle(self, rows_a, rows_b, extent_a, extent_b):
+        _assert_merge_matches(_merge_input(rows_a, extent_a, "a"), _merge_input(rows_b, extent_b, "b"))
+
+    def test_signed_zeros_are_shared(self):
+        a = _merge_input([(0.0, 1.0, -0.0), (4.0, 5.0, 6.0)], (0.1, 0.3), "a")
+        b = _merge_input([(-0.0, 1.0, 0.0), (7.0, 8.0, 9.0)], (0.2, 0.4), "b")
+        merged = merge_frustums(a, b)
+        assert len(merged) == 3 and np.signbit(merged.points[0]).tolist() == [False, False, True]
+        _assert_merge_matches(a, b)
+
+    def test_nan_rows_are_never_shared(self):
+        nan_row = (math.nan, 1.0, 2.0)
+        a = _merge_input([nan_row, (4.0, 5.0, 6.0)], (0.1, 0.3), "a")
+        with pytest.raises(MergeRejected):
+            merge_frustums(a, _merge_input([nan_row], (0.2, 0.4), "b"))
+        b = _merge_input([nan_row, (4.0, 5.0, 6.0), nan_row], (0.2, 0.4), "b")
+        assert len(merge_frustums(a, b)) == 4
+        _assert_merge_matches(a, b)
+
+    def test_duplicate_rows_within_a(self):
+        a = _merge_input([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (1.0, 2.0, 3.0)], (0.1, 0.3), "a")
+        b = _merge_input([(4.0, 5.0, 6.0), (7.0, 8.0, 9.0)], (0.2, 0.4), "b")
+        merged = merge_frustums(a, b).points.tolist()
+        assert merged == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+        _assert_merge_matches(a, b)
+
+
+def _assert_wrap_matches(theta):
+    got, want = wrap_angle(theta), wrap_angle_reference(theta)
+    assert type(got) is type(want) is float
+    assert _float_bits([got]) == _float_bits([want])
+
+
+class TestWrapAngle:
+    @EXAMPLES
+    @given(theta=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**6, 10**6)))
+    def test_matches_array_path(self, theta):
+        _assert_wrap_matches(theta)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, 2.0 * math.pi, -0.0, 0.0,
+            5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf, 7, -7, 0,
+            True, False, np.float64(-math.pi), np.float64(3.5), np.array(-math.pi), np.array(2.0),
+        ],
+    )
+    def test_edge_cases(self, theta):
+        _assert_wrap_matches(theta)
+
+    def test_arrays_keep_their_shape(self):
+        theta = np.array([-math.pi, 3.0 * math.pi, -0.0, 7.5])
+        got = wrap_angle(theta)
+        assert isinstance(got, np.ndarray) and got.tobytes() == wrap_angle_reference(theta).tobytes()
 
 
 def _assert_bbox_matches(cam, box, clip):
