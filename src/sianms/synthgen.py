@@ -313,8 +313,12 @@ def embedding_provider(truth_uid, spec: GenSpec, rng=None) -> np.ndarray:
         if spec.embed_noise > 0.0:
             raise ValueError("an rng is required when embed_noise > 0")
         return anchor
-    noise = rng.standard_normal(spec.embed_dim)
-    return anchor + spec.embed_noise * noise
+    return _add_embed_noise(anchor, spec, rng)
+
+
+def _add_embed_noise(anchor: np.ndarray, spec: GenSpec, rng) -> np.ndarray:
+    """anchor plus embed_noise times one standard-normal draw from rng."""
+    return anchor + spec.embed_noise * rng.standard_normal(spec.embed_dim)
 
 
 def simulate_detections(
@@ -324,17 +328,20 @@ def simulate_detections(
 
     Every object visible in a camera yields at most one detection there:
     the clipped projected bbox plus uniform per-edge jitter, a score in
-    [0.5, 1], the truth uid and an embedding as embedding_provider gives it.
-    Detections are dropped with miss_rate, or when jitter collapses the bbox.
+    [0.5, 1], the truth uid and an embedding as embedding_provider gives it
+    (the uid anchor is drawn at an object's first detection and reused,
+    the noise per detection).  Detections are dropped with miss_rate, or when jitter
+    collapses the bbox.
     """
     rng = np.random.default_rng([spec.seed, 1, frame_index])
     detections = []
     corners = box_corners(obj.box for obj in objects)
-    # each object's anchor is drawn once, from its own uid-seeded generator
-    anchors = [_uid_anchor(obj.uid, spec.embed_dim) for obj in objects]
+    # an object's anchor is drawn from its own uid-seeded generator at its
+    # first detection and reused for the rest
+    anchors = [None] * len(objects)
     for cam in rig.cameras:
         extents, visible = box_image_extents(cam, corners)
-        for obj, anchor, bbox, seen in zip(objects, anchors, extents.tolist(), visible.tolist()):
+        for k, (obj, bbox, seen) in enumerate(zip(objects, extents.tolist(), visible.tolist())):
             if not seen:
                 continue
             if rng.random() < spec.miss_rate:
@@ -348,7 +355,9 @@ def simulate_detections(
             if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
                 continue
             score = float(rng.uniform(0.5, 1.0))
-            embedding = anchor + spec.embed_noise * rng.standard_normal(spec.embed_dim)
+            if anchors[k] is None:
+                anchors[k] = _uid_anchor(obj.uid, spec.embed_dim)
+            embedding = _add_embed_noise(anchors[k], spec, rng)
             detections.append(
                 Detection2D(
                     camera_id=cam.id,

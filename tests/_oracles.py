@@ -10,7 +10,8 @@ The functions from box3d_to_bbox2d_reference on are the plain versions that
 faster code in the package replaced: per-point and per-box loops, the
 nested-list scene writer, the loss primitives as first written, the box
 estimator with np.quantile extents and the np.median gate, the tuple-loop
-frustum merge and the array-only wrap_angle.  The package must give their
+frustum merge, the array-only wrap_angle and the detector stand-in that
+calls embedding_provider for every detection.  The package must give their
 results bit for bit.
 """
 
@@ -23,9 +24,16 @@ from scipy.spatial.transform import Rotation
 
 from sianms.frustum import MergeRejected, _combined_hull
 from sianms.losses import BatchLossBreakdown, BatchLossGrads, ohem_select, smooth_l1
-from sianms.scene import DEPTH_EPSILON, BBox2D, project_points
+from sianms.scene import (
+    DEPTH_EPSILON,
+    BBox2D,
+    Detection2D,
+    box_corners,
+    box_image_extents,
+    project_points,
+)
 from sianms.sceneio import _box_to_list, rig_to_dict
-from sianms.synthgen import _visible_faces
+from sianms.synthgen import _visible_faces, embedding_provider
 
 
 def brute_force_assignment(costs, masked=None):
@@ -676,3 +684,38 @@ def merge_frustums_reference(a, b):
         central_axis,
         a.sources + b.sources,
     )
+
+
+def simulate_detections_reference(rig, objects, spec, frame_index=0):
+    """synthgen.simulate_detections with each embedding from its own
+    embedding_provider call, which redraws the uid anchor every time."""
+    rng = np.random.default_rng([spec.seed, 1, frame_index])
+    detections = []
+    corners = box_corners(obj.box for obj in objects)
+    for cam in rig.cameras:
+        extents, visible = box_image_extents(cam, corners)
+        for obj, bbox, seen in zip(objects, extents.tolist(), visible.tolist()):
+            if not seen:
+                continue
+            if rng.random() < spec.miss_rate:
+                continue
+            j = spec.bbox_jitter_px
+            offsets = rng.uniform(-j, j, size=4) if j > 0.0 else np.zeros(4)
+            x_min = min(max(bbox[0] + offsets[0], 0.0), cam.width)
+            y_min = min(max(bbox[1] + offsets[1], 0.0), cam.height)
+            x_max = min(max(bbox[2] + offsets[2], 0.0), cam.width)
+            y_max = min(max(bbox[3] + offsets[3], 0.0), cam.height)
+            if x_max - x_min <= 0.0 or y_max - y_min <= 0.0:
+                continue
+            score = float(rng.uniform(0.5, 1.0))
+            detections.append(
+                Detection2D(
+                    camera_id=cam.id,
+                    bbox=BBox2D(x_min, y_min, x_max, y_max),
+                    class_id=obj.class_id,
+                    score=score,
+                    embedding=embedding_provider(obj.uid, spec, rng),
+                    truth_uid=obj.uid,
+                )
+            )
+    return detections

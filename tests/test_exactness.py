@@ -6,13 +6,15 @@ np.median and project_points; every box on a camera is projected at once;
 surface points are sampled without a per-point loop; inline clouds are
 formatted apart from the rest of the scene file; the loss primitives skip
 numpy's argument handling; frustums are merged on rows of Python floats;
-and wrap_angle wraps a number without an array.  These tests hold each to
+wrap_angle wraps a number without an array; and the detector stand-in
+draws each object's embedding anchor once.  These tests hold each to
 the exact results of the plain implementations in _oracles.py, on random
 inputs and on every frustum and box of the benchmark scenes.
 """
 
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -53,10 +55,13 @@ from sianms.scene import (
 from sianms.sceneio import write_scene
 from sianms.synthgen import (
     CLASS_DIMS,
+    GenSpec,
     RigSpec,
     benchmark_gen_spec,
+    generate_frame,
     make_rig,
     sample_surface_points,
+    simulate_detections,
 )
 
 from _oracles import (
@@ -71,6 +76,7 @@ from _oracles import (
     positive_pair_term_reference,
     range_gate_reference,
     sample_surface_points_reference,
+    simulate_detections_reference,
     visible_camera_count_reference,
     wrap_angle_reference,
 )
@@ -227,10 +233,9 @@ class TestRangeGate:
             prior = est_cfg.dim_priors[class_id]
             gate = max(est_cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
             points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
-            gated = None
-            if len(points) >= est_cfg.min_points:
-                gated = _assert_gate_matches(points, gate, frustum.extent, prior[2])
-            _assert_box_matches(frustum, class_id, est_cfg, gated)
+            gated = _assert_gate_matches(points, gate, frustum.extent, prior[2])
+            enough = len(points) >= est_cfg.min_points
+            _assert_box_matches(frustum, class_id, est_cfg, gated if enough else None)
             n_merged += len(frustum.sources) == 2
         assert n_merged > 100
         assert len(pairs) > 100
@@ -588,6 +593,39 @@ class TestSurfaceSampling:
         sample_surface_points(box, 50, rng)
         sample_surface_points_reference(box, 50, reference_rng)
         assert rng.random() == reference_rng.random()
+
+
+class TestSimulateDetections:
+    @pytest.mark.parametrize(
+        "rig_spec, gen",
+        [
+            (RigSpec(), benchmark_gen_spec(7, noisy=True)),
+            (RigSpec(), GenSpec(seed=8, embed_noise=0.2, miss_rate=0.3, bbox_jitter_px=40.0)),
+            (RigSpec(), GenSpec(seed=9)),
+            (RigSpec(n_cameras=8, yaw_spacing_deg=45.0, hfov_deg=100.0),
+             GenSpec(seed=10, embed_noise=0.05, bbox_jitter_px=2.0, embed_dim=5)),
+        ],
+    )
+    def test_matches_per_detection_provider(self, rig_spec, gen):
+        """Every detection field, embedding bits included, equals those of
+        the loop that calls embedding_provider once per detection."""
+        rig = make_rig(rig_spec)
+        n_shared = 0
+        for index in range(6):
+            objects, _ = generate_frame(rig, gen, index)
+            got = simulate_detections(rig, objects, gen, index)
+            want = simulate_detections_reference(rig, objects, gen, index)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.camera_id, g.class_id, g.truth_uid) == (w.camera_id, w.class_id, w.truth_uid)
+                fields, want_fields = (g.score, *astuple(g.bbox)), (w.score, *astuple(w.bbox))
+                assert [type(v) for v in fields] == [type(v) for v in want_fields]
+                assert struct.pack("<5d", *fields) == struct.pack("<5d", *want_fields)
+                assert g.embedding.dtype == w.embedding.dtype
+                assert g.embedding.tobytes() == w.embedding.tobytes()
+            uids = [d.truth_uid for d in got]
+            n_shared += len(uids) - len(set(uids))
+        assert n_shared > 0  # some objects are detected by two cameras
 
 
 def _one_frame_scene(cloud, class_id="car"):
