@@ -1,9 +1,12 @@
 """Frustum point filtering and coherence-checked frustum merging.
 
 A frustum is the set of LiDAR points whose projection falls inside one 2D
-detection's bbox.  Two frustums from a matched cross-camera detection pair
-are merged only when they share at least one point (exact coordinate
-identity); sharing none is treated as evidence the match was spurious.
+detection's bbox.  The cloud is projected once per camera into a CameraView,
+the points in front of that camera with their pixel coordinates, and every
+detection of the camera is filtered against that view.  Two frustums from a
+matched cross-camera detection pair are merged only when they share at least
+one point (exact coordinate identity); sharing none is treated as evidence
+the match was spurious.
 """
 
 from __future__ import annotations
@@ -64,32 +67,55 @@ class Frustum:
         return len(self.points)
 
 
+@dataclass(frozen=True, eq=False)
+class CameraView:
+    """A cloud as one camera sees it: the points at depth > DEPTH_EPSILON,
+    in cloud order, and their pixel coordinates u and v."""
+
+    camera_id: str
+    points: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def camera_view(cam: CameraModel, cloud: np.ndarray) -> CameraView:
+    """Project an (N, 3) cloud on cam once and keep what lies in front."""
+    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    uv, _, valid = project_points(cam, pts, DEPTH_EPSILON)
+    # one (2, M) block, so u and v are contiguous rows
+    u, v = uv[valid].T.copy()
+    return CameraView(camera_id=cam.id, points=pts[valid], u=u, v=v)
+
+
 def filter_frustum(
     cam: CameraModel,
     bbox: BBox2D,
-    cloud: np.ndarray,
+    cloud: CameraView | np.ndarray,
     source: Detection2D | None = None,
 ) -> Frustum:
     """Select cloud points projecting inside bbox (edges inclusive).
 
+    cloud is a CameraView of cam, or an (N, 3) array that is viewed first.
     Points at depth <= DEPTH_EPSILON are excluded.  Raises EmptyFrustum when
-    nothing survives.
+    nothing survives, and ValueError for a view of another camera.
     """
-    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    uv, _, valid = project_points(cam, pts, DEPTH_EPSILON)
+    view = cloud if isinstance(cloud, CameraView) else camera_view(cam, cloud)
+    if view.camera_id != cam.id:
+        raise ValueError(
+            f"view of camera {view.camera_id!r} filtered for camera {cam.id!r}"
+        )
     inside = (
-        valid
-        & (uv[:, 0] >= bbox.x_min)
-        & (uv[:, 0] <= bbox.x_max)
-        & (uv[:, 1] >= bbox.y_min)
-        & (uv[:, 1] <= bbox.y_max)
+        (view.u >= bbox.x_min)
+        & (view.u <= bbox.x_max)
+        & (view.v >= bbox.y_min)
+        & (view.v <= bbox.y_max)
     )
-    if not np.any(inside):
+    if not inside.any():
         raise EmptyFrustum(f"no points inside bbox in camera {cam.id!r}")
     extent = angular_extent(cam, bbox)
     sources = (source,) if source is not None else ()
     return Frustum(
-        points=pts[inside],
+        points=view.points[inside],
         extent=extent,
         central_axis=extent_midpoint(extent),
         sources=sources,

@@ -12,11 +12,13 @@ Four variants over identical inputs:
   from the merged frustum when the pair's frustums share points, otherwise
   from the frustum of the higher-scoring detection.
 
-All variants run in one loop over the frames: each frame's detections and
-ground truth are built once, then every variant processes the frame.  A
-frame whose processing raises is recorded under errors and skipped by the
-variants it reached (all of them when building its detections or ground
-truth raised); the run continues with the remaining frames.
+All variants run in one loop over the frames: each frame's detections,
+ground truth and camera views (its cloud projected once on each camera its
+detections name) are built once, then every variant processes the frame and
+filters its frustums against those views.  A frame whose processing raises
+is recorded under errors and skipped by the variants it reached (all of them
+when building its detections, ground truth or views raised); the run
+continues with the remaining frames.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ from enum import Enum
 import numpy as np
 
 from .estimator import EstimatorConfig, TooFewPoints, estimate_box
-from .frustum import DegenerateExtent, EmptyFrustum, MergeRejected, filter_frustum, merge_frustums
+from .frustum import (
+    DegenerateExtent,
+    EmptyFrustum,
+    MergeRejected,
+    camera_view,
+    filter_frustum,
+    merge_frustums,
+)
 from .losses import LossConfig
 from .matching import match_adjacent
 from .metrics import (
@@ -279,13 +288,13 @@ def _strip_embeddings(detections):
     ]
 
 
-def _frustum_map(rig, detections, cloud):
+def _frustum_map(rig, detections, views):
     frustums = {}
     n_empty = 0
     for det in detections:
         cam = rig.camera(det.camera_id)
         try:
-            frustums[det] = filter_frustum(cam, det.bbox, cloud, source=det)
+            frustums[det] = filter_frustum(cam, det.bbox, views[cam.id], source=det)
         except EmptyFrustum:
             frustums[det] = None
             n_empty += 1
@@ -308,8 +317,11 @@ def _estimate(frustum, class_id, score, frame_index, n_sources, merged, cfg, dro
     )
 
 
-def _process_frame(rig, frame, detections, variant, cfg, dropped):
-    """Returns (working 2D detections, MatchResult or None, PredBox list)."""
+def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
+    """Returns (working 2D detections, MatchResult or None, PredBox list).
+
+    views maps camera id to the frame's CameraView on that camera.
+    """
     if variant in (Variant.ORIGINAL, Variant.ORIGINAL_NMS):
         working = _strip_embeddings(detections)
         if variant is Variant.ORIGINAL_NMS:
@@ -319,7 +331,7 @@ def _process_frame(rig, frame, detections, variant, cfg, dropped):
     matches = None
     if variant in (Variant.EMBEDDING_2D, Variant.SIANMS):
         matches = match_adjacent(rig, working, cfg.resolved_tau)
-    frustums, n_empty = _frustum_map(rig, working, frame.cloud)
+    frustums, n_empty = _frustum_map(rig, working, views)
     dropped["empty_frustum"] += n_empty
     boxes = []
     if variant is Variant.SIANMS:
@@ -428,63 +440,74 @@ def _frame_error(frame: Frame, exc: Exception) -> dict:
 
 
 def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
-    """Run the variants over one loop of the frames; results in variant order.
-
-    Per frame, the detections, the 2D ground-truth records and the 3D ground
-    truth with its overlap subset are built once and shared by every variant;
-    each variant then processes the frame on its own.  An exception in the
-    shared work is recorded under that frame by every variant.
-    """
-    rig = scene.rig
+    """Run the variants over one loop of the frames; results in variant order."""
     runs = [_VariantRun(variant) for variant in variants]
     truth = {}  # frame index -> (Gt2D list, Gt3D list, overlap Gt3D list)
     shared_s = 0.0
     for frame in scene.frames:
+        shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, truth)
+    return [_evaluate(scene, cfg, run, truth, shared_s) for run in runs]
+
+
+def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
+    """Process one frame for every run; returns the seconds of shared work.
+
+    The detections, the 2D ground-truth records, the 3D ground truth with its
+    overlap subset and one CameraView per rig camera that a detection names
+    are built once and shared by every variant; each variant then processes
+    the frame on its own.  An exception in the shared work is recorded under
+    the frame by every variant.  The views are dropped on return.
+    """
+    started = time.perf_counter()
+    try:
+        if detections is not None:
+            frame_dets = list(detections.get(frame.index, []))
+        else:
+            frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
+        gt3d = [
+            Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
+            for obj in frame.objects
+        ]
+        truth[frame.index] = (
+            _gt_2d_records(rig, frame), gt3d, overlap_region_filter(rig, gt3d)
+        )
+        named = {det.camera_id for det in frame_dets}
+        views = {
+            cam.id: camera_view(cam, frame.cloud)
+            for cam in rig.cameras
+            if cam.id in named
+        }
+    except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
+        for run in runs:
+            run.errors.append(_frame_error(frame, exc))
+        return time.perf_counter() - started
+    shared_s = time.perf_counter() - started
+    for run in runs:
         started = time.perf_counter()
         try:
-            if detections is not None:
-                frame_dets = list(detections.get(frame.index, []))
-            else:
-                frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
-            gt3d = [
-                Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
-                for obj in frame.objects
-            ]
-            truth[frame.index] = (
-                _gt_2d_records(rig, frame), gt3d, overlap_region_filter(rig, gt3d)
+            working, matches, boxes = _process_frame(
+                rig, frame, views, frame_dets, run.variant, cfg, run.dropped
             )
+            if matches is not None:
+                run.matches[frame.index] = matches
+                run.reid_frames.append(evaluate_frame(matches, working, rig))
         except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
-            for run in runs:
-                run.errors.append(_frame_error(frame, exc))
+            run.errors.append(_frame_error(frame, exc))
             continue
         finally:
-            shared_s += time.perf_counter() - started
-        for run in runs:
-            started = time.perf_counter()
-            try:
-                working, matches, boxes = _process_frame(
-                    rig, frame, frame_dets, run.variant, cfg, run.dropped
-                )
-                if matches is not None:
-                    run.matches[frame.index] = matches
-                    run.reid_frames.append(evaluate_frame(matches, working, rig))
-            except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
-                run.errors.append(_frame_error(frame, exc))
-                continue
-            finally:
-                run.seconds += time.perf_counter() - started
-            run.boxes[frame.index] = boxes
-            run.n_detections += len(working)
-            run.pred2d.extend(
-                Pred2D(
-                    group=(frame.index, det.camera_id),
-                    class_id=det.class_id,
-                    score=det.score,
-                    bbox=det.bbox,
-                )
-                for det in working
+            run.seconds += time.perf_counter() - started
+        run.boxes[frame.index] = boxes
+        run.n_detections += len(working)
+        run.pred2d.extend(
+            Pred2D(
+                group=(frame.index, det.camera_id),
+                class_id=det.class_id,
+                score=det.score,
+                bbox=det.bbox,
             )
-    return [_evaluate(scene, cfg, run, truth, shared_s) for run in runs]
+            for det in working
+        )
+    return shared_s
 
 
 def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float):

@@ -10,9 +10,10 @@ The functions from box3d_to_bbox2d_reference on are the plain versions that
 faster code in the package replaced: per-point and per-box loops, the
 nested-list scene writer, the loss primitives as first written, the box
 estimator with np.quantile extents and the np.median gate, the tuple-loop
-frustum merge, the array-only wrap_angle and the detector stand-in that
-calls embedding_provider for every detection.  The package must give their
-results bit for bit.
+frustum merge, the array-only wrap_angle, the detector stand-in that
+calls embedding_provider for every detection and the frustum filter that
+projects the whole cloud for each bbox.  The package must give their results
+bit for bit.
 """
 
 import itertools
@@ -22,14 +23,16 @@ import math
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from sianms.frustum import MergeRejected, _combined_hull
+from sianms.frustum import EmptyFrustum, Frustum, MergeRejected, _combined_hull
 from sianms.losses import BatchLossBreakdown, BatchLossGrads, ohem_select, smooth_l1
 from sianms.scene import (
     DEPTH_EPSILON,
     BBox2D,
     Detection2D,
+    angular_extent,
     box_corners,
     box_image_extents,
+    extent_midpoint,
     project_points,
 )
 from sianms.sceneio import _box_to_list, rig_to_dict
@@ -719,3 +722,27 @@ def simulate_detections_reference(rig, objects, spec, frame_index=0):
                 )
             )
     return detections
+
+
+def filter_frustum_reference(cam, bbox, cloud, source=None):
+    """frustum.filter_frustum as it was before camera views: the whole cloud
+    projected for this one bbox, invalid points masked out afterwards."""
+    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    uv, _, valid = project_points(cam, pts, DEPTH_EPSILON)
+    inside = (
+        valid
+        & (uv[:, 0] >= bbox.x_min)
+        & (uv[:, 0] <= bbox.x_max)
+        & (uv[:, 1] >= bbox.y_min)
+        & (uv[:, 1] <= bbox.y_max)
+    )
+    if not np.any(inside):
+        raise EmptyFrustum(f"no points inside bbox in camera {cam.id!r}")
+    extent = angular_extent(cam, bbox)
+    sources = (source,) if source is not None else ()
+    return Frustum(
+        points=pts[inside],
+        extent=extent,
+        central_axis=extent_midpoint(extent),
+        sources=sources,
+    )

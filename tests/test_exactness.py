@@ -3,6 +3,7 @@
 The range gate, the trimmed extents and the 3D-to-2D box projection are
 computed with index arithmetic instead of np.quantile, np.histogram,
 np.median and project_points; every box on a camera is projected at once;
+frustums are filtered against a cloud projected once per camera;
 surface points are sampled without a per-point loop; inline clouds are
 formatted apart from the rest of the scene file; the loss primitives skip
 numpy's argument handling; frustums are merged on rows of Python floats;
@@ -29,7 +30,15 @@ from sianms.estimator import (
     _trimmed_extents,
     estimate_box,
 )
-from sianms.frustum import DegenerateExtent, Frustum, MergeRejected, merge_frustums
+from sianms.frustum import (
+    DegenerateExtent,
+    EmptyFrustum,
+    Frustum,
+    MergeRejected,
+    camera_view,
+    filter_frustum,
+    merge_frustums,
+)
 from sianms.losses import (
     LossConfig,
     Proposal,
@@ -42,6 +51,7 @@ from sianms.metrics import visible_camera_count, visible_camera_counts
 from sianms.pipeline import Frame, PipelineConfig, Scene, Variant, run_pipeline
 from sianms.scene import (
     DEPTH_EPSILON,
+    BBox2D,
     Box3D,
     CameraModel,
     Pose,
@@ -50,6 +60,7 @@ from sianms.scene import (
     box_corners,
     box_image_extents,
     matrix_to_quat,
+    project_points,
     wrap_angle,
 )
 from sianms.sceneio import write_scene
@@ -70,6 +81,7 @@ from _oracles import (
     box3d_to_bbox2d_reference,
     cross_entropy_reference,
     estimate_box_reference,
+    filter_frustum_reference,
     inline_scene_text_reference,
     merge_frustums_reference,
     negative_pair_term_reference,
@@ -446,6 +458,118 @@ RIGS = {
     "bench6": RigSpec(),
     "ring8": RigSpec(n_cameras=8, yaw_spacing_deg=45.0, hfov_deg=100.0),
 }
+
+
+def _filter_outcome(filter_fn, cam, bbox, cloud, source):
+    """(points bytes, extent bits, central axis bits, source ids), or
+    EmptyFrustum."""
+    try:
+        frustum = filter_fn(cam, bbox, cloud, source=source)
+    except EmptyFrustum:
+        return EmptyFrustum
+    points = frustum.points
+    assert points.dtype == float and points.shape == (len(points), 3)
+    return (
+        points.tobytes(),
+        _float_bits(frustum.extent),
+        _float_bits([frustum.central_axis]),
+        tuple(map(id, frustum.sources)),
+    )
+
+
+def _assert_filter_matches(cam, bbox, cloud, view=None, source=None):
+    """filter_frustum on a shared view and on the raw cloud against the
+    oracle that projects the cloud for this bbox; returns whether a frustum
+    came out."""
+    want = _filter_outcome(filter_frustum_reference, cam, bbox, cloud, source)
+    view = camera_view(cam, cloud) if view is None else view
+    assert _filter_outcome(filter_frustum, cam, bbox, view, source) == want
+    assert _filter_outcome(filter_frustum, cam, bbox, cloud, source) == want
+    return want is not EmptyFrustum
+
+
+# identity pose: a point's depth is its z exactly, and u, v are 1 + x / z,
+# 1 + y / z on a 2 x 2 pixel image
+AXIS_CAMERA = CameraModel(id="axis", fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=2.0, height=2.0)
+EDGE_DEPTHS = [
+    DEPTH_EPSILON,
+    float(np.nextafter(DEPTH_EPSILON, math.inf)),
+    float(np.nextafter(DEPTH_EPSILON, -math.inf)),
+]
+COORDS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([*EDGE_DEPTHS, 0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+CLOUDS = st.lists(st.tuples(COORDS, COORDS, COORDS), max_size=40)
+
+
+def _draw_span(data, values, lo, hi):
+    """A sorted (min, max) pair: free floats in [lo, hi], which reach past
+    the image, or the finite projected values themselves, so points lie
+    exactly on the edges."""
+    ends = [st.floats(lo, hi)]
+    finite = sorted({float(x) for x in values if math.isfinite(x)})
+    if finite:
+        ends.append(st.sampled_from(finite))
+    a, b = data.draw(st.tuples(st.one_of(ends), st.one_of(ends)))
+    return min(a, b), max(a, b)
+
+
+class TestCameraView:
+    @EXAMPLES
+    @given(
+        cam=st.one_of(
+            st.just(AXIS_CAMERA),
+            st.builds(_camera, st.floats(-math.pi, math.pi), st.floats(-0.3, 0.3),
+                      st.floats(0.5, 3.0), st.floats(0.5, 4.0), st.just(2.0), st.just(2.0)),
+        ),
+        rows=CLOUDS,
+        data=st.data(),
+    )
+    def test_matches_per_bbox_projection(self, cam, rows, data):
+        cloud = np.array(rows, dtype=float).reshape(-1, 3)
+        with np.errstate(all="ignore"):
+            uv, _, _ = project_points(cam, cloud)
+            x_min, x_max = _draw_span(data, uv[:, 0], -1.0, 3.0)
+            y_min, y_max = _draw_span(data, uv[:, 1], -1.0, 3.0)
+            bbox = BBox2D(x_min, y_min, x_max, y_max)
+            _assert_filter_matches(cam, bbox, cloud, source=data.draw(st.sampled_from([None, "det"])))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(0.0, 0.0, 1.0)],
+            [(0.0, 0.0, DEPTH_EPSILON)],
+            [(0.0, 0.0, EDGE_DEPTHS[1])],
+            [(0.0, 0.0, -1.0), (math.nan, 0.0, 1.0), (0.0, 0.0, math.inf), (math.inf, 0.0, 1.0)],
+            [(-1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0)],
+        ],
+        ids=["empty", "one", "at-epsilon", "past-epsilon", "non-finite", "corners"],
+    )
+    @pytest.mark.parametrize(
+        "bbox",
+        [BBox2D(0.0, 0.0, 2.0, 2.0), BBox2D(1.0, 1.0, 1.0, 1.0), BBox2D(-5.0, 0.5, 0.5, 9.0)],
+        ids=["image", "center", "overhanging"],
+    )
+    def test_edge_cases(self, rows, bbox):
+        with np.errstate(all="ignore"):
+            _assert_filter_matches(AXIS_CAMERA, bbox, np.array(rows, dtype=float).reshape(-1, 3))
+
+    def test_every_noisy_benchmark_detection(self, bench_rig, noisy_scene):
+        """Every simulated detection of the noisy benchmark through one view
+        per frame and camera, as the pipeline filters them."""
+        gen = benchmark_gen_spec(42, noisy=True)
+        n_frustums = n_detections = 0
+        for frame in noisy_scene.frames:
+            views = {cam.id: camera_view(cam, frame.cloud) for cam in bench_rig.cameras}
+            for det in simulate_detections(bench_rig, frame.objects, gen, frame.index):
+                cam = bench_rig.camera(det.camera_id)
+                n_frustums += _assert_filter_matches(
+                    cam, det.bbox, frame.cloud, views[cam.id], source=det
+                )
+                n_detections += 1
+        assert n_frustums > 600 and n_detections >= n_frustums
 
 
 def _assert_counts_match(rig, boxes):

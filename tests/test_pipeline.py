@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sianms.frustum as frustum_module
 import sianms.pipeline as pipeline_module
+from sianms.frustum import camera_view, filter_frustum
 from sianms.pipeline import (
     PipelineConfig,
     RunReport,
@@ -21,6 +25,7 @@ from sianms.pipeline import (
 from sianms.scene import BBox2D, Detection2D, SceneObject
 from sianms.synthgen import GenSpec, RigSpec, make_rig
 
+from _oracles import filter_frustum_reference
 from conftest import build_scene, simulate_all
 
 SMALL_GEN = GenSpec(seed=7, n_frames=4, objects_per_frame=(3, 5), clutter_points=60)
@@ -242,6 +247,22 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_projections(monkeypatch, scene):
+    """Replace frustum's binding of project_points with a wrapper; returns
+    the (frame index, camera id) of each call, the frame found by the cloud
+    the points come from."""
+    real = frustum_module.project_points
+    calls = []
+
+    def wrapper(cam, points, *args):
+        frame = next(f for f in scene.frames if np.shares_memory(points, f.cloud))
+        calls.append((frame.index, cam.id))
+        return real(cam, points, *args)
+
+    monkeypatch.setattr(frustum_module, "project_points", wrapper)
+    return calls
+
+
 class _RaisingDetections:
     def __iter__(self):
         raise RuntimeError("corrupt detections entry")
@@ -276,7 +297,30 @@ class TestSharedFrameWork:
         )
         assert len(filters) == sum(c["detections_2d"] for c in counts)
 
-    @pytest.mark.parametrize("broken", ["detections", "ground_truth"])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["simulated", "supplied"])
+    def test_projects_each_named_camera_once_per_frame(self, small_scene, monkeypatch, supplied):
+        dets = simulate_all(small_scene, SMALL_GEN)
+        if supplied:
+            dets[1] = []
+        calls = _counting_projections(monkeypatch, small_scene)
+        compare_variants(
+            small_scene, PipelineConfig(gen=SMALL_GEN), detections=dets if supplied else None
+        )
+        named = {(index, det.camera_id) for index, frame_dets in dets.items() for det in frame_dets}
+        assert sorted(calls) == sorted(named)
+        assert len(named) < len(dets) * len(small_scene.rig.cameras)
+        if supplied:
+            assert 1 not in {index for index, _ in calls}
+
+    def test_view_of_another_camera_is_refused(self, small_scene):
+        cam_a, cam_b = small_scene.rig.cameras[:2]
+        view = camera_view(cam_a, small_scene.frames[0].cloud)
+        whole_image = BBox2D(0.0, 0.0, cam_b.width, cam_b.height)
+        with pytest.raises(ValueError, match="view of camera") as refused:
+            filter_frustum(cam_b, whole_image, view)
+        assert type(refused.value) is ValueError
+
+    @pytest.mark.parametrize("broken", ["detections", "ground_truth", "cloud"])
     def test_shared_frame_error_recorded_by_every_variant(self, small_scene, broken):
         cfg = PipelineConfig(gen=SMALL_GEN)
         dets = simulate_all(small_scene, SMALL_GEN)
@@ -285,10 +329,17 @@ class TestSharedFrameWork:
         if broken == "detections":
             dets[1] = _RaisingDetections()
             expected = "RuntimeError: corrupt detections entry"
-        else:
+        elif broken == "ground_truth":
             ghost = SceneObject(uid="ghost", class_id="car", box=None)
             frames[1] = dataclasses.replace(frames[1], objects=frames[1].objects + (ghost,))
             expected = "AttributeError"
+        else:
+            # the text the per-bbox filter raised before clouds were viewed
+            frames[1] = dataclasses.replace(frames[1], cloud=np.zeros((4, 2)))
+            det = dets[1][0]
+            with pytest.raises(ValueError) as unviewable:
+                filter_frustum_reference(small_scene.rig.camera(det.camera_id), det.bbox, frames[1].cloud)
+            expected = f"ValueError: {unviewable.value}"
         scene = dataclasses.replace(small_scene, frames=tuple(frames))
         comparison = compare_variants(scene, cfg, detections=dets)
         single = run_pipeline(scene, Variant.SIANMS, cfg, detections=dets)
@@ -300,3 +351,51 @@ class TestSharedFrameWork:
             assert sorted(result.boxes) == [f.index for f in frames if f.index != 1]
             reference = clean.results[report.variant].boxes
             assert all(result.boxes[i] == reference[i] for i in result.boxes)
+
+
+@st.composite
+def _small_scenes(draw):
+    """A 1-2 frame scene on a 4-, 6- or 8-camera ring of varied FoV, with
+    the benchmark's noise or none, and its generation spec."""
+    n_cameras, spacing = draw(st.sampled_from([(4, 90.0), (6, 60.0), (8, 45.0)]))
+    hfov = spacing + draw(st.floats(5.0, 50.0))
+    noisy = draw(st.booleans())
+    gen = GenSpec(
+        seed=draw(st.integers(0, 2**16)),
+        n_frames=draw(st.integers(1, 2)),
+        objects_per_frame=(2, 6),
+        embed_noise=0.05 if noisy else 0.0,
+        bbox_jitter_px=2.0 if noisy else 0.0,
+        clutter_points=100,
+    )
+    rig = make_rig(RigSpec(n_cameras=n_cameras, yaw_spacing_deg=spacing, hfov_deg=hfov))
+    return build_scene(rig, gen), gen
+
+
+class TestPropertiesAcrossRigs:
+    """The invariants perfbench checks on its benchmark scenes, on small
+    scenes of other rig shapes and noise levels."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=_small_scenes())
+    def test_compare_invariants(self, case):
+        scene, gen = case
+        cfg = PipelineConfig(gen=gen)
+        comparison = compare_variants(scene, cfg)
+        reports, results = comparison.reports, comparison.results
+        assert not any(report.errors for report in reports.values())
+        boxes = {name: _flat(result.boxes) for name, result in results.items()}
+        assert boxes[Variant.EMBEDDING_2D.value] == boxes[Variant.ORIGINAL.value]
+        assert len(boxes[Variant.SIANMS.value]) <= len(boxes[Variant.ORIGINAL.value])
+        for variant in (Variant.ORIGINAL, Variant.EMBEDDING_2D, Variant.ORIGINAL_NMS):
+            counts = reports[variant.value].counts
+            assert counts["boxes_3d"] == len(boxes[variant.value])
+            assert counts["detections_2d"] == (
+                counts["boxes_3d"]
+                + counts["dropped_empty_frustum"]
+                + counts["dropped_too_few_points"]
+            )
+        rerun = compare_variants(scene, cfg)
+        assert json.dumps(rerun.to_json_dict(), sort_keys=True) == json.dumps(
+            comparison.to_json_dict(), sort_keys=True
+        )
