@@ -6,12 +6,19 @@ clouds may live inline, as a list of [x, y, z] rows under the frame's
 floats, row-major xyz triples, referenced by a path relative to the scene
 file. Malformed input raises SchemaError carrying the JSON path of the
 offending element.
+
+Inline clouds and detection records are written in bulk: their numbers are
+formatted by one call to json's C encoder (a cloud's at once, a frame's
+detections' at once) and laid into the indent-2 layout by hand, so the
+files are byte-identical to json.dumps(payload, indent=2, sort_keys=True)
+at a fraction of the pure-Python encoder's cost.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +53,12 @@ def _num(value, path: str) -> float:
 def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _uid(value, path: str) -> int | str:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        _fail(path, f"expected an integer or a string, got {type(value).__name__}")
     return value
 
 
@@ -89,7 +102,7 @@ def _float_rows(value, path: str, length: int) -> np.ndarray:
         and _all_numbers(chain.from_iterable(rows))
     ):
         rows = [_floats(row, f"{path}[{i}]", length) for i, row in enumerate(rows)]
-    return np.asarray(rows, dtype=float).reshape(-1, length)
+    return np.fromiter(chain.from_iterable(rows), float, len(rows) * length).reshape(-1, length)
 
 
 def _load_json(path) -> object:
@@ -98,6 +111,18 @@ def _load_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Each number as json.dumps spells it (int and float repr, NaN,
+    Infinity), from one call to json's C encoder; TypeError for a value
+    json cannot encode."""
+    if not values:
+        return []
+    numbers = json.dumps(values)[1:-1].split(", ")
+    if len(numbers) != len(values):
+        raise TypeError("expected numbers only")
+    return numbers
 
 
 def _dump_json(path, payload) -> None:
@@ -192,7 +217,7 @@ def _inline_cloud_json(cloud: np.ndarray) -> str:
         return "[]"
     if cloud.ndim != 2 or cloud.shape[1] != 3:
         raise ValueError(f"a cloud must be (N, 3), got shape {cloud.shape}")
-    values = json.dumps(cloud.ravel().tolist())[1:-1].split(", ")
+    values = _json_numbers(cloud.ravel().tolist())
     rows = ",\n".join([_INLINE_ROW] * len(cloud)) % tuple(values)
     return f"[\n{rows}\n        ]"
 
@@ -270,7 +295,7 @@ def load_scene(path) -> Scene:
             opath = f"{fpath}.objects[{j}]"
             objects.append(
                 SceneObject(
-                    uid=_int(_get(obj, "uid", opath), f"{opath}.uid"),
+                    uid=_uid(_get(obj, "uid", opath), f"{opath}.uid"),
                     class_id=_str(_get(obj, "class", opath), f"{opath}.class"),
                     box=_box_from_list(_get(obj, "box", opath), f"{opath}.box"),
                 )
@@ -291,28 +316,66 @@ def load_scene(path) -> Scene:
 # -- detections ----------------------------------------------------------------
 
 
-def detection_records(detections_by_frame: dict) -> list[dict]:
-    """Flatten {frame: [Detection2D]} into the detections file payload."""
+# A detection record as json.dumps(indent=2, sort_keys=True) lays it out in
+# the file's top-level list, up to the optional "embedding"; the keys follow
+# in sorted order.
+_RECORD_HEAD = (
+    '  {\n    "bbox": [\n      %s,\n      %s,\n      %s,\n      %s\n    ],\n'
+    '    "camera_id": %s,\n    "class": %s,\n'
+)
+_EMBEDDING_SEP = ",\n      "
+
+
+def _frame_records_json(frame_index, detections) -> str:
+    """The text json.dumps(indent=2, sort_keys=True) gives one frame's
+    detection records in the detections file, every number of the frame
+    formatted by one _json_numbers call."""
+    values = [frame_index]
+    for det in detections:
+        bbox = det.bbox
+        values += (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max, det.score)
+        if det.embedding is not None:
+            values += det.embedding.tolist()
+        if det.truth_uid is not None and not isinstance(det.truth_uid, str):
+            values.append(det.truth_uid)
+    numbers = _json_numbers(values)
+    frame = numbers[0]
+    i = 1
     records = []
-    for frame_index in sorted(detections_by_frame):
-        for det in detections_by_frame[frame_index]:
-            record = {
-                "frame": frame_index,
-                "camera_id": det.camera_id,
-                "bbox": [det.bbox.x_min, det.bbox.y_min, det.bbox.x_max, det.bbox.y_max],
-                "class": det.class_id,
-                "score": det.score,
-            }
-            if det.embedding is not None:
-                record["embedding"] = [float(v) for v in det.embedding]
-            if det.truth_uid is not None:
-                record["truth_uid"] = det.truth_uid
-            records.append(record)
-    return records
+    for det in detections:
+        text = _RECORD_HEAD % (
+            *numbers[i : i + 4],
+            encode_basestring_ascii(det.camera_id),
+            encode_basestring_ascii(det.class_id),
+        )
+        score = numbers[i + 4]
+        i += 5
+        if det.embedding is not None:
+            n = len(det.embedding)
+            embedding = _EMBEDDING_SEP.join(numbers[i : i + n])
+            text += f'    "embedding": [\n      {embedding}\n    ],\n' if n else '    "embedding": [],\n'
+            i += n
+        text += f'    "frame": {frame},\n    "score": {score}'
+        uid = det.truth_uid
+        if isinstance(uid, str):
+            text += f',\n    "truth_uid": {encode_basestring_ascii(uid)}'
+        elif uid is not None:
+            text += f',\n    "truth_uid": {numbers[i]}'
+            i += 1
+        records.append(text + "\n  }")
+    return ",\n".join(records)
 
 
 def write_detections(path, detections_by_frame: dict) -> None:
-    _dump_json(path, detection_records(detections_by_frame))
+    """Write {frame: [Detection2D]} as the detections file: one record per
+    detection, frames in sorted order, built one frame at a time."""
+    chunks = [
+        _frame_records_json(frame_index, detections_by_frame[frame_index])
+        for frame_index in sorted(detections_by_frame)
+        if detections_by_frame[frame_index]
+    ]
+    text = "[\n" + ",\n".join(chunks) + "\n]\n" if chunks else "[]\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_detection_records(path) -> list[tuple[int, Detection2D]]:
@@ -328,7 +391,7 @@ def load_detection_records(path) -> list[tuple[int, Detection2D]]:
             embedding = np.asarray(_floats(rec["embedding"], f"{rpath}.embedding"), dtype=float)
         truth_uid = rec.get("truth_uid")
         if truth_uid is not None:
-            truth_uid = _int(truth_uid, f"{rpath}.truth_uid")
+            truth_uid = _uid(truth_uid, f"{rpath}.truth_uid")
         try:
             det = Detection2D(
                 camera_id=_str(_get(rec, "camera_id", rpath), f"{rpath}.camera_id"),

@@ -105,8 +105,12 @@ class GenSpec:
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
         weights = list(self.class_mix.values())
-        if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("class_mix must hold nonnegative weights, not all zero")
+        if not (
+            weights
+            and all(0.0 <= w < math.inf for w in weights)
+            and 0.0 < sum(weights) < math.inf
+        ):
+            raise ValueError("class_mix must hold finite nonnegative weights, not all zero")
         for cls in self.class_mix:
             if cls not in CLASS_DIMS:
                 raise ValueError(f"unknown class {cls!r}")
@@ -196,9 +200,25 @@ def _complement_arcs(wedges) -> list[tuple[float, float]]:
     return arcs
 
 
+# rng.choice's tolerance on the sum of its probabilities
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _choice(p: np.ndarray, rng, size=None):
+    """rng.choice(len(p), size, p=p) without its argument handling: the same
+    uniform draws through the same cdf, so the same indices and generator
+    state.  Like rng.choice, raises ValueError unless p is nonnegative and
+    sums to 1 (so also for a NaN)."""
+    cdf = p.cumsum()
+    if not (abs(cdf[-1] - 1.0) <= _P_ATOL and min(p.tolist()) >= 0.0):
+        raise ValueError(f"probabilities must be nonnegative and sum to 1, got {p.tolist()}")
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def _sample_arc(arcs, rng) -> float:
     lengths = np.array([width for _, width in arcs])
-    idx = int(rng.choice(len(arcs), p=lengths / lengths.sum()))
+    idx = int(_choice(lengths / lengths.sum(), rng))
     start, width = arcs[idx]
     return wrap_angle(start + rng.uniform(0.0, width))
 
@@ -231,7 +251,7 @@ def sample_surface_points(box: Box3D, n_points: int, rng) -> np.ndarray:
     if not faces or n_points <= 0:
         return np.zeros((0, 3))
     areas = np.array([4.0 * hu * hv for _, _, _, hu, hv in faces])
-    choices = rng.choice(len(faces), size=n_points, p=areas / areas.sum())
+    choices = _choice(areas / areas.sum(), rng, n_points)
     offsets_u = rng.uniform(-1.0, 1.0, size=n_points)
     offsets_v = rng.uniform(-1.0, 1.0, size=n_points)
     center, axis_u, axis_v, half_u, half_v = (np.array(column) for column in zip(*faces))
@@ -261,7 +281,7 @@ def generate_frame(rig: CameraRig, spec: GenSpec, frame_index: int):
     centers = []
     clouds = []
     for k in range(n_objects):
-        cls = classes[int(rng.choice(len(classes), p=weights))]
+        cls = classes[int(_choice(weights, rng))]
         l, w, h = CLASS_DIMS[cls]
         for _attempt in range(40):
             in_wedge = rng.random() < spec.overlap_fraction

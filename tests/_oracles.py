@@ -8,7 +8,8 @@ and obvious beats fast with shared blind spots.
 
 The functions from box3d_to_bbox2d_reference on are the plain versions that
 faster code in the package replaced: per-point and per-box loops, the
-nested-list scene writer, the loss primitives as first written, the box
+nested-list scene writer, the detections file through json.dumps, the row
+loader's np.asarray, rng.choice, the loss primitives as first written, the box
 estimator with np.quantile extents and the np.median gate, the tuple-loop
 frustum merge, the array-only wrap_angle, the detector stand-in that
 calls embedding_provider for every detection and the frustum filter that
@@ -455,6 +456,43 @@ def inline_scene_text_reference(scene) -> str:
         )
     payload = {"rig": rig_to_dict(scene.rig), "frames": frames}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def detection_records(detections_by_frame: dict) -> list[dict]:
+    """Flatten {frame: [Detection2D]} into the detections file payload."""
+    records = []
+    for frame_index in sorted(detections_by_frame):
+        for det in detections_by_frame[frame_index]:
+            record = {
+                "frame": frame_index,
+                "camera_id": det.camera_id,
+                "bbox": [det.bbox.x_min, det.bbox.y_min, det.bbox.x_max, det.bbox.y_max],
+                "class": det.class_id,
+                "score": det.score,
+            }
+            if det.embedding is not None:
+                record["embedding"] = [float(v) for v in det.embedding]
+            if det.truth_uid is not None:
+                record["truth_uid"] = det.truth_uid
+            records.append(record)
+    return records
+
+
+def detections_text_reference(detections_by_frame) -> str:
+    """The text sceneio.write_detections writes: detection_records through
+    one json.dumps with the pure-Python indent-2 encoder."""
+    return json.dumps(detection_records(detections_by_frame), indent=2, sort_keys=True) + "\n"
+
+
+def float_rows_reference(rows, length) -> np.ndarray:
+    """sceneio._float_rows on rows that pass its checks: np.asarray on the
+    list of row lists."""
+    return np.asarray(rows, dtype=float).reshape(-1, length)
+
+
+def choice_reference(p, rng, size=None):
+    """synthgen._choice: numpy's weighted draw of size indices below len(p)."""
+    return rng.choice(len(p), size=size, p=p)
 
 
 def cross_entropy_reference(logits, true_class):

@@ -172,6 +172,17 @@ class TestExitCodes:
         assert main(["run", "--scene", str(bad), "--variant", "sianms",
                      "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_class_weight_is_two(self, tmp_path, spec_file, capsys, weight):
+        spec = json.loads(spec_file.read_text())
+        spec["gen"]["class_mix"] = {"car": 1.0, "cyclist": weight}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["generate", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "class_mix" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_three(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--scene", str(tmp_path / "absent.json"),

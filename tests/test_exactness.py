@@ -5,7 +5,9 @@ computed with index arithmetic instead of np.quantile, np.histogram,
 np.median and project_points; every box on a camera is projected at once;
 frustums are filtered against a cloud projected once per camera;
 surface points are sampled without a per-point loop; inline clouds are
-formatted apart from the rest of the scene file; the loss primitives skip
+formatted apart from the rest of the scene file; detection files are laid
+out by hand around one json call per frame; the loaders build arrays with
+np.fromiter; weighted draws skip rng.choice; the loss primitives skip
 numpy's argument handling; frustums are merged on rows of Python floats;
 wrap_angle wraps a number without an array; and the detector stand-in
 draws each object's embedding anchor once.  These tests hold each to
@@ -54,6 +56,7 @@ from sianms.scene import (
     BBox2D,
     Box3D,
     CameraModel,
+    Detection2D,
     Pose,
     SceneObject,
     box3d_to_bbox2d,
@@ -63,11 +66,12 @@ from sianms.scene import (
     project_points,
     wrap_angle,
 )
-from sianms.sceneio import write_scene
+from sianms.sceneio import _float_rows, write_detections, write_scene
 from sianms.synthgen import (
     CLASS_DIMS,
     GenSpec,
     RigSpec,
+    _choice,
     benchmark_gen_spec,
     generate_frame,
     make_rig,
@@ -79,9 +83,12 @@ from _oracles import (
     batch_loss_reference,
     bbox2d_via_project_points,
     box3d_to_bbox2d_reference,
+    choice_reference,
     cross_entropy_reference,
+    detections_text_reference,
     estimate_box_reference,
     filter_frustum_reference,
+    float_rows_reference,
     inline_scene_text_reference,
     merge_frustums_reference,
     negative_pair_term_reference,
@@ -809,6 +816,162 @@ class TestInlineSceneText:
     def test_benchmark_scene(self, tmp_path, clean_scene):
         scene = Scene(rig=clean_scene.rig, frames=clean_scene.frames[:5])
         assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+
+
+TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "%", "%s", ", ", "pé-7", "雪", "cam0"])
+BBOX_VALUES = (
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0, 3, -(2**60)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(-(10**20), 10**20)
+)
+
+
+@st.composite
+def _detections(draw):
+    x_min, x_max = sorted(draw(st.tuples(BBOX_VALUES, BBOX_VALUES)))
+    y_min, y_max = sorted(draw(st.tuples(BBOX_VALUES, BBOX_VALUES)))
+    embedding = draw(st.none() | st.lists(CLOUD_VALUES, max_size=5))
+    return Detection2D(
+        camera_id=draw(TEXTS),
+        bbox=BBox2D(x_min, y_min, x_max, y_max),
+        class_id=draw(TEXTS),
+        score=draw(st.sampled_from([0, 1, 0.0, 1.0, np.float64(0.25)]) | st.floats(0.0, 1.0)),
+        embedding=None if embedding is None else np.array(embedding, dtype=float),
+        truth_uid=draw(st.none() | st.integers(-(2**70), 2**70) | TEXTS),
+    )
+
+
+def _detections_text(tmp_path, detections_by_frame):
+    path = tmp_path / "dets.json"
+    write_detections(path, detections_by_frame)
+    return path.read_text(encoding="utf-8")
+
+
+class TestDetectionText:
+    @EXAMPLES
+    @given(
+        by_frame=st.dictionaries(
+            st.integers(-3, 10**6), st.lists(_detections(), max_size=4), max_size=4
+        )
+    )
+    def test_matches_one_json_dumps(self, tmp_path_factory, by_frame):
+        text = _detections_text(tmp_path_factory.mktemp("dets"), by_frame)
+        assert text == detections_text_reference(by_frame)
+
+    def test_edge_cases(self, tmp_path):
+        box = BBox2D(-0.0, 5e-324, 1e16, 7)
+        by_frame = {
+            9: [],
+            5: [
+                Detection2D("cam1", box, "car", 1, np.zeros(0), "ped-7"),
+                Detection2D('c"\\', box, "%s, %d", np.float64(0.5), None, 3),
+            ],
+            2: [Detection2D("雪", BBox2D(0, 0, 1, 1), "x", 0.0, np.array([np.nan, -np.inf]))],
+        }
+        assert _detections_text(tmp_path, by_frame) == detections_text_reference(by_frame)
+        assert _detections_text(tmp_path, {}) == detections_text_reference({}) == "[]\n"
+        assert _detections_text(tmp_path, {0: [], 1: []}) == "[]\n"
+
+    def test_simulated_benchmark_detections(self, tmp_path, bench_rig, noisy_scene):
+        gen = benchmark_gen_spec(42, noisy=True)
+        by_frame = {
+            frame.index: simulate_detections(bench_rig, frame.objects, gen, frame.index)
+            for frame in noisy_scene.frames[:5]
+        }
+        assert _detections_text(tmp_path, by_frame) == detections_text_reference(by_frame)
+
+    def test_unencodable_uid_raises_before_writing(self, tmp_path):
+        path = tmp_path / "dets.json"
+        path.write_text("old", encoding="utf-8")
+        det = Detection2D("cam0", BBox2D(0.0, 0.0, 1.0, 1.0), "car", 0.5, truth_uid=np.int64(4))
+        with pytest.raises(TypeError):
+            detections_text_reference({0: [det]})
+        with pytest.raises(TypeError):
+            write_detections(path, {0: [det]})
+        assert path.read_text(encoding="utf-8") == "old"
+
+
+PROBABILITY_WEIGHTS = st.lists(
+    st.sampled_from([0.0, 1.0, 2.0, 0.1]) | st.floats(0.0, 100.0), min_size=1, max_size=6
+)
+
+
+class TestChoice:
+    @EXAMPLES
+    @given(
+        weights=PROBABILITY_WEIGHTS,
+        size=st.sampled_from([None, 0, 1]) | st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_rng_choice(self, weights, size, seed):
+        weights = np.array(weights)
+        if not weights.sum() > 0.0:
+            weights[-1] = 1.0
+        p = weights / weights.sum()
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _choice(p, rng, size), choice_reference(p, reference_rng, size)
+        if size is None:
+            assert int(got) == want
+        else:
+            assert got.tolist() == want.tolist()
+        assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [math.nan, 0.5],
+            [0.5, 0.5, math.nan],
+            [math.nan, math.nan],
+            [-0.5, 1.5],
+            [0.3, 0.3],
+            [0.0, 0.0],
+            [math.inf, 0.0, 0.0],
+            [1.0, 1.0],
+        ],
+    )
+    def test_raises_where_rng_choice_does(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            choice_reference(p, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            _choice(p, np.random.default_rng(0))
+
+    def test_box_with_a_nan_dimension(self):
+        box = Box3D(x=9.0, y=-4.0, z=-0.9, l=math.nan, w=1.9, h=1.6, theta=2.0)
+        with pytest.raises(ValueError):
+            sample_surface_points_reference(box, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_surface_points(box, 10, np.random.default_rng(0))
+
+
+ROW_VALUES = st.integers(-(2**70), 2**70) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestFloatRows:
+    @EXAMPLES
+    @given(rows=st.lists(st.lists(ROW_VALUES, min_size=3, max_size=3), max_size=8))
+    def test_matches_np_asarray(self, rows):
+        assert _same_bits(_float_rows(rows, "rows", 3), float_rows_reference(rows, 3))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[2**53 + 1, 2**60 + 3, -(2**63) - 1]],
+            [[2**64, 2**64 + 1, -(2**80)], [3, 4, 5]],
+            [[-0.0, math.nan, math.inf], [-math.inf, 0, 1.5]],
+        ],
+        ids=["empty", "above-2**53", "above-2**64", "non-finite"],
+    )
+    def test_edge_cases(self, rows):
+        assert _same_bits(_float_rows(rows, "rows", 3), float_rows_reference(rows, 3))
+
+    def test_int_too_large_for_a_float(self):
+        rows = [[1.0, 2.0, 3.0], [10**400, 0, 0]]
+        with pytest.raises(Exception) as want:
+            float_rows_reference(rows, 3)
+        with pytest.raises(want.type):
+            _float_rows(rows, "rows", 3)
 
 
 LOSS_CFG = LossConfig(alpha=0.5, beta=1.5)

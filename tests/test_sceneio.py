@@ -1,16 +1,18 @@
 """JSON and binary persistence for scenes, detections, matches, and boxes."""
 
 import json
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sianms.matching import MatchedPair, MatchResult
-from sianms.pipeline import PipelineConfig, Scene
+from sianms.pipeline import Frame, PipelineConfig, Scene
 from sianms.scene import BBox2D, Box3D, Detection2D
 from sianms.sceneio import (
     SchemaError,
-    detection_records,
     detections_by_frame,
     load_boxes,
     load_config,
@@ -148,6 +150,115 @@ class TestDetectionRoundTrip:
         with pytest.raises(SchemaError):
             load_detection_records(path)
 
+
+
+class TestUidTypes:
+    """Uids are typed int | str (TestRoundTripProperty round-trips both);
+    other JSON types are rejected with the path of the offending uid."""
+
+    @pytest.mark.parametrize("uid", [True, 1.5, [1], {"a": 1}], ids=["bool", "float", "list", "dict"])
+    def test_other_types_rejected(self, tmp_path, tiny_scene, uid):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([{
+            "frame": 0, "camera_id": "cam0", "class": "car", "score": 0.5,
+            "bbox": [0.0, 0.0, 5.0, 5.0], "truth_uid": uid,
+        }]))
+        with pytest.raises(SchemaError) as err:
+            load_detection_records(path)
+        name = type(uid).__name__
+        assert str(err.value) == f"$[0].truth_uid: expected an integer or a string, got {name}"
+        scene, _ = tiny_scene
+        path = tmp_path / "scene.json"
+        write_scene(path, scene)
+        data = json.loads(path.read_text())
+        data["frames"][0]["objects"][0]["uid"] = uid
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_scene(path)
+        assert str(err.value) == f"frames[0].objects[0].uid: expected an integer or a string, got {name}"
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _same_uid(got, want) -> bool:
+    return type(got) is type(want) and got == want
+
+
+def _assert_scene_bits(got: Scene, want: Scene, lidar_bin: bool):
+    assert got.rig.adjacency == want.rig.adjacency
+    assert len(got.rig.cameras) == len(want.rig.cameras)
+    for cg, cw in zip(got.rig.cameras, want.rig.cameras):
+        assert cg.id == cw.id
+        assert _bits([cg.fx, cg.fy, cg.cx, cg.cy, cg.width, cg.height, *cg.pose.q, *cg.pose.t]) == _bits(
+            [cw.fx, cw.fy, cw.cx, cw.cy, cw.width, cw.height, *cw.pose.q, *cw.pose.t]
+        )
+    assert len(got.frames) == len(want.frames)
+    for fg, fw in zip(got.frames, want.frames):
+        assert _same_uid(fg.index, fw.index)
+        assert len(fg.objects) == len(fw.objects)
+        for og, ow in zip(fg.objects, fw.objects):
+            assert _same_uid(og.uid, ow.uid) and og.class_id == ow.class_id
+            assert _bits(astuple(og.box)) == _bits(astuple(ow.box))
+        cloud = np.asarray(fw.cloud, dtype=float)
+        if lidar_bin:
+            cloud = cloud.astype("<f4").astype(float)
+        assert fg.cloud.dtype == cloud.dtype and fg.cloud.shape == cloud.shape
+        assert fg.cloud.tobytes() == cloud.tobytes()
+
+
+UIDS = st.integers(-(2**70), 2**70) | st.text(max_size=6)
+
+
+class TestRoundTripProperty:
+    """Every field of a scene, in both cloud formats, and of its simulated
+    detections comes back from the files as written, floats bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        rig_spec=st.sampled_from(
+            [RigSpec(n_cameras=4, yaw_spacing_deg=90.0, hfov_deg=100.0), RigSpec(),
+             RigSpec(n_cameras=8, yaw_spacing_deg=45.0, hfov_deg=100.0)]
+        ),
+        n_frames=st.integers(1, 2),
+        noisy=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_field(self, tmp_path_factory, seed, rig_spec, n_frames, noisy, data):
+        rig = make_rig(rig_spec)
+        gen = GenSpec(
+            seed=seed, n_frames=n_frames, objects_per_frame=(1, 4), clutter_points=30,
+            embed_noise=0.05 if noisy else 0.0, bbox_jitter_px=2.0 if noisy else 0.0,
+        )
+        frames = []
+        for index in range(n_frames):
+            objects, cloud = generate_frame(rig, gen, index)
+            objects = tuple(replace(obj, uid=data.draw(UIDS)) for obj in objects)
+            frames.append(Frame(index=index, objects=objects, cloud=cloud))
+        scene = Scene(rig=rig, frames=tuple(frames))
+        root = tmp_path_factory.mktemp("round-trip")
+        for lidar_bin in (False, True):
+            path = root / f"scene{int(lidar_bin)}.json"
+            write_scene(path, scene, lidar_bin=lidar_bin)
+            _assert_scene_bits(load_scene(path), scene, lidar_bin)
+
+        by_frame = {
+            frame.index: simulate_detections(rig, frame.objects, gen, frame.index)
+            for frame in scene.frames
+        }
+        path = root / "dets.json"
+        write_detections(path, by_frame)
+        records = load_detection_records(path)
+        want = [(index, det) for index in sorted(by_frame) for det in by_frame[index]]
+        assert len(records) == len(want)
+        for (frame, got), (want_frame, det) in zip(records, want):
+            assert _same_uid(frame, want_frame) and _same_uid(got.truth_uid, det.truth_uid)
+            assert (got.camera_id, got.class_id) == (det.camera_id, det.class_id)
+            assert _bits([*astuple(got.bbox), got.score]) == _bits([*astuple(det.bbox), det.score])
+            assert got.embedding.dtype == det.embedding.dtype
+            assert got.embedding.tobytes() == det.embedding.tobytes()
 
 
 BAD_ROWS = [

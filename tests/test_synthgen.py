@@ -285,6 +285,17 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError):
             GenSpec(class_mix={"boat": 1.0})
 
+    @pytest.mark.parametrize(
+        "weight", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_class_weights(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            GenSpec(class_mix={"car": 1.0, "pedestrian": weight})
+
+    def test_class_weights_whose_sum_overflows(self):
+        with pytest.raises(ValueError):
+            GenSpec(class_mix={"car": 1e308, "pedestrian": 1e308})
+
     def test_bad_rig(self):
         with pytest.raises(ValueError):
             RigSpec(n_cameras=0)
