@@ -11,7 +11,9 @@ Inline clouds and detection records are written in bulk: their numbers are
 formatted by one call to json's C encoder (a cloud's at once, a frame's
 detections' at once) and laid into the indent-2 layout by hand, so the
 files are byte-identical to json.dumps(payload, indent=2, sort_keys=True)
-at a fraction of the pure-Python encoder's cost.
+at a fraction of the pure-Python encoder's cost. A scene file with inline
+clouds is written piece by piece, one cloud's text at a time, so writing
+it holds a small fraction of the file in memory, not copies of all of it.
 """
 
 from __future__ import annotations
@@ -210,59 +212,66 @@ _INLINE_ROW = "          [\n            %s,\n            %s,\n            %s\n  
 
 
 def _inline_cloud_json(cloud: np.ndarray) -> str:
-    """The text json.dumps(indent=2) gives the inline rows of an (n, 3)
-    cloud in a scene file, each value formatted by json itself (float repr,
-    NaN, Infinity), but in one pass over the values."""
+    """The text json.dumps(indent=2) gives the inline rows of an (n, 3) or
+    empty cloud in a scene file, each value formatted by json itself (float
+    repr, NaN, Infinity), but in one pass over the values."""
     if not cloud.size:
         return "[]"
-    if cloud.ndim != 2 or cloud.shape[1] != 3:
-        raise ValueError(f"a cloud must be (N, 3), got shape {cloud.shape}")
     values = _json_numbers(cloud.ravel().tolist())
     rows = ",\n".join([_INLINE_ROW] * len(cloud)) % tuple(values)
     return f"[\n{rows}\n        ]"
 
 
+def _checked_cloud(cloud) -> np.ndarray:
+    """The cloud as a float array; ValueError unless it is (N, 3) or empty."""
+    cloud = np.asarray(cloud, dtype=float)
+    if cloud.size and (cloud.ndim != 2 or cloud.shape[1] != 3):
+        raise ValueError(f"a cloud must be (N, 3), got shape {cloud.shape}")
+    return cloud
+
+
 def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
     """Write a scene file; lidar_bin switches clouds to binary side files.
 
-    Inline clouds are left out of the json.dumps call, as "inline": null,
-    and their text is put in place of those nulls afterwards.
+    Every cloud's shape is checked before any file is opened. Inline clouds
+    are left out of the json.dumps call, as "inline": null; the file is
+    then written piece by piece, each piece of that text between two nulls
+    followed by the next cloud's text, formatted just before it is written,
+    so no more than one cloud's text is held at a time.
     """
     path = Path(path)
-    frames = []
-    inline_clouds = []
-    for frame in scene.frames:
-        cloud = np.asarray(frame.cloud, dtype=float)
-        if lidar_bin:
-            bin_name = f"{path.stem}_frame{frame.index:04d}.bin"
-            (path.parent / bin_name).write_bytes(
-                np.ascontiguousarray(cloud, dtype="<f4").tobytes()
-            )
-            lidar = {"bin_file": bin_name}
-        else:
-            inline_clouds.append(f'"inline": {_inline_cloud_json(cloud)}')
-            lidar = {"inline": None}
-        frames.append(
-            {
-                "index": frame.index,
-                "objects": [
-                    {
-                        "uid": obj.uid,
-                        "class": obj.class_id,
-                        "box": _box_to_list(obj.box),
-                    }
-                    for obj in frame.objects
-                ],
-                "lidar": lidar,
-            }
-        )
+    clouds = [_checked_cloud(frame.cloud) for frame in scene.frames]
+    bin_names = [f"{path.stem}_frame{frame.index:04d}.bin" for frame in scene.frames]
+    frames = [
+        {
+            "index": frame.index,
+            "objects": [
+                {
+                    "uid": obj.uid,
+                    "class": obj.class_id,
+                    "box": _box_to_list(obj.box),
+                }
+                for obj in frame.objects
+            ],
+            "lidar": {"bin_file": bin_name} if lidar_bin else {"inline": None},
+        }
+        for frame, bin_name in zip(scene.frames, bin_names)
+    ]
     payload = {"rig": rig_to_dict(scene.rig), "frames": frames}
     text = json.dumps(payload, indent=2, sort_keys=True)
+    if lidar_bin:
+        for cloud, bin_name in zip(clouds, bin_names):
+            (path.parent / bin_name).write_bytes(cloud.astype("<f4").tobytes())
     # Every key is fixed here and json escapes quotes inside strings, so this
-    # text can only be a cloud's placeholder.
-    pieces = text.split('"inline": null')
-    text = "".join(chain.from_iterable(zip(pieces, inline_clouds + [""])))
-    path.write_text(text + "\n", encoding="utf-8")
+    # text can only be a cloud's placeholder (and has none with lidar_bin).
+    head, *pieces = text.split('"inline": null')
+    with path.open("w", encoding="utf-8") as out:
+        out.write(head)
+        for cloud, piece in zip(clouds, pieces):
+            out.write('"inline": ')
+            out.write(_inline_cloud_json(cloud))
+            out.write(piece)
+        out.write("\n")
 
 
 def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 """JSON and binary persistence for scenes, detections, matches, and boxes."""
 
 import json
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sianms.matching import MatchedPair, MatchResult
-from sianms.pipeline import Frame, PipelineConfig, Scene
+from sianms.pipeline import Frame, PipelineConfig, PredBox, Scene
 from sianms.scene import BBox2D, Box3D, Detection2D
 from sianms.sceneio import (
     SchemaError,
@@ -99,6 +100,53 @@ class TestSceneRoundTrip:
         with pytest.raises(SchemaError) as err:
             load_scene(path)
         assert "index" in str(err.value)
+
+
+def _with_cloud(scene: Scene, index: int, cloud) -> Scene:
+    frames = list(scene.frames)
+    frames[index] = replace(frames[index], cloud=cloud)
+    return replace(scene, frames=tuple(frames))
+
+
+class TestWriteSceneCloudShapes:
+    """Both cloud formats take (N, 3) clouds and empty ones of any shape,
+    and reject any other shape before a file is written."""
+
+    @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (2, 3, 1)])
+    def test_malformed_cloud_writes_nothing(self, tmp_path, tiny_scene, lidar_bin, shape):
+        scene, _ = tiny_scene
+        scene = _with_cloud(scene, 1, np.ones(shape))
+        with pytest.raises(ValueError, match=r"a cloud must be \(N, 3\)"):
+            write_scene(tmp_path / "scene.json", scene, lidar_bin=lidar_bin)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (3, 0)])
+    def test_empty_cloud_of_any_shape(self, tmp_path, tiny_scene, lidar_bin, shape):
+        scene, _ = tiny_scene
+        scene = _with_cloud(scene, 1, np.zeros(shape))
+        path = tmp_path / "scene.json"
+        write_scene(path, scene, lidar_bin=lidar_bin)
+        assert load_scene(path).frames[1].cloud.shape == (0, 3)
+
+
+def test_inline_write_holds_less_than_the_file(tmp_path, clean_scene):
+    """Inline clouds are written one at a time: the memory traced while
+    writing a multi-frame scene stays below the size of the file written."""
+    scene = Scene(rig=clean_scene.rig, frames=clean_scene.frames[:10])
+    path = tmp_path / "scene.json"
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        write_scene(path, scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - before < path.stat().st_size
 
 
 class TestDetectionRoundTrip:
@@ -419,6 +467,73 @@ class TestMatchesRoundTrip:
                 matches_against_detections(payload, records)
 
 
+# Finite floats, the infinities and both zeros, which json spells and reads
+# back as the same bits (a NaN's sign and payload are not kept).
+FLOATS = st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, 1e16, 0.1])
+
+
+@st.composite
+def _detections_and_matches(draw):
+    """{frame: [Detection2D]} and {frame: MatchResult} over those frames,
+    each frame's pairs disjoint and drawn from its detections."""
+    frames = draw(st.lists(st.integers(-3, 1000), unique=True, max_size=4))
+    by_frame, matches = {}, {}
+    for frame in frames:
+        dets = [
+            Detection2D(
+                camera_id=f"cam{i % 3}", bbox=BBox2D(0.0, 0.0, 1.0, 1.0),
+                class_id="car", score=0.5, truth_uid=i,
+            )
+            for i in range(draw(st.integers(0, 6)))
+        ]
+        order = draw(st.permutations(dets))
+        n_pairs = draw(st.integers(0, len(dets) // 2))
+        pairs = [
+            MatchedPair(a=order[2 * k], b=order[2 * k + 1], distance=draw(FLOATS))
+            for k in range(n_pairs)
+        ]
+        used = {id(det) for pair in pairs for det in (pair.a, pair.b)}
+        by_frame[frame] = dets
+        matches[frame] = MatchResult(
+            pairs=pairs, unmatched=[det for det in dets if id(det) not in used]
+        )
+    return by_frame, matches
+
+
+class TestMatchesRoundTripProperty:
+    """A match file read back against its detections file rebuilds every
+    frame's pairs, in order and with distances bit for bit, and its
+    unmatched detections in file order."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=_detections_and_matches())
+    def test_every_pair(self, tmp_path_factory, bench_rig, case):
+        by_frame, matches = case
+        root = tmp_path_factory.mktemp("matches")
+        dpath, mpath = root / "dets.json", root / "matches.json"
+        write_detections(dpath, by_frame)
+        write_matches(mpath, bench_rig, by_frame, matches)
+        payload = load_matches(mpath)
+        assert payload["cameras"] == [cam.id for cam in bench_rig.cameras]
+        assert payload["adjacency"] == list(bench_rig.adjacency)
+
+        records = load_detection_records(dpath)
+        written = [det for frame in sorted(by_frame) for det in by_frame[frame]]
+        want_index = {id(det): i for i, det in enumerate(written)}
+        got_index = {id(det): i for i, (_, det) in enumerate(records)}
+        rebuilt = matches_against_detections(payload, records)
+        assert sorted(rebuilt) == sorted(frame for frame, dets in by_frame.items() if dets)
+        for frame, got in rebuilt.items():
+            want = matches[frame]
+            assert [(got_index[id(p.a)], got_index[id(p.b)]) for p in got.pairs] == [
+                (want_index[id(p.a)], want_index[id(p.b)]) for p in want.pairs
+            ]
+            assert _bits([p.distance for p in got.pairs]) == _bits([p.distance for p in want.pairs])
+            assert [got_index[id(det)] for det in got.unmatched] == [
+                want_index[id(det)] for det in want.unmatched
+            ]
+
+
 class TestBoxesRoundTrip:
     def test_round_trip(self, tmp_path):
         from sianms.pipeline import PredBox
@@ -456,6 +571,45 @@ class TestBoxesRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError):
             load_boxes(path)
+
+
+POSITIVE = st.floats(min_value=5e-324, allow_nan=False) | st.sampled_from([1e16, 0.1])
+
+PRED_BOXES = st.builds(
+    PredBox,
+    frame=st.integers(-3, 1000),
+    class_id=st.text(max_size=6) | st.sampled_from(['"', "\\", "雪", "car"]),
+    score=FLOATS,
+    box=st.builds(
+        Box3D, x=FLOATS, y=FLOATS, z=FLOATS, l=POSITIVE, w=POSITIVE, h=POSITIVE,
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    n_sources=st.integers(-(2**70), 2**70),
+    merged=st.booleans(),
+)
+
+
+class TestBoxesRoundTripProperty:
+    """Every field of every box comes back from a box file as written,
+    floats bit for bit, grouped by frame in file order."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(boxes=st.lists(PRED_BOXES, max_size=8))
+    def test_every_field(self, tmp_path_factory, boxes):
+        by_frame = {}
+        for box in boxes:
+            by_frame.setdefault(box.frame, []).append(box)
+        path = tmp_path_factory.mktemp("boxes") / "boxes.json"
+        write_boxes(path, by_frame)
+        loaded = load_boxes(path)
+        assert sorted(loaded) == sorted(by_frame)
+        for frame, want in by_frame.items():
+            got = loaded[frame]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert (g.frame, g.class_id, g.n_sources) == (w.frame, w.class_id, w.n_sources)
+                assert g.merged is w.merged
+                assert _bits([g.score, *astuple(g.box)]) == _bits([w.score, *astuple(w.box)])
 
 
 class TestConfig:
