@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from .matching import MissingEmbedding
 from .metrics import (
+    METRICS_3D,
     EvalConfig3D,
     Gt3D,
     Pred3D,
@@ -28,12 +30,18 @@ from .metrics import (
     overlap_region_filter,
 )
 from .pipeline import (
+    REGIONS,
     VARIANT_ORDER,
     Variant,
     compare_variants,
+    csv_cell,
+    csv_table,
+    report_rows,
     run_pipeline,
+    section_from_dict,
+    text_cell,
 )
-from .reid_eval import MissingTruth, accumulate, evaluate_frame
+from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, accumulate, evaluate_frame
 from .scene import CameraModel, CameraRig, Pose
 from .sceneio import (
     SchemaError,
@@ -167,11 +175,8 @@ def cmd_generate(args) -> int:
     if args.emb_dim is not None:
         gen_data = dict(gen_data, embed_dim=args.emb_dim)
     try:
-        for key in ("objects_per_frame", "radius_range", "lidar_points_range"):
-            if key in gen_data:
-                gen_data[key] = tuple(gen_data[key])
-        rig_spec = RigSpec(**rig_data)
-        gen_spec = GenSpec(**gen_data)
+        rig_spec = section_from_dict(RigSpec, rig_data)
+        gen_spec = section_from_dict(GenSpec, gen_data)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"spec: {exc}") from exc
     rig = make_rig(rig_spec)
@@ -189,63 +194,54 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    scene = load_scene(args.scene)
-    cfg = load_config(args.config, _overrides(args))
-    dets = {
+def _simulated(scene, cfg) -> dict:
+    return {
         frame.index: simulate_detections(scene.rig, frame.objects, cfg.gen, frame.index)
         for frame in scene.frames
     }
+
+
+def cmd_simulate(args) -> int:
+    scene = load_scene(args.scene)
+    cfg = load_config(args.config, _overrides(args))
+    dets = _simulated(scene, cfg)
     write_detections(args.out, dets)
     total = sum(len(v) for v in dets.values())
     print(f"wrote {args.out}: {total} detections over {len(dets)} frames")
     return 0
 
 
+def _run_rows(report):
+    return report_rows(
+        [report],
+        REID_KEYS if report.reid is not None else (),
+        {region: sorted(report.metrics_3d[region]["per_class"]) for region in REGIONS},
+    )
+
+
+def _key_values(pairs) -> str:
+    return "  ".join(f"{key} {text_cell(value)}" for key, value in pairs)
+
+
 def _report_text(report) -> str:
     lines = [f"variant: {report.variant}  seed: {report.seed}"]
-    counts = report.counts
     lines.append(
         "frames: {frames_processed}/{frames}  detections: {detections_2d}  "
-        "boxes: {boxes_3d} (merged {merged_boxes})".format(**counts)
+        "boxes: {boxes_3d} (merged {merged_boxes})".format(**report.counts)
     )
-    if report.ap_2d:
-        parts = [f"{cls} {ap:.4f}" for cls, ap in sorted(report.ap_2d.items())]
-        lines.append("2D AP: " + "  ".join(parts))
+    rows = _run_rows(report)
+    ap = [(r.class_id, r.values[0]) for r in rows if r.section == "ap_2d"]
+    if ap:
+        lines.append("2D AP: " + _key_values(ap))
     if report.reid is not None:
-        lines.append(
-            "re-id: precision {precision:.4f}  recall {recall:.4f}  "
-            "f_score {f_score:.4f}".format(**report.reid)
-        )
-    for region in ("all", "overlap"):
-        block = report.metrics_3d[region]
-        for cls in sorted(block["per_class"]):
-            row = block["per_class"][cls]
-            cells = []
-            for key in ("ap", "ate", "ase", "aoe"):
-                value = row[key]
-                cells.append(f"{key} {'-' if value is None else format(value, '.4f')}")
-            lines.append(f"3D {region:<8} {cls:<12} " + "  ".join(cells))
+        rates = [(r.metric, r.values[0]) for r in rows if r.metric in REID_RATES]
+        lines.append("re-id: " + _key_values(rates))
+    rows_3d = (r for r in rows if r.section == "3d")
+    for (region, cls), group in groupby(rows_3d, key=lambda r: (r.region, r.class_id)):
+        cells = _key_values((r.metric, r.values[0]) for r in group)
+        lines.append(f"3D {region:<8} {cls:<12} " + cells)
     if report.errors:
         lines.append(f"frame errors: {len(report.errors)}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_csv(report) -> str:
-    lines = ["section,region,class,metric,value"]
-    for cls, ap in sorted(report.ap_2d.items()):
-        lines.append(f"ap_2d,-,{cls},ap,{ap:.6f}")
-    if report.reid is not None:
-        for key in ("precision", "recall", "f_score", "tp", "fp", "fn", "tn"):
-            lines.append(f"reid,-,-,{key},{float(report.reid[key]):.6f}")
-    for region in ("all", "overlap"):
-        block = report.metrics_3d[region]
-        for cls in sorted(block["per_class"]):
-            row = block["per_class"][cls]
-            for key in ("ap", "ate", "ase", "aoe"):
-                value = row[key]
-                cell = "" if value is None else f"{value:.6f}"
-                lines.append(f"3d,{region},{cls},{key},{cell}")
     return "\n".join(lines) + "\n"
 
 
@@ -255,12 +251,7 @@ def cmd_run(args) -> int:
     if args.detections is not None:
         dets = detections_by_frame(load_detection_records(args.detections))
     else:
-        dets = {
-            frame.index: simulate_detections(
-                scene.rig, frame.objects, cfg.gen, frame.index
-            )
-            for frame in scene.frames
-        }
+        dets = _simulated(scene, cfg)
     result = run_pipeline(scene, Variant(args.variant), cfg, detections=dets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +264,7 @@ def cmd_run(args) -> int:
         result.report.to_dict(),
         args.format,
         _report_text(result.report),
-        _report_csv(result.report),
+        csv_table(["value"], _run_rows(result.report)),
     )
     return 0
 
@@ -327,8 +318,7 @@ def cmd_eval_reid(args) -> int:
         "tp {tp}  fp {fp}  fn {fn}  tn {tn}\n".format(**stats)
     )
     csv = "metric,value\n" + "".join(
-        f"{key},{float(stats[key]):.6f}\n"
-        for key in ("precision", "recall", "f_score", "tp", "fp", "fn", "tn")
+        f"{key},{csv_cell(float(stats[key]))}\n" for key in REID_KEYS
     )
     _emit(stats, args.format, text, csv)
     return 0
@@ -354,25 +344,16 @@ def cmd_eval_3d(args) -> int:
         preds = overlap_region_filter(scene.rig, preds)
     result = evaluate_3d(preds, gts, cfg)
     text_lines = [f"region: {region}"]
-    csv_lines = ["class,ap,ate,ase,aoe,num_gt,num_pred,num_matched"]
+    csv_lines = ["class," + ",".join(METRICS_3D) + ",num_gt,num_pred,num_matched"]
     for cls in sorted(result):
         row = result[cls]
-        cells = {
-            key: ("-" if row[key] is None else f"{row[key]:.4f}")
-            for key in ("ap", "ate", "ase", "aoe")
-        }
+        counts = (row["num_gt"], row["num_pred"], row["num_matched"])
         text_lines.append(
-            f"{cls}: ap {cells['ap']}  ate {cells['ate']}  ase {cells['ase']}  "
-            f"aoe {cells['aoe']}  (gt {row['num_gt']}, pred {row['num_pred']}, "
-            f"matched {row['num_matched']})"
+            f"{cls}: " + _key_values((key, row[key]) for key in METRICS_3D)
+            + "  (gt {}, pred {}, matched {})".format(*counts)
         )
-        csv_cells = {
-            key: ("" if row[key] is None else f"{row[key]:.6f}")
-            for key in ("ap", "ate", "ase", "aoe")
-        }
         csv_lines.append(
-            f"{cls},{csv_cells['ap']},{csv_cells['ate']},{csv_cells['ase']},"
-            f"{csv_cells['aoe']},{row['num_gt']},{row['num_pred']},{row['num_matched']}"
+            ",".join([cls, *(csv_cell(row[key]) for key in METRICS_3D), *map(str, counts)])
         )
     _emit(
         {"region": region, "classes": result},

@@ -26,6 +26,8 @@ N_RECALL_SAMPLES_2D = 40
 N_RECALL_SAMPLES_3D = 101
 MIN_RECALL_3D = 0.1
 MIN_PRECISION_3D = 0.1
+# the per-class metrics evaluate_3d reports, in report order
+METRICS_3D = ("ap", "ate", "ase", "aoe")
 
 
 @dataclass(frozen=True)
@@ -105,34 +107,49 @@ def iou2d(a: BBox2D, b: BBox2D) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def _sorted_by_score(preds):
+def score_order(preds) -> list[int]:
+    """Indices of preds by descending score, index breaking ties."""
     return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
 
 
-def _tp_flags_2d(preds, gts, iou_threshold):
-    """Greedy matching flags: one detection per ground truth, best IoU wins."""
-    gt_by_group: dict = {}
+def _greedy_match(preds, gts, similarity, threshold) -> list:
+    """Greedy matching: one prediction per ground truth.
+
+    Predictions are taken in score_order; each takes the untaken ground truth
+    of its group and class with the highest similarity(pred, gt) at or above
+    threshold, the first one on ties.  Returns (pred, gt or None) per
+    prediction, in that order.
+    """
+    gt_by_key: dict = {}
     for g in gts:
-        gt_by_group.setdefault(g.group, []).append(g)
-    taken: dict = {gr: [False] * len(lst) for gr, lst in gt_by_group.items()}
-    flags = []
-    for idx in _sorted_by_score(preds):
+        gt_by_key.setdefault((g.group, g.class_id), []).append(g)
+    taken_by_key = {key: [False] * len(lst) for key, lst in gt_by_key.items()}
+    out = []
+    for idx in score_order(preds):
         det = preds[idx]
-        best_iou = 0.0
-        best_j = -1
-        for j, g in enumerate(gt_by_group.get(det.group, [])):
-            if taken[det.group][j]:
+        key = (det.group, det.class_id)
+        candidates, taken = gt_by_key.get(key, ()), taken_by_key.get(key)
+        best, best_j = -math.inf, -1
+        for j, g in enumerate(candidates):
+            if taken[j]:
                 continue
-            value = iou2d(det.bbox, g.bbox)
-            if value >= iou_threshold and value > best_iou:
-                best_iou = value
-                best_j = j
+            value = similarity(det, g)
+            if value >= threshold and value > best:
+                best, best_j = value, j
         if best_j >= 0:
-            taken[det.group][best_j] = True
-            flags.append(True)
+            taken[best_j] = True
+            out.append((det, candidates[best_j]))
         else:
-            flags.append(False)
-    return flags
+            out.append((det, None))
+    return out
+
+
+def _iou_of(pred, gt) -> float:
+    return iou2d(pred.bbox, gt.bbox)
+
+
+def _tp_flags(preds, gts, similarity, threshold) -> list[bool]:
+    return [g is not None for _, g in _greedy_match(preds, gts, similarity, threshold)]
 
 
 def _interpolated_precision_samples(tp_flags, n_gt, sample_recalls):
@@ -167,7 +184,7 @@ def ap_2d(predictions, ground_truth, cfg: EvalConfig2D) -> dict[str, float]:
     for cls in sorted({g.class_id for g in kept}):
         cls_gts = [g for g in kept if g.class_id == cls]
         cls_preds = [p for p in predictions if p.class_id == cls]
-        flags = _tp_flags_2d(cls_preds, cls_gts, cfg.iou_threshold)
+        flags = _tp_flags(cls_preds, cls_gts, _iou_of, cfg.iou_threshold)
         precs = _interpolated_precision_samples(flags, len(cls_gts), samples)
         result[cls] = float(np.mean(precs)) if precs else 0.0
     return result
@@ -177,33 +194,20 @@ def _ground_distance(a: Box3D, b: Box3D) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+def _closeness(pred, gt) -> float:
+    """Negated ground-plane distance (_ground_distance, inlined for speed):
+    nearer is more similar, and -d >= -t exactly when d <= t."""
+    return -math.hypot(pred.box.x - gt.box.x, pred.box.y - gt.box.y)
+
+
 def match_3d(predictions, ground_truth, threshold: float):
     """Greedy score-descending matching by ground-plane center distance.
 
     Each prediction takes the nearest unmatched ground truth of its class and
     group within the threshold.  Returns matched (Pred3D, Gt3D) pairs.
     """
-    gt_by_key: dict = {}
-    for g in ground_truth:
-        gt_by_key.setdefault((g.group, g.class_id), []).append(g)
-    taken = {key: [False] * len(lst) for key, lst in gt_by_key.items()}
-    matched = []
-    for idx in _sorted_by_score(predictions):
-        det = predictions[idx]
-        key = (det.group, det.class_id)
-        best = None
-        best_dist = math.inf
-        for j, g in enumerate(gt_by_key.get(key, [])):
-            if taken[key][j]:
-                continue
-            dist = _ground_distance(det.box, g.box)
-            if dist <= threshold and dist < best_dist:
-                best_dist = dist
-                best = j
-        if best is not None:
-            taken[key][best] = True
-            matched.append((det, gt_by_key[key][best]))
-    return matched
+    pairs = _greedy_match(predictions, ground_truth, _closeness, -threshold)
+    return [(p, g) for p, g in pairs if g is not None]
 
 
 def aligned_iou3d(a: Box3D, b: Box3D) -> float:
@@ -233,32 +237,6 @@ def tp_errors(matched_pairs):
     ase = float(np.mean([1.0 - aligned_iou3d(p, g) for p, g in pairs]))
     aoe = float(np.mean([abs(wrap_angle(p.theta - g.theta)) for p, g in pairs]))
     return ate, ase, aoe
-
-
-def _tp_flags_3d(preds, gts, threshold):
-    gt_list = list(gts)
-    taken = [False] * len(gt_list)
-    by_group: dict = {}
-    for j, g in enumerate(gt_list):
-        by_group.setdefault(g.group, []).append(j)
-    flags = []
-    for idx in _sorted_by_score(preds):
-        det = preds[idx]
-        best = None
-        best_dist = math.inf
-        for j in by_group.get(det.group, []):
-            if taken[j]:
-                continue
-            dist = _ground_distance(det.box, gt_list[j].box)
-            if dist <= threshold and dist < best_dist:
-                best_dist = dist
-                best = j
-        if best is not None:
-            taken[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
 
 
 def _normalized_ap(tp_flags, n_gt) -> float:
@@ -294,30 +272,24 @@ def _normalized_ap(tp_flags, n_gt) -> float:
 
 def ap_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, float]:
     """Per-class 3D AP, averaged over the configured distance thresholds."""
-    result = {}
-    for cls in sorted({g.class_id for g in ground_truth}):
-        cls_gts = [g for g in ground_truth if g.class_id == cls]
-        cls_preds = [p for p in predictions if p.class_id == cls]
-        aps = []
-        for threshold in cfg.center_distance_thresholds:
-            flags = _tp_flags_3d(cls_preds, cls_gts, threshold)
-            aps.append(_normalized_ap(flags, len(cls_gts)))
-        result[cls] = float(np.mean(aps))
-    return result
+    return {cls: row["ap"] for cls, row in evaluate_3d(predictions, ground_truth, cfg).items()}
 
 
 def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]:
     """AP plus error metrics per class; errors use matches at the configured
     tp_error_threshold and are None when that class has no matches."""
-    aps = ap_3d(predictions, ground_truth, cfg)
     out = {}
-    for cls, ap in aps.items():
+    for cls in sorted({g.class_id for g in ground_truth}):
         cls_gts = [g for g in ground_truth if g.class_id == cls]
         cls_preds = [p for p in predictions if p.class_id == cls]
+        aps = [
+            _normalized_ap(_tp_flags(cls_preds, cls_gts, _closeness, -threshold), len(cls_gts))
+            for threshold in cfg.center_distance_thresholds
+        ]
         matched = match_3d(cls_preds, cls_gts, cfg.tp_error_threshold)
         errors = tp_errors(matched)
         out[cls] = {
-            "ap": ap,
+            "ap": float(np.mean(aps)),
             "ate": errors[0] if errors else None,
             "ase": errors[1] if errors else None,
             "aoe": errors[2] if errors else None,

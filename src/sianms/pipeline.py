@@ -24,8 +24,10 @@ continues with the remaining frames.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .frustum import (
 from .losses import LossConfig
 from .matching import match_adjacent
 from .metrics import (
+    METRICS_3D,
     EvalConfig2D,
     EvalConfig3D,
     Gt2D,
@@ -51,8 +54,9 @@ from .metrics import (
     evaluate_3d,
     iou2d,
     overlap_region_filter,
+    score_order,
 )
-from .reid_eval import accumulate, evaluate_frame
+from .reid_eval import REID_KEYS, REID_RATES, accumulate, evaluate_frame
 from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, box_corners, box_image_extents
 from .synthgen import GenSpec, simulate_detections
 
@@ -70,6 +74,9 @@ VARIANT_ORDER = (
     Variant.ORIGINAL_NMS,
     Variant.SIANMS,
 )
+
+VARIANT_NAMES = tuple(v.value for v in VARIANT_ORDER)
+REGIONS = ("all", "overlap")
 
 
 @dataclass(frozen=True)
@@ -134,31 +141,11 @@ class RunReport:
     runtime_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "config": self.config,
-            "counts": self.counts,
-            "ap_2d": self.ap_2d,
-            "reid": self.reid,
-            "metrics_3d": self.metrics_3d,
-            "errors": self.errors,
-            "runtime_s": self.runtime_s,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        return cls(
-            variant=data["variant"],
-            seed=data["seed"],
-            config=data["config"],
-            counts=data["counts"],
-            ap_2d=data["ap_2d"],
-            reid=data["reid"],
-            metrics_3d=data["metrics_3d"],
-            errors=data["errors"],
-            runtime_s=data["runtime_s"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -168,48 +155,34 @@ class PipelineResult:
     matches: dict
 
 
+def json_value(value):
+    """value as JSON data: dataclasses as dicts of their fields, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    return value
+
+
+def _tuples(value):
+    """value with every list, at any depth, as a tuple."""
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _tuples(v) for k, v in value.items()}
+    return value
+
+
+def section_from_dict(cls, data):
+    """cls built from a JSON object, lists as tuples; omitted fields keep
+    their defaults and cls.__init__ rejects an unknown key with TypeError."""
+    return cls(**{k: _tuples(v) for k, v in dict(data).items()})
+
+
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "gen": {
-            "seed": cfg.gen.seed,
-            "n_frames": cfg.gen.n_frames,
-            "objects_per_frame": list(cfg.gen.objects_per_frame),
-            "class_mix": dict(cfg.gen.class_mix),
-            "radius_range": list(cfg.gen.radius_range),
-            "overlap_fraction": cfg.gen.overlap_fraction,
-            "embed_dim": cfg.gen.embed_dim,
-            "embed_noise": cfg.gen.embed_noise,
-            "miss_rate": cfg.gen.miss_rate,
-            "bbox_jitter_px": cfg.gen.bbox_jitter_px,
-            "lidar_points_range": list(cfg.gen.lidar_points_range),
-            "clutter_points": cfg.gen.clutter_points,
-        },
-        "loss": {
-            "alpha": cfg.loss.alpha,
-            "beta": cfg.loss.beta,
-            "smooth_l1_delta": cfg.loss.smooth_l1_delta,
-            "foreground_iou": cfg.loss.foreground_iou,
-        },
-        "estimator": {
-            "dim_priors": {k: list(v) for k, v in cfg.estimator.dim_priors.items()},
-            "yaw_mode": cfg.estimator.yaw_mode,
-            "min_points": cfg.estimator.min_points,
-            "range_gate_m": cfg.estimator.range_gate_m,
-            "extent_quantile": cfg.estimator.extent_quantile,
-        },
-        "eval2d": {
-            "iou_threshold": cfg.eval2d.iou_threshold,
-            "min_height_px": cfg.eval2d.min_height_px,
-            "max_truncation": cfg.eval2d.max_truncation,
-        },
-        "eval3d": {
-            "center_distance_thresholds": list(cfg.eval3d.center_distance_thresholds),
-            "tp_error_threshold": cfg.eval3d.tp_error_threshold,
-            "region": cfg.eval3d.region,
-        },
-        "tau": cfg.tau,
-        "nms_iou": cfg.nms_iou,
-    }
+    return json_value(cfg)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -224,44 +197,19 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ValueError(
             f"unknown section {unknown[0]!r}; a config reads {', '.join(sections)}"
         )
-    gen = data.get("gen", {})
-    loss = data.get("loss", {})
-    est = data.get("estimator", {})
-    e2d = data.get("eval2d", {})
-    e3d = data.get("eval3d", {})
-    gen_kwargs = dict(gen)
-    for key in ("objects_per_frame", "radius_range", "lidar_points_range"):
-        if key in gen_kwargs:
-            gen_kwargs[key] = tuple(gen_kwargs[key])
-    est_kwargs = dict(est)
-    if "dim_priors" in est_kwargs:
-        est_kwargs["dim_priors"] = {
-            k: tuple(v) for k, v in est_kwargs["dim_priors"].items()
-        }
-    e3d_kwargs = dict(e3d)
-    if "center_distance_thresholds" in e3d_kwargs:
-        e3d_kwargs["center_distance_thresholds"] = tuple(
-            e3d_kwargs["center_distance_thresholds"]
-        )
-    return PipelineConfig(
-        gen=GenSpec(**gen_kwargs),
-        loss=LossConfig(**loss),
-        estimator=EstimatorConfig(**est_kwargs),
-        eval2d=EvalConfig2D(**e2d),
-        eval3d=EvalConfig3D(**e3d_kwargs),
-        tau=data.get("tau"),
-        nms_iou=data.get("nms_iou", 0.5),
-    )
+    return PipelineConfig(**{
+        f.name: _tuples(data[f.name]) if f.default_factory is MISSING
+        else section_from_dict(f.default_factory, data[f.name])
+        for f in fields(PipelineConfig)
+        if f.name in data
+    })
 
 
 def nms_greedy(detections, iou_threshold: float):
     """Greedy NMS: walk detections by descending score, keep one iff its IoU
     with every kept same-camera same-class detection is below the threshold."""
-    order = sorted(
-        range(len(detections)), key=lambda i: (-detections[i].score, i)
-    )
     kept: list[Detection2D] = []
-    for idx in order:
+    for idx in score_order(detections):
         det = detections[idx]
         suppressed = any(
             k.camera_id == det.camera_id
@@ -408,14 +356,10 @@ def _mean_row(per_class: dict) -> dict:
         values = [row[key] for row in per_class.values() if row[key] is not None]
         return float(np.mean(values)) if values else None
 
-    if not per_class:
-        return {"ap": 0.0, "ate": None, "ase": None, "aoe": None}
-    return {
-        "ap": mean_of("ap") if mean_of("ap") is not None else 0.0,
-        "ate": mean_of("ate"),
-        "ase": mean_of("ase"),
-        "aoe": mean_of("aoe"),
-    }
+    mean = {key: mean_of(key) for key in METRICS_3D}
+    if mean["ap"] is None:
+        mean["ap"] = 0.0
+    return mean
 
 
 @dataclass
@@ -523,9 +467,10 @@ def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float):
         for b in all_boxes
     ]
     metrics_3d = {}
-    for region, gts, preds in (
-        ("all", gt3d_all, pred3d_all),
-        ("overlap", gt3d_overlap, overlap_region_filter(scene.rig, pred3d_all)),
+    for region, gts, preds in zip(
+        REGIONS,
+        (gt3d_all, gt3d_overlap),
+        (pred3d_all, overlap_region_filter(scene.rig, pred3d_all)),
     ):
         per_class = evaluate_3d(preds, gts, cfg.eval3d)
         metrics_3d[region] = {"per_class": per_class, "mean": _mean_row(per_class)}
@@ -569,6 +514,74 @@ def run_pipeline(
     return _run_variants(scene, (Variant(variant),), cfg, detections)[0]
 
 
+class Row(NamedTuple):
+    """One table row: a metric of a class in a region ("-" for a section
+    without one), with one value per report, None where a report lacks it."""
+
+    section: str
+    region: str
+    class_id: str
+    metric: str
+    values: tuple
+
+
+def report_rows(reports, reid_keys, classes_3d: dict) -> list[Row]:
+    """The rows of a table over reports: 2D AP of each class any report
+    scores, the re-id reid_keys, then for each region the 3D metrics of the
+    classes classes_3d lists for it, where None is the region's mean."""
+    rows = [
+        Row("ap_2d", "-", cls, "ap", tuple(r.ap_2d.get(cls) for r in reports))
+        for cls in sorted({cls for r in reports for cls in r.ap_2d})
+    ]
+    rows += [
+        Row("reid", "-", "-", key,
+            tuple(None if r.reid is None else float(r.reid[key]) for r in reports))
+        for key in reid_keys
+    ]
+    for region, classes in classes_3d.items():
+        for cls in classes:
+            blocks = [r.metrics_3d[region] for r in reports]
+            found = [b["mean"] if cls is None else b["per_class"].get(cls) for b in blocks]
+            rows += [
+                Row("3d", region, "mean" if cls is None else cls, metric,
+                    tuple(None if f is None else f[metric] for f in found))
+                for metric in METRICS_3D
+            ]
+    return rows
+
+
+def text_cell(value, missing: str = "-") -> str:
+    return missing if value is None else f"{value:.4f}"
+
+
+def csv_cell(value) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def csv_table(columns, rows) -> str:
+    """Rows as CSV under a section,region,class,metric header plus columns."""
+    lines = ["section,region,class,metric," + ",".join(columns)]
+    lines += [
+        ",".join([r.section, r.region, r.class_id, r.metric, *map(csv_cell, r.values)])
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# compare's CSV holds sianms's delta against each of these
+_DELTA_COLUMNS = (Variant.ORIGINAL.value, Variant.ORIGINAL_NMS.value)
+
+
+def _sianms_deltas(row: Row) -> dict:
+    """Per other variant, sianms's value minus its own, None if either lacks one."""
+    others = dict(zip(VARIANT_NAMES, row.values))
+    sianms = others.pop(Variant.SIANMS.value)
+    return {
+        name: None if sianms is None or value is None else float(sianms - value)
+        for name, value in others.items()
+    }
+
+
 @dataclass
 class Comparison:
     """All four variants over identical inputs, plus sianms deltas.
@@ -581,42 +594,20 @@ class Comparison:
     reports: dict  # variant value -> RunReport
     results: dict  # variant value -> PipelineResult
 
+    def _rows(self) -> list[Row]:
+        sianms = self.reports[Variant.SIANMS.value].metrics_3d
+        return report_rows(
+            [self.reports[name] for name in VARIANT_NAMES],
+            REID_KEYS,
+            {region: [*sianms[region]["per_class"], None] for region in REGIONS},
+        )
+
     def deltas(self) -> dict:
-        sia = self.reports[Variant.SIANMS.value]
         out: dict = {}
-        for region in ("all", "overlap"):
-            region_out: dict = {}
-            sia_region = sia.metrics_3d[region]
-            classes = list(sia_region["per_class"].keys()) + ["mean"]
-            for cls in classes:
-                sia_row = (
-                    sia_region["mean"] if cls == "mean" else sia_region["per_class"][cls]
-                )
-                cls_out: dict = {}
-                for metric in ("ap", "ate", "ase", "aoe"):
-                    metric_out = {}
-                    for variant in VARIANT_ORDER:
-                        if variant is Variant.SIANMS:
-                            continue
-                        other = self.reports[variant.value].metrics_3d[region]
-                        other_row = (
-                            other["mean"]
-                            if cls == "mean"
-                            else other["per_class"].get(cls)
-                        )
-                        if (
-                            other_row is None
-                            or other_row[metric] is None
-                            or sia_row[metric] is None
-                        ):
-                            metric_out[variant.value] = None
-                        else:
-                            metric_out[variant.value] = float(
-                                sia_row[metric] - other_row[metric]
-                            )
-                    cls_out[metric] = metric_out
-                region_out[cls] = cls_out
-            out[region] = region_out
+        for row in self._rows():
+            if row.section == "3d":
+                region = out.setdefault(row.region, {})
+                region.setdefault(row.class_id, {})[row.metric] = _sianms_deltas(row)
         return out
 
     def to_json_dict(self) -> dict:
@@ -634,119 +625,32 @@ class Comparison:
         }
 
     def to_csv(self) -> str:
-        def fmt(value):
-            return "" if value is None else f"{value:.6f}"
-
-        names = [v.value for v in VARIANT_ORDER]
-        lines = [
-            "section,region,class,metric," + ",".join(names)
-            + ",sianms-original,sianms-original+nms"
-        ]
-        classes_2d = sorted(
-            {
-                cls
-                for name in names
-                for cls in self.reports[name].ap_2d
-            }
-        )
-        for cls in classes_2d:
-            row = [
-                fmt(self.reports[name].ap_2d.get(cls)) for name in names
-            ]
-            sia = self.reports[Variant.SIANMS.value].ap_2d.get(cls)
-            d_orig = (
-                None
-                if sia is None or self.reports[names[0]].ap_2d.get(cls) is None
-                else sia - self.reports[names[0]].ap_2d.get(cls)
-            )
-            d_nms = (
-                None
-                if sia is None or self.reports[names[2]].ap_2d.get(cls) is None
-                else sia - self.reports[names[2]].ap_2d.get(cls)
-            )
-            lines.append(
-                f"ap_2d,-,{cls},ap," + ",".join(row) + f",{fmt(d_orig)},{fmt(d_nms)}"
-            )
-        for key in ("precision", "recall", "f_score", "tp", "fp", "fn", "tn"):
-            row = []
-            for name in names:
-                reid = self.reports[name].reid
-                row.append("" if reid is None else fmt(float(reid[key])))
-            lines.append(f"reid,-,-,{key}," + ",".join(row) + ",,")
-        deltas = self.deltas()
-        for region in ("all", "overlap"):
-            classes = list(
-                self.reports[Variant.SIANMS.value].metrics_3d[region]["per_class"]
-            ) + ["mean"]
-            for cls in classes:
-                for metric in ("ap", "ate", "ase", "aoe"):
-                    row = []
-                    for name in names:
-                        block = self.reports[name].metrics_3d[region]
-                        row_data = (
-                            block["mean"] if cls == "mean" else block["per_class"].get(cls)
-                        )
-                        row.append(
-                            "" if row_data is None else fmt(row_data[metric])
-                        )
-                    delta = deltas[region][cls][metric]
-                    lines.append(
-                        f"3d,{region},{cls},{metric},"
-                        + ",".join(row)
-                        + f",{fmt(delta['original'])},{fmt(delta['original+nms'])}"
-                    )
-        return "\n".join(lines) + "\n"
+        rows = []
+        for row in self._rows():
+            deltas = {} if row.section == "reid" else _sianms_deltas(row)
+            cells = tuple(deltas.get(name) for name in _DELTA_COLUMNS)
+            rows.append(row._replace(values=row.values + cells))
+        return csv_table(VARIANT_NAMES + tuple(f"sianms-{n}" for n in _DELTA_COLUMNS), rows)
 
     def to_text(self) -> str:
-        def fmt(value):
-            return "  -  " if value is None else f"{value:.4f}"
+        width = max(len(n) for n in VARIANT_NAMES) + 2
+        header = f"{'class':<12}" + "".join(f"{n:>{width}}" for n in VARIANT_NAMES)
 
-        names = [v.value for v in VARIANT_ORDER]
-        width = max(len(n) for n in names) + 2
-        out = ["variant comparison", "=" * 60]
-        out.append("")
-        out.append("2D AP (per class)")
-        header = f"{'class':<12}" + "".join(f"{n:>{width}}" for n in names)
-        out.append(header)
-        classes_2d = sorted(
-            {cls for name in names for cls in self.reports[name].ap_2d}
-        )
-        for cls in classes_2d:
-            out.append(
-                f"{cls:<12}"
-                + "".join(
-                    f"{fmt(self.reports[name].ap_2d.get(cls)):>{width}}" for name in names
-                )
-            )
-        out.append("")
-        out.append("re-identification")
-        out.append(header)
-        for key in ("precision", "recall", "f_score"):
-            row = []
-            for name in names:
-                reid = self.reports[name].reid
-                row.append(fmt(None if reid is None else reid[key]))
-            out.append(f"{key:<12}" + "".join(f"{v:>{width}}" for v in row))
-        for region in ("all", "overlap"):
-            out.append("")
-            out.append(f"3D metrics, region = {region}")
-            classes = list(
-                self.reports[Variant.SIANMS.value].metrics_3d[region]["per_class"]
-            ) + ["mean"]
-            for cls in classes:
-                out.append(f"  {cls}")
-                out.append("  " + header)
-                for metric in ("ap", "ate", "ase", "aoe"):
-                    row = []
-                    for name in names:
-                        block = self.reports[name].metrics_3d[region]
-                        row_data = (
-                            block["mean"]
-                            if cls == "mean"
-                            else block["per_class"].get(cls)
-                        )
-                        row.append(fmt(None if row_data is None else row_data[metric]))
-                    out.append(f"  {metric:<12}" + "".join(f"{v:>{width}}" for v in row))
+        def line(label, row):
+            cells = (text_cell(v, missing="  -  ") for v in row.values)
+            return f"{label:<12}" + "".join(f"{c:>{width}}" for c in cells)
+
+        rows = self._rows()
+        out = ["variant comparison", "=" * 60, "", "2D AP (per class)", header]
+        out += [line(r.class_id, r) for r in rows if r.section == "ap_2d"]
+        out += ["", "re-identification", header]
+        out += [line(r.metric, r) for r in rows if r.metric in REID_RATES]
+        for region in REGIONS:
+            out += ["", f"3D metrics, region = {region}"]
+            in_region = (r for r in rows if r.section == "3d" and r.region == region)
+            for cls, group in groupby(in_region, key=lambda r: r.class_id):
+                out += [f"  {cls}", "  " + header]
+                out += ["  " + line(r.metric, r) for r in group]
         out.append("")
         return "\n".join(out)
 

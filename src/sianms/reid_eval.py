@@ -17,6 +17,11 @@ from .matching import MatchResult
 from .scene import CameraRig, Detection2D
 
 
+# the statistics a re-id table lists, in table order
+REID_RATES = ("precision", "recall", "f_score")
+REID_KEYS = REID_RATES + ("tp", "fp", "fn", "tn")
+
+
 class MissingTruth(ValueError):
     """A detection lacks the truth uid needed for evaluation."""
 

@@ -198,7 +198,8 @@ class Box3D:
     theta: float
 
     def __post_init__(self):
-        if self.l <= 0.0 or self.w <= 0.0 or self.h <= 0.0:
+        # written so that NaN fails too
+        if not (self.l > 0.0 and self.w > 0.0 and self.h > 0.0):
             raise ValueError("box dimensions must be positive")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 

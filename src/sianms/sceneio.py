@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .matching import MatchedPair, MatchResult
-from .pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict
+from .pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict, json_value
 from .scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject
 
 
@@ -136,19 +136,6 @@ def _dump_json(path, payload) -> None:
 # -- cameras and scenes -------------------------------------------------------
 
 
-def _camera_to_dict(cam: CameraModel) -> dict:
-    return {
-        "id": cam.id,
-        "fx": cam.fx,
-        "fy": cam.fy,
-        "cx": cam.cx,
-        "cy": cam.cy,
-        "width": cam.width,
-        "height": cam.height,
-        "pose": {"q": list(cam.pose.q), "t": list(cam.pose.t)},
-    }
-
-
 def _camera_from_dict(data, path: str) -> CameraModel:
     pose_data = _get(data, "pose", path)
     pose = Pose(
@@ -168,10 +155,7 @@ def _camera_from_dict(data, path: str) -> CameraModel:
 
 
 def rig_to_dict(rig: CameraRig) -> dict:
-    return {
-        "cameras": [_camera_to_dict(c) for c in rig.cameras],
-        "adjacency": [list(pair) for pair in rig.adjacency],
-    }
+    return json_value(rig)
 
 
 def rig_from_dict(data, path: str = "rig") -> CameraRig:

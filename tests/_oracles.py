@@ -15,8 +15,14 @@ frustum merge, the array-only wrap_angle, the detector stand-in that
 calls embedding_provider for every detection and the frustum filter that
 projects the whole cloud for each bbox.  The package must give their results
 bit for bit.
+
+From tp_flags_2d_reference on are the code that one implementation per
+concept replaced: the three greedy matchers, the hand-written config, report
+and rig (de)serializers, and the six table renderers of run, compare, eval-3d
+and eval-reid.  The package must give the same matches, dicts and bytes.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -24,8 +30,11 @@ import math
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from sianms.estimator import EstimatorConfig
 from sianms.frustum import EmptyFrustum, Frustum, MergeRejected, _combined_hull
-from sianms.losses import BatchLossBreakdown, BatchLossGrads, ohem_select, smooth_l1
+from sianms.losses import BatchLossBreakdown, BatchLossGrads, LossConfig, ohem_select, smooth_l1
+from sianms.metrics import EvalConfig2D, EvalConfig3D, iou2d
+from sianms.pipeline import VARIANT_ORDER, PipelineConfig, RunReport, Variant
 from sianms.scene import (
     DEPTH_EPSILON,
     BBox2D,
@@ -36,8 +45,8 @@ from sianms.scene import (
     extent_midpoint,
     project_points,
 )
-from sianms.sceneio import _box_to_list, rig_to_dict
-from sianms.synthgen import _visible_faces, embedding_provider
+from sianms.sceneio import _box_to_list
+from sianms.synthgen import GenSpec, _visible_faces, embedding_provider
 
 
 def brute_force_assignment(costs, masked=None):
@@ -454,7 +463,7 @@ def inline_scene_text_reference(scene) -> str:
                 "lidar": {"inline": [[float(v) for v in row] for row in cloud]},
             }
         )
-    payload = {"rig": rig_to_dict(scene.rig), "frames": frames}
+    payload = {"rig": rig_to_dict_reference(scene.rig), "frames": frames}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -784,3 +793,501 @@ def filter_frustum_reference(cam, bbox, cloud, source=None):
         central_axis=extent_midpoint(extent),
         sources=sources,
     )
+
+
+# The greedy matchers metrics.py had before its one greedy assigner.
+
+
+def tp_flags_2d_reference(preds, gts, iou_threshold):
+    """metrics._tp_flags_2d: greedy matching flags, one detection per ground
+    truth, best IoU wins; ground truth keyed by group alone."""
+    gt_by_group: dict = {}
+    for g in gts:
+        gt_by_group.setdefault(g.group, []).append(g)
+    taken: dict = {gr: [False] * len(lst) for gr, lst in gt_by_group.items()}
+    flags = []
+    for idx in sorted(range(len(preds)), key=lambda i: (-preds[i].score, i)):
+        det = preds[idx]
+        best_iou = 0.0
+        best_j = -1
+        for j, g in enumerate(gt_by_group.get(det.group, [])):
+            if taken[det.group][j]:
+                continue
+            value = iou2d(det.bbox, g.bbox)
+            if value >= iou_threshold and value > best_iou:
+                best_iou = value
+                best_j = j
+        if best_j >= 0:
+            taken[det.group][best_j] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+def match_3d_reference(predictions, ground_truth, threshold: float):
+    """metrics.match_3d: greedy score-descending matching by ground-plane
+    center distance.
+
+    Each prediction takes the nearest unmatched ground truth of its class and
+    group within the threshold.  Returns matched (Pred3D, Gt3D) pairs.
+    """
+    gt_by_key: dict = {}
+    for g in ground_truth:
+        gt_by_key.setdefault((g.group, g.class_id), []).append(g)
+    taken = {key: [False] * len(lst) for key, lst in gt_by_key.items()}
+    matched = []
+    for idx in sorted(range(len(predictions)), key=lambda i: (-predictions[i].score, i)):
+        det = predictions[idx]
+        key = (det.group, det.class_id)
+        best = None
+        best_dist = math.inf
+        for j, g in enumerate(gt_by_key.get(key, [])):
+            if taken[key][j]:
+                continue
+            dist = math.hypot(det.box.x - g.box.x, det.box.y - g.box.y)
+            if dist <= threshold and dist < best_dist:
+                best_dist = dist
+                best = j
+        if best is not None:
+            taken[key][best] = True
+            matched.append((det, gt_by_key[key][best]))
+    return matched
+
+
+def tp_flags_3d_reference(preds, gts, threshold):
+    """metrics._tp_flags_3d: ground truth keyed by group alone."""
+    gt_list = list(gts)
+    taken = [False] * len(gt_list)
+    by_group: dict = {}
+    for j, g in enumerate(gt_list):
+        by_group.setdefault(g.group, []).append(j)
+    flags = []
+    for idx in sorted(range(len(preds)), key=lambda i: (-preds[i].score, i)):
+        det = preds[idx]
+        best = None
+        best_dist = math.inf
+        for j in by_group.get(det.group, []):
+            if taken[j]:
+                continue
+            dist = math.hypot(det.box.x - gt_list[j].box.x, det.box.y - gt_list[j].box.y)
+            if dist <= threshold and dist < best_dist:
+                best_dist = dist
+                best = j
+        if best is not None:
+            taken[best] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+# The hand-written (de)serializers that dataclass-driven code replaced.
+
+
+def config_to_dict_reference(cfg) -> dict:
+    """pipeline.config_to_dict, each field written out by hand."""
+    return {
+        "gen": {
+            "seed": cfg.gen.seed,
+            "n_frames": cfg.gen.n_frames,
+            "objects_per_frame": list(cfg.gen.objects_per_frame),
+            "class_mix": dict(cfg.gen.class_mix),
+            "radius_range": list(cfg.gen.radius_range),
+            "overlap_fraction": cfg.gen.overlap_fraction,
+            "embed_dim": cfg.gen.embed_dim,
+            "embed_noise": cfg.gen.embed_noise,
+            "miss_rate": cfg.gen.miss_rate,
+            "bbox_jitter_px": cfg.gen.bbox_jitter_px,
+            "lidar_points_range": list(cfg.gen.lidar_points_range),
+            "clutter_points": cfg.gen.clutter_points,
+        },
+        "loss": {
+            "alpha": cfg.loss.alpha,
+            "beta": cfg.loss.beta,
+            "smooth_l1_delta": cfg.loss.smooth_l1_delta,
+            "foreground_iou": cfg.loss.foreground_iou,
+        },
+        "estimator": {
+            "dim_priors": {k: list(v) for k, v in cfg.estimator.dim_priors.items()},
+            "yaw_mode": cfg.estimator.yaw_mode,
+            "min_points": cfg.estimator.min_points,
+            "range_gate_m": cfg.estimator.range_gate_m,
+            "extent_quantile": cfg.estimator.extent_quantile,
+        },
+        "eval2d": {
+            "iou_threshold": cfg.eval2d.iou_threshold,
+            "min_height_px": cfg.eval2d.min_height_px,
+            "max_truncation": cfg.eval2d.max_truncation,
+        },
+        "eval3d": {
+            "center_distance_thresholds": list(cfg.eval3d.center_distance_thresholds),
+            "tp_error_threshold": cfg.eval3d.tp_error_threshold,
+            "region": cfg.eval3d.region,
+        },
+        "tau": cfg.tau,
+        "nms_iou": cfg.nms_iou,
+    }
+
+
+def config_from_dict_reference(data: dict):
+    """pipeline.config_from_dict: inverse of config_to_dict_reference;
+    omitted fields keep their defaults.
+
+    Raises ValueError naming the first key that is no PipelineConfig field,
+    so a misspelled or unsupported section is not silently ignored.
+    """
+    sections = [f.name for f in dataclasses.fields(PipelineConfig)]
+    unknown = sorted(set(data) - set(sections))
+    if unknown:
+        raise ValueError(
+            f"unknown section {unknown[0]!r}; a config reads {', '.join(sections)}"
+        )
+    gen = data.get("gen", {})
+    loss = data.get("loss", {})
+    est = data.get("estimator", {})
+    e2d = data.get("eval2d", {})
+    e3d = data.get("eval3d", {})
+    gen_kwargs = dict(gen)
+    for key in ("objects_per_frame", "radius_range", "lidar_points_range"):
+        if key in gen_kwargs:
+            gen_kwargs[key] = tuple(gen_kwargs[key])
+    est_kwargs = dict(est)
+    if "dim_priors" in est_kwargs:
+        est_kwargs["dim_priors"] = {
+            k: tuple(v) for k, v in est_kwargs["dim_priors"].items()
+        }
+    e3d_kwargs = dict(e3d)
+    if "center_distance_thresholds" in e3d_kwargs:
+        e3d_kwargs["center_distance_thresholds"] = tuple(
+            e3d_kwargs["center_distance_thresholds"]
+        )
+    return PipelineConfig(
+        gen=GenSpec(**gen_kwargs),
+        loss=LossConfig(**loss),
+        estimator=EstimatorConfig(**est_kwargs),
+        eval2d=EvalConfig2D(**e2d),
+        eval3d=EvalConfig3D(**e3d_kwargs),
+        tau=data.get("tau"),
+        nms_iou=data.get("nms_iou", 0.5),
+    )
+
+
+def report_to_dict_reference(self) -> dict:
+    """RunReport.to_dict, each field written out by hand."""
+    return {
+        "variant": self.variant,
+        "seed": self.seed,
+        "config": self.config,
+        "counts": self.counts,
+        "ap_2d": self.ap_2d,
+        "reid": self.reid,
+        "metrics_3d": self.metrics_3d,
+        "errors": self.errors,
+        "runtime_s": self.runtime_s,
+    }
+
+
+def report_from_dict_reference(data: dict):
+    """RunReport.from_dict, each field written out by hand."""
+    return RunReport(
+        variant=data["variant"],
+        seed=data["seed"],
+        config=data["config"],
+        counts=data["counts"],
+        ap_2d=data["ap_2d"],
+        reid=data["reid"],
+        metrics_3d=data["metrics_3d"],
+        errors=data["errors"],
+        runtime_s=data["runtime_s"],
+    )
+
+
+def _camera_to_dict_reference(cam) -> dict:
+    return {
+        "id": cam.id,
+        "fx": cam.fx,
+        "fy": cam.fy,
+        "cx": cam.cx,
+        "cy": cam.cy,
+        "width": cam.width,
+        "height": cam.height,
+        "pose": {"q": list(cam.pose.q), "t": list(cam.pose.t)},
+    }
+
+
+def rig_to_dict_reference(rig) -> dict:
+    """sceneio.rig_to_dict, each field written out by hand."""
+    return {
+        "cameras": [_camera_to_dict_reference(c) for c in rig.cameras],
+        "adjacency": [list(pair) for pair in rig.adjacency],
+    }
+
+
+# The table renderers that the row model in pipeline.py replaced.
+
+
+def comparison_deltas_reference(self) -> dict:
+    """Comparison.deltas, walking the report dicts."""
+    sia = self.reports[Variant.SIANMS.value]
+    out: dict = {}
+    for region in ("all", "overlap"):
+        region_out: dict = {}
+        sia_region = sia.metrics_3d[region]
+        classes = list(sia_region["per_class"].keys()) + ["mean"]
+        for cls in classes:
+            sia_row = (
+                sia_region["mean"] if cls == "mean" else sia_region["per_class"][cls]
+            )
+            cls_out: dict = {}
+            for metric in ("ap", "ate", "ase", "aoe"):
+                metric_out = {}
+                for variant in VARIANT_ORDER:
+                    if variant is Variant.SIANMS:
+                        continue
+                    other = self.reports[variant.value].metrics_3d[region]
+                    other_row = (
+                        other["mean"]
+                        if cls == "mean"
+                        else other["per_class"].get(cls)
+                    )
+                    if (
+                        other_row is None
+                        or other_row[metric] is None
+                        or sia_row[metric] is None
+                    ):
+                        metric_out[variant.value] = None
+                    else:
+                        metric_out[variant.value] = float(
+                            sia_row[metric] - other_row[metric]
+                        )
+                cls_out[metric] = metric_out
+            region_out[cls] = cls_out
+        out[region] = region_out
+    return out
+
+
+def comparison_csv_reference(self) -> str:
+    """Comparison.to_csv, walking the report dicts."""
+
+    def fmt(value):
+        return "" if value is None else f"{value:.6f}"
+
+    names = [v.value for v in VARIANT_ORDER]
+    lines = [
+        "section,region,class,metric," + ",".join(names)
+        + ",sianms-original,sianms-original+nms"
+    ]
+    classes_2d = sorted(
+        {
+            cls
+            for name in names
+            for cls in self.reports[name].ap_2d
+        }
+    )
+    for cls in classes_2d:
+        row = [
+            fmt(self.reports[name].ap_2d.get(cls)) for name in names
+        ]
+        sia = self.reports[Variant.SIANMS.value].ap_2d.get(cls)
+        d_orig = (
+            None
+            if sia is None or self.reports[names[0]].ap_2d.get(cls) is None
+            else sia - self.reports[names[0]].ap_2d.get(cls)
+        )
+        d_nms = (
+            None
+            if sia is None or self.reports[names[2]].ap_2d.get(cls) is None
+            else sia - self.reports[names[2]].ap_2d.get(cls)
+        )
+        lines.append(
+            f"ap_2d,-,{cls},ap," + ",".join(row) + f",{fmt(d_orig)},{fmt(d_nms)}"
+        )
+    for key in ("precision", "recall", "f_score", "tp", "fp", "fn", "tn"):
+        row = []
+        for name in names:
+            reid = self.reports[name].reid
+            row.append("" if reid is None else fmt(float(reid[key])))
+        lines.append(f"reid,-,-,{key}," + ",".join(row) + ",,")
+    deltas = comparison_deltas_reference(self)
+    for region in ("all", "overlap"):
+        classes = list(
+            self.reports[Variant.SIANMS.value].metrics_3d[region]["per_class"]
+        ) + ["mean"]
+        for cls in classes:
+            for metric in ("ap", "ate", "ase", "aoe"):
+                row = []
+                for name in names:
+                    block = self.reports[name].metrics_3d[region]
+                    row_data = (
+                        block["mean"] if cls == "mean" else block["per_class"].get(cls)
+                    )
+                    row.append(
+                        "" if row_data is None else fmt(row_data[metric])
+                    )
+                delta = deltas[region][cls][metric]
+                lines.append(
+                    f"3d,{region},{cls},{metric},"
+                    + ",".join(row)
+                    + f",{fmt(delta['original'])},{fmt(delta['original+nms'])}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def comparison_text_reference(self) -> str:
+    """Comparison.to_text, walking the report dicts."""
+
+    def fmt(value):
+        return "  -  " if value is None else f"{value:.4f}"
+
+    names = [v.value for v in VARIANT_ORDER]
+    width = max(len(n) for n in names) + 2
+    out = ["variant comparison", "=" * 60]
+    out.append("")
+    out.append("2D AP (per class)")
+    header = f"{'class':<12}" + "".join(f"{n:>{width}}" for n in names)
+    out.append(header)
+    classes_2d = sorted(
+        {cls for name in names for cls in self.reports[name].ap_2d}
+    )
+    for cls in classes_2d:
+        out.append(
+            f"{cls:<12}"
+            + "".join(
+                f"{fmt(self.reports[name].ap_2d.get(cls)):>{width}}" for name in names
+            )
+        )
+    out.append("")
+    out.append("re-identification")
+    out.append(header)
+    for key in ("precision", "recall", "f_score"):
+        row = []
+        for name in names:
+            reid = self.reports[name].reid
+            row.append(fmt(None if reid is None else reid[key]))
+        out.append(f"{key:<12}" + "".join(f"{v:>{width}}" for v in row))
+    for region in ("all", "overlap"):
+        out.append("")
+        out.append(f"3D metrics, region = {region}")
+        classes = list(
+            self.reports[Variant.SIANMS.value].metrics_3d[region]["per_class"]
+        ) + ["mean"]
+        for cls in classes:
+            out.append(f"  {cls}")
+            out.append("  " + header)
+            for metric in ("ap", "ate", "ase", "aoe"):
+                row = []
+                for name in names:
+                    block = self.reports[name].metrics_3d[region]
+                    row_data = (
+                        block["mean"]
+                        if cls == "mean"
+                        else block["per_class"].get(cls)
+                    )
+                    row.append(fmt(None if row_data is None else row_data[metric]))
+                out.append(f"  {metric:<12}" + "".join(f"{v:>{width}}" for v in row))
+    out.append("")
+    return "\n".join(out)
+
+
+def report_text_reference(report) -> str:
+    """What `sianms run --text` printed, walking the report dicts."""
+    lines = [f"variant: {report.variant}  seed: {report.seed}"]
+    counts = report.counts
+    lines.append(
+        "frames: {frames_processed}/{frames}  detections: {detections_2d}  "
+        "boxes: {boxes_3d} (merged {merged_boxes})".format(**counts)
+    )
+    if report.ap_2d:
+        parts = [f"{cls} {ap:.4f}" for cls, ap in sorted(report.ap_2d.items())]
+        lines.append("2D AP: " + "  ".join(parts))
+    if report.reid is not None:
+        lines.append(
+            "re-id: precision {precision:.4f}  recall {recall:.4f}  "
+            "f_score {f_score:.4f}".format(**report.reid)
+        )
+    for region in ("all", "overlap"):
+        block = report.metrics_3d[region]
+        for cls in sorted(block["per_class"]):
+            row = block["per_class"][cls]
+            cells = []
+            for key in ("ap", "ate", "ase", "aoe"):
+                value = row[key]
+                cells.append(f"{key} {'-' if value is None else format(value, '.4f')}")
+            lines.append(f"3D {region:<8} {cls:<12} " + "  ".join(cells))
+    if report.errors:
+        lines.append(f"frame errors: {len(report.errors)}")
+    return "\n".join(lines) + "\n"
+
+
+def report_csv_reference(report) -> str:
+    """What `sianms run --csv` printed, walking the report dicts."""
+    lines = ["section,region,class,metric,value"]
+    for cls, ap in sorted(report.ap_2d.items()):
+        lines.append(f"ap_2d,-,{cls},ap,{ap:.6f}")
+    if report.reid is not None:
+        for key in ("precision", "recall", "f_score", "tp", "fp", "fn", "tn"):
+            lines.append(f"reid,-,-,{key},{float(report.reid[key]):.6f}")
+    for region in ("all", "overlap"):
+        block = report.metrics_3d[region]
+        for cls in sorted(block["per_class"]):
+            row = block["per_class"][cls]
+            for key in ("ap", "ate", "ase", "aoe"):
+                value = row[key]
+                cell = "" if value is None else f"{value:.6f}"
+                lines.append(f"3d,{region},{cls},{key},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+def eval_3d_tables_reference(region, result) -> tuple[str, str]:
+    """The (text, csv) `sianms eval-3d` printed for its result."""
+    text_lines = [f"region: {region}"]
+    csv_lines = ["class,ap,ate,ase,aoe,num_gt,num_pred,num_matched"]
+    for cls in sorted(result):
+        row = result[cls]
+        cells = {
+            key: ("-" if row[key] is None else f"{row[key]:.4f}")
+            for key in ("ap", "ate", "ase", "aoe")
+        }
+        text_lines.append(
+            f"{cls}: ap {cells['ap']}  ate {cells['ate']}  ase {cells['ase']}  "
+            f"aoe {cells['aoe']}  (gt {row['num_gt']}, pred {row['num_pred']}, "
+            f"matched {row['num_matched']})"
+        )
+        csv_cells = {
+            key: ("" if row[key] is None else f"{row[key]:.6f}")
+            for key in ("ap", "ate", "ase", "aoe")
+        }
+        csv_lines.append(
+            f"{cls},{csv_cells['ap']},{csv_cells['ate']},{csv_cells['ase']},"
+            f"{csv_cells['aoe']},{row['num_gt']},{row['num_pred']},{row['num_matched']}"
+        )
+    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
+
+
+def eval_reid_tables_reference(stats) -> tuple[str, str]:
+    """The (text, csv) `sianms eval-reid` printed for its stats."""
+    text = (
+        "precision {precision:.4f}\nrecall {recall:.4f}\nf_score {f_score:.4f}\n"
+        "tp {tp}  fp {fp}  fn {fn}  tn {tn}\n".format(**stats)
+    )
+    csv = "metric,value\n" + "".join(
+        f"{key},{float(stats[key]):.6f}\n"
+        for key in ("precision", "recall", "f_score", "tp", "fp", "fn", "tn")
+    )
+    return text, csv
+
+
+def comparison_json_reference(self) -> dict:
+    """Comparison.to_json_dict over the hand-written report dict and deltas."""
+    variants = {}
+    for variant in VARIANT_ORDER:
+        data = report_to_dict_reference(self.reports[variant.value])
+        del data["runtime_s"]
+        del data["config"]
+        variants[variant.value] = data
+    return {
+        "config": self.config,
+        "variants": variants,
+        "deltas": comparison_deltas_reference(self),
+    }

@@ -211,6 +211,28 @@ class TestConfigSections:
         assert repr(section) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section", ["gen", "loss", "estimator", "eval2d", "eval3d"])
+    def test_unknown_config_key_is_two(self, tmp_path, scene_dir, capsys, section):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {"no_such_key": 1}}))
+        code = main(["simulate", "--scene", str(scene_dir / "scene.json"),
+                     "--config", str(config), "--out", str(tmp_path / "dets.json")])
+        assert code == 2
+        assert "'no_such_key'" in capsys.readouterr().err
+        assert not (tmp_path / "dets.json").exists()
+
+    @pytest.mark.parametrize("section", ["rig", "gen"])
+    def test_unknown_spec_key_is_two(self, tmp_path, spec_file, capsys, section):
+        spec = json.loads(spec_file.read_text())
+        spec[section]["no_such_key"] = 1
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["generate", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "spec: " in err and "'no_such_key'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_every_config_section_is_read(self, tmp_path, scene_dir):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

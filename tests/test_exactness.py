@@ -9,8 +9,9 @@ formatted apart from the rest of the scene file; detection files are laid
 out by hand around one json call per frame; the loaders build arrays with
 np.fromiter; weighted draws skip rng.choice; the loss primitives skip
 numpy's argument handling; frustums are merged on rows of Python floats;
-wrap_angle wraps a number without an array; and the detector stand-in
-draws each object's embedding anchor once.  These tests hold each to
+wrap_angle wraps a number without an array; the detector stand-in
+draws each object's embedding anchor once; and one greedy assigner does
+the 2D and 3D matching that three matchers did.  These tests hold each to
 the exact results of the plain implementations in _oracles.py, on random
 inputs and on every frustum and box of the benchmark scenes.
 """
@@ -49,7 +50,18 @@ from sianms.losses import (
     negative_pair_term,
     positive_pair_term,
 )
-from sianms.metrics import visible_camera_count, visible_camera_counts
+from sianms.metrics import (
+    Gt2D,
+    Gt3D,
+    Pred2D,
+    Pred3D,
+    _closeness,
+    _iou_of,
+    _tp_flags,
+    match_3d,
+    visible_camera_count,
+    visible_camera_counts,
+)
 from sianms.pipeline import Frame, PipelineConfig, Scene, Variant, run_pipeline
 from sianms.scene import (
     DEPTH_EPSILON,
@@ -90,12 +102,15 @@ from _oracles import (
     filter_frustum_reference,
     float_rows_reference,
     inline_scene_text_reference,
+    match_3d_reference,
     merge_frustums_reference,
     negative_pair_term_reference,
     positive_pair_term_reference,
     range_gate_reference,
     sample_surface_points_reference,
     simulate_detections_reference,
+    tp_flags_2d_reference,
+    tp_flags_3d_reference,
     visible_camera_count_reference,
     wrap_angle_reference,
 )
@@ -937,11 +952,11 @@ class TestChoice:
             _choice(p, np.random.default_rng(0))
 
     def test_box_with_a_nan_dimension(self):
-        box = Box3D(x=9.0, y=-4.0, z=-0.9, l=math.nan, w=1.9, h=1.6, theta=2.0)
-        with pytest.raises(ValueError):
-            sample_surface_points_reference(box, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_surface_points(box, 10, np.random.default_rng(0))
+        # Box3D rejects it, so no sampler is handed a NaN face area; _choice's
+        # own NaN guard is held by test_raises_where_rng_choice_does
+        for l, w, h in [(math.nan, 1.9, 1.6), (4.5, math.nan, 1.6), (4.5, 1.9, math.nan)]:
+            with pytest.raises(ValueError, match="box dimensions must be positive"):
+                Box3D(x=9.0, y=-4.0, z=-0.9, l=l, w=w, h=h, theta=2.0)
 
 
 ROW_VALUES = st.integers(-(2**70), 2**70) | st.floats(allow_nan=True, allow_infinity=True)
@@ -1066,3 +1081,78 @@ class TestLossPrimitives:
                     assert (g is None) == (w is None)
                     if g is not None:
                         assert _same_bits(g, w)
+
+
+# Few groups, classes, scores and grid positions, so that scores, IoUs and
+# distances tie and distances land exactly on the thresholds.
+MATCH_GROUPS = st.sampled_from([0, 1])
+MATCH_CLASSES = st.sampled_from(["car", "cyclist"])
+TIED_SCORES = st.sampled_from([0.25, 0.5, 0.75])
+GRID = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+SIDES = st.sampled_from([1.0, 2.0])
+
+
+@st.composite
+def _grid_bboxes(draw):
+    x, y = draw(GRID), draw(GRID)
+    return BBox2D(x, y, x + draw(SIDES), y + draw(SIDES))
+
+
+GRID_BOXES = st.builds(
+    Box3D, x=GRID, y=GRID, z=st.just(-0.9), l=st.just(4.0), w=st.just(1.9), h=st.just(1.6),
+    theta=st.just(0.0),
+)
+PREDS_2D = st.lists(
+    st.builds(Pred2D, group=MATCH_GROUPS, class_id=MATCH_CLASSES, score=TIED_SCORES,
+              bbox=_grid_bboxes()),
+    max_size=8,
+)
+GTS_2D = st.lists(
+    st.builds(Gt2D, group=MATCH_GROUPS, class_id=MATCH_CLASSES, bbox=_grid_bboxes(),
+              height_px=st.just(30.0), truncation=st.just(0.0)),
+    max_size=8,
+)
+PREDS_3D = st.lists(
+    st.builds(Pred3D, group=MATCH_GROUPS, class_id=MATCH_CLASSES, score=TIED_SCORES,
+              box=GRID_BOXES),
+    max_size=8,
+)
+GTS_3D = st.lists(
+    st.builds(Gt3D, group=MATCH_GROUPS, class_id=MATCH_CLASSES, box=GRID_BOXES), max_size=8
+)
+
+
+def _by_class(preds, gts):
+    for cls in ("car", "cyclist"):
+        yield [p for p in preds if p.class_id == cls], [g for g in gts if g.class_id == cls]
+
+
+class TestGreedyMatcher:
+    """ap_2d and ap_3d call the matcher one class at a time, as they called
+    the old flag functions, which keyed ground truth by group alone."""
+
+    @EXAMPLES
+    @given(
+        preds=PREDS_2D,
+        gts=GTS_2D,
+        threshold=st.sampled_from([0.25, 0.5, 1.0, 1 / 3]) | st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_2d_flags(self, preds, gts, threshold):
+        for cls_preds, cls_gts in _by_class(preds, gts):
+            want = tp_flags_2d_reference(cls_preds, cls_gts, threshold)
+            assert _tp_flags(cls_preds, cls_gts, _iou_of, threshold) == want
+
+    @EXAMPLES
+    @given(
+        preds=PREDS_3D,
+        gts=GTS_3D,
+        threshold=st.sampled_from([0.5, 1.0, 2.0, math.hypot(1.0, 1.0), math.hypot(1.0, 0.5)])
+        | st.floats(0.0, 5.0),
+    )
+    def test_3d_flags_and_matches(self, preds, gts, threshold):
+        got = match_3d(preds, gts, threshold)
+        want = match_3d_reference(preds, gts, threshold)
+        assert [(id(p), id(g)) for p, g in got] == [(id(p), id(g)) for p, g in want]
+        for cls_preds, cls_gts in _by_class(preds, gts):
+            want = tp_flags_3d_reference(cls_preds, cls_gts, threshold)
+            assert _tp_flags(cls_preds, cls_gts, _closeness, -threshold) == want

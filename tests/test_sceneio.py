@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sianms.estimator import EstimatorConfig
+from sianms.losses import LossConfig
 from sianms.matching import MatchedPair, MatchResult
-from sianms.pipeline import Frame, PipelineConfig, PredBox, Scene
+from sianms.metrics import EvalConfig2D, EvalConfig3D
+from sianms.pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict, config_to_dict
 from sianms.scene import BBox2D, Box3D, Detection2D
 from sianms.sceneio import (
     SchemaError,
@@ -27,8 +30,9 @@ from sianms.sceneio import (
     write_matches,
     write_scene,
 )
-from sianms.synthgen import GenSpec, RigSpec, generate_frame, make_rig, simulate_detections
+from sianms.synthgen import CLASS_DIMS, GenSpec, RigSpec, generate_frame, make_rig, simulate_detections
 
+from _oracles import config_from_dict_reference, config_to_dict_reference
 from conftest import build_scene
 
 
@@ -100,6 +104,17 @@ class TestSceneRoundTrip:
         with pytest.raises(SchemaError) as err:
             load_scene(path)
         assert "index" in str(err.value)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_nan_box_dimension_reports_path(self, tmp_path, tiny_scene, dim):
+        scene, _ = tiny_scene
+        path = tmp_path / "scene.json"
+        write_scene(path, scene)
+        data = json.loads(path.read_text())
+        data["frames"][1]["objects"][0]["box"][dim] = float("nan")
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=r"^frames\[1\]\.objects\[0\]\.box: box dimensions"):
+            load_scene(path)
 
 
 def _with_cloud(scene: Scene, index: int, cloud) -> Scene:
@@ -572,6 +587,17 @@ class TestBoxesRoundTrip:
         with pytest.raises(SchemaError):
             load_boxes(path)
 
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_nan_box_dimension_reports_path(self, tmp_path, dim):
+        box = [0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0]
+        box[dim] = float("nan")
+        record = {"frame": 0, "class": "car", "score": 0.9, "n_sources": 1, "merged": False}
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps([dict(record, box=[1.0] * 3 + [4.0, 2.0, 1.5, 0.0]),
+                                    dict(record, box=box)]))
+        with pytest.raises(SchemaError, match=r"^\$\[1\]\.box: box dimensions"):
+            load_boxes(path)
+
 
 POSITIVE = st.floats(min_value=5e-324, allow_nan=False) | st.sampled_from([1e16, 0.1])
 
@@ -631,6 +657,99 @@ class TestConfig:
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises((KeyError, SchemaError, ValueError)):
             load_config(None, overrides={"gen.nonexistent": 1})
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(0.0, 1e6)
+CLASS_NAMES = st.sampled_from(sorted(CLASS_DIMS))
+
+PIPELINE_CONFIGS = st.builds(
+    PipelineConfig,
+    gen=st.builds(
+        GenSpec,
+        seed=st.integers(0, 2**63),
+        n_frames=st.integers(0, 1000),
+        objects_per_frame=st.tuples(st.integers(0, 50), st.integers(0, 50)),
+        class_mix=st.dictionaries(CLASS_NAMES, st.floats(0.0, 1e6), min_size=1).filter(
+            lambda mix: sum(mix.values()) > 0.0
+        ),
+        radius_range=st.tuples(FINITE, FINITE),
+        overlap_fraction=st.floats(0.0, 1.0),
+        embed_dim=st.integers(1, 512),
+        embed_noise=NONNEGATIVE,
+        miss_rate=st.floats(0.0, 1.0),
+        bbox_jitter_px=NONNEGATIVE,
+        lidar_points_range=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+        clutter_points=st.integers(0, 10**4),
+    ),
+    loss=st.builds(
+        LossConfig,
+        alpha=st.floats(0.0, 1.0),
+        beta=st.floats(1.5, 1e6),
+        smooth_l1_delta=st.floats(1e-9, 1e6),
+        foreground_iou=FINITE,
+    ),
+    estimator=st.builds(
+        EstimatorConfig,
+        dim_priors=st.dictionaries(
+            CLASS_NAMES | st.text(max_size=5), st.tuples(FINITE, FINITE, FINITE), max_size=4
+        ),
+        yaw_mode=st.sampled_from(["pca", "frustum-axis"]),
+        min_points=st.integers(1, 10**4),
+        range_gate_m=FINITE,
+        extent_quantile=st.floats(0.0, 0.5, exclude_max=True),
+    ),
+    eval2d=st.builds(
+        EvalConfig2D,
+        iou_threshold=st.floats(0.0, 1.0, exclude_min=True),
+        min_height_px=FINITE,
+        max_truncation=FINITE,
+    ),
+    eval3d=st.builds(
+        EvalConfig3D,
+        center_distance_thresholds=st.lists(FINITE, min_size=1, max_size=5).map(tuple),
+        tp_error_threshold=FINITE,
+        region=st.sampled_from(["all", "overlap"]),
+    ),
+    tau=st.none() | FINITE,
+    nms_iou=FINITE,
+)
+CONFIG_SECTIONS = ["gen", "loss", "estimator", "eval2d", "eval3d"]
+
+
+class TestConfigRoundTripProperty:
+    """config_to_dict and config_from_dict, driven by the dataclass fields,
+    against the hand-written pair they replaced (tests/_oracles.py)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cfg=PIPELINE_CONFIGS)
+    def test_every_field(self, tmp_path_factory, cfg):
+        data = config_to_dict(cfg)
+        text = json.dumps(data)
+        assert text == json.dumps(config_to_dict_reference(cfg))
+        loaded = json.loads(text)
+        back = config_from_dict(loaded)
+        assert back == cfg == config_from_dict_reference(loaded)
+        assert config_to_dict(back) == data
+        path = tmp_path_factory.mktemp("config") / "config.json"
+        path.write_text(text)
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("section", CONFIG_SECTIONS)
+    def test_unknown_key_names_the_key(self, section):
+        data = {section: {"no_such_key": 1}}
+        with pytest.raises(TypeError) as want:
+            config_from_dict_reference(data)
+        with pytest.raises(SchemaError, match="no_such_key") as err:
+            load_config(None, overrides={f"{section}.no_such_key": 1})
+        assert str(err.value) == f"config: {want.value}"
+
+    def test_unknown_section_text(self):
+        with pytest.raises(ValueError) as want:
+            config_from_dict_reference({"gen": {}, "eval": {}})
+        with pytest.raises(SchemaError) as err:
+            load_config(None, overrides={"eval.region": "all"})
+        assert str(err.value) == f"config: {want.value}"
 
 
 class TestComparisonFiles:
