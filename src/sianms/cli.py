@@ -175,8 +175,8 @@ def cmd_generate(args) -> int:
     if args.emb_dim is not None:
         gen_data = dict(gen_data, embed_dim=args.emb_dim)
     try:
-        rig_spec = section_from_dict(RigSpec, rig_data)
-        gen_spec = section_from_dict(GenSpec, gen_data)
+        rig_spec = section_from_dict(RigSpec, rig_data, "rig.")
+        gen_spec = section_from_dict(GenSpec, gen_data, "gen.")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"spec: {exc}") from exc
     rig = make_rig(rig_spec)
@@ -279,12 +279,8 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_comparison(out_dir / "compare", comparison)
-    _emit(
-        comparison.to_json_dict(),
-        args.format,
-        comparison.to_text(),
-        comparison.to_csv(),
-    )
+    # each file holds exactly what the format prints
+    print(paths[args.format].read_text(encoding="utf-8"), end="")
     print(f"wrote {paths['json']}, {paths['csv']}, {paths['text']}", file=sys.stderr)
     return 0
 

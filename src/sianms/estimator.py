@@ -20,13 +20,15 @@ be vertical outliers.
 
 The range gate scores up to 191 range windows per frustum with a fixed
 number of array operations instead of a loop over windows: one sort by
-range, per-point azimuth bins turned into per-window counts by prefix
-sums, and one +inf-padded block of per-window heights (windows x largest
-window floats) sorted row-wise for the height quantiles. The winning
-window's median range is read straight from the sorted ranges, and one
-sorted two-row block of along- and across-yaw coordinates gives all four
-planar extents in one quantile call. Bins, quantiles and the median follow
-numpy's own arithmetic, so boxes are bit-identical to calling
+range and one gather of the points in that order; per-point azimuth
+bins, found by one search against the bin edges, turned into per-window
+counts by one prefix sum of one-hot rows; and one block of per-window
+height ranks (windows x largest window small integers) sorted row-wise
+for the height quantiles. The winning window's median range is read
+straight from the sorted ranges. One sorted two-row block of along- and
+across-yaw coordinates gives all four planar extents, which np.quantile's
+linear rule blends in Python floats. Bins, quantiles and the median
+follow numpy's own arithmetic, so boxes are bit-identical to calling
 np.histogram, np.quantile and np.median per window and per axis.
 """
 
@@ -73,48 +75,28 @@ class EstimatorConfig:
 
 
 _AZ_BINS = 8
-
-
-def _linear_quantiles(rows: np.ndarray, lengths: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """np.quantile's default ('linear') quantiles of each row's leading values.
-
-    rows is (W, L), each row sorted over its first lengths[w] entries; qs is
-    a (K, 1) column of quantiles; the result is (K, W).  The index arithmetic
-    is numpy's, so results match np.quantile bit for bit: virtual index
-    (n - 1) * q, an index at or past the last entry takes the last value,
-    and the interpolation switches to b - (b - a) * (1 - t) once t >= 0.5.
-    """
-    virtual = (lengths - 1) * qs
-    lower = np.floor(virtual)
-    above = virtual >= lengths - 1
-    lower[above] = -1.0
-    gamma = virtual - lower
-    lo = np.where(above, lengths - 1, lower).astype(np.intp)
-    hi = np.where(above, lengths - 1, lower + 1.0).astype(np.intp)
-    row = np.arange(len(rows))
-    a = rows[row, lo]
-    b = rows[row, hi]
-    diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+# bin k's upper edge is k * (span / _AZ_BINS), as np.linspace spaces them
+_EDGE_STEPS = np.arange(1.0, _AZ_BINS + 1.0)
+# row b counts one point into bin b; the out-of-range bin _AZ_BINS counts nowhere
+_BIN_ONE_HOT = np.eye(_AZ_BINS + 1, _AZ_BINS, dtype=np.intp)
+# the height quantiles of vertical coverage, as a column against windows
+_HEIGHT_QS = np.array([[0.05], [0.95]])
 
 
 def _histogram_bins(values: np.ndarray, span: float) -> np.ndarray:
     """Bin of each value in np.histogram(values, _AZ_BINS, range=(0, span)).
 
-    Same arithmetic and edge rules as numpy's uniform-bin path: the index
-    is corrected against the linspace edges, the last bin is closed, and
-    values outside [0, span] get the out-of-range bin _AZ_BINS.
+    values must be non-negative, as np.mod returns them; values past span
+    get the out-of-range bin _AZ_BINS.  numpy estimates a bin as
+    values / span * _AZ_BINS and moves it by one where it lies outside the
+    linspace edges, closing the last bin at span.  That estimate is off by
+    at most one bin, so its corrected bin is exactly the number of inner
+    edges at or below the value, which one search against those edges
+    gives.  The float just above span ends the last bin.
     """
-    # np.linspace(0.0, span, _AZ_BINS + 1): k * (span / _AZ_BINS), then span
-    edges = np.arange(_AZ_BINS + 1.0) * (span / _AZ_BINS)
-    edges[-1] = span
-    keep = (values >= 0.0) & (values <= span)
-    bins = np.where(keep, values / span * _AZ_BINS, 0.0).astype(np.intp)
-    bins[bins == _AZ_BINS] -= 1
-    bins[values < edges[bins]] -= 1
-    bins[(values >= edges[bins + 1]) & (bins != _AZ_BINS - 1)] += 1
-    bins[~keep] = _AZ_BINS
-    return bins
+    edges = _EDGE_STEPS * (span / _AZ_BINS)
+    edges[-1] = math.nextafter(span, math.inf)
+    return edges.searchsorted(values, side="right")
 
 
 def _range_gate(
@@ -142,53 +124,77 @@ def _range_gate(
     re-centers on the median range of the winning window and keeps all
     points within half_width of it.
 
-    All windows are scored at once: the points are sorted by range once,
-    each point's azimuth bin is computed once and every window's bin counts
-    are differences of prefix sums, and the height quantiles come from one
-    block holding each window's heights in a row, right-padded with +inf
-    and sorted row-wise, so it takes windows x largest window floats.  Bin
-    counts and quantiles reproduce np.histogram and np.quantile exactly.
-    The window holds every point ranged from its start to its end, so it
-    opens at the first range tied with its start, and its median is the
-    middle value, or the mean of the two middle ones, as np.median takes it.
+    All windows are scored at once.  The points are gathered in range order
+    once; each one's azimuth bin is found once, and every window's bin
+    counts are differences of one prefix sum of one-hot bin rows.  The
+    height quantiles come from one block holding each window's height ranks
+    in a row, padded past the window's end with n and sorted row-wise:
+    windows x largest window small integers, which sort faster than floats.
+    Every window holds its first point, so np.quantile's past-the-end rule
+    only fires for one-point windows; clipping the upper index gives that
+    point, as +0.0 where numpy keeps -0.0.  That, and which of a tied -0.0
+    and +0.0 a rank picks, only flips the sign of a zero span and score,
+    which argmax does not tell apart.  The window holds every point ranged
+    from its start to its end, so it opens at the first range tied with its
+    start, and its median is np.median's: the middle value, or the mean of
+    the two middle ones.
     """
     n = len(points)
     ranges = np.hypot(points[:, 0], points[:, 1])
-    rel_az = np.mod(np.arctan2(points[:, 1], points[:, 0]) - extent[0], 2.0 * math.pi)
-    az_width = (extent[1] - extent[0]) % (2.0 * math.pi)
     order = np.argsort(ranges, kind="stable")
+    ordered = points[order]
     sorted_r = ranges[order]
-    width = 2.0 * half_width
     stride = max(1, n // 96)
     starts = np.arange(0, n, stride)
-    lengths = np.searchsorted(sorted_r, sorted_r[starts] + width, side="right") - starts
-    score = lengths.astype(float)
+    ends = sorted_r.searchsorted(sorted_r[::stride] + 2.0 * half_width, side="right")
+    lengths = ends - starts
+    score = lengths
+    az_width = (extent[1] - extent[0]) % (2.0 * math.pi)
     if az_width > 1e-9:
-        bins = _histogram_bins(rel_az[order], az_width)
-        in_bin = bins[:, None] == np.arange(_AZ_BINS)
+        rel_az = np.mod(np.arctan2(ordered[:, 1], ordered[:, 0]) - extent[0], 2.0 * math.pi)
         cumulative = np.zeros((n + 1, _AZ_BINS), dtype=np.intp)
-        np.cumsum(in_bin, axis=0, out=cumulative[1:])
-        counts = cumulative[starts + lengths] - cumulative[starts]
-        threshold = np.maximum(1.0, np.ceil(0.04 * lengths))
+        np.cumsum(_BIN_ONE_HOT[_histogram_bins(rel_az, az_width)], axis=0, out=cumulative[1:])
+        counts = cumulative[ends] - cumulative[starts]
+        # every window holds a point, so 0.04 * lengths > 0, and an integer
+        # count reaches it exactly when it reaches max(1, ceil(0.04 * lengths))
+        threshold = 0.04 * lengths
         score = score * ((counts >= threshold[:, None]).sum(axis=1) / _AZ_BINS)
     if prior_h > 1e-9:
+        heights = ordered[:, 2]
+        by_height = heights.argsort()
+        # sorting height ranks sorts heights; a small integer type sorts fastest
+        rank_type = np.promote_types(np.int16, np.min_scalar_type(n))
+        ranks = np.empty(n, rank_type)
+        ranks[by_height] = np.arange(n, dtype=rank_type)
         longest = int(lengths.max())
-        padded = np.concatenate((points[order, 2], np.full(longest, np.inf)))
+        padded = np.concatenate((ranks, np.full(longest, n, rank_type)))
         # row w views padded[starts[w] : starts[w] + longest]
         item = padded.itemsize
-        windows = np.ndarray((len(starts), longest), float, buffer=padded, strides=(stride * item, item))
-        block = np.where(np.arange(longest) < lengths[:, None], windows, np.inf)
+        windows = np.ndarray((len(starts), longest), rank_type, buffer=padded, strides=(stride * item, item))
+        block = windows.copy()
+        block[np.arange(longest, dtype=rank_type) >= lengths.astype(rank_type)[:, None]] = n
         block.sort(axis=1)
-        q05, q95 = _linear_quantiles(block, lengths, np.array([[0.05], [0.95]]))
+        # np.quantile's linear rule, one row per quantile
+        virtual = (lengths - 1) * _HEIGHT_QS
+        lower = np.floor(virtual)
+        gamma = virtual - lower
+        lo = lower.astype(np.intp)
+        row = np.arange(len(starts))
+        sorted_h = heights[by_height]
+        a = sorted_h[block[row, lo]]
+        b = sorted_h[block[row, np.minimum(lo + 1, lengths - 1)]]
+        diff = b - a
+        q05, q95 = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
         score = score * np.minimum((q95 - q05) / prior_h, 1.0)
-    best = int(np.argmax(score))
+    best = int(score.argmax())
     # the window runs from the first range tied with its start to its end
-    first = int(np.searchsorted(sorted_r, sorted_r[starts[best]], side="left"))
-    middle, odd = divmod(first + int(starts[best] + lengths[best]), 2)
+    first = int(sorted_r.searchsorted(sorted_r[best * stride], side="left"))
+    middle, odd = divmod(first + int(ends[best]), 2)
     if odd:
         median = float(sorted_r[middle])
     else:
-        median = float((sorted_r[middle - 1] + sorted_r[middle]) / 2.0)
+        below, above = sorted_r[middle - 1 : middle + 1].tolist()
+        median = (below + above) / 2.0
     return points[np.abs(ranges - median) <= half_width]
 
 
@@ -217,13 +223,38 @@ def _disambiguate(line_angle: float, reference: float) -> float:
     return wrap_angle(line_angle + math.pi)
 
 
+def _linear_rule(n: int, q: float) -> tuple[int, int, float]:
+    """np.quantile's default ('linear') rule for the q quantile of n sorted
+    values: the indices of the two values it blends and the weight of the
+    second.  A virtual index (n - 1) * q at or past the last value takes
+    the last value, at numpy's previous index -1."""
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return n - 1, n - 1, virtual + 1.0
+    lower = math.floor(virtual)
+    return lower, lower + 1, virtual - lower
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's quantile blend: from b once t >= 0.5, so t = 1 gives b."""
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def _trimmed_extents(rows: np.ndarray, quantile: float) -> np.ndarray:
     """The quantile and 1 - quantile points of each row, as np.quantile
-    gives them: row w's are [0, w] and [1, w] of the (2, W) result."""
-    return _linear_quantiles(
-        np.sort(rows, axis=1),
-        np.full(len(rows), rows.shape[1]),
-        np.array([[quantile], [1.0 - quantile]]),
+    gives them: row w's are [0, w] and [1, w] of the (2, W) result.  One
+    row-wise sort, then numpy's arithmetic on the four values each row
+    needs, in Python floats: the same IEEE operations."""
+    n = rows.shape[1]
+    lo_a, lo_b, lo_t = _linear_rule(n, quantile)
+    hi_a, hi_b, hi_t = _linear_rule(n, 1.0 - quantile)
+    picked = np.sort(rows, axis=1)[:, [lo_a, lo_b, hi_a, hi_b]].tolist()
+    return np.array(
+        [
+            [_lerp(row[0], row[1], lo_t) for row in picked],
+            [_lerp(row[2], row[3], hi_t) for row in picked],
+        ]
     )
 
 

@@ -23,11 +23,13 @@ continues with the remaining frames.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import groupby
-from typing import NamedTuple
+from types import UnionType
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -175,10 +177,45 @@ def _tuples(value):
     return value
 
 
-def section_from_dict(cls, data):
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field's type hint: a number is an int or a
+    float but not a bool, an int field takes no float, and a tuple field
+    takes a list or tuple whose elements fit too."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if origin in (Union, UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _check_types(cls, data: dict, prefix: str) -> None:
+    """Raise TypeError naming the first of cls's fields whose value in data
+    does not fit its type; sections (dataclass fields) are checked as they
+    are built."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name in data and not is_dataclass(hint) and not _fits(data[f.name], hint):
+            text = hint.__name__ if get_origin(hint) is None else str(hint)
+            raise TypeError(f"{prefix}{f.name} must be {text}, got {data[f.name]!r}")
+
+
+def section_from_dict(cls, data, prefix: str):
     """cls built from a JSON object, lists as tuples; omitted fields keep
-    their defaults and cls.__init__ rejects an unknown key with TypeError."""
-    return cls(**{k: _tuples(v) for k, v in dict(data).items()})
+    their defaults, a value of the wrong type raises TypeError naming
+    prefix + its key, and cls.__init__ rejects an unknown key with
+    TypeError."""
+    data = dict(data)
+    _check_types(cls, data, prefix)
+    return cls(**{k: _tuples(v) for k, v in data.items()})
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -189,7 +226,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
     """Inverse of config_to_dict; omitted fields keep their defaults.
 
     Raises ValueError naming the first key that is no PipelineConfig field,
-    so a misspelled or unsupported section is not silently ignored.
+    so a misspelled or unsupported section is not silently ignored, and
+    TypeError naming the first value of the wrong type.
     """
     sections = [f.name for f in fields(PipelineConfig)]
     unknown = sorted(set(data) - set(sections))
@@ -197,9 +235,10 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ValueError(
             f"unknown section {unknown[0]!r}; a config reads {', '.join(sections)}"
         )
+    _check_types(PipelineConfig, data, "")
     return PipelineConfig(**{
         f.name: _tuples(data[f.name]) if f.default_factory is MISSING
-        else section_from_dict(f.default_factory, data[f.name])
+        else section_from_dict(f.default_factory, data[f.name], f"{f.name}.")
         for f in fields(PipelineConfig)
         if f.name in data
     })

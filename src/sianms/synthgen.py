@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,14 @@ class GenSpec:
     clutter_points: int = 300
 
     def __post_init__(self):
+        for name in ("objects_per_frame", "radius_range", "lidar_points_range"):
+            pair = getattr(self, name)
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)
+            ):
+                raise ValueError(f"{name} must be a (low, high) pair of numbers, got {pair!r}")
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in [0, 1]")
         if not 0.0 <= self.miss_rate <= 1.0:

@@ -233,6 +233,26 @@ class TestConfigSections:
         assert "spec: " in err and "'no_such_key'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_wrong_typed_config_value_is_two(self, tmp_path, scene_dir, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tau": [1.0]}))
+        code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config: tau must be float | None, got [1.0]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["objects_per_frame", "radius_range", "lidar_points_range"])
+    def test_malformed_spec_range_is_two(self, tmp_path, spec_file, capsys, key):
+        spec = json.loads(spec_file.read_text())
+        spec["gen"][key] = [1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["generate", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"spec: gen.{key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_every_config_section_is_read(self, tmp_path, scene_dir):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -27,8 +27,10 @@ from hypothesis import strategies as st
 
 import sianms.pipeline as pipeline_module
 from sianms.estimator import (
+    _AZ_BINS,
     EstimatorConfig,
     TooFewPoints,
+    _histogram_bins,
     _range_gate,
     _trimmed_extents,
     estimate_box,
@@ -62,7 +64,7 @@ from sianms.metrics import (
     visible_camera_count,
     visible_camera_counts,
 )
-from sianms.pipeline import Frame, PipelineConfig, Scene, Variant, run_pipeline
+from sianms.pipeline import Frame, PipelineConfig, Scene, Variant, compare_variants, run_pipeline
 from sianms.scene import (
     DEPTH_EPSILON,
     BBox2D,
@@ -277,6 +279,120 @@ class TestRangeGate:
             _assert_merge_matches(a, b)
 
 
+    def test_every_ring8_frustum(self, monkeypatch):
+        """Each distinct frustum the estimator sees in the four variants of a
+        clean 3-frame scene on the eight-camera rig, where most objects are
+        seen by three cameras, through the range gate and the whole box fit."""
+        rig = make_rig(RigSpec(n_cameras=8, yaw_spacing_deg=45.0, hfov_deg=100.0))
+        gen = GenSpec(seed=3, n_frames=3)
+        seen = {}
+        real_estimate = pipeline_module.estimate_box
+
+        def record(frustum, class_id, est_cfg):
+            key = (frustum.points.tobytes(), frustum.extent, class_id)
+            seen.setdefault(key, (frustum, class_id, est_cfg))
+            return real_estimate(frustum, class_id, est_cfg)
+
+        monkeypatch.setattr(pipeline_module, "estimate_box", record)
+        compare_variants(build_scene(rig, gen), PipelineConfig(gen=gen))
+        assert len(seen) > 50
+        n_merged = 0
+        for frustum, class_id, est_cfg in seen.values():
+            prior = est_cfg.dim_priors[class_id]
+            gate = max(est_cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
+            points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
+            gated = _assert_gate_matches(points, gate, frustum.extent, prior[2])
+            enough = len(points) >= est_cfg.min_points
+            _assert_box_matches(frustum, class_id, est_cfg, gated if enough else None)
+            n_merged += len(frustum.sources) == 2
+        assert n_merged > 5
+
+    def test_one_point_windows_at_negative_zero_height(self):
+        """Ranges 10 m apart under a 1 m gate leave one point per window, where
+        np.quantile gives -0.0 for both heights and the clipped index +0.0;
+        a cluster of -0.0 and +0.0 heights ties them within windows too."""
+        ranges = np.arange(1.0, 9.0) * 10.0
+        points = np.column_stack([ranges, np.zeros(8), np.full(8, -0.0)])
+        gated = _assert_gate_matches(points, 1.0, (-0.1, 0.1), 1.5)
+        assert len(gated) == 1
+        cluster = np.column_stack([
+            np.linspace(45.0, 45.5, 20), np.linspace(-0.5, 0.5, 20), np.tile([-0.0, 0.0], 10),
+        ])
+        for heights in (np.full(8, -0.0), np.linspace(-1.0, 1.0, 8)):
+            lone = np.column_stack([ranges, np.zeros(8), heights])
+            _assert_gate_matches(np.concatenate([lone, cluster]), 1.0, (-0.1, 0.1), 1.5)
+            _assert_gate_matches(np.concatenate([cluster, lone]), 1.0, (-0.1, 0.1), 0.5)
+
+    def test_azimuth_equal_to_the_span(self):
+        """A point whose azimuth closes the extent lands on the span itself,
+        which the last bin holds; one just past it holds no bin."""
+        for seed in range(5):
+            points = _frustum_points(80, seed, False)
+            azimuths = np.arctan2(points[:, 1], points[:, 0])
+            start = float(azimuths.min()) - 0.01
+            extent = (start, float(azimuths[7]))
+            span = (extent[1] - extent[0]) % (2.0 * math.pi)
+            assert np.mod(azimuths[7] - start, 2.0 * math.pi) == span
+            _assert_gate_matches(points, 2.0, extent, 1.5)
+            _assert_gate_matches(points, 2.0, (start, math.nextafter(extent[1], -math.inf)), 1.5)
+
+    def test_half_way_height_blend_breaks_a_tie(self):
+        """Eleven-point windows put both height quantiles half way between two
+        values, where numpy blends from the upper one.  The nearer cluster's
+        5% height, so blended, gives the farther cluster's span exactly, and
+        the first of the tied windows wins; blended from the lower value it
+        would round up, shrink the nearer span and hand the win over."""
+        near = np.array([-535.6693731611109, 0.10490011715303971] + [0.2] * 7 + [0.5, 0.5])
+        q05 = float(np.quantile(near, 0.05))
+        assert q05 != near[0] + (near[1] - near[0]) * 0.5
+        far = np.array([q05, q05] + [0.2] * 7 + [0.5, 0.5])
+        offsets = np.arange(11) * 0.01
+        points = np.column_stack([
+            np.concatenate([10.0 + offsets, 20.0 + offsets]), np.zeros(22), np.concatenate([near, far]),
+        ])
+        gated = _assert_gate_matches(points, 0.5, (0.3, 0.3), 1e4)
+        assert gated.tobytes() == points[:11].tobytes()
+
+    def test_more_points_than_int16_ranks(self):
+        """Past 32767 points the height ranks need a wider integer type."""
+        points = _frustum_points(33000, 3, False)
+        _assert_gate_matches(points, 1.0, (-0.5, 0.5), 1.5)
+
+
+def _np_histogram_bin(value, span):
+    """The bin np.histogram puts one value in, _AZ_BINS when none."""
+    counts, _ = np.histogram([value], _AZ_BINS, range=(0.0, span))
+    return int(np.argmax(counts)) if counts.any() else _AZ_BINS
+
+
+class TestHistogramBins:
+    @EXAMPLES
+    @given(span=st.floats(1e-9, 2.0 * math.pi, exclude_min=True), data=st.data())
+    def test_matches_np_histogram(self, span, data):
+        edges = np.linspace(0.0, span, _AZ_BINS + 1)
+        near_edges = st.sampled_from(edges).flatmap(
+            lambda e: st.sampled_from([e, np.nextafter(e, 0.0), np.nextafter(e, np.inf)])
+        )
+        values = data.draw(st.lists(near_edges | st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=40))
+        got = _histogram_bins(np.array(values, dtype=float), span)
+        assert got.tolist() == [_np_histogram_bin(v, span) for v in values]
+
+    def test_estimates_numpy_corrects(self):
+        """values / span * _AZ_BINS is exactly _AZ_BINS at the span, lands
+        past the inner edge just above one value and short of the inner edge
+        another value sits on; np.histogram moves each back by one bin."""
+        cases = [
+            (0.3, 0.3, _AZ_BINS),
+            (5.109927617896309, 3.193704761185193, 5),  # just below edge 5
+            (5.387229953110554, 2.0202112324164574, 2),  # exactly on edge 3
+        ]
+        for span, value, estimate in cases:
+            assert int(value / span * _AZ_BINS) == estimate
+            want = _np_histogram_bin(value, span)
+            assert abs(want - estimate) == 1
+            assert _histogram_bins(np.array([value]), span).tolist() == [want]
+
+
 QUANTILES = st.one_of(
     st.sampled_from([0.0, EstimatorConfig().extent_quantile, 0.25]),
     st.floats(0.0, 0.4999),
@@ -292,6 +408,36 @@ class TestTrimmedExtent:
         for values, lo, hi in zip(rows, lows, highs):
             assert lo.tobytes() == np.quantile(values, quantile).tobytes()
             assert hi.tobytes() == np.quantile(values, 1.0 - quantile).tobytes()
+
+
+    @pytest.mark.parametrize("quantile", [0.0, 0.04, 0.25, 0.4999])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-0.0], [0.0]],
+            [[-0.0, -0.0], [0.0, 0.0]],
+            [[-0.0, 0.0], [0.0, -0.0]],
+            [[1.5, 1.5], [-2.0, 3.0]],
+            [[-0.0, 1.0], [2.0, -0.0]],
+        ],
+    )
+    def test_one_and_two_values(self, rows, quantile):
+        rows = np.array(rows)
+        (lows, highs) = _trimmed_extents(rows, quantile)
+        for values, lo, hi in zip(rows, lows, highs):
+            assert lo.tobytes() == np.quantile(values, quantile).tobytes()
+            assert hi.tobytes() == np.quantile(values, 1.0 - quantile).tobytes()
+
+
+    def test_blend_half_way(self):
+        """(3 - 1) * 0.25 falls half way between two values, where numpy
+        blends from the upper one; from the lower, these two round apart."""
+        rows = np.array([[-535.6693731611109, 0.10490011715303971, 1.0]])
+        (lows, highs) = _trimmed_extents(rows, 0.25)
+        assert lows[0].tobytes() == np.quantile(rows[0], 0.25).tobytes()
+        assert highs[0].tobytes() == np.quantile(rows[0], 0.75).tobytes()
+        a, b = rows[0, :2]
+        assert lows[0] != a + (b - a) * 0.5
 
 
 def _frustum(points, extent, central_axis=0.0):

@@ -654,6 +654,45 @@ class TestConfig:
         assert cfg.loss.alpha == 0.25
         assert cfg.loss.beta == base.loss.beta
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"tau": [1.0]}, "tau"),
+            ({"tau": "0.9"}, "tau"),
+            ({"nms_iou": True}, "nms_iou"),
+            ({"gen": {"seed": 3.0}}, "gen.seed"),
+            ({"gen": {"n_frames": False}}, "gen.n_frames"),
+            ({"gen": {"objects_per_frame": [1]}}, "gen.objects_per_frame"),
+            ({"gen": {"objects_per_frame": [1, 2, 3]}}, "gen.objects_per_frame"),
+            ({"gen": {"radius_range": [8.0, "30"]}}, "gen.radius_range"),
+            ({"gen": {"lidar_points_range": [60.0, 120.0]}}, "gen.lidar_points_range"),
+            ({"gen": {"class_mix": [["car", 1.0]]}}, "gen.class_mix"),
+            ({"loss": {"alpha": None}}, "loss.alpha"),
+            ({"estimator": {"yaw_mode": 1}}, "estimator.yaw_mode"),
+            ({"estimator": {"min_points": 5.0}}, "estimator.min_points"),
+            ({"eval3d": {"center_distance_thresholds": [1.0, True]}}, "eval3d.center_distance_thresholds"),
+            ({"eval3d": {"center_distance_thresholds": 1.0}}, "eval3d.center_distance_thresholds"),
+        ],
+    )
+    def test_wrong_type_names_the_key(self, tmp_path, data, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=rf"^config: {key} must be .*, got "):
+            load_config(path)
+
+    def test_numbers_take_either_json_number_type(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "tau": 1, "nms_iou": 0.5,
+            "gen": {"radius_range": [8, 30], "embed_noise": 0},
+            "eval3d": {"center_distance_thresholds": [1, 2.5]},
+        }))
+        cfg = load_config(path)
+        assert cfg.tau == 1 and cfg.gen.radius_range == (8, 30)
+        assert cfg.eval3d.center_distance_thresholds == (1, 2.5)
+        path.write_text(json.dumps({"tau": None}))
+        assert load_config(path).tau is None
+
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises((KeyError, SchemaError, ValueError)):
             load_config(None, overrides={"gen.nonexistent": 1})

@@ -296,6 +296,16 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError):
             GenSpec(class_mix={"car": 1e308, "pedestrian": 1e308})
 
+    @pytest.mark.parametrize("name", ["objects_per_frame", "radius_range", "lidar_points_range"])
+    @pytest.mark.parametrize("pair", [(1,), (1, 2, 3), (), 5, (1, "2"), (True, 2), (None, 1.0)])
+    def test_ranges_must_be_pairs_of_numbers(self, name, pair):
+        with pytest.raises(ValueError, match=name):
+            GenSpec(**{name: pair})
+
+    def test_ranges_take_any_two_numbers(self):
+        spec = GenSpec(objects_per_frame=[2, 2], radius_range=(8, 30.5), lidar_points_range=(60, 120))
+        assert spec.objects_per_frame == [2, 2] and spec.radius_range == (8, 30.5)
+
     def test_bad_rig(self):
         with pytest.raises(ValueError):
             RigSpec(n_cameras=0)
