@@ -45,6 +45,7 @@ from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, accumulate, evaluate
 from .scene import CameraModel, CameraRig, Pose
 from .sceneio import (
     SchemaError,
+    apply_overrides,
     detections_by_frame,
     load_config,
     load_detection_records,
@@ -72,40 +73,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override generator seed")
-    common.add_argument("--tau", type=float, default=None, help="match distance threshold")
-    common.add_argument("--alpha", type=float, default=None, help="contrastive positive margin")
-    common.add_argument("--beta", type=float, default=None, help="contrastive negative margin")
-    common.add_argument("--emb-dim", type=int, default=None, help="embedding dimension")
-    common.add_argument("--nms-iou", type=float, default=None, help="greedy NMS IoU threshold")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="format", action="store_const", const="json")
-    fmt.add_argument("--csv", dest="format", action="store_const", const="csv")
-    fmt.add_argument("--text", dest="format", action="store_const", const="text")
-    common.set_defaults(format="text")
-    return common
+def _flag_parents():
+    """Parent parsers (generator overrides, config overrides, output format),
+    so each subcommand takes only the flags it reads."""
+    gen = _Parser(add_help=False)
+    gen.add_argument("--seed", type=int, default=None, help="override generator seed")
+    gen.add_argument("--emb-dim", type=int, default=None, help="embedding dimension")
+    config = _Parser(add_help=False)
+    config.add_argument("--tau", type=float, default=None, help="match distance threshold")
+    config.add_argument("--alpha", type=float, default=None, help="contrastive positive margin")
+    config.add_argument("--beta", type=float, default=None, help="contrastive negative margin")
+    config.add_argument("--nms-iou", type=float, default=None, help="greedy NMS IoU threshold")
+    fmt = _Parser(add_help=False)
+    choice = fmt.add_mutually_exclusive_group()
+    choice.add_argument("--json", dest="format", action="store_const", const="json")
+    choice.add_argument("--csv", dest="format", action="store_const", const="csv")
+    choice.add_argument("--text", dest="format", action="store_const", const="text")
+    fmt.set_defaults(format="text")
+    return gen, config, fmt
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    gen, config, fmt = _flag_parents()
     parser = _Parser(prog="sianms", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("generate", parents=[common], help="generate a synthetic scene")
+    p = sub.add_parser("generate", parents=[gen], help="generate a synthetic scene")
     p.add_argument("--spec", default=None, help="JSON with 'rig' and 'gen' sections")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--lidar-bin", action="store_true", help="write clouds as binary side files")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", parents=[common], help="emit detections for a scene")
+    p = sub.add_parser("simulate", parents=[gen], help="emit detections for a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="output detections file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("run", parents=[common], help="run one variant")
+    p = sub.add_parser("run", parents=[gen, config, fmt], help="run one variant")
     p.add_argument("--scene", required=True)
     p.add_argument("--variant", required=True, choices=[v.value for v in VARIANT_ORDER])
     p.add_argument("--config", default=None)
@@ -113,19 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("compare", parents=[common], help="run all four variants")
+    p = sub.add_parser("compare", parents=[gen, config, fmt], help="run all four variants")
     p.add_argument("--scene", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--detections", default=None, help="bypass the simulator with this file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("eval-reid", parents=[common], help="score a matches file")
+    p = sub.add_parser("eval-reid", parents=[fmt], help="score a matches file")
     p.add_argument("--matches", required=True)
     p.add_argument("--detections", required=True)
     p.set_defaults(func=cmd_eval_reid)
 
-    p = sub.add_parser("eval-3d", parents=[common], help="score a 3D boxes file")
+    p = sub.add_parser("eval-3d", parents=[fmt], help="score a 3D boxes file")
     p.add_argument("--pred", required=True, help="boxes file")
     p.add_argument("--gt", required=True, help="scene file holding ground truth")
     p.add_argument("--region", default="all", choices=["all", "overlap"])
@@ -133,21 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# override flag (its argparse dest) -> the dotted config key it sets
+_OVERRIDES = {"seed": "gen.seed", "emb_dim": "gen.embed_dim", "tau": "tau",
+              "alpha": "loss.alpha", "beta": "loss.beta", "nms_iou": "nms_iou"}
+
+
 def _overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["gen.seed"] = args.seed
-    if args.tau is not None:
-        out["tau"] = args.tau
-    if args.alpha is not None:
-        out["loss.alpha"] = args.alpha
-    if args.beta is not None:
-        out["loss.beta"] = args.beta
-    if args.emb_dim is not None:
-        out["gen.embed_dim"] = args.emb_dim
-    if args.nms_iou is not None:
-        out["nms_iou"] = args.nms_iou
-    return out
+    """The value of each override flag given, under its dotted config key."""
+    return {
+        key: getattr(args, dest)
+        for dest, key in _OVERRIDES.items()
+        if getattr(args, dest, None) is not None
+    }
 
 
 def _emit(payload: dict, fmt: str, text: str, csv: str) -> None:
@@ -160,23 +162,18 @@ def _emit(payload: dict, fmt: str, text: str, csv: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    rig_data, gen_data = {}, {}
+    spec = {}
     if args.spec is not None:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
+        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(spec, dict):
             raise SchemaError("spec: expected an object")
-        unknown = sorted(set(raw) - {"rig", "gen"})
+        unknown = sorted(set(spec) - {"rig", "gen"})
         if unknown:
             raise SchemaError(f"spec: unknown section {unknown[0]!r}; a spec reads rig, gen")
-        rig_data = raw.get("rig", {})
-        gen_data = raw.get("gen", {})
-    if args.seed is not None:
-        gen_data = dict(gen_data, seed=args.seed)
-    if args.emb_dim is not None:
-        gen_data = dict(gen_data, embed_dim=args.emb_dim)
     try:
-        rig_spec = section_from_dict(RigSpec, rig_data, "rig.")
-        gen_spec = section_from_dict(GenSpec, gen_data, "gen.")
+        spec = apply_overrides(spec, _overrides(args))
+        rig_spec = section_from_dict(RigSpec, spec.get("rig", {}), "rig.")
+        gen_spec = section_from_dict(GenSpec, spec.get("gen", {}), "gen.")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"spec: {exc}") from exc
     rig = make_rig(rig_spec)

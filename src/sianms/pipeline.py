@@ -4,13 +4,21 @@ Four variants over identical inputs:
 
 * original: every 2D detection becomes its own frustum and box, so an
   object seen by two cameras yields two 3D boxes.
-* 2d+embedding: identical box flow, but embeddings are present and the
-  cross-camera matcher runs so re-identification quality is reported.
+* 2d+embedding: the same boxes, but the cross-camera matcher runs so
+  re-identification quality is reported.
 * original+nms: per-camera greedy NMS before the box flow; it cannot
   suppress duplicates that live in different cameras.
 * sianms: cross-camera matching; each matched pair yields exactly one box,
   from the merged frustum when the pair's frustums share points, otherwise
   from the frustum of the higher-scoring detection.
+
+Every variant takes a frame through one flow.  Its working set is the
+frame's own Detection2D objects, or the subset NMS keeps; the matcher runs
+on it for 2d+embedding and sianms; each working detection gets one frustum;
+then one list of box fits, for sianms one per matched pair followed by one
+per unmatched detection and otherwise one per detection, goes through one
+estimator loop.  Empty frustums and fits with too few points are counted as
+drops.
 
 All variants run in one loop over the frames: each frame's detections,
 ground truth and camera views (its cloud projected once on each camera its
@@ -210,10 +218,11 @@ def _check_types(cls, data: dict, prefix: str) -> None:
 
 def section_from_dict(cls, data, prefix: str):
     """cls built from a JSON object, lists as tuples; omitted fields keep
-    their defaults, a value of the wrong type raises TypeError naming
-    prefix + its key, and cls.__init__ rejects an unknown key with
-    TypeError."""
-    data = dict(data)
+    their defaults, data that is no object or a value of the wrong type
+    raises TypeError naming the section or prefix + its key, and
+    cls.__init__ rejects an unknown key with TypeError."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{prefix[:-1]} must be an object, got {data!r}")
     _check_types(cls, data, prefix)
     return cls(**{k: _tuples(v) for k, v in data.items()})
 
@@ -261,47 +270,18 @@ def nms_greedy(detections, iou_threshold: float):
     return kept
 
 
-def _strip_embeddings(detections):
-    return [
-        Detection2D(
-            camera_id=d.camera_id,
-            bbox=d.bbox,
-            class_id=d.class_id,
-            score=d.score,
-            embedding=None,
-            truth_uid=d.truth_uid,
-        )
-        for d in detections
-    ]
-
-
-def _frustum_map(rig, detections, views):
-    frustums = {}
-    n_empty = 0
-    for det in detections:
-        cam = rig.camera(det.camera_id)
-        try:
-            frustums[det] = filter_frustum(cam, det.bbox, views[cam.id], source=det)
-        except EmptyFrustum:
-            frustums[det] = None
-            n_empty += 1
-    return frustums, n_empty
-
-
-def _estimate(frustum, class_id, score, frame_index, n_sources, merged, cfg, dropped):
+def _pair_frustum(pair, frustums):
+    """(frustum, merged) for a matched pair's one box: the merge when both
+    detections' frustums share a point, else the higher-scoring detection's
+    frustum (a's on a tie), else the non-empty one; frustum None when both
+    are empty."""
+    fr_a, fr_b = frustums[pair.a], frustums[pair.b]
+    if fr_a is None or fr_b is None:
+        return (fr_b if fr_a is None else fr_a), False
     try:
-        box = estimate_box(frustum, class_id, cfg.estimator)
-    except TooFewPoints:
-        dropped["too_few_points"] += 1
-        return None
-    return PredBox(
-        frame=frame_index,
-        class_id=class_id,
-        score=float(score),
-        box=box,
-        n_sources=n_sources,
-        merged=merged,
-    )
+        return merge_frustums(fr_a, fr_b), True
+    except (MergeRejected, DegenerateExtent):
+        return (fr_a if pair.a.score >= pair.b.score else fr_b), False
 
 
 def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
@@ -309,57 +289,39 @@ def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
 
     views maps camera id to the frame's CameraView on that camera.
     """
-    if variant in (Variant.ORIGINAL, Variant.ORIGINAL_NMS):
-        working = _strip_embeddings(detections)
-        if variant is Variant.ORIGINAL_NMS:
-            working = nms_greedy(working, cfg.nms_iou)
-    else:
-        working = list(detections)
+    working = detections
+    if variant is Variant.ORIGINAL_NMS:
+        working = nms_greedy(detections, cfg.nms_iou)
     matches = None
     if variant in (Variant.EMBEDDING_2D, Variant.SIANMS):
         matches = match_adjacent(rig, working, cfg.resolved_tau)
-    frustums, n_empty = _frustum_map(rig, working, views)
-    dropped["empty_frustum"] += n_empty
-    boxes = []
+    frustums = {}  # detection -> its Frustum, None when empty
+    for det in working:
+        cam = rig.camera(det.camera_id)
+        try:
+            frustums[det] = filter_frustum(cam, det.bbox, views[cam.id], source=det)
+        except EmptyFrustum:
+            frustums[det] = None
+            dropped["empty_frustum"] += 1
+    fits = []  # (frustum, class, score, n_sources, merged), pairs first
+    singles = working
     if variant is Variant.SIANMS:
         for pair in matches.pairs:
-            fr_a, fr_b = frustums[pair.a], frustums[pair.b]
-            merged = False
-            if fr_a is not None and fr_b is not None:
-                try:
-                    frustum = merge_frustums(fr_a, fr_b)
-                    merged = True
-                except (MergeRejected, DegenerateExtent):
-                    frustum = fr_a if pair.a.score >= pair.b.score else fr_b
-            elif fr_a is not None or fr_b is not None:
-                frustum = fr_a if fr_a is not None else fr_b
-            else:
-                continue
-            box = _estimate(
-                frustum, pair.a.class_id, max(pair.a.score, pair.b.score),
-                frame.index, 2, merged, cfg, dropped,
-            )
-            if box:
-                boxes.append(box)
-        for det in matches.unmatched:
-            frustum = frustums[det]
-            if frustum is None:
-                continue
-            box = _estimate(
-                frustum, det.class_id, det.score, frame.index, 1, False, cfg, dropped
-            )
-            if box:
-                boxes.append(box)
-    else:
-        for det in working:
-            frustum = frustums[det]
-            if frustum is None:
-                continue
-            box = _estimate(
-                frustum, det.class_id, det.score, frame.index, 1, False, cfg, dropped
-            )
-            if box:
-                boxes.append(box)
+            frustum, merged = _pair_frustum(pair, frustums)
+            score = max(pair.a.score, pair.b.score)
+            fits.append((frustum, pair.a.class_id, score, 2, merged))
+        singles = matches.unmatched
+    fits += [(frustums[det], det.class_id, det.score, 1, False) for det in singles]
+    boxes = []
+    for frustum, class_id, score, n_sources, merged in fits:
+        if frustum is None:
+            continue
+        try:
+            box = estimate_box(frustum, class_id, cfg.estimator)
+        except TooFewPoints:
+            dropped["too_few_points"] += 1
+            continue
+        boxes.append(PredBox(frame.index, class_id, float(score), box, n_sources, merged))
     return working, matches, boxes
 
 

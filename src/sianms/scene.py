@@ -292,15 +292,17 @@ class CameraRig:
         return out
 
 
-def as_point_cloud(points) -> np.ndarray:
-    """Validate and convert raw point data to an (N, 3) float64 array."""
+def as_point_cloud(points, finite: bool = True) -> np.ndarray:
+    """Validate and convert raw point data to an (N, 3) float64 array; empty
+    data of any shape is (0, 3). ValueError for another shape, or, unless
+    finite is False, for a non-finite coordinate."""
     arr = np.asarray(points, dtype=float)
     if arr.size == 0:
         return arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"point cloud must be (N, 3), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point cloud contains non-finite coordinates")
+        raise ValueError(f"a cloud must be (N, 3), got shape {arr.shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValueError("a cloud holds non-finite coordinates")
     return arr
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .matching import MatchedPair, MatchResult
 from .pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict, json_value
-from .scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject
+from .scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject, as_point_cloud
 
 
 class SchemaError(ValueError):
@@ -206,25 +206,20 @@ def _inline_cloud_json(cloud: np.ndarray) -> str:
     return f"[\n{rows}\n        ]"
 
 
-def _checked_cloud(cloud) -> np.ndarray:
-    """The cloud as a float array; ValueError unless it is (N, 3) or empty."""
-    cloud = np.asarray(cloud, dtype=float)
-    if cloud.size and (cloud.ndim != 2 or cloud.shape[1] != 3):
-        raise ValueError(f"a cloud must be (N, 3), got shape {cloud.shape}")
-    return cloud
-
-
 def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
     """Write a scene file; lidar_bin switches clouds to binary side files.
 
-    Every cloud's shape is checked before any file is opened. Inline clouds
+    Every cloud's shape is checked by as_point_cloud before any file is
+    opened, so a cloud that is not (N, 3) writes nothing. Non-finite
+    coordinates are written as json spells them (NaN, Infinity); load_scene
+    refuses them. Inline clouds
     are left out of the json.dumps call, as "inline": null; the file is
     then written piece by piece, each piece of that text between two nulls
     followed by the next cloud's text, formatted just before it is written,
     so no more than one cloud's text is held at a time.
     """
     path = Path(path)
-    clouds = [_checked_cloud(frame.cloud) for frame in scene.frames]
+    clouds = [as_point_cloud(frame.cloud, finite=False) for frame in scene.frames]
     bin_names = [f"{path.stem}_frame{frame.index:04d}.bin" for frame in scene.frames]
     frames = [
         {
@@ -264,14 +259,19 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
     if ("inline" in lidar) == ("bin_file" in lidar):
         _fail(path, "expected exactly one of 'inline' or 'bin_file'")
     if "inline" in lidar:
-        return _float_rows(lidar["inline"], f"{path}.inline", 3)
-    bin_path = scene_dir / _str(lidar["bin_file"], f"{path}.bin_file")
-    if not bin_path.is_file():
-        _fail(f"{path}.bin_file", f"file not found: {bin_path}")
-    blob = bin_path.read_bytes()
-    if len(blob) % 12 != 0:
-        _fail(f"{path}.bin_file", f"byte length is not a multiple of 12: {bin_path}")
-    return np.frombuffer(blob, dtype="<f4").reshape(-1, 3).astype(float)
+        cloud = _float_rows(lidar["inline"], f"{path}.inline", 3)
+    else:
+        bin_path = scene_dir / _str(lidar["bin_file"], f"{path}.bin_file")
+        if not bin_path.is_file():
+            _fail(f"{path}.bin_file", f"file not found: {bin_path}")
+        blob = bin_path.read_bytes()
+        if len(blob) % 12 != 0:
+            _fail(f"{path}.bin_file", f"byte length is not a multiple of 12: {bin_path}")
+        cloud = np.frombuffer(blob, dtype="<f4").reshape(-1, 3).astype(float)
+    try:
+        return as_point_cloud(cloud)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_scene(path) -> Scene:
@@ -543,26 +543,32 @@ def load_boxes(path) -> dict:
 # -- configs and reports ---------------------------------------------------------
 
 
-def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from an optional JSON file plus flag overrides.
+def apply_overrides(data: dict, overrides: dict) -> dict:
+    """data with each override set in place; overrides use dotted paths into
+    data, e.g. {"gen.seed": 7, "tau": 0.9}. A path through a value that is
+    no object raises TypeError naming that key."""
+    for dotted, value in overrides.items():
+        *sections, key = dotted.split(".")
+        target = data
+        for section in sections:
+            target = target.setdefault(section, {})
+            if not isinstance(target, dict):
+                raise TypeError(f"{section} must be an object, got {target!r}")
+        target[key] = value
+    return data
 
-    Missing keys keep their dataclass defaults. Overrides use dotted paths
-    into the config dict, e.g. {"gen.seed": 7, "tau": 0.9}.
+
+def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
+    """Build a PipelineConfig from an optional JSON file plus flag overrides
+    (see apply_overrides). Missing keys keep their dataclass defaults.
     """
     data = {}
     if path is not None:
-        loaded = _load_json(path)
-        if not isinstance(loaded, dict):
-            _fail("$", f"expected an object, got {type(loaded).__name__}")
-        data = loaded
-    for dotted, value in (overrides or {}).items():
-        parts = dotted.split(".")
-        target = data
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-        target[parts[-1]] = value
+        data = _load_json(path)
+        if not isinstance(data, dict):
+            _fail("$", f"expected an object, got {type(data).__name__}")
     try:
-        return config_from_dict(data)
+        return config_from_dict(apply_overrides(data, overrides or {}))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"config: {exc}") from exc
 

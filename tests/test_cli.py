@@ -263,3 +263,70 @@ class TestConfigSections:
         assert main(["simulate", "--scene", str(scene_dir / "scene.json"),
                      "--config", str(config), "--out", str(out)]) == 0
         assert out.is_file()
+
+    @pytest.mark.parametrize("gen", [5, [["seed", 3]], "seed"], ids=["int", "pairs", "str"])
+    def test_non_object_section_is_two(self, tmp_path, scene_dir, spec_file, capsys, gen):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"gen": gen}))
+        code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config: gen must be an object, got {gen!r}" in capsys.readouterr().err
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"gen": gen}))
+        code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "gen")])
+        assert code == 2
+        assert f"spec: gen must be an object, got {gen!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
+
+    def test_override_into_non_object_config_section_is_two(self, tmp_path, scene_dir, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"gen": 5}))
+        code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                     "--config", str(config), "--seed", "3", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config: gen must be an object, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_override_into_non_object_spec_section_is_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"gen": 5}))
+        code = main(["generate", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "spec: gen must be an object, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads; any other is a usage
+    error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--out", "o", "--tau", "1.0"],
+        ["generate", "--out", "o", "--json"],
+        ["simulate", "--scene", "s.json", "--out", "d.json", "--csv"],
+        ["simulate", "--scene", "s.json", "--out", "d.json", "--nms-iou", "0.1"],
+        ["eval-reid", "--matches", "m.json", "--detections", "d.json", "--seed", "9"],
+        ["eval-3d", "--pred", "b.json", "--gt", "s.json", "--tau", "2"],
+    ], ids=["generate-tau", "generate-json", "simulate-csv", "simulate-nms-iou",
+            "eval-reid-seed", "eval-3d-tau"])
+    def test_unread_flag_is_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_takes_every_override_and_format(self, tmp_path, scene_dir, capsys):
+        code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                     "--out", str(tmp_path / "out"), "--seed", "37", "--emb-dim", "16",
+                     "--tau", "0.9", "--alpha", "0.5", "--beta", "1.5", "--nms-iou", "0.4",
+                     "--csv"])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        config = report["config"]
+        assert (config["gen"]["seed"], config["gen"]["embed_dim"]) == (37, 16)
+        assert (config["tau"], config["nms_iou"]) == (0.9, 0.4)
+        assert (config["loss"]["alpha"], config["loss"]["beta"]) == (0.5, 1.5)
+        assert capsys.readouterr().out.startswith("section,region,class,metric,value\n")

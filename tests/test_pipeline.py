@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 import sianms.frustum as frustum_module
 import sianms.pipeline as pipeline_module
-from sianms.frustum import camera_view, filter_frustum
+from sianms.estimator import EstimatorConfig, estimate_box
+from sianms.frustum import camera_view, filter_frustum, merge_frustums
 from sianms.pipeline import (
+    Frame,
     PipelineConfig,
+    PredBox,
     RunReport,
+    Scene,
     Variant,
     VARIANT_ORDER,
     compare_variants,
@@ -22,7 +26,7 @@ from sianms.pipeline import (
     nms_greedy,
     run_pipeline,
 )
-from sianms.scene import BBox2D, Detection2D, SceneObject
+from sianms.scene import BBox2D, Detection2D, SceneObject, project_points
 from sianms.synthgen import GenSpec, RigSpec, make_rig
 
 from _oracles import filter_frustum_reference
@@ -399,3 +403,104 @@ class TestPropertiesAcrossRigs:
         assert json.dumps(rerun.to_json_dict(), sort_keys=True) == json.dumps(
             comparison.to_json_dict(), sort_keys=True
         )
+
+
+def _block(azimuth_deg, range_m=10.0):
+    """48 points of a 0.8 m block standing at azimuth_deg, range_m out."""
+    x, y = range_m * np.cos(np.radians(azimuth_deg)), range_m * np.sin(np.radians(azimuth_deg))
+    side = np.linspace(-0.4, 0.4, 4)
+    return np.array([(x + dx, y + dy, z) for dx in side for dy in side for z in (-1.5, -1.0, -0.5)])
+
+
+def _tight_bbox(cam, points):
+    uv, _, valid = project_points(cam, points)
+    assert valid.all()
+    return BBox2D(*uv.min(axis=0), *uv.max(axis=0))
+
+
+class TestSianmsPairStep:
+    """The one box of a matched pair, through the pipeline: fit to the merge
+    when the pair's frustums share a point, else to the higher-scoring
+    detection's frustum (a's on a tie), else to the non-empty one; none when
+    both are empty."""
+
+    RIG = make_rig(RigSpec(n_cameras=4, yaw_spacing_deg=90.0, hfov_deg=140.0))
+    # two blocks that cam0 and cam1 both see, 20 degrees apart
+    NEAR, FAR = _block(35.0), _block(55.0)
+    CLOUD = np.vstack([NEAR, FAR])
+    EMPTY = BBox2D(0.0, 0.0, 2.0, 2.0)
+
+    def _run(self, bbox_a, bbox_b, score_a, score_b):
+        """The sianms result of cam0's a and cam1's b, matched, and the
+        frustums of a and b (None when empty)."""
+        a = Detection2D("cam0", bbox_a, "car", score_a, np.ones(4), truth_uid=1)
+        b = Detection2D("cam1", bbox_b, "car", score_b, np.ones(4), truth_uid=1)
+        scene = Scene(rig=self.RIG, frames=(Frame(index=0, objects=(), cloud=self.CLOUD),))
+        result = run_pipeline(scene, Variant.SIANMS, PipelineConfig(), detections={0: [a, b]})
+        assert result.report.errors == []
+        assert [(p.a, p.b) for p in result.matches[0].pairs] == [(a, b)]
+        frustums = []
+        for cam, det in zip(self.RIG.cameras, (a, b)):
+            try:
+                frustums.append(filter_frustum(cam, det.bbox, self.CLOUD, source=det))
+            except frustum_module.EmptyFrustum:
+                frustums.append(None)
+        return result, frustums
+
+    def _bbox(self, k, points):
+        return self.EMPTY if points is None else _tight_bbox(self.RIG.cameras[k], points)
+
+    @staticmethod
+    def _pred(frustum, score, merged):
+        box = estimate_box(frustum, "car", EstimatorConfig())
+        return PredBox(0, "car", score, box, n_sources=2, merged=merged)
+
+    def test_shared_point_gives_the_merged_box(self):
+        result, (fr_a, fr_b) = self._run(self._bbox(0, self.NEAR), self._bbox(1, self.NEAR), 0.6, 0.9)
+        merged = merge_frustums(fr_a, fr_b)
+        assert merged.sources == fr_a.sources + fr_b.sources
+        assert result.boxes[0] == [self._pred(merged, 0.9, merged=True)]
+        assert result.report.counts["merged_boxes"] == 1
+
+    @pytest.mark.parametrize("score_a, score_b, winner", [
+        (0.9, 0.6, 0), (0.6, 0.9, 1), (0.7, 0.7, 0),
+    ], ids=["a-higher", "b-higher", "tie"])
+    def test_disjoint_frustums_give_the_higher_scoring_box(self, score_a, score_b, winner):
+        result, frustums = self._run(
+            self._bbox(0, self.NEAR), self._bbox(1, self.FAR), score_a, score_b
+        )
+        with pytest.raises(frustum_module.MergeRejected):
+            merge_frustums(*frustums)
+        expected = self._pred(frustums[winner], max(score_a, score_b), merged=False)
+        assert result.boxes[0] == [expected]
+        assert result.report.counts["merged_boxes"] == 0
+
+    @pytest.mark.parametrize("empty", [0, 1], ids=["a-empty", "b-empty"])
+    def test_one_empty_frustum_gives_the_other_box(self, empty):
+        blocks = [self.NEAR, self.NEAR]
+        blocks[empty] = None
+        result, frustums = self._run(self._bbox(0, blocks[0]), self._bbox(1, blocks[1]), 0.6, 0.9)
+        assert frustums[empty] is None
+        expected = self._pred(frustums[1 - empty], 0.9, merged=False)
+        assert result.boxes[0] == [expected]
+        assert result.report.counts["dropped_empty_frustum"] == 1
+
+    def test_two_empty_frustums_give_no_box(self):
+        result, frustums = self._run(self.EMPTY, self.EMPTY, 0.6, 0.9)
+        assert frustums == [None, None]
+        assert result.boxes[0] == []
+        counts = result.report.counts
+        assert (counts["dropped_empty_frustum"], counts["dropped_too_few_points"]) == (2, 0)
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.value)
+def test_frustum_sources_are_the_frames_own_detections(small_scene, monkeypatch, variant):
+    """Every variant builds its frustums from the frame's own Detection2D
+    objects, so per-detection work can be keyed by identity."""
+    dets = simulate_all(small_scene, SMALL_GEN)
+    own = {id(det) for frame_dets in dets.values() for det in frame_dets}
+    estimates = _counting(monkeypatch, "estimate_box")
+    run_pipeline(small_scene, variant, PipelineConfig(gen=SMALL_GEN), detections=dets)
+    sources = [source for args in estimates for source in args[0].sources]
+    assert len(sources) >= len(estimates) > 0
+    assert {id(source) for source in sources} <= own

@@ -146,6 +146,23 @@ class TestWriteSceneCloudShapes:
         assert load_scene(path).frames[1].cloud.shape == (0, 3)
 
 
+class TestNonFiniteClouds:
+    """A cloud with a NaN or infinite coordinate is written as json spells
+    it (test_exactness.py's TestInlineSceneText) but refused on load, in
+    both formats, with the frame's lidar path."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
+    def test_written_but_refused_on_load(self, tmp_path, tiny_scene, lidar_bin, value):
+        scene, _ = tiny_scene
+        cloud = scene.frames[1].cloud.copy()
+        cloud[2, 1] = value
+        path = tmp_path / "scene.json"
+        write_scene(path, _with_cloud(scene, 1, cloud), lidar_bin=lidar_bin)
+        with pytest.raises(SchemaError, match=r"^frames\[1\]\.lidar: a cloud holds non-finite"):
+            load_scene(path)
+
+
 def test_inline_write_holds_less_than_the_file(tmp_path, clean_scene):
     """Inline clouds are written one at a time: the memory traced while
     writing a multi-frame scene stays below the size of the file written."""
