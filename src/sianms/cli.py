@@ -8,8 +8,10 @@ Subcommands:
   eval-reid  score a matches file against labeled detections
   eval-3d    score a 3D boxes file against scene ground truth
 
-Exit codes: 0 success, 1 usage error, 2 schema error in an input file,
-3 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 schema error in an input file
+(or inputs that do not fit each other, such as a scene class without a
+dimension prior), 3 runtime failure, which includes a run or compare that
+processed none of its frames (its report is still written).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .pipeline import (
     REGIONS,
     VARIANT_ORDER,
     Variant,
+    check_inputs,
     compare_variants,
     csv_cell,
     csv_table,
@@ -242,11 +245,30 @@ def _report_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _loaded_detections(path, scene, cfg) -> dict:
+    """The detections file by frame, its classes and cameras checked
+    against the config and the scene's rig."""
+    dets = detections_by_frame(load_detection_records(path))
+    check_inputs(scene, cfg, dets)
+    return dets
+
+
+def _processed_code(reports) -> int:
+    """3, with a message, when the scene has frames and no report processed
+    one of them; else 0."""
+    if reports[0].counts["frames"] and not any(r.counts["frames_processed"] for r in reports):
+        first = reports[0].errors[0]
+        print(f"error: no frame processed; frame {first['frame']}: {first['error']}",
+              file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_run(args) -> int:
     scene = load_scene(args.scene)
     cfg = load_config(args.config, _overrides(args))
     if args.detections is not None:
-        dets = detections_by_frame(load_detection_records(args.detections))
+        dets = _loaded_detections(args.detections, scene, cfg)
     else:
         dets = _simulated(scene, cfg)
     result = run_pipeline(scene, Variant(args.variant), cfg, detections=dets)
@@ -263,7 +285,7 @@ def cmd_run(args) -> int:
         _report_text(result.report),
         csv_table(["value"], _run_rows(result.report)),
     )
-    return 0
+    return _processed_code([result.report])
 
 
 def cmd_compare(args) -> int:
@@ -271,7 +293,7 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     dets = None
     if args.detections is not None:
-        dets = detections_by_frame(load_detection_records(args.detections))
+        dets = _loaded_detections(args.detections, scene, cfg)
     comparison = compare_variants(scene, cfg, detections=dets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,7 +301,7 @@ def cmd_compare(args) -> int:
     # each file holds exactly what the format prints
     print(paths[args.format].read_text(encoding="utf-8"), end="")
     print(f"wrote {paths['json']}, {paths['csv']}, {paths['text']}", file=sys.stderr)
-    return 0
+    return _processed_code(list(comparison.reports.values()))
 
 
 def _dummy_rig(cameras, adjacency) -> CameraRig:

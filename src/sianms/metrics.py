@@ -9,13 +9,18 @@ truncation bound from the evaluation entirely.
 3D follows the center-distance style: predictions match the nearest unmatched
 same-class ground truth in the ground plane within a threshold; AP averages a
 normalized precision-recall integral over several distance thresholds, and
-matched pairs yield translation / scale / orientation error averages.
+matched pairs yield translation / scale / orientation error averages.  Each
+class builds one distance table (every prediction's closeness to the ground
+truth of its group, in score order) and runs one greedy pass over it per
+distinct threshold; the pass at tp_error_threshold feeds the errors, so when
+that threshold is one of the AP thresholds its matching runs once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable
 
 import numpy as np
@@ -28,6 +33,10 @@ MIN_RECALL_3D = 0.1
 MIN_PRECISION_3D = 0.1
 # the per-class metrics evaluate_3d reports, in report order
 METRICS_3D = ("ap", "ate", "ase", "aoe")
+# the recalls each AP samples precision at; 3D AP averages those from the clip start on
+_SAMPLE_RECALLS_2D = np.arange(1, N_RECALL_SAMPLES_2D + 1) / N_RECALL_SAMPLES_2D
+_SAMPLE_RECALLS_3D = np.linspace(0.0, 1.0, N_RECALL_SAMPLES_3D)
+_CLIP_START_3D = int(round(MIN_RECALL_3D * (N_RECALL_SAMPLES_3D - 1))) + 1
 
 
 @dataclass(frozen=True)
@@ -112,36 +121,54 @@ def score_order(preds) -> list[int]:
     return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
 
 
-def _greedy_match(preds, gts, similarity, threshold) -> list:
-    """Greedy matching: one prediction per ground truth.
-
-    Predictions are taken in score_order; each takes the untaken ground truth
-    of its group and class with the highest similarity(pred, gt) at or above
-    threshold, the first one on ties.  Returns (pred, gt or None) per
-    prediction, in that order.
-    """
+def _similarity_table(preds, gts, similarity) -> list:
+    """One row per prediction, in score_order: (pred, key, candidates,
+    ranked), where candidates is the ground truth of the prediction's group
+    and class (its key) and ranked holds (similarity(pred, gt), index) of
+    each candidate above -inf, highest first, on ties the first index first
+    (a stable sort).  NaN never ranks, as it never compares true."""
     gt_by_key: dict = {}
     for g in gts:
         gt_by_key.setdefault((g.group, g.class_id), []).append(g)
-    taken_by_key = {key: [False] * len(lst) for key, lst in gt_by_key.items()}
-    out = []
+    table = []
     for idx in score_order(preds):
         det = preds[idx]
         key = (det.group, det.class_id)
-        candidates, taken = gt_by_key.get(key, ()), taken_by_key.get(key)
-        best, best_j = -math.inf, -1
-        for j, g in enumerate(candidates):
-            if taken[j]:
-                continue
-            value = similarity(det, g)
-            if value >= threshold and value > best:
-                best, best_j = value, j
-        if best_j >= 0:
-            taken[best_j] = True
-            out.append((det, candidates[best_j]))
-        else:
-            out.append((det, None))
+        candidates = gt_by_key.get(key, ())
+        values = [(similarity(det, g), j) for j, g in enumerate(candidates)]
+        ranked = sorted([e for e in values if e[0] > -math.inf], key=itemgetter(0), reverse=True)
+        table.append((det, key, candidates, ranked))
+    return table
+
+
+def _greedy_pass(table, threshold) -> list:
+    """Greedy matching over a _similarity_table: one prediction per ground
+    truth.
+
+    Each row's prediction takes the untaken candidate with the highest
+    similarity at or above threshold, the first one on ties: the first
+    untaken entry of its ranking, unless a value below threshold comes
+    first.  Returns (pred, gt or None) per row, in row order.
+    """
+    taken: dict = {}  # key -> indices of its taken candidates
+    out = []
+    for det, key, candidates, ranked in table:
+        used = taken.setdefault(key, set())
+        match = None
+        for value, j in ranked:
+            if not value >= threshold:
+                break
+            if j not in used:
+                used.add(j)
+                match = candidates[j]
+                break
+        out.append((det, match))
     return out
+
+
+def _greedy_match(preds, gts, similarity, threshold) -> list:
+    """_greedy_pass over the _similarity_table of preds and gts."""
+    return _greedy_pass(_similarity_table(preds, gts, similarity), threshold)
 
 
 def _iou_of(pred, gt) -> float:
@@ -152,19 +179,15 @@ def _tp_flags(preds, gts, similarity, threshold) -> list[bool]:
     return [g is not None for _, g in _greedy_match(preds, gts, similarity, threshold)]
 
 
-def _interpolated_precision_samples(tp_flags, n_gt, sample_recalls):
+def _interpolated_precision_samples(tp_flags, n_gt, sample_recalls) -> np.ndarray:
     """Max precision at recall >= r for each sample r, from cumulative flags."""
-    tp_cum = np.cumsum(np.asarray(tp_flags, dtype=float))
-    counts = np.arange(1, len(tp_flags) + 1, dtype=float)
+    tp_cum = np.asarray(tp_flags, dtype=float).cumsum()
+    counts = np.arange(1, len(tp_cum) + 1, dtype=float)
     recalls = tp_cum / n_gt
-    precisions = tp_cum / counts
-    # Suffix max gives the interpolated (monotone) precision envelope.
-    suffix = np.maximum.accumulate(precisions[::-1])[::-1] if len(precisions) else precisions
-    out = []
-    for r in sample_recalls:
-        k = int(np.searchsorted(recalls, r, side="left")) if len(recalls) else 0
-        out.append(float(suffix[k]) if k < len(recalls) else 0.0)
-    return out
+    # Suffix max gives the interpolated (monotone) precision envelope; a
+    # sample past the final recall reads the 0 appended to it.
+    envelope = np.append(np.maximum.accumulate((tp_cum / counts)[::-1])[::-1], 0.0)
+    return envelope[np.searchsorted(recalls, sample_recalls, side="left")]
 
 
 def ap_2d(predictions, ground_truth, cfg: EvalConfig2D) -> dict[str, float]:
@@ -179,14 +202,13 @@ def ap_2d(predictions, ground_truth, cfg: EvalConfig2D) -> dict[str, float]:
         for g in ground_truth
         if g.height_px >= cfg.min_height_px and g.truncation <= cfg.max_truncation
     ]
-    samples = [(i + 1) / N_RECALL_SAMPLES_2D for i in range(N_RECALL_SAMPLES_2D)]
     result = {}
     for cls in sorted({g.class_id for g in kept}):
         cls_gts = [g for g in kept if g.class_id == cls]
         cls_preds = [p for p in predictions if p.class_id == cls]
         flags = _tp_flags(cls_preds, cls_gts, _iou_of, cfg.iou_threshold)
-        precs = _interpolated_precision_samples(flags, len(cls_gts), samples)
-        result[cls] = float(np.mean(precs)) if precs else 0.0
+        precs = _interpolated_precision_samples(flags, len(cls_gts), _SAMPLE_RECALLS_2D)
+        result[cls] = float(np.mean(precs))
     return result
 
 
@@ -243,31 +265,24 @@ def _normalized_ap(tp_flags, n_gt) -> float:
     """Precision sampled at 101 recall points, clipped below 10% recall and
     10% precision, then renormalized.
 
-    The raw cumulative PR curve is collapsed to one point per distinct
-    recall (keeping the highest precision reached there) and linearly
-    interpolated between those points; beyond the final recall precision is 0.
+    The raw cumulative PR curve is collapsed to one knot per distinct recall,
+    the first point of each run of equal recall (later points there only
+    lower precision), and linearly interpolated between the knots; beyond
+    the final recall precision is 0.
     """
-    if n_gt <= 0:
+    if n_gt <= 0 or not len(tp_flags):
         return 0.0
-    tp_cum = np.cumsum(np.asarray(tp_flags, dtype=float))
-    counts = np.arange(1, len(tp_flags) + 1, dtype=float)
+    tp_cum = np.asarray(tp_flags, dtype=float).cumsum()
+    counts = np.arange(1, len(tp_cum) + 1, dtype=float)
     recalls = tp_cum / n_gt
     precisions = tp_cum / counts
-    knots_r = []
-    knots_p = []
-    for r, p in zip(recalls, precisions):
-        if knots_r and r == knots_r[-1]:
-            continue  # later points at equal recall only lower precision
-        knots_r.append(float(r))
-        knots_p.append(float(p))
-    sample_recalls = np.linspace(0.0, 1.0, N_RECALL_SAMPLES_3D)
-    if knots_r:
-        sampled = np.interp(sample_recalls, knots_r, knots_p, right=0.0)
-    else:
-        sampled = np.zeros_like(sample_recalls)
-    start = int(round(MIN_RECALL_3D * (N_RECALL_SAMPLES_3D - 1))) + 1
-    clipped = np.maximum(sampled[start:] - MIN_PRECISION_3D, 0.0)
-    return float(np.mean(clipped)) / (1.0 - MIN_PRECISION_3D)
+    first = np.empty(len(recalls), dtype=bool)
+    first[0] = True
+    np.not_equal(recalls[1:], recalls[:-1], out=first[1:])
+    sampled = np.interp(_SAMPLE_RECALLS_3D, recalls[first], precisions[first], right=0.0)
+    clipped = np.maximum(sampled[_CLIP_START_3D:] - MIN_PRECISION_3D, 0.0)
+    # the sum and division np.mean makes, without its dispatch
+    return float(clipped.sum() / len(clipped)) / (1.0 - MIN_PRECISION_3D)
 
 
 def ap_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, float]:
@@ -277,16 +292,23 @@ def ap_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, float]:
 
 def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]:
     """AP plus error metrics per class; errors use matches at the configured
-    tp_error_threshold and are None when that class has no matches."""
+    tp_error_threshold and are None when that class has no matches.
+
+    Each class builds one _similarity_table of closeness and runs one
+    greedy pass over it per distinct threshold, tp_error_threshold included.
+    """
+    thresholds = cfg.center_distance_thresholds
     out = {}
     for cls in sorted({g.class_id for g in ground_truth}):
         cls_gts = [g for g in ground_truth if g.class_id == cls]
         cls_preds = [p for p in predictions if p.class_id == cls]
+        table = _similarity_table(cls_preds, cls_gts, _closeness)
+        passes = {t: _greedy_pass(table, -t) for t in {*thresholds, cfg.tp_error_threshold}}
         aps = [
-            _normalized_ap(_tp_flags(cls_preds, cls_gts, _closeness, -threshold), len(cls_gts))
-            for threshold in cfg.center_distance_thresholds
+            _normalized_ap([g is not None for _, g in passes[t]], len(cls_gts))
+            for t in thresholds
         ]
-        matched = match_3d(cls_preds, cls_gts, cfg.tp_error_threshold)
+        matched = [(p, g) for p, g in passes[cfg.tp_error_threshold] if g is not None]
         errors = tp_errors(matched)
         out[cls] = {
             "ap": float(np.mean(aps)),

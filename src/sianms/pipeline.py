@@ -71,6 +71,11 @@ from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, box_corne
 from .synthgen import GenSpec, simulate_detections
 
 
+class SchemaError(ValueError):
+    """An input does not match its documented schema or the other inputs of
+    a run; the message names the path or key."""
+
+
 class Variant(str, Enum):
     ORIGINAL = "original"
     EMBEDDING_2D = "2d+embedding"
@@ -325,13 +330,21 @@ def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
     return working, matches, boxes
 
 
-def _gt_2d_records(rig, frame):
-    """Projected ground-truth boxes with pixel height and truncation ratio."""
+def _frame_truth(rig, frame):
+    """(2D records, 3D ground truth, overlap 3D ground truth) of a frame.
+
+    The 2D records are the projected boxes with pixel height and truncation
+    ratio.  The overlap subset keeps the objects with a nonempty clipped
+    projection in at least 2 cameras, overlap_region_filter's rule, counted
+    from the same clipped projections as the 2D records.
+    """
     corners = box_corners(obj.box for obj in frame.objects)
+    n_visible = np.zeros(len(frame.objects), dtype=int)
     per_camera = []
     for cam in rig.cameras:
         clipped, visible = box_image_extents(cam, corners)
         raw, _ = box_image_extents(cam, corners, clip=False)
+        n_visible += visible
         per_camera.append((cam, clipped.tolist(), raw.tolist(), visible.tolist()))
     records = []
     for k, obj in enumerate(frame.objects):
@@ -349,7 +362,8 @@ def _gt_2d_records(rig, frame):
                     truncation=min(max(truncation, 0.0), 1.0),
                 )
             )
-    return records
+    gt3d = [Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box) for obj in frame.objects]
+    return records, gt3d, [g for g, n in zip(gt3d, n_visible) if n >= 2]
 
 
 def _mean_row(per_class: dict) -> dict:
@@ -384,8 +398,27 @@ def _frame_error(frame: Frame, exc: Exception) -> dict:
     return {"frame": frame.index, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def check_inputs(scene: Scene, cfg: PipelineConfig, detections: dict | None = None) -> None:
+    """Raise SchemaError unless every class of the scene's objects and of the
+    detections has an estimator.dim_priors entry and every detection names a
+    rig camera, so that such inputs fail once, before the first frame."""
+    dets = [det for frame_dets in (detections or {}).values() for det in frame_dets]
+    classes = {obj.class_id for frame in scene.frames for obj in frame.objects}
+    classes.update(det.class_id for det in dets)
+    missing = sorted(classes - set(cfg.estimator.dim_priors))
+    if missing:
+        raise SchemaError(f"config: estimator.dim_priors has no prior for class {missing[0]!r}")
+    unknown = sorted({det.camera_id for det in dets} - {cam.id for cam in scene.rig.cameras})
+    if unknown:
+        raise SchemaError(f"detections: camera {unknown[0]!r} is not in the rig")
+
+
 def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
-    """Run the variants over one loop of the frames; results in variant order."""
+    """Check the scene's classes, then run the variants over one loop of the
+    frames; results in variant order.  Supplied detections are checked where
+    a detections file is loaded, not here, so that a bad entry handed in by
+    a caller stays an error of its own frame."""
+    check_inputs(scene, cfg)
     runs = [_VariantRun(variant) for variant in variants]
     truth = {}  # frame index -> (Gt2D list, Gt3D list, overlap Gt3D list)
     shared_s = 0.0
@@ -409,13 +442,7 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
             frame_dets = list(detections.get(frame.index, []))
         else:
             frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
-        gt3d = [
-            Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
-            for obj in frame.objects
-        ]
-        truth[frame.index] = (
-            _gt_2d_records(rig, frame), gt3d, overlap_region_filter(rig, gt3d)
-        )
+        truth[frame.index] = _frame_truth(rig, frame)
         named = {det.camera_id for det in frame_dets}
         views = {
             cam.id: camera_view(cam, frame.cloud)

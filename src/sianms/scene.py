@@ -209,10 +209,7 @@ class Box3D:
 
     def corners(self) -> np.ndarray:
         """The 8 box corners as an (8, 3) array in the vehicle frame."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        local = _CORNER_SIGNS * np.array([self.l / 2.0, self.w / 2.0, self.h / 2.0])
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return local @ rot.T + self.center
+        return box_corners([self])[0]
 
 
 @dataclass(frozen=True)
@@ -348,8 +345,23 @@ def project_points(cam: CameraModel, points, depth_epsilon: float = DEPTH_EPSILO
 
 
 def box_corners(boxes) -> np.ndarray:
-    """The corners of each box, stacked as an (n, 8, 3) array."""
-    return np.array([box.corners() for box in boxes]).reshape(-1, 8, 3)
+    """The corners of each box, stacked as an (n, 8, 3) array in the vehicle
+    frame: the signed half dimensions, rotated by the yaw, plus the center.
+
+    cos and sin come from math, one box at a time (np.cos may differ in the
+    last bit), and each box's corners are one (8, 3) @ (3, 3) product with
+    the transposed rotation, as a lone box's would be.
+    """
+    rows = [
+        (b.x, b.y, b.z, b.l / 2.0, b.w / 2.0, b.h / 2.0, math.cos(b.theta), math.sin(b.theta))
+        for b in boxes
+    ]
+    data = np.array(rows, dtype=float).reshape(-1, 8)
+    c, s = data[:, 6], data[:, 7]
+    rot = np.zeros((len(data), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1], rot[:, 2, 2] = c, -s, s, c, 1.0
+    local = _CORNER_SIGNS * data[:, None, 3:6]
+    return local @ rot.transpose(0, 2, 1) + data[:, None, :3]
 
 
 def box_image_extents(cam: CameraModel, corners: np.ndarray, clip: bool = True):

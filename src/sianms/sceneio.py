@@ -26,12 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .matching import MatchedPair, MatchResult
-from .pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict, json_value
+from .pipeline import Frame, PipelineConfig, PredBox, Scene, SchemaError, config_from_dict, json_value
 from .scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject, as_point_cloud
-
-
-class SchemaError(ValueError):
-    """A file does not match its documented schema; message carries the path."""
 
 
 def _fail(path: str, message: str):

@@ -105,6 +105,9 @@ class GenSpec:
                 and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)
             ):
                 raise ValueError(f"{name} must be a (low, high) pair of numbers, got {pair!r}")
+            # written so that NaN fails too
+            if not pair[0] <= pair[1]:
+                raise ValueError(f"{name} must have low <= high, got {pair!r}")
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in [0, 1]")
         if not 0.0 <= self.miss_rate <= 1.0:

@@ -20,6 +20,12 @@ From tp_flags_2d_reference on are the code that one implementation per
 concept replaced: the three greedy matchers, the hand-written config, report
 and rig (de)serializers, and the six table renderers of run, compare, eval-3d
 and eval-reid.  The package must give the same matches, dicts and bytes.
+
+From box_corners_one_box_reference on are the code that one distance table
+per class and one stacked corner product replaced: per-box corners,
+evaluate_3d running the greedy matcher once per threshold plus once for the
+errors, the 3D AP knots collected in a Python loop and the 2D samples
+searched one at a time.  The package must give their results bit for bit.
 """
 
 import dataclasses
@@ -33,7 +39,16 @@ from scipy.spatial.transform import Rotation
 from sianms.estimator import EstimatorConfig
 from sianms.frustum import EmptyFrustum, Frustum, MergeRejected, _combined_hull
 from sianms.losses import BatchLossBreakdown, BatchLossGrads, LossConfig, ohem_select, smooth_l1
-from sianms.metrics import EvalConfig2D, EvalConfig3D, iou2d
+from sianms.metrics import (
+    N_RECALL_SAMPLES_3D,
+    MIN_PRECISION_3D,
+    MIN_RECALL_3D,
+    EvalConfig2D,
+    EvalConfig3D,
+    iou2d,
+    score_order,
+    tp_errors,
+)
 from sianms.pipeline import VARIANT_ORDER, PipelineConfig, RunReport, Variant
 from sianms.scene import (
     DEPTH_EPSILON,
@@ -1291,3 +1306,125 @@ def comparison_json_reference(self) -> dict:
         "variants": variants,
         "deltas": comparison_deltas_reference(self),
     }
+
+
+# Evaluation and corners before one distance table per class and one
+# stacked corner product.
+
+
+_CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+)
+
+
+def box_corners_one_box_reference(box) -> np.ndarray:
+    """Box3D.corners: one box's own (8, 3) @ (3, 3) product."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    local = _CORNER_SIGNS * np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return local @ rot.T + box.center
+
+
+def _greedy_match_reference(preds, gts, similarity, threshold) -> list:
+    """metrics._greedy_match: similarity evaluated inside the matching loop."""
+    gt_by_key: dict = {}
+    for g in gts:
+        gt_by_key.setdefault((g.group, g.class_id), []).append(g)
+    taken_by_key = {key: [False] * len(lst) for key, lst in gt_by_key.items()}
+    out = []
+    for idx in score_order(preds):
+        det = preds[idx]
+        key = (det.group, det.class_id)
+        candidates, taken = gt_by_key.get(key, ()), taken_by_key.get(key)
+        best, best_j = -math.inf, -1
+        for j, g in enumerate(candidates):
+            if taken[j]:
+                continue
+            value = similarity(det, g)
+            if value >= threshold and value > best:
+                best, best_j = value, j
+        if best_j >= 0:
+            taken[best_j] = True
+            out.append((det, candidates[best_j]))
+        else:
+            out.append((det, None))
+    return out
+
+
+def _closeness_reference(pred, gt) -> float:
+    return -math.hypot(pred.box.x - gt.box.x, pred.box.y - gt.box.y)
+
+
+def _tp_flags_reference(preds, gts, similarity, threshold) -> list[bool]:
+    return [g is not None for _, g in _greedy_match_reference(preds, gts, similarity, threshold)]
+
+
+def interpolated_precision_samples_reference(tp_flags, n_gt, sample_recalls):
+    """metrics._interpolated_precision_samples: one searchsorted per sample."""
+    tp_cum = np.cumsum(np.asarray(tp_flags, dtype=float))
+    counts = np.arange(1, len(tp_flags) + 1, dtype=float)
+    recalls = tp_cum / n_gt
+    precisions = tp_cum / counts
+    # Suffix max gives the interpolated (monotone) precision envelope.
+    suffix = np.maximum.accumulate(precisions[::-1])[::-1] if len(precisions) else precisions
+    out = []
+    for r in sample_recalls:
+        k = int(np.searchsorted(recalls, r, side="left")) if len(recalls) else 0
+        out.append(float(suffix[k]) if k < len(recalls) else 0.0)
+    return out
+
+
+def normalized_ap_reference(tp_flags, n_gt) -> float:
+    """metrics._normalized_ap: the knots collected in a Python loop."""
+    if n_gt <= 0:
+        return 0.0
+    tp_cum = np.cumsum(np.asarray(tp_flags, dtype=float))
+    counts = np.arange(1, len(tp_flags) + 1, dtype=float)
+    recalls = tp_cum / n_gt
+    precisions = tp_cum / counts
+    knots_r = []
+    knots_p = []
+    for r, p in zip(recalls, precisions):
+        if knots_r and r == knots_r[-1]:
+            continue  # later points at equal recall only lower precision
+        knots_r.append(float(r))
+        knots_p.append(float(p))
+    sample_recalls = np.linspace(0.0, 1.0, N_RECALL_SAMPLES_3D)
+    if knots_r:
+        sampled = np.interp(sample_recalls, knots_r, knots_p, right=0.0)
+    else:
+        sampled = np.zeros_like(sample_recalls)
+    start = int(round(MIN_RECALL_3D * (N_RECALL_SAMPLES_3D - 1))) + 1
+    clipped = np.maximum(sampled[start:] - MIN_PRECISION_3D, 0.0)
+    return float(np.mean(clipped)) / (1.0 - MIN_PRECISION_3D)
+
+
+def evaluate_3d_reference(predictions, ground_truth, cfg) -> dict:
+    """metrics.evaluate_3d: the greedy matcher run once per distance
+    threshold, then again at tp_error_threshold for the errors."""
+    out = {}
+    for cls in sorted({g.class_id for g in ground_truth}):
+        cls_gts = [g for g in ground_truth if g.class_id == cls]
+        cls_preds = [p for p in predictions if p.class_id == cls]
+        aps = [
+            normalized_ap_reference(
+                _tp_flags_reference(cls_preds, cls_gts, _closeness_reference, -threshold),
+                len(cls_gts),
+            )
+            for threshold in cfg.center_distance_thresholds
+        ]
+        pairs = _greedy_match_reference(
+            cls_preds, cls_gts, _closeness_reference, -cfg.tp_error_threshold
+        )
+        matched = [(p, g) for p, g in pairs if g is not None]
+        errors = tp_errors(matched)
+        out[cls] = {
+            "ap": float(np.mean(aps)),
+            "ate": errors[0] if errors else None,
+            "ase": errors[1] if errors else None,
+            "aoe": errors[2] if errors else None,
+            "num_gt": len(cls_gts),
+            "num_pred": len(cls_preds),
+            "num_matched": len(matched),
+        }
+    return out

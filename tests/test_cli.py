@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sianms.pipeline as pipeline_module
 from sianms.cli import main
 
 
@@ -187,6 +188,90 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
                      "--variant", "sianms", "--out", str(out)]) == 3
+
+
+class TestInputsBeforeTheFirstFrame:
+    """Inputs that would fail every frame exit 2 before any frame runs; a run
+    that processes no frame exits 3 after writing its report."""
+
+    @staticmethod
+    def _argv(command, scene_dir, out, *extra):
+        variant = ["--variant", "sianms"] if command == "run" else []
+        return [command, "--scene", str(scene_dir / "scene.json"), *variant,
+                "--out", str(out), *extra]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_missing_class_prior_is_two(self, tmp_path, scene_dir, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": {"dim_priors": {"car": [4.5, 1.9, 1.6]}}}))
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, "--config", str(config))) == 2
+        assert "estimator.dim_priors has no prior for class" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("camera_id", "cam9", "detections: camera 'cam9' is not in the rig"),
+        ("class", "truck", "no prior for class 'truck'"),
+    ], ids=["camera", "class"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_detection_outside_rig_or_priors_is_two(
+        self, tmp_path, scene_dir, capsys, command, key, value, message
+    ):
+        dets = tmp_path / "dets.json"
+        assert main(["simulate", "--scene", str(scene_dir / "scene.json"),
+                     "--out", str(dets)]) == 0
+        records = json.loads(dets.read_text())
+        records[-1][key] = value
+        dets.write_text(json.dumps(records))
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, "--detections", str(dets))) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, pair", [
+        ("objects_per_frame", [5, 3]), ("radius_range", [30.0, 8.0]),
+        ("lidar_points_range", [120, 60]),
+    ])
+    def test_reversed_range_is_two(self, tmp_path, capsys, name, pair):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"gen": {"seed": 3, "n_frames": 2, name: pair}}))
+        assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        assert f"{name} must have low <= high" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_no_frame_processed_is_three(self, tmp_path, scene_dir, capsys, monkeypatch,
+                                         command):
+        def unviewable(cam, cloud):
+            raise RuntimeError("no view")
+
+        monkeypatch.setattr(pipeline_module, "camera_view", unviewable)
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, "--json")) == 3
+        err = capsys.readouterr().err
+        assert "error: no frame processed; frame 0: RuntimeError: no view" in err
+        written = out / ("report.json" if command == "run" else "compare.json")
+        report = json.loads(written.read_text())
+        reports = [report] if command == "run" else report["variants"].values()
+        assert [r["counts"]["frames_processed"] for r in reports] == [0] * len(reports)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_partial_failure_is_zero(self, tmp_path, scene_dir, capsys, monkeypatch, command):
+        real, calls = pipeline_module.camera_view, []
+
+        def first_unviewable(cam, cloud):
+            calls.append(cam.id)
+            if len(calls) == 1:
+                raise RuntimeError("no view")
+            return real(cam, cloud)
+
+        monkeypatch.setattr(pipeline_module, "camera_view", first_unviewable)
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, "--json")) == 0
+        written = out / ("report.json" if command == "run" else "compare.json")
+        report = json.loads(written.read_text())
+        reports = [report] if command == "run" else report["variants"].values()
+        assert [r["counts"]["frames_processed"] for r in reports] == [2] * len(reports)
 
 
 class TestConfigSections:

@@ -10,10 +10,14 @@ out by hand around one json call per frame; the loaders build arrays with
 np.fromiter; weighted draws skip rng.choice; the loss primitives skip
 numpy's argument handling; frustums are merged on rows of Python floats;
 wrap_angle wraps a number without an array; the detector stand-in
-draws each object's embedding anchor once; and one greedy assigner does
-the 2D and 3D matching that three matchers did.  These tests hold each to
-the exact results of the plain implementations in _oracles.py, on random
-inputs and on every frustum and box of the benchmark scenes.
+draws each object's embedding anchor once; one greedy assigner does
+the 2D and 3D matching that three matchers did; evaluate_3d matches over
+one distance table per class; the AP curves are built without Python
+loops; all boxes' corners come from one stacked product; and a frame's
+overlap ground truth comes from its 2D ground-truth projections.  These
+tests hold each to the exact results of the plain implementations in
+_oracles.py, on random inputs and on every frustum and box of the
+benchmark scenes.
 """
 
 import math
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sianms.metrics as metrics_module
 import sianms.pipeline as pipeline_module
 from sianms.estimator import (
     _AZ_BINS,
@@ -53,14 +58,21 @@ from sianms.losses import (
     positive_pair_term,
 )
 from sianms.metrics import (
+    N_RECALL_SAMPLES_2D,
+    _SAMPLE_RECALLS_2D,
+    EvalConfig3D,
     Gt2D,
     Gt3D,
     Pred2D,
     Pred3D,
     _closeness,
+    _interpolated_precision_samples,
     _iou_of,
+    _normalized_ap,
     _tp_flags,
+    evaluate_3d,
     match_3d,
+    overlap_region_filter,
     visible_camera_count,
     visible_camera_counts,
 )
@@ -97,16 +109,20 @@ from _oracles import (
     batch_loss_reference,
     bbox2d_via_project_points,
     box3d_to_bbox2d_reference,
+    box_corners_one_box_reference,
     choice_reference,
     cross_entropy_reference,
     detections_text_reference,
     estimate_box_reference,
+    evaluate_3d_reference,
     filter_frustum_reference,
     float_rows_reference,
     inline_scene_text_reference,
+    interpolated_precision_samples_reference,
     match_3d_reference,
     merge_frustums_reference,
     negative_pair_term_reference,
+    normalized_ap_reference,
     positive_pair_term_reference,
     range_gate_reference,
     sample_surface_points_reference,
@@ -1302,3 +1318,186 @@ class TestGreedyMatcher:
         for cls_preds, cls_gts in _by_class(preds, gts):
             want = tp_flags_3d_reference(cls_preds, cls_gts, threshold)
             assert _tp_flags(cls_preds, cls_gts, _closeness, -threshold) == want
+
+
+# thresholds that grid distances meet exactly, so matches sit on their edge
+EDGE_THRESHOLDS = st.sampled_from(
+    [0.0, 0.5, 1.0, 2.0, 4.0, math.hypot(1.0, 1.0), math.hypot(1.0, 0.5), math.hypot(2.0, 1.0)]
+)
+THRESHOLDS = EDGE_THRESHOLDS | st.floats(0.0, 5.0)
+
+
+@st.composite
+def _eval_configs(draw):
+    """Up to five distance thresholds, repeats allowed, and an error
+    threshold that is one of them or any other."""
+    thresholds = draw(st.lists(THRESHOLDS, min_size=1, max_size=5))
+    inside = draw(st.booleans())
+    tp = draw(st.sampled_from(thresholds) if inside else THRESHOLDS)
+    return EvalConfig3D(center_distance_thresholds=tuple(thresholds), tp_error_threshold=tp)
+
+
+GRID_BOXES_YAWED = st.builds(
+    Box3D, x=GRID, y=GRID, z=st.just(-0.9), l=st.sampled_from([4.0, 0.8]),
+    w=st.just(1.9), h=st.just(1.6), theta=st.sampled_from([0.0, 0.5, -3.0]),
+)
+# group 2 and class pedestrian have predictions but never ground truth
+EVAL_PREDS = st.lists(
+    st.builds(Pred3D, group=st.sampled_from([0, 1, 2]),
+              class_id=st.sampled_from(["car", "cyclist", "pedestrian"]),
+              score=TIED_SCORES, box=GRID_BOXES_YAWED),
+    max_size=12,
+)
+EVAL_GTS = st.lists(
+    st.builds(Gt3D, group=MATCH_GROUPS, class_id=MATCH_CLASSES, box=GRID_BOXES_YAWED),
+    max_size=10,
+)
+
+
+def _bits_tree(value):
+    """value with every float replaced by its IEEE bits."""
+    if isinstance(value, dict):
+        return {k: _bits_tree(v) for k, v in value.items()}
+    if type(value) is float:
+        return _float_bits([value])
+    return value
+
+
+FLAGS = st.lists(st.booleans(), max_size=30)
+
+
+class TestEvaluation:
+    """evaluate_3d over one distance table per class, and the AP curves
+    without Python loops, against the code they replaced."""
+
+    @EXAMPLES
+    @given(preds=EVAL_PREDS, gts=EVAL_GTS, cfg=_eval_configs())
+    def test_evaluate_3d(self, preds, gts, cfg):
+        want = evaluate_3d_reference(preds, gts, cfg)
+        assert _bits_tree(evaluate_3d(preds, gts, cfg)) == _bits_tree(want)
+
+    @pytest.mark.parametrize("tp_error_threshold, passes", [(2.0, 4), (3.0, 5)],
+                             ids=["inside", "outside"])
+    def test_one_pass_per_distinct_threshold(self, monkeypatch, tp_error_threshold, passes):
+        calls = []
+        real = metrics_module._greedy_pass
+        monkeypatch.setattr(metrics_module, "_greedy_pass",
+                            lambda table, t: calls.append(t) or real(table, t))
+        box = Box3D(0.0, 0.0, 0.0, 4.0, 1.9, 1.6, 0.0)
+        preds = [Pred3D(0, "car", 0.9, box), Pred3D(0, "car", 0.8, box)]
+        cfg = EvalConfig3D(center_distance_thresholds=(0.5, 1.0, 2.0, 4.0, 1.0),
+                           tp_error_threshold=tp_error_threshold)
+        got = evaluate_3d(preds, [Gt3D(0, "car", box)], cfg)
+        assert got == evaluate_3d_reference(preds, [Gt3D(0, "car", box)], cfg)
+        assert len(calls) == passes
+
+    @EXAMPLES
+    @given(data=st.data())
+    def test_non_finite_distances_and_thresholds(self, data):
+        """NaN and infinite centers give NaN and -inf closeness, which never
+        match, whatever the threshold."""
+        xs = GRID | st.sampled_from([math.nan, math.inf, -math.inf])
+        boxes = st.builds(Box3D, x=xs, y=GRID, z=st.just(0.0), l=st.just(4.0),
+                          w=st.just(1.9), h=st.just(1.6), theta=st.just(0.0))
+        preds = data.draw(st.lists(st.builds(Pred3D, group=st.just(0), class_id=st.just("car"),
+                                             score=TIED_SCORES, box=boxes), max_size=8))
+        gts = data.draw(st.lists(st.builds(Gt3D, group=st.just(0), class_id=st.just("car"),
+                                           box=boxes), max_size=8))
+        edges = st.sampled_from([math.inf, -math.inf, math.nan])
+        thresholds = data.draw(st.lists(THRESHOLDS | edges, min_size=1, max_size=3))
+        cfg = EvalConfig3D(center_distance_thresholds=tuple(thresholds),
+                           tp_error_threshold=data.draw(THRESHOLDS | edges))
+        want = evaluate_3d_reference(preds, gts, cfg)
+        assert _bits_tree(evaluate_3d(preds, gts, cfg)) == _bits_tree(want)
+
+    def test_empty_inputs(self):
+        cfg = EvalConfig3D()
+        box = Box3D(0.0, 0.0, 0.0, 4.0, 1.9, 1.6, 0.0)
+        for preds, gts in [([], []), ([Pred3D(0, "car", 0.5, box)], []),
+                           ([], [Gt3D(0, "car", box)])]:
+            want = evaluate_3d_reference(preds, gts, cfg)
+            assert _bits_tree(evaluate_3d(preds, gts, cfg)) == _bits_tree(want)
+
+    @EXAMPLES
+    @given(flags=FLAGS, n_gt=st.integers(-1, 25))
+    def test_normalized_ap(self, flags, n_gt):
+        want = normalized_ap_reference(flags, n_gt)
+        assert _float_bits([_normalized_ap(flags, n_gt)]) == _float_bits([want])
+
+    @EXAMPLES
+    @given(
+        flags=FLAGS,
+        n_gt=st.integers(1, 25),
+        samples=st.none() | st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, 0.5]),
+                                     max_size=10),
+    )
+    def test_interpolated_precision_samples(self, flags, n_gt, samples):
+        # the benchmark's samples, or others that also land on reachable recalls
+        if samples is None:
+            samples = _SAMPLE_RECALLS_2D.tolist()
+        else:
+            samples += [k / n_gt for k in range(n_gt + 1)]
+        got = _interpolated_precision_samples(flags, n_gt, np.array(samples))
+        want = interpolated_precision_samples_reference(flags, n_gt, samples)
+        assert _float_bits(got.tolist()) == _float_bits(want)
+
+    def test_2d_sample_recalls(self):
+        want = [(i + 1) / N_RECALL_SAMPLES_2D for i in range(N_RECALL_SAMPLES_2D)]
+        assert _float_bits(_SAMPLE_RECALLS_2D.tolist()) == _float_bits(want)
+
+
+YAWS = st.sampled_from(
+    [math.pi, -math.pi, 0.0, -0.0, float(np.nextafter(math.pi, 0.0)),
+     float(np.nextafter(-math.pi, 0.0)), math.pi / 2, -math.pi / 2]
+) | st.floats(-4.0, 4.0)
+
+
+class TestBoxCorners:
+    """box_corners' one stacked product against each box's own product."""
+
+    @EXAMPLES
+    @given(boxes=st.lists(
+        st.builds(Box3D, x=st.floats(-60.0, 60.0), y=st.floats(-60.0, 60.0),
+                  z=st.floats(-3.0, 12.0), l=st.floats(0.01, 20.0), w=st.floats(0.01, 4.0),
+                  h=st.floats(0.01, 4.0), theta=YAWS),
+        max_size=12,
+    ))
+    def test_stacked_equals_one_box_at_a_time(self, boxes):
+        want = np.array([box_corners_one_box_reference(b) for b in boxes]).reshape(-1, 8, 3)
+        assert _same_bits(box_corners(boxes), want)
+        for box in boxes:
+            assert _same_bits(box.corners(), box_corners_one_box_reference(box))
+
+    def test_every_noisy_benchmark_box(self, noisy_scene, noisy_comparison):
+        comparison, _ = noisy_comparison
+        boxes = [obj.box for frame in noisy_scene.frames for obj in frame.objects]
+        boxes += [pred.box for result in comparison.results.values()
+                  for frame_boxes in result.boxes.values() for pred in frame_boxes]
+        want = np.array([box_corners_one_box_reference(b) for b in boxes])
+        assert _same_bits(box_corners(boxes), want)
+
+
+class TestOverlapTruth:
+    """A frame's overlap ground truth, counted from its 2D ground-truth
+    projections, is what overlap_region_filter keeps."""
+
+    @staticmethod
+    def _kept_and_dropped(rig, frames):
+        kept = dropped = 0
+        for frame in frames:
+            _, gt3d, overlap = pipeline_module._frame_truth(rig, frame)
+            want = overlap_region_filter(rig, gt3d)
+            assert [id(g) for g in overlap] == [id(g) for g in want]
+            kept += len(want)
+            dropped += len(gt3d) - len(want)
+        return kept, dropped
+
+    def test_noisy_benchmark(self, bench_rig, noisy_scene):
+        kept, dropped = self._kept_and_dropped(bench_rig, noisy_scene.frames)
+        assert kept > 0 and dropped > 0
+
+    def test_ring8(self):
+        # every object of this rig lies in an overlap
+        rig = make_rig(RIGS["ring8"])
+        frames = build_scene(rig, GenSpec(seed=3, n_frames=10)).frames
+        assert self._kept_and_dropped(rig, frames) == (83, 0)

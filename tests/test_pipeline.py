@@ -18,8 +18,10 @@ from sianms.pipeline import (
     PredBox,
     RunReport,
     Scene,
+    SchemaError,
     Variant,
     VARIANT_ORDER,
+    check_inputs,
     compare_variants,
     config_from_dict,
     config_to_dict,
@@ -173,6 +175,35 @@ class TestRunPipeline:
         res = run_pipeline(small_scene, Variant.ORIGINAL, cfg, detections=empty)
         assert res.report.counts["detections_2d"] == 0
         assert _flat(res.boxes) == []
+
+
+class TestInputChecks:
+    """Inputs that would fail every frame are rejected before the first."""
+
+    def test_missing_prior_fails_before_the_first_frame(self, small_scene, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline_module, "simulate_detections", lambda *a: calls.append(a))
+        classes = {obj.class_id for f in small_scene.frames for obj in f.objects}
+        assert classes - {"car"}
+        cfg = PipelineConfig(
+            gen=SMALL_GEN, estimator=EstimatorConfig(dim_priors={"car": (4.5, 1.9, 1.6)})
+        )
+        with pytest.raises(SchemaError, match="estimator.dim_priors has no prior for class"):
+            run_pipeline(small_scene, Variant.ORIGINAL, cfg)
+        with pytest.raises(SchemaError, match="estimator.dim_priors has no prior for class"):
+            compare_variants(small_scene, cfg)
+        assert calls == []
+
+    def test_detections_outside_the_rig_or_the_priors(self, small_scene):
+        cfg = PipelineConfig(gen=SMALL_GEN)
+        dets = simulate_all(small_scene, SMALL_GEN)
+        check_inputs(small_scene, cfg, dets)
+        dets[2] = dets[2] + [_det("cam9", (0, 0, 10, 10), 0.9)]
+        with pytest.raises(SchemaError, match="detections: camera 'cam9' is not in the rig"):
+            check_inputs(small_scene, cfg, dets)
+        dets[2][-1] = _det(small_scene.rig.cameras[0].id, (0, 0, 10, 10), 0.9, cls="truck")
+        with pytest.raises(SchemaError, match="no prior for class 'truck'"):
+            check_inputs(small_scene, cfg, dets)
 
 
 class TestRunReport:

@@ -719,23 +719,29 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(0.0, 1e6)
 CLASS_NAMES = st.sampled_from(sorted(CLASS_DIMS))
 
+
+def _ordered_pairs(elements):
+    """(low, high) pairs with low <= high, as GenSpec's ranges must be."""
+    return st.tuples(elements, elements).map(lambda pair: tuple(sorted(pair)))
+
+
 PIPELINE_CONFIGS = st.builds(
     PipelineConfig,
     gen=st.builds(
         GenSpec,
         seed=st.integers(0, 2**63),
         n_frames=st.integers(0, 1000),
-        objects_per_frame=st.tuples(st.integers(0, 50), st.integers(0, 50)),
+        objects_per_frame=_ordered_pairs(st.integers(0, 50)),
         class_mix=st.dictionaries(CLASS_NAMES, st.floats(0.0, 1e6), min_size=1).filter(
             lambda mix: sum(mix.values()) > 0.0
         ),
-        radius_range=st.tuples(FINITE, FINITE),
+        radius_range=_ordered_pairs(FINITE),
         overlap_fraction=st.floats(0.0, 1.0),
         embed_dim=st.integers(1, 512),
         embed_noise=NONNEGATIVE,
         miss_rate=st.floats(0.0, 1.0),
         bbox_jitter_px=NONNEGATIVE,
-        lidar_points_range=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+        lidar_points_range=_ordered_pairs(st.integers(0, 10**4)),
         clutter_points=st.integers(0, 10**4),
     ),
     loss=st.builds(

@@ -302,6 +302,13 @@ class TestGenSpecValidation:
         with pytest.raises(ValueError, match=name):
             GenSpec(**{name: pair})
 
+    @pytest.mark.parametrize("name", ["objects_per_frame", "radius_range", "lidar_points_range"])
+    @pytest.mark.parametrize("pair", [(3, 2), (8.0, math.nextafter(8.0, 0.0)), (math.nan, 1.0),
+                                      (1.0, math.nan)], ids=["by-one", "by-one-ulp", "nan-low", "nan-high"])
+    def test_ranges_must_be_ordered(self, name, pair):
+        with pytest.raises(ValueError, match=f"{name} must have low <= high"):
+            GenSpec(**{name: pair})
+
     def test_ranges_take_any_two_numbers(self):
         spec = GenSpec(objects_per_frame=[2, 2], radius_range=(8, 30.5), lidar_points_range=(60, 120))
         assert spec.objects_per_frame == [2, 2] and spec.radius_range == (8, 30.5)
