@@ -23,25 +23,21 @@ from itertools import groupby
 from pathlib import Path
 
 from .matching import MissingEmbedding
-from .metrics import (
-    METRICS_3D,
-    EvalConfig3D,
-    Gt3D,
-    Pred3D,
-    evaluate_3d,
-    overlap_region_filter,
-)
+from .metrics import METRICS_3D, EvalConfig3D
 from .pipeline import (
     REGIONS,
     VARIANT_ORDER,
+    Frame,
+    Scene,
     Variant,
     check_inputs,
     compare_variants,
     csv_cell,
     csv_table,
+    evaluate_boxes,
+    frame_truth,
     report_rows,
     run_pipeline,
-    section_from_dict,
     text_cell,
 )
 from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, accumulate, evaluate_frame
@@ -55,6 +51,7 @@ from .sceneio import (
     load_matches,
     load_boxes,
     load_scene,
+    load_spec,
     matches_against_detections,
     write_boxes,
     write_comparison,
@@ -63,8 +60,7 @@ from .sceneio import (
     write_report,
     write_scene,
 )
-from .synthgen import GenSpec, RigSpec, generate_frame, make_rig, simulate_detections
-from .pipeline import Frame, Scene
+from .synthgen import generate_frame, make_rig, simulate_detections
 
 
 class _UsageError(Exception):
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-3d", parents=[fmt], help="score a 3D boxes file")
     p.add_argument("--pred", required=True, help="boxes file")
     p.add_argument("--gt", required=True, help="scene file holding ground truth")
-    p.add_argument("--region", default="all", choices=["all", "overlap"])
+    p.add_argument("--region", default="all", choices=REGIONS)
     p.set_defaults(func=cmd_eval_3d)
     return parser
 
@@ -165,20 +161,7 @@ def _emit(payload: dict, fmt: str, text: str, csv: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    spec = {}
-    if args.spec is not None:
-        spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if not isinstance(spec, dict):
-            raise SchemaError("spec: expected an object")
-        unknown = sorted(set(spec) - {"rig", "gen"})
-        if unknown:
-            raise SchemaError(f"spec: unknown section {unknown[0]!r}; a spec reads rig, gen")
-    try:
-        spec = apply_overrides(spec, _overrides(args))
-        rig_spec = section_from_dict(RigSpec, spec.get("rig", {}), "rig.")
-        gen_spec = section_from_dict(GenSpec, spec.get("gen", {}), "gen.")
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"spec: {exc}") from exc
+    rig_spec, gen_spec = load_spec(args.spec, _overrides(args))
     rig = make_rig(rig_spec)
     frames = []
     for index in range(gen_spec.n_frames):
@@ -343,21 +326,10 @@ def cmd_eval_3d(args) -> int:
     boxes_by_frame = load_boxes(args.pred)
     scene = load_scene(args.gt)
     region = args.region
-    cfg = EvalConfig3D(region=region)
-    gts = [
-        Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box)
-        for frame in scene.frames
-        for obj in frame.objects
-    ]
-    preds = [
-        Pred3D(group=b.frame, class_id=b.class_id, score=b.score, box=b.box)
-        for frame_boxes in boxes_by_frame.values()
-        for b in frame_boxes
-    ]
-    if region == "overlap":
-        gts = overlap_region_filter(scene.rig, gts)
-        preds = overlap_region_filter(scene.rig, preds)
-    result = evaluate_3d(preds, gts, cfg)
+    # in load_boxes order, which breaks score ties
+    boxes = [b for frame_boxes in boxes_by_frame.values() for b in frame_boxes]
+    truth = [g for frame in scene.frames for g in frame_truth(scene.rig, frame)[1][region]]
+    result = evaluate_boxes(scene.rig, boxes, truth, region, EvalConfig3D())
     text_lines = [f"region: {region}"]
     csv_lines = ["class," + ",".join(METRICS_3D) + ",num_gt,num_pred,num_matched"]
     for cls in sorted(result):
@@ -393,9 +365,6 @@ def main(argv=None) -> int:
         return 2
     except (MissingTruth, MissingEmbedding) as exc:
         print(f"schema error: input data incomplete: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"schema error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps everything to 3
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -144,7 +144,11 @@ def _combined_hull(extent_a, extent_b) -> tuple[float, float]:
 
 def central_axis_of_pair(extent_a, extent_b) -> float:
     """Circular mean of the two outermost angles across both extents."""
-    start, width = _combined_hull(extent_a, extent_b)
+    return _hull_axis(*_combined_hull(extent_a, extent_b))
+
+
+def _hull_axis(start: float, width: float) -> float:
+    """Circular mean of a _combined_hull's two boundary angles."""
     end = start + width
     # width < pi, so the two boundary directions are never antipodal.
     return wrap_angle(
@@ -174,6 +178,6 @@ def merge_frustums(a: Frustum, b: Frustum) -> Frustum:
     return Frustum(
         points=np.array(merged, dtype=float).reshape(-1, 3),
         extent=extent,
-        central_axis=central_axis_of_pair(a.extent, b.extent),
+        central_axis=_hull_axis(start, width),
         sources=a.sources + b.sources,
     )

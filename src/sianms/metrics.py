@@ -14,6 +14,11 @@ class builds one distance table (every prediction's closeness to the ground
 truth of its group, in score order) and runs one greedy pass over it per
 distinct threshold; the pass at tp_error_threshold feeds the errors, so when
 that threshold is one of the AP thresholds its matching runs once.
+
+Regions: "all", and "overlap", what is visible in at least 2 cameras
+(overlap_region_filter).  run, compare and eval-3d score a region through
+pipeline.evaluate_boxes, with the overlap ground truth taken from the 2D
+truth projections (pipeline.frame_truth).
 """
 
 from __future__ import annotations
@@ -58,19 +63,16 @@ class EvalConfig3D:
 
     center_distance_thresholds: ground-plane match radii in meters.
     tp_error_threshold: the radius whose matches feed the error metrics.
-    region: 'all' or 'overlap'; eval-3d keeps, for 'overlap', only what
-    overlap_region_filter keeps.
+    The region scored is no setting: run and compare score both, and
+    eval-3d the one its --region flag names.
     """
 
     center_distance_thresholds: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
     tp_error_threshold: float = 2.0
-    region: str = "all"
 
     def __post_init__(self):
         if not self.center_distance_thresholds:
             raise ValueError("need at least one center distance threshold")
-        if self.region not in ("all", "overlap"):
-            raise ValueError("region must be 'all' or 'overlap'")
 
 
 @dataclass(frozen=True)
@@ -242,17 +244,14 @@ def aligned_iou3d(a: Box3D, b: Box3D) -> float:
 
 
 def tp_errors(matched_pairs):
-    """Mean translation, scale and orientation errors over matched pairs.
+    """Mean translation, scale and orientation errors over matched
+    (prediction, ground truth) pairs, each with a .box.
 
     ATE: mean ground-plane center distance (m).  ASE: mean 1 - aligned 3D
     IoU.  AOE: mean smallest absolute yaw difference, each term in [0, pi].
     Returns None (the no-matches sentinel) when there are no pairs.
     """
-    pairs = []
-    for p, g in matched_pairs:
-        pairs.append(
-            (p.box if hasattr(p, "box") else p, g.box if hasattr(g, "box") else g)
-        )
+    pairs = [(p.box, g.box) for p, g in matched_pairs]
     if not pairs:
         return None
     ate = float(np.mean([_ground_distance(p, g) for p, g in pairs]))
@@ -328,7 +327,7 @@ def visible_camera_counts(rig: CameraRig, boxes) -> np.ndarray:
     corners = box_corners(boxes)
     counts = np.zeros(len(corners), dtype=int)
     for cam in rig.cameras:
-        counts += box_image_extents(cam, corners)[1]
+        counts += box_image_extents(cam, corners)[2]
     return counts
 
 

@@ -232,6 +232,14 @@ def section_from_dict(cls, data, prefix: str):
     return cls(**{k: _tuples(v) for k, v in data.items()})
 
 
+def check_sections(data: dict, names, what: str) -> None:
+    """Raise ValueError naming the first key of data that is not one of
+    names, so a misspelled or unsupported section is not silently ignored."""
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ValueError(f"unknown section {unknown[0]!r}; a {what} reads {', '.join(names)}")
+
+
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return json_value(cfg)
 
@@ -239,16 +247,11 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 def config_from_dict(data: dict) -> PipelineConfig:
     """Inverse of config_to_dict; omitted fields keep their defaults.
 
-    Raises ValueError naming the first key that is no PipelineConfig field,
-    so a misspelled or unsupported section is not silently ignored, and
-    TypeError naming the first value of the wrong type.
+    Raises ValueError naming the first key that is no PipelineConfig field
+    (check_sections), and TypeError naming the first value of the wrong
+    type.
     """
-    sections = [f.name for f in fields(PipelineConfig)]
-    unknown = sorted(set(data) - set(sections))
-    if unknown:
-        raise ValueError(
-            f"unknown section {unknown[0]!r}; a config reads {', '.join(sections)}"
-        )
+    check_sections(data, [f.name for f in fields(PipelineConfig)], "config")
     _check_types(PipelineConfig, data, "")
     return PipelineConfig(**{
         f.name: _tuples(data[f.name]) if f.default_factory is MISSING
@@ -330,20 +333,21 @@ def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
     return working, matches, boxes
 
 
-def _frame_truth(rig, frame):
-    """(2D records, 3D ground truth, overlap 3D ground truth) of a frame.
+def frame_truth(rig, frame):
+    """(2D records, 3D ground truth by region) of a frame, from one
+    projection of its boxes on each camera.
 
     The 2D records are the projected boxes with pixel height and truncation
-    ratio.  The overlap subset keeps the objects with a nonempty clipped
-    projection in at least 2 cameras, overlap_region_filter's rule, counted
-    from the same clipped projections as the 2D records.
+    ratio.  The 3D ground truth of "all" holds every object; "overlap" keeps
+    those with a nonempty clipped projection in at least 2 cameras,
+    overlap_region_filter's rule, counted from the same clipped projections
+    as the 2D records.
     """
     corners = box_corners(obj.box for obj in frame.objects)
     n_visible = np.zeros(len(frame.objects), dtype=int)
     per_camera = []
     for cam in rig.cameras:
-        clipped, visible = box_image_extents(cam, corners)
-        raw, _ = box_image_extents(cam, corners, clip=False)
+        raw, clipped, visible = box_image_extents(cam, corners)
         n_visible += visible
         per_camera.append((cam, clipped.tolist(), raw.tolist(), visible.tolist()))
     records = []
@@ -363,7 +367,7 @@ def _frame_truth(rig, frame):
                 )
             )
     gt3d = [Gt3D(group=frame.index, class_id=obj.class_id, box=obj.box) for obj in frame.objects]
-    return records, gt3d, [g for g, n in zip(gt3d, n_visible) if n >= 2]
+    return records, {"all": gt3d, "overlap": [g for g, n in zip(gt3d, n_visible) if n >= 2]}
 
 
 def _mean_row(per_class: dict) -> dict:
@@ -420,7 +424,7 @@ def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
     a caller stays an error of its own frame."""
     check_inputs(scene, cfg)
     runs = [_VariantRun(variant) for variant in variants]
-    truth = {}  # frame index -> (Gt2D list, Gt3D list, overlap Gt3D list)
+    truth = {}  # frame index -> (Gt2D list, {region: Gt3D list})
     shared_s = 0.0
     for frame in scene.frames:
         shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, truth)
@@ -442,7 +446,7 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
             frame_dets = list(detections.get(frame.index, []))
         else:
             frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
-        truth[frame.index] = _frame_truth(rig, frame)
+        truth[frame.index] = frame_truth(rig, frame)
         named = {det.camera_id for det in frame_dets}
         views = {
             cam.id: camera_view(cam, frame.cloud)
@@ -482,32 +486,34 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     return shared_s
 
 
+def evaluate_boxes(rig, boxes, ground_truth, region: str, cfg: EvalConfig3D) -> dict:
+    """One region's per-class 3D metrics (evaluate_3d) of PredBoxes against
+    that region's Gt3D list: for "overlap", the boxes overlap_region_filter
+    keeps are scored, in their order.  run, compare and eval-3d all score
+    through here."""
+    if region == "overlap":
+        boxes = overlap_region_filter(rig, boxes)
+    preds = [Pred3D(group=b.frame, class_id=b.class_id, score=b.score, box=b.box) for b in boxes]
+    return evaluate_3d(preds, ground_truth, cfg)
+
+
 def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float):
     """Score one variant's gathered outputs against the frames it processed."""
     started = time.perf_counter()
     processed = [f for f in scene.frames if f.index in run.boxes]
     all_boxes = [b for f in processed for b in run.boxes[f.index]]
     gt2d = [g for f in processed for g in truth[f.index][0]]
-    gt3d_all = [g for f in processed for g in truth[f.index][1]]
-    gt3d_overlap = [g for f in processed for g in truth[f.index][2]]
-    pred3d_all = [
-        Pred3D(group=b.frame, class_id=b.class_id, score=b.score, box=b.box)
-        for b in all_boxes
-    ]
+    gt3d = {region: [g for f in processed for g in truth[f.index][1][region]] for region in REGIONS}
     metrics_3d = {}
-    for region, gts, preds in zip(
-        REGIONS,
-        (gt3d_all, gt3d_overlap),
-        (pred3d_all, overlap_region_filter(scene.rig, pred3d_all)),
-    ):
-        per_class = evaluate_3d(preds, gts, cfg.eval3d)
+    for region in REGIONS:
+        per_class = evaluate_boxes(scene.rig, all_boxes, gt3d[region], region, cfg.eval3d)
         metrics_3d[region] = {"per_class": per_class, "mean": _mean_row(per_class)}
     reid = accumulate(run.reid_frames).as_dict() if run.reid_frames else None
     counts = {
         "frames": len(scene.frames),
         "frames_processed": len(processed),
-        "gt_objects": len(gt3d_all),
-        "gt_overlap_objects": len(gt3d_overlap),
+        "gt_objects": len(gt3d["all"]),
+        "gt_overlap_objects": len(gt3d["overlap"]),
         "detections_2d": run.n_detections,
         "boxes_3d": len(all_boxes),
         "merged_boxes": sum(1 for b in all_boxes if b.merged),

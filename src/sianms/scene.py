@@ -289,16 +289,16 @@ class CameraRig:
         return out
 
 
-def as_point_cloud(points, finite: bool = True) -> np.ndarray:
+def as_point_cloud(points) -> np.ndarray:
     """Validate and convert raw point data to an (N, 3) float64 array; empty
-    data of any shape is (0, 3). ValueError for another shape, or, unless
-    finite is False, for a non-finite coordinate."""
+    data of any shape is (0, 3). ValueError for another shape or for a
+    non-finite coordinate."""
     arr = np.asarray(points, dtype=float)
     if arr.size == 0:
         return arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"a cloud must be (N, 3), got shape {arr.shape}")
-    if finite and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("a cloud holds non-finite coordinates")
     return arr
 
@@ -364,18 +364,18 @@ def box_corners(boxes) -> np.ndarray:
     return local @ rot.transpose(0, 2, 1) + data[:, None, :3]
 
 
-def box_image_extents(cam: CameraModel, corners: np.ndarray, clip: bool = True):
-    """box3d_to_bbox2d of many boxes on one camera.
+def box_image_extents(cam: CameraModel, corners: np.ndarray):
+    """box3d_to_bbox2d of many boxes on one camera, raw and clipped, from
+    one projection.
 
-    corners is an (n, 8, 3) stack from box_corners.  Returns (extents,
+    corners is an (n, 8, 3) stack from box_corners.  Returns (raw, clipped,
     visible): the (n, 4) rows x_min, y_min, x_max, y_max of each box's
-    image bbox, and the mask of boxes that have one.  Each box goes through
-    its own (8, 3) @ (3, 3) product; corners at depth <= DEPTH_EPSILON are
-    left out of the extremes, the rest are projected as f * p / depth + c,
-    and with clip=True the extremes are clipped to the image.  A box is
-    visible when its (clipped) bbox has positive width and height, which a
-    box wholly behind the camera, its extents (inf, inf, -inf, -inf) or
-    clipped from those, never has.
+    image bbox, those rows clipped to the image, and the mask of boxes whose
+    clipped bbox has positive width and height, which a box wholly behind
+    the camera, raw extents (inf, inf, -inf, -inf), never has.  Each box
+    goes through its own (8, 3) @ (3, 3) product; corners at depth <=
+    DEPTH_EPSILON are left out of the extremes, the rest are projected as
+    f * p / depth + c, and the extremes are clipped after they are taken.
     """
     p_cam = (corners - cam.pose.translation) @ cam.pose.rotation
     in_front = p_cam[:, :, 2:] > DEPTH_EPSILON
@@ -383,12 +383,9 @@ def box_image_extents(cam: CameraModel, corners: np.ndarray, clip: bool = True):
     uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :, :2] / depth
     lo = np.where(in_front, uv, np.inf).min(axis=1)
     hi = np.where(in_front, uv, -np.inf).max(axis=1)
-    if clip:
-        size = np.array([cam.width, cam.height])
-        lo = np.clip(lo, 0.0, size)
-        hi = np.clip(hi, 0.0, size)
-    visible = ~(hi - lo <= 0.0).any(axis=1)
-    return np.concatenate([lo, hi], axis=1), visible
+    raw = np.concatenate([lo, hi], axis=1)
+    clipped = np.clip(raw, 0.0, [cam.width, cam.height, cam.width, cam.height])
+    return raw, clipped, ~(clipped[:, 2:] - clipped[:, :2] <= 0.0).any(axis=1)
 
 
 def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D | None:
@@ -399,8 +396,11 @@ def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D |
     intersected with the image window.  Returns None when every corner is
     behind the camera or the (clipped) box has zero area.
     """
-    extents, visible = box_image_extents(cam, box.corners()[None], clip)
-    return BBox2D(*extents[0].tolist()) if visible[0] else None
+    raw, clipped, visible = box_image_extents(cam, box.corners()[None])
+    row = (clipped if clip else raw)[0]
+    # the clipped mask's rule, under which a NaN extent counts as visible
+    seen = visible[0] if clip else not (row[2:] - row[:2] <= 0.0).any()
+    return BBox2D(*row.tolist()) if seen else None
 
 
 def angular_extent(cam: CameraModel, bbox: BBox2D) -> tuple[float, float]:

@@ -26,8 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .matching import MatchedPair, MatchResult
-from .pipeline import Frame, PipelineConfig, PredBox, Scene, SchemaError, config_from_dict, json_value
+from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, check_sections,
+                       config_from_dict, json_value, section_from_dict)
 from .scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject, as_point_cloud
+from .synthgen import GenSpec, RigSpec
 
 
 def _fail(path: str, message: str):
@@ -193,8 +195,8 @@ _INLINE_ROW = "          [\n            %s,\n            %s,\n            %s\n  
 
 def _inline_cloud_json(cloud: np.ndarray) -> str:
     """The text json.dumps(indent=2) gives the inline rows of an (n, 3) or
-    empty cloud in a scene file, each value formatted by json itself (float
-    repr, NaN, Infinity), but in one pass over the values."""
+    empty cloud in a scene file, each value formatted by json itself, but in
+    one pass over the values."""
     if not cloud.size:
         return "[]"
     values = _json_numbers(cloud.ravel().tolist())
@@ -205,17 +207,16 @@ def _inline_cloud_json(cloud: np.ndarray) -> str:
 def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
     """Write a scene file; lidar_bin switches clouds to binary side files.
 
-    Every cloud's shape is checked by as_point_cloud before any file is
-    opened, so a cloud that is not (N, 3) writes nothing. Non-finite
-    coordinates are written as json spells them (NaN, Infinity); load_scene
-    refuses them. Inline clouds
-    are left out of the json.dumps call, as "inline": null; the file is
-    then written piece by piece, each piece of that text between two nulls
-    followed by the next cloud's text, formatted just before it is written,
-    so no more than one cloud's text is held at a time.
+    Every cloud is checked by as_point_cloud before any file is opened, so
+    a cloud that is not (N, 3) or holds a non-finite coordinate, which
+    load_scene would refuse, raises ValueError and writes nothing. Inline
+    clouds are left out of the json.dumps call, as "inline": null; the file
+    is then written piece by piece, each piece of that text between two
+    nulls followed by the next cloud's text, formatted just before it is
+    written, so no more than one cloud's text is held at a time.
     """
     path = Path(path)
-    clouds = [as_point_cloud(frame.cloud, finite=False) for frame in scene.frames]
+    clouds = [as_point_cloud(frame.cloud) for frame in scene.frames]
     bin_names = [f"{path.stem}_frame{frame.index:04d}.bin" for frame in scene.frames]
     frames = [
         {
@@ -554,19 +555,37 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
     return data
 
 
-def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from an optional JSON file plus flag overrides
-    (see apply_overrides). Missing keys keep their dataclass defaults.
-    """
+def _load_object(path, overrides: dict | None, what: str, build):
+    """build(data) of the JSON object in an optional file plus overrides
+    (apply_overrides); SchemaError, prefixed with what, for a file holding
+    no object and for a TypeError or ValueError of build."""
     data = {}
     if path is not None:
         data = _load_json(path)
         if not isinstance(data, dict):
-            _fail("$", f"expected an object, got {type(data).__name__}")
+            _fail(what, f"expected an object, got {type(data).__name__}")
     try:
-        return config_from_dict(apply_overrides(data, overrides or {}))
+        return build(apply_overrides(data, overrides or {}))
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"config: {exc}") from exc
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
+def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
+    """Build a PipelineConfig from an optional JSON file plus flag overrides
+    (see apply_overrides). Missing keys keep their dataclass defaults.
+    """
+    return _load_object(path, overrides, "config", config_from_dict)
+
+
+def _spec_from_dict(data: dict) -> tuple[RigSpec, GenSpec]:
+    check_sections(data, ("rig", "gen"), "spec")
+    return (section_from_dict(RigSpec, data.get("rig", {}), "rig."),
+            section_from_dict(GenSpec, data.get("gen", {}), "gen."))
+
+
+def load_spec(path=None, overrides: dict | None = None) -> tuple[RigSpec, GenSpec]:
+    """The rig and gen sections of a generate spec, read as load_config reads a config."""
+    return _load_object(path, overrides, "spec", _spec_from_dict)
 
 
 def write_report(path, report) -> None:

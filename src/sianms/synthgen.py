@@ -372,7 +372,7 @@ def simulate_detections(
     # first detection and reused for the rest
     anchors = [None] * len(objects)
     for cam in rig.cameras:
-        extents, visible = box_image_extents(cam, corners)
+        _, extents, visible = box_image_extents(cam, corners)
         for k, (obj, bbox, seen) in enumerate(zip(objects, extents.tolist(), visible.tolist())):
             if not seen:
                 continue

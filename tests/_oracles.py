@@ -758,7 +758,7 @@ def simulate_detections_reference(rig, objects, spec, frame_index=0):
     detections = []
     corners = box_corners(obj.box for obj in objects)
     for cam in rig.cameras:
-        extents, visible = box_image_extents(cam, corners)
+        _, extents, visible = box_image_extents(cam, corners)
         for obj, bbox, seen in zip(objects, extents.tolist(), visible.tolist()):
             if not seen:
                 continue
@@ -938,7 +938,6 @@ def config_to_dict_reference(cfg) -> dict:
         "eval3d": {
             "center_distance_thresholds": list(cfg.eval3d.center_distance_thresholds),
             "tp_error_threshold": cfg.eval3d.tp_error_threshold,
-            "region": cfg.eval3d.region,
         },
         "tau": cfg.tau,
         "nms_iou": cfg.nms_iou,

@@ -6,6 +6,11 @@ import pytest
 
 import sianms.pipeline as pipeline_module
 from sianms.cli import main
+from sianms.pipeline import REGIONS, PipelineConfig, config_to_dict
+from sianms.sceneio import write_scene
+from sianms.synthgen import GenSpec, RigSpec, benchmark_gen_spec, make_rig
+
+from conftest import build_scene
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +214,17 @@ class TestInputsBeforeTheFirstFrame:
         assert "estimator.dim_priors has no prior for class" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_eval3d_region_is_an_unknown_key(self, tmp_path, scene_dir, capsys, command):
+        # run and compare score both regions; eval-3d takes its region from --region
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eval3d": {"region": "overlap"}}))
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, "--config", str(config))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: config: ") and "'region'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("camera_id", "cam9", "detections: camera 'cam9' is not in the rig"),
         ("class", "truck", "no prior for class 'truck'"),
@@ -295,6 +311,24 @@ class TestConfigSections:
         assert code == 2
         assert repr(section) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "{what}: expected an object, got list"),
+        ("{truncated", "{what}.json: invalid JSON ("),
+    ], ids=["list", "truncated"])
+    @pytest.mark.parametrize("what", ["spec", "config"])
+    def test_spec_and_config_load_alike(self, tmp_path, scene_dir, capsys, what, text, message):
+        path = tmp_path / f"{what}.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        if what == "spec":
+            argv = ["generate", "--spec", str(path), "--out", str(out)]
+        else:
+            argv = ["simulate", "--scene", str(scene_dir / "scene.json"),
+                    "--config", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        assert message.format(what=what) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section", ["gen", "loss", "estimator", "eval2d", "eval3d"])
     def test_unknown_config_key_is_two(self, tmp_path, scene_dir, capsys, section):
@@ -415,3 +449,34 @@ class TestFlags:
         assert (config["tau"], config["nms_iou"]) == (0.9, 0.4)
         assert (config["loss"]["alpha"], config["loss"]["beta"]) == (0.5, 1.5)
         assert capsys.readouterr().out.startswith("section,region,class,metric,value\n")
+
+
+@pytest.fixture(scope="module", params=["noisy", "ring8"])
+def scored_run(request, tmp_path_factory):
+    """(scene file, sianms run directory) of the noisy benchmark scene and of
+    a 10-frame eight-camera ring, run through the console entry point."""
+    root = tmp_path_factory.mktemp(request.param)
+    if request.param == "noisy":
+        scene, gen = request.getfixturevalue("noisy_scene"), benchmark_gen_spec(42, noisy=True)
+    else:
+        gen = GenSpec(seed=3, n_frames=10)
+        scene = build_scene(make_rig(RigSpec(n_cameras=8, yaw_spacing_deg=45.0, hfov_deg=100.0)), gen)
+    write_scene(root / "scene.json", scene)
+    (root / "config.json").write_text(json.dumps(config_to_dict(PipelineConfig(gen=gen))))
+    out = root / "run"
+    assert main(["run", "--scene", str(root / "scene.json"), "--config", str(root / "config.json"),
+                 "--variant", "sianms", "--out", str(out)]) == 0
+    return root / "scene.json", out
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_eval_3d_scores_as_run_does(scored_run, region, capsys):
+    """eval-3d on a run's boxes gives the per-class metrics of the run's own
+    report, overlap included: both score through one path."""
+    scene_path, out = scored_run
+    report = json.loads((out / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["eval-3d", "--pred", str(out / "boxes.json"), "--gt", str(scene_path),
+                 "--region", region, "--json"]) == 0
+    classes = json.loads(capsys.readouterr().out)["classes"]
+    assert classes and classes == report["metrics_3d"][region]["per_class"]

@@ -147,18 +147,35 @@ class TestWriteSceneCloudShapes:
 
 
 class TestNonFiniteClouds:
-    """A cloud with a NaN or infinite coordinate is written as json spells
-    it (test_exactness.py's TestInlineSceneText) but refused on load, in
-    both formats, with the frame's lidar path."""
+    """A cloud with a NaN or infinite coordinate is refused on write, before
+    any file is opened, and on load, with the frame's lidar path, in both
+    formats."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
-    def test_written_but_refused_on_load(self, tmp_path, tiny_scene, lidar_bin, value):
+    def test_refused_on_write(self, tmp_path, tiny_scene, lidar_bin, value):
         scene, _ = tiny_scene
         cloud = scene.frames[1].cloud.copy()
         cloud[2, 1] = value
+        with pytest.raises(ValueError, match="^a cloud holds non-finite"):
+            write_scene(tmp_path / "scene.json", _with_cloud(scene, 1, cloud), lidar_bin=lidar_bin)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
+    def test_refused_on_load(self, tmp_path, tiny_scene, lidar_bin, value):
+        scene, _ = tiny_scene
         path = tmp_path / "scene.json"
-        write_scene(path, _with_cloud(scene, 1, cloud), lidar_bin=lidar_bin)
+        write_scene(path, scene, lidar_bin=lidar_bin)
+        if lidar_bin:
+            bin_path = tmp_path / f"scene_frame{scene.frames[1].index:04d}.bin"
+            floats = np.frombuffer(bin_path.read_bytes(), dtype="<f4").copy()
+            floats[2 * 3 + 1] = value
+            bin_path.write_bytes(floats.tobytes())
+        else:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            data["frames"][1]["lidar"]["inline"][2][1] = value
+            path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(SchemaError, match=r"^frames\[1\]\.lidar: a cloud holds non-finite"):
             load_scene(path)
 
@@ -771,7 +788,6 @@ PIPELINE_CONFIGS = st.builds(
         EvalConfig3D,
         center_distance_thresholds=st.lists(FINITE, min_size=1, max_size=5).map(tuple),
         tp_error_threshold=FINITE,
-        region=st.sampled_from(["all", "overlap"]),
     ),
     tau=st.none() | FINITE,
     nms_iou=FINITE,
