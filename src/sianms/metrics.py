@@ -13,10 +13,12 @@ matched pairs yield translation / scale / orientation error averages.  Each
 class builds one distance table (every prediction's closeness to the ground
 truth of its group, in score order) and runs one greedy pass over it per
 distinct threshold; the pass at tp_error_threshold feeds the errors, so when
-that threshold is one of the AP thresholds its matching runs once.
+that threshold is one of the AP thresholds its matching runs once, and the
+table's closeness of each matched pair, negated, is its distance for ATE.
 
 Regions: "all", and "overlap", what is visible in at least 2 cameras
-(overlap_region_filter).  run, compare and eval-3d score a region through
+(overlap_region_filter, from one projection of the boxes on the whole
+rig).  run, compare and eval-3d score a region through
 pipeline.evaluate_boxes, with the overlap ground truth taken from the 2D
 truth projections (pipeline.frame_truth).
 """
@@ -150,21 +152,22 @@ def _greedy_pass(table, threshold) -> list:
     Each row's prediction takes the untaken candidate with the highest
     similarity at or above threshold, the first one on ties: the first
     untaken entry of its ranking, unless a value below threshold comes
-    first.  Returns (pred, gt or None) per row, in row order.
+    first.  Returns (pred, gt or None, their similarity or None) per row,
+    in row order.
     """
     taken: dict = {}  # key -> indices of its taken candidates
     out = []
     for det, key, candidates, ranked in table:
         used = taken.setdefault(key, set())
-        match = None
+        match = similarity = None
         for value, j in ranked:
             if not value >= threshold:
                 break
             if j not in used:
                 used.add(j)
-                match = candidates[j]
+                match, similarity = candidates[j], value
                 break
-        out.append((det, match))
+        out.append((det, match, similarity))
     return out
 
 
@@ -178,7 +181,7 @@ def _iou_of(pred, gt) -> float:
 
 
 def _tp_flags(preds, gts, similarity, threshold) -> list[bool]:
-    return [g is not None for _, g in _greedy_match(preds, gts, similarity, threshold)]
+    return [g is not None for _, g, _ in _greedy_match(preds, gts, similarity, threshold)]
 
 
 def _interpolated_precision_samples(tp_flags, n_gt, sample_recalls) -> np.ndarray:
@@ -231,7 +234,7 @@ def match_3d(predictions, ground_truth, threshold: float):
     group within the threshold.  Returns matched (Pred3D, Gt3D) pairs.
     """
     pairs = _greedy_match(predictions, ground_truth, _closeness, -threshold)
-    return [(p, g) for p, g in pairs if g is not None]
+    return [(p, g) for p, g, _ in pairs if g is not None]
 
 
 def aligned_iou3d(a: Box3D, b: Box3D) -> float:
@@ -243,18 +246,22 @@ def aligned_iou3d(a: Box3D, b: Box3D) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def tp_errors(matched_pairs):
+def tp_errors(matched_pairs, distances=None):
     """Mean translation, scale and orientation errors over matched
     (prediction, ground truth) pairs, each with a .box.
 
-    ATE: mean ground-plane center distance (m).  ASE: mean 1 - aligned 3D
-    IoU.  AOE: mean smallest absolute yaw difference, each term in [0, pi].
-    Returns None (the no-matches sentinel) when there are no pairs.
+    ATE: mean ground-plane center distance (m), of each pair's entry in
+    distances when given (evaluate_3d reads them off its distance table),
+    else of _ground_distance.  ASE: mean 1 - aligned 3D IoU.  AOE: mean
+    smallest absolute yaw difference, each term in [0, pi].  Returns None
+    (the no-matches sentinel) when there are no pairs.
     """
     pairs = [(p.box, g.box) for p, g in matched_pairs]
     if not pairs:
         return None
-    ate = float(np.mean([_ground_distance(p, g) for p, g in pairs]))
+    if distances is None:
+        distances = [_ground_distance(p, g) for p, g in pairs]
+    ate = float(np.mean(distances))
     ase = float(np.mean([1.0 - aligned_iou3d(p, g) for p, g in pairs]))
     aoe = float(np.mean([abs(wrap_angle(p.theta - g.theta)) for p, g in pairs]))
     return ate, ase, aoe
@@ -304,11 +311,12 @@ def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]
         table = _similarity_table(cls_preds, cls_gts, _closeness)
         passes = {t: _greedy_pass(table, -t) for t in {*thresholds, cfg.tp_error_threshold}}
         aps = [
-            _normalized_ap([g is not None for _, g in passes[t]], len(cls_gts))
+            _normalized_ap([g is not None for _, g, _ in passes[t]], len(cls_gts))
             for t in thresholds
         ]
-        matched = [(p, g) for p, g in passes[cfg.tp_error_threshold] if g is not None]
-        errors = tp_errors(matched)
+        matched = [row for row in passes[cfg.tp_error_threshold] if row[1] is not None]
+        # closeness is the negated distance, and negation is exact
+        errors = tp_errors([row[:2] for row in matched], [-row[2] for row in matched])
         out[cls] = {
             "ap": float(np.mean(aps)),
             "ate": errors[0] if errors else None,
@@ -323,12 +331,8 @@ def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]
 
 def visible_camera_counts(rig: CameraRig, boxes) -> np.ndarray:
     """Per box, the number of rig cameras in which box3d_to_bbox2d gives a
-    nonempty clipped bbox."""
-    corners = box_corners(boxes)
-    counts = np.zeros(len(corners), dtype=int)
-    for cam in rig.cameras:
-        counts += box_image_extents(cam, corners)[2]
-    return counts
+    nonempty clipped bbox, from one box_image_extents call on the rig."""
+    return box_image_extents(rig.cameras, box_corners(boxes))[2].sum(axis=0)
 
 
 def visible_camera_count(rig: CameraRig, box: Box3D) -> int:

@@ -14,19 +14,22 @@ Four variants over identical inputs:
 
 Every variant takes a frame through one flow.  Its working set is the
 frame's own Detection2D objects, or the subset NMS keeps; the matcher runs
-on it for 2d+embedding and sianms; each working detection gets one frustum;
-then one list of box fits, for sianms one per matched pair followed by one
-per unmatched detection and otherwise one per detection, goes through one
-estimator loop.  Empty frustums and fits with too few points are counted as
-drops.
+on it, once for both, for 2d+embedding and sianms; each working detection
+gets one frustum; then one list of box fits, for sianms one per matched
+pair followed by one per unmatched detection and otherwise one per
+detection, goes through one estimator loop.  Empty frustums and fits with
+too few points are counted as drops.
 
 All variants run in one loop over the frames: each frame's detections,
 ground truth and camera views (its cloud projected once on each camera its
 detections name) are built once, then every variant processes the frame and
 filters its frustums against those views.  A frame whose processing raises
 is recorded under errors and skipped by the variants it reached (all of them
-when building its detections, ground truth or views raised); the run
-continues with the remaining frames.
+when building its detections, ground truth or views raised, 2d+embedding and
+sianms when their matching raised); the run continues with the remaining
+frames.  Scoring is shared the same way: variants with the same input over
+the same frames get one 2D AP (per working set) and one set of 3D metrics
+(per box set, which original and 2d+embedding have in common).
 """
 
 from __future__ import annotations
@@ -292,17 +295,12 @@ def _pair_frustum(pair, frustums):
         return (fr_a if pair.a.score >= pair.b.score else fr_b), False
 
 
-def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
-    """Returns (working 2D detections, MatchResult or None, PredBox list).
+def _process_frame(rig, frame, views, working, matches, variant, cfg, dropped):
+    """The PredBox list of one variant on a frame's working detections.
 
-    views maps camera id to the frame's CameraView on that camera.
+    views maps camera id to the frame's CameraView on that camera; matches
+    is the working set's MatchResult, which sianms fits its pairs from.
     """
-    working = detections
-    if variant is Variant.ORIGINAL_NMS:
-        working = nms_greedy(detections, cfg.nms_iou)
-    matches = None
-    if variant in (Variant.EMBEDDING_2D, Variant.SIANMS):
-        matches = match_adjacent(rig, working, cfg.resolved_tau)
     frustums = {}  # detection -> its Frustum, None when empty
     for det in working:
         cam = rig.camera(det.camera_id)
@@ -330,12 +328,12 @@ def _process_frame(rig, frame, views, detections, variant, cfg, dropped):
             dropped["too_few_points"] += 1
             continue
         boxes.append(PredBox(frame.index, class_id, float(score), box, n_sources, merged))
-    return working, matches, boxes
+    return boxes
 
 
 def frame_truth(rig, frame):
     """(2D records, 3D ground truth by region) of a frame, from one
-    projection of its boxes on each camera.
+    projection of its boxes on the whole rig.
 
     The 2D records are the projected boxes with pixel height and truncation
     ratio.  The 3D ground truth of "all" holds every object; "overlap" keeps
@@ -344,12 +342,9 @@ def frame_truth(rig, frame):
     as the 2D records.
     """
     corners = box_corners(obj.box for obj in frame.objects)
-    n_visible = np.zeros(len(frame.objects), dtype=int)
-    per_camera = []
-    for cam in rig.cameras:
-        raw, clipped, visible = box_image_extents(cam, corners)
-        n_visible += visible
-        per_camera.append((cam, clipped.tolist(), raw.tolist(), visible.tolist()))
+    raw, clipped, visible = box_image_extents(rig.cameras, corners)
+    n_visible = visible.sum(axis=0)
+    per_camera = list(zip(rig.cameras, clipped.tolist(), raw.tolist(), visible.tolist()))
     records = []
     for k, obj in enumerate(frame.objects):
         for cam, clipped_rows, raw_rows, visible in per_camera:
@@ -428,7 +423,31 @@ def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
     shared_s = 0.0
     for frame in scene.frames:
         shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, truth)
-    return [_evaluate(scene, cfg, run, truth, shared_s) for run in runs]
+    scores = {}  # (score, its input, frames processed) -> that score
+    return [_evaluate(scene, cfg, run, truth, shared_s, scores) for run in runs]
+
+
+# the variants that match their working set across cameras
+_MATCHING = (Variant.EMBEDDING_2D, Variant.SIANMS)
+
+
+def _once(compute):
+    """A function that calls compute() at its first call only, and at every
+    call returns what that call returned or raises what it raised."""
+    outcome = []
+
+    def shared():
+        if not outcome:
+            try:
+                outcome.append((compute(), None))
+            except Exception as exc:  # noqa: BLE001 - raised again at every call
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return shared
 
 
 def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
@@ -436,9 +455,14 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
 
     The detections, the 2D ground-truth records, the 3D ground truth with its
     overlap subset and one CameraView per rig camera that a detection names
-    are built once and shared by every variant; each variant then processes
-    the frame on its own.  An exception in the shared work is recorded under
-    the frame by every variant.  The views are dropped on return.
+    are built once and shared by every variant; an exception there is
+    recorded under the frame by every variant.  The matching variants match
+    the same working set, the frame's detections, so match_adjacent and
+    evaluate_frame run once, at the first variant that needs them, and their
+    result, or the exception they raised, serves both; the seconds they take
+    count toward that variant.  Each variant then fits its boxes on its own,
+    so an exception there is recorded by that variant only.  The views are
+    dropped on return.
     """
     started = time.perf_counter()
     try:
@@ -458,15 +482,21 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
             run.errors.append(_frame_error(frame, exc))
         return time.perf_counter() - started
     shared_s = time.perf_counter() - started
+    match = _once(lambda: match_adjacent(rig, frame_dets, cfg.resolved_tau))
+    reid = _once(lambda: evaluate_frame(match(), frame_dets, rig))
     for run in runs:
         started = time.perf_counter()
         try:
-            working, matches, boxes = _process_frame(
-                rig, frame, views, frame_dets, run.variant, cfg, run.dropped
+            working = frame_dets
+            if run.variant is Variant.ORIGINAL_NMS:
+                working = nms_greedy(frame_dets, cfg.nms_iou)
+            matches = match() if run.variant in _MATCHING else None
+            boxes = _process_frame(
+                rig, frame, views, working, matches, run.variant, cfg, run.dropped
             )
             if matches is not None:
                 run.matches[frame.index] = matches
-                run.reid_frames.append(evaluate_frame(matches, working, rig))
+                run.reid_frames.append(reid())
         except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
             run.errors.append(_frame_error(frame, exc))
             continue
@@ -497,17 +527,34 @@ def evaluate_boxes(rig, boxes, ground_truth, region: str, cfg: EvalConfig3D) -> 
     return evaluate_3d(preds, ground_truth, cfg)
 
 
-def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float):
-    """Score one variant's gathered outputs against the frames it processed."""
+# 2d+embedding fits original's boxes: one per detection of the same working
+# set, in the same order, so over the same frames both score alike
+_SAME_BOXES = {Variant.EMBEDDING_2D: Variant.ORIGINAL}
+
+
+def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float, scores: dict):
+    """Score one variant's gathered outputs against the frames it processed.
+
+    Variants with the same input over the same frames share one score, from
+    scores: 2D AP is keyed by the working set (all detections or the NMS
+    subset) and the 3D metrics of both regions by the boxes (_SAME_BOXES).
+    The keys are known by construction; outputs are never compared.
+    """
     started = time.perf_counter()
     processed = [f for f in scene.frames if f.index in run.boxes]
+    frames = tuple(f.index for f in processed)
     all_boxes = [b for f in processed for b in run.boxes[f.index]]
-    gt2d = [g for f in processed for g in truth[f.index][0]]
     gt3d = {region: [g for f in processed for g in truth[f.index][1][region]] for region in REGIONS}
-    metrics_3d = {}
-    for region in REGIONS:
-        per_class = evaluate_boxes(scene.rig, all_boxes, gt3d[region], region, cfg.eval3d)
-        metrics_3d[region] = {"per_class": per_class, "mean": _mean_row(per_class)}
+    key_2d = ("2d", run.variant is Variant.ORIGINAL_NMS, frames)
+    if key_2d not in scores:
+        gt2d = [g for f in processed for g in truth[f.index][0]]
+        scores[key_2d] = ap_2d(run.pred2d, gt2d, cfg.eval2d)
+    key_3d = ("3d", _SAME_BOXES.get(run.variant, run.variant), frames)
+    if key_3d not in scores:
+        scores[key_3d] = {}
+        for region in REGIONS:
+            per_class = evaluate_boxes(scene.rig, all_boxes, gt3d[region], region, cfg.eval3d)
+            scores[key_3d][region] = {"per_class": per_class, "mean": _mean_row(per_class)}
     reid = accumulate(run.reid_frames).as_dict() if run.reid_frames else None
     counts = {
         "frames": len(scene.frames),
@@ -525,9 +572,9 @@ def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float):
         seed=cfg.gen.seed,
         config=config_to_dict(cfg),
         counts=counts,
-        ap_2d=ap_2d(run.pred2d, gt2d, cfg.eval2d),
+        ap_2d=scores[key_2d],
         reid=reid,
-        metrics_3d=metrics_3d,
+        metrics_3d=scores[key_3d],
         errors=run.errors,
         runtime_s=float(shared_s + run.seconds + time.perf_counter() - started),
     )

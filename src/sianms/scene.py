@@ -364,28 +364,42 @@ def box_corners(boxes) -> np.ndarray:
     return local @ rot.transpose(0, 2, 1) + data[:, None, :3]
 
 
-def box_image_extents(cam: CameraModel, corners: np.ndarray):
-    """box3d_to_bbox2d of many boxes on one camera, raw and clipped, from
-    one projection.
+def box_image_extents(cameras, corners: np.ndarray):
+    """box3d_to_bbox2d of many boxes on many cameras, raw and clipped, from
+    one stacked projection.
 
-    corners is an (n, 8, 3) stack from box_corners.  Returns (raw, clipped,
-    visible): the (n, 4) rows x_min, y_min, x_max, y_max of each box's
-    image bbox, those rows clipped to the image, and the mask of boxes whose
-    clipped bbox has positive width and height, which a box wholly behind
-    the camera, raw extents (inf, inf, -inf, -inf), never has.  Each box
-    goes through its own (8, 3) @ (3, 3) product; corners at depth <=
-    DEPTH_EPSILON are left out of the extremes, the rest are projected as
-    f * p / depth + c, and the extremes are clipped after they are taken.
+    cameras is a sequence of C CameraModels and corners an (n, 8, 3) stack
+    from box_corners.  Returns (raw, clipped, visible): the (C, n, 4) rows
+    x_min, y_min, x_max, y_max of each box's image bbox on each camera,
+    those rows clipped to that camera's image, and the (C, n) mask of boxes
+    whose clipped bbox has positive width and height, which a box wholly
+    behind the camera, raw extents (inf, inf, -inf, -inf), never has.  The
+    product is (C, n, 8, 3) @ (C, 1, 3, 3), so each (camera, box) pair
+    still goes through its own (8, 3) @ (3, 3) product, with the bits of one
+    camera at a time; corners at depth <= DEPTH_EPSILON are left out of the
+    extremes, the rest are projected as f * p / depth + c, and the extremes
+    are clipped after they are taken.  Every step after the product is
+    elementwise or a min or max, so its layout does not change a bit.
     """
-    p_cam = (corners - cam.pose.translation) @ cam.pose.rotation
-    in_front = p_cam[:, :, 2:] > DEPTH_EPSILON
-    depth = np.where(in_front, p_cam[:, :, 2:], 1.0)
-    uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :, :2] / depth
-    lo = np.where(in_front, uv, np.inf).min(axis=1)
-    hi = np.where(in_front, uv, -np.inf).max(axis=1)
-    raw = np.concatenate([lo, hi], axis=1)
-    clipped = np.clip(raw, 0.0, [cam.width, cam.height, cam.width, cam.height])
-    return raw, clipped, ~(clipped[:, 2:] - clipped[:, :2] <= 0.0).any(axis=1)
+    n = len(corners)
+    rotations = np.array([cam.pose.rotation for cam in cameras]).reshape(-1, 1, 3, 3)
+    # per camera: t, c, f and the image size
+    params = np.array([[*cam.pose.t, cam.cx, cam.cy, cam.fx, cam.fy, cam.width, cam.height]
+                       for cam in cameras]).reshape(-1, 9)
+    # corners - t on every camera, as one difference of flat rows
+    shifted = corners.reshape(1, -1) - np.tile(params[:, :3], 8 * n)
+    p_cam = shifted.reshape(len(params), n, 8, 3) @ rotations
+    # each (8, C, n), so that the steps below run over whole rows of boxes
+    x, y, z = np.ascontiguousarray(p_cam.transpose(3, 2, 0, 1))
+    in_front = z > DEPTH_EPSILON
+    depth = np.where(in_front, z, 1.0)
+    cx, cy, fx, fy = params[:, 3:7, None].transpose(1, 0, 2)
+    uv = np.stack([cx + fx * x / depth, cy + fy * y / depth], axis=1)
+    lo = np.where(in_front[:, None], uv, np.inf).min(axis=0)
+    hi = np.where(in_front[:, None], uv, -np.inf).max(axis=0)
+    raw = np.concatenate([lo, hi]).transpose(1, 2, 0)
+    clipped = np.clip(raw, 0.0, params[:, None, [7, 8, 7, 8]])
+    return raw, clipped, ~(clipped[..., 2:] - clipped[..., :2] <= 0.0).any(axis=2)
 
 
 def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D | None:
@@ -396,10 +410,10 @@ def box3d_to_bbox2d(cam: CameraModel, box: Box3D, clip: bool = True) -> BBox2D |
     intersected with the image window.  Returns None when every corner is
     behind the camera or the (clipped) box has zero area.
     """
-    raw, clipped, visible = box_image_extents(cam, box.corners()[None])
-    row = (clipped if clip else raw)[0]
+    raw, clipped, visible = box_image_extents([cam], box.corners()[None])
+    row = (clipped if clip else raw)[0, 0]
     # the clipped mask's rule, under which a NaN extent counts as visible
-    seen = visible[0] if clip else not (row[2:] - row[:2] <= 0.0).any()
+    seen = visible[0, 0] if clip else not (row[2:] - row[:2] <= 0.0).any()
     return BBox2D(*row.tolist()) if seen else None
 
 

@@ -371,9 +371,9 @@ def simulate_detections(
     # an object's anchor is drawn from its own uid-seeded generator at its
     # first detection and reused for the rest
     anchors = [None] * len(objects)
-    for cam in rig.cameras:
-        _, extents, visible = box_image_extents(cam, corners)
-        for k, (obj, bbox, seen) in enumerate(zip(objects, extents.tolist(), visible.tolist())):
+    _, extents, visible = box_image_extents(rig.cameras, corners)
+    for cam, cam_extents, cam_visible in zip(rig.cameras, extents.tolist(), visible.tolist()):
+        for k, (obj, bbox, seen) in enumerate(zip(objects, cam_extents, cam_visible)):
             if not seen:
                 continue
             if rng.random() < spec.miss_rate:

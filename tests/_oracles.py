@@ -26,6 +26,11 @@ per class and one stacked corner product replaced: per-box corners,
 evaluate_3d running the greedy matcher once per threshold plus once for the
 errors, the 3D AP knots collected in a Python loop and the 2D samples
 searched one at a time.  The package must give their results bit for bit.
+
+From box_image_extents_reference on are the code that one projection on
+the whole rig and the distance table's reuse replaced: box extents
+projected one camera at a time, and tp_errors recomputing the distance of
+each matched pair.  The package must give their results bit for bit.
 """
 
 import dataclasses
@@ -45,9 +50,9 @@ from sianms.metrics import (
     MIN_RECALL_3D,
     EvalConfig2D,
     EvalConfig3D,
+    aligned_iou3d,
     iou2d,
     score_order,
-    tp_errors,
 )
 from sianms.pipeline import VARIANT_ORDER, PipelineConfig, RunReport, Variant
 from sianms.scene import (
@@ -56,7 +61,6 @@ from sianms.scene import (
     Detection2D,
     angular_extent,
     box_corners,
-    box_image_extents,
     extent_midpoint,
     project_points,
 )
@@ -758,7 +762,7 @@ def simulate_detections_reference(rig, objects, spec, frame_index=0):
     detections = []
     corners = box_corners(obj.box for obj in objects)
     for cam in rig.cameras:
-        _, extents, visible = box_image_extents(cam, corners)
+        _, extents, visible = box_image_extents_reference(cam, corners)
         for obj, bbox, seen in zip(objects, extents.tolist(), visible.tolist()):
             if not seen:
                 continue
@@ -1416,7 +1420,7 @@ def evaluate_3d_reference(predictions, ground_truth, cfg) -> dict:
             cls_preds, cls_gts, _closeness_reference, -cfg.tp_error_threshold
         )
         matched = [(p, g) for p, g in pairs if g is not None]
-        errors = tp_errors(matched)
+        errors = tp_errors_reference(matched)
         out[cls] = {
             "ap": float(np.mean(aps)),
             "ate": errors[0] if errors else None,
@@ -1427,3 +1431,28 @@ def evaluate_3d_reference(predictions, ground_truth, cfg) -> dict:
             "num_matched": len(matched),
         }
     return out
+
+
+def box_image_extents_reference(cam, corners):
+    """scene.box_image_extents on one camera: (raw, clipped, visible) as
+    (n, 4), (n, 4) and (n,) arrays, from that camera's own projection."""
+    p_cam = (corners - cam.pose.translation) @ cam.pose.rotation
+    in_front = p_cam[:, :, 2:] > DEPTH_EPSILON
+    depth = np.where(in_front, p_cam[:, :, 2:], 1.0)
+    uv = np.array([cam.cx, cam.cy]) + np.array([cam.fx, cam.fy]) * p_cam[:, :, :2] / depth
+    lo = np.where(in_front, uv, np.inf).min(axis=1)
+    hi = np.where(in_front, uv, -np.inf).max(axis=1)
+    raw = np.concatenate([lo, hi], axis=1)
+    clipped = np.clip(raw, 0.0, [cam.width, cam.height, cam.width, cam.height])
+    return raw, clipped, ~(clipped[:, 2:] - clipped[:, :2] <= 0.0).any(axis=1)
+
+
+def tp_errors_reference(matched_pairs):
+    """metrics.tp_errors with each pair's ground-plane distance recomputed."""
+    pairs = [(p.box, g.box) for p, g in matched_pairs]
+    if not pairs:
+        return None
+    ate = float(np.mean([math.hypot(p.x - g.x, p.y - g.y) for p, g in pairs]))
+    ase = float(np.mean([1.0 - aligned_iou3d(p, g) for p, g in pairs]))
+    aoe = float(np.mean([abs(wrap_angle_reference(p.theta - g.theta)) for p, g in pairs]))
+    return ate, ase, aoe

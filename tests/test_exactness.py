@@ -110,6 +110,7 @@ from _oracles import (
     bbox2d_via_project_points,
     box3d_to_bbox2d_reference,
     box_corners_one_box_reference,
+    box_image_extents_reference,
     choice_reference,
     cross_entropy_reference,
     detections_text_reference,
@@ -846,7 +847,7 @@ def _assert_extents_match(cam, boxes):
     mask against clip=True, the raw part against clip=False, wherever the
     reference gives a bbox, and box3d_to_bbox2d gives one where it does;
     returns the number of visible boxes."""
-    raw, clipped, visible = box_image_extents(cam, box_corners(boxes))
+    raw, clipped, visible = (part[0] for part in box_image_extents([cam], box_corners(boxes)))
     assert raw.shape == clipped.shape == (len(boxes), 4) and visible.shape == (len(boxes),)
     for k, box in enumerate(boxes):
         for clip, rows in ((True, clipped), (False, raw)):
@@ -896,6 +897,65 @@ class TestBatchedProjection:
                  for frame_boxes in result.boxes.values() for pred in frame_boxes]
         n_visible = sum(_assert_extents_match(cam, boxes) for cam in bench_rig.cameras)
         assert n_visible > 500
+
+
+def _assert_rig_extents_match(cameras, boxes):
+    """box_image_extents on the whole rig against one
+    box_image_extents_reference call per camera, as float bits; returns
+    the number of visible (camera, box) pairs."""
+    corners = box_corners(boxes)
+    got = box_image_extents(cameras, corners)
+    want = [box_image_extents_reference(cam, corners) for cam in cameras]
+    shapes = ((len(cameras), len(boxes), 4),) * 2 + ((len(cameras), len(boxes)),)
+    for part, (got_part, shape) in enumerate(zip(got, shapes)):
+        assert got_part.shape == shape
+        for k in range(len(cameras)):
+            assert _same_bits(got_part[k], want[k][part])
+    return int(got[2].sum())
+
+
+class TestRigProjection:
+    """One stacked projection of a box set on all the cameras it is given
+    keeps the bits of one projection per camera."""
+
+    @EXAMPLES
+    @given(
+        poses=st.lists(
+            st.tuples(
+                st.floats(-math.pi, math.pi),
+                st.floats(-0.3, 0.3),
+                st.floats(0.5, 3.0),
+                st.floats(100.0, 2000.0),
+                st.floats(200.0, 2000.0),
+            ),
+            max_size=8,
+        ),
+        boxes=st.lists(BOXES, max_size=10),
+    )
+    def test_matches_per_camera_oracle(self, poses, boxes):
+        """Cameras of their own pose, focal length and image width."""
+        cameras = [
+            _camera(yaw, pitch, height, fx, width=width)
+            for yaw, pitch, height, fx, width in poses
+        ]
+        _assert_rig_extents_match(cameras, boxes)
+
+    def test_every_noisy_benchmark_frame(self, bench_rig, noisy_scene):
+        n_visible = sum(
+            _assert_rig_extents_match(bench_rig.cameras, [obj.box for obj in frame.objects])
+            for frame in noisy_scene.frames
+        )
+        assert n_visible > 500
+
+    def test_every_ring8_frame(self):
+        rig = make_rig(RIGS["ring8"])
+        frames = build_scene(rig, GenSpec(seed=3, n_frames=10)).frames
+        n_visible = sum(
+            _assert_rig_extents_match(rig.cameras, [obj.box for obj in frame.objects])
+            for frame in frames
+        )
+        # every object of this rig lies in an overlap (TestOverlapTruth)
+        assert n_visible >= 2 * sum(len(frame.objects) for frame in frames)
 
 
 class TestSurfaceSampling:

@@ -20,6 +20,7 @@ from sianms.pipeline import (
     Scene,
     SchemaError,
     Variant,
+    VARIANT_NAMES,
     VARIANT_ORDER,
     check_inputs,
     compare_variants,
@@ -332,6 +333,26 @@ class TestSharedFrameWork:
         )
         assert len(filters) == sum(c["detections_2d"] for c in counts)
 
+    def test_shared_stages_run_once_per_distinct_input(self, small_scene, monkeypatch):
+        """2d+embedding and sianms match one working set, so each frame is
+        matched and its re-id scored once; 2D AP is scored once per working
+        set (all detections, the NMS subset) and each region's 3D metrics
+        once per box set (original's, shared with 2d+embedding, NMS's and
+        sianms's)."""
+        names = ("match_adjacent", "evaluate_frame", "ap_2d", "evaluate_3d",
+                 "overlap_region_filter")
+        calls = {name: _counting(monkeypatch, name) for name in names}
+        comparison = compare_variants(small_scene, PipelineConfig(gen=SMALL_GEN))
+        assert not any(report.errors for report in comparison.reports.values())
+        n_frames = len(small_scene.frames)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "match_adjacent": n_frames,
+            "evaluate_frame": n_frames,
+            "ap_2d": 2,
+            "evaluate_3d": 6,
+            "overlap_region_filter": 3,
+        }
+
     @pytest.mark.parametrize("supplied", [False, True], ids=["simulated", "supplied"])
     def test_projects_each_named_camera_once_per_frame(self, small_scene, monkeypatch, supplied):
         dets = simulate_all(small_scene, SMALL_GEN)
@@ -386,6 +407,63 @@ class TestSharedFrameWork:
             assert sorted(result.boxes) == [f.index for f in frames if f.index != 1]
             reference = clean.results[report.variant].boxes
             assert all(result.boxes[i] == reference[i] for i in result.boxes)
+
+
+class TestFrameIsolation:
+    """A failure injected into one frame of a compare costs that frame only,
+    and only in the variants its failing stage serves: a bad cloud or a
+    detections entry that raises in every variant, a match_adjacent that
+    raises in 2d+embedding and sianms.  Each variant still reports what it
+    would report alone on the same inputs."""
+
+    RIG = make_rig(RigSpec(n_cameras=4, yaw_spacing_deg=90.0, hfov_deg=100.0))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_frames=st.integers(2, 4),
+        failure=st.sampled_from(["cloud", "detections", "match"]),
+        data=st.data(),
+    )
+    def test_other_frames_keep_their_boxes(self, seed, n_frames, failure, data):
+        gen = dataclasses.replace(SMALL_GEN, seed=seed, n_frames=n_frames)
+        scene = build_scene(self.RIG, gen)
+        cfg = PipelineConfig(gen=gen)
+        dets = simulate_all(scene, gen)
+        broken = data.draw(st.sampled_from([i for i, d in dets.items() if d]), label="broken")
+        clean = compare_variants(scene, cfg, detections=dets)
+        assert not any(report.errors for report in clean.reports.values())
+        frames = list(scene.frames)
+        failing = VARIANT_NAMES
+        if failure == "cloud":
+            frames[broken] = dataclasses.replace(frames[broken], cloud=np.zeros((4, 2)))
+        elif failure == "detections":
+            dets[broken] = _RaisingDetections()
+        else:
+            failing = (Variant.EMBEDDING_2D.value, Variant.SIANMS.value)
+        scene = dataclasses.replace(scene, frames=tuple(frames))
+        broken_ids = [id(det) for det in dets[broken]] if failure == "match" else None
+        real = pipeline_module.match_adjacent
+
+        def match_adjacent(rig, detections, tau):
+            if [id(det) for det in detections] == broken_ids:
+                raise RuntimeError("injected matching failure")
+            return real(rig, detections, tau)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline_module, "match_adjacent", match_adjacent)
+            comparison = compare_variants(scene, cfg, detections=dets)
+            alone = {v.value: run_pipeline(scene, v, cfg, detections=dets) for v in VARIANT_ORDER}
+        for name in VARIANT_NAMES:
+            result = comparison.results[name]
+            errors = [e["frame"] for e in result.report.errors]
+            assert errors == ([broken] if name in failing else [])
+            kept = [f.index for f in frames if f.index != broken or name not in failing]
+            assert sorted(result.boxes) == kept
+            assert all(result.boxes[i] == clean.results[name].boxes[i] for i in kept)
+            shared, single = result.report.to_dict(), alone[name].report.to_dict()
+            del shared["runtime_s"], single["runtime_s"]
+            assert shared == single
 
 
 @st.composite
