@@ -251,10 +251,12 @@ def tp_errors(matched_pairs, distances=None):
     (prediction, ground truth) pairs, each with a .box.
 
     ATE: mean ground-plane center distance (m), of each pair's entry in
-    distances when given (evaluate_3d reads them off its distance table),
-    else of _ground_distance.  ASE: mean 1 - aligned 3D IoU.  AOE: mean
-    smallest absolute yaw difference, each term in [0, pi].  Returns None
-    (the no-matches sentinel) when there are no pairs.
+    distances.  evaluate_3d always passes them, read off its distance
+    table; the default, _ground_distance of each pair, is for callers that
+    hold only the pairs, such as those of match_3d.  ASE: mean 1 - aligned
+    3D IoU.  AOE: mean smallest absolute yaw difference, each term in
+    [0, pi].  Returns None (the no-matches sentinel) when there are no
+    pairs.
     """
     pairs = [(p.box, g.box) for p, g in matched_pairs]
     if not pairs:

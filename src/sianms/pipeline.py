@@ -29,11 +29,13 @@ when building its detections, ground truth or views raised, 2d+embedding and
 sianms when their matching raised); the run continues with the remaining
 frames.  Scoring is shared the same way: variants with the same input over
 the same frames get one 2D AP (per working set) and one set of 3D metrics
-(per box set, which original and 2d+embedding have in common).
+(per working set and fit rule, which original and 2d+embedding have in
+common), each report holding its own copy.
 """
 
 from __future__ import annotations
 
+import copy
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -527,29 +529,29 @@ def evaluate_boxes(rig, boxes, ground_truth, region: str, cfg: EvalConfig3D) -> 
     return evaluate_3d(preds, ground_truth, cfg)
 
 
-# 2d+embedding fits original's boxes: one per detection of the same working
-# set, in the same order, so over the same frames both score alike
-_SAME_BOXES = {Variant.EMBEDDING_2D: Variant.ORIGINAL}
-
-
 def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float, scores: dict):
     """Score one variant's gathered outputs against the frames it processed.
 
     Variants with the same input over the same frames share one score, from
     scores: 2D AP is keyed by the working set (all detections or the NMS
-    subset) and the 3D metrics of both regions by the boxes (_SAME_BOXES).
-    The keys are known by construction; outputs are never compared.
+    subset) and the 3D metrics of both regions by the working set and the
+    fit rule (pairs first for sianms, else one box per detection), the two
+    things _run_frame and _process_frame choose the boxes by, so original
+    and 2d+embedding share one.  The keys are known by construction;
+    outputs are never compared.  Each report gets its own copy of a shared
+    score, so editing one report leaves the others as they were.
     """
     started = time.perf_counter()
     processed = [f for f in scene.frames if f.index in run.boxes]
     frames = tuple(f.index for f in processed)
     all_boxes = [b for f in processed for b in run.boxes[f.index]]
     gt3d = {region: [g for f in processed for g in truth[f.index][1][region]] for region in REGIONS}
-    key_2d = ("2d", run.variant is Variant.ORIGINAL_NMS, frames)
+    nms = run.variant is Variant.ORIGINAL_NMS
+    key_2d = ("2d", nms, frames)
     if key_2d not in scores:
         gt2d = [g for f in processed for g in truth[f.index][0]]
         scores[key_2d] = ap_2d(run.pred2d, gt2d, cfg.eval2d)
-    key_3d = ("3d", _SAME_BOXES.get(run.variant, run.variant), frames)
+    key_3d = ("3d", nms, run.variant is Variant.SIANMS, frames)
     if key_3d not in scores:
         scores[key_3d] = {}
         for region in REGIONS:
@@ -572,9 +574,9 @@ def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float, scores
         seed=cfg.gen.seed,
         config=config_to_dict(cfg),
         counts=counts,
-        ap_2d=scores[key_2d],
+        ap_2d=dict(scores[key_2d]),
         reid=reid,
-        metrics_3d=scores[key_3d],
+        metrics_3d=copy.deepcopy(scores[key_3d]),
         errors=run.errors,
         runtime_s=float(shared_s + run.seconds + time.perf_counter() - started),
     )

@@ -381,14 +381,11 @@ def box_image_extents(cameras, corners: np.ndarray):
     are clipped after they are taken.  Every step after the product is
     elementwise or a min or max, so its layout does not change a bit.
     """
-    n = len(corners)
     rotations = np.array([cam.pose.rotation for cam in cameras]).reshape(-1, 1, 3, 3)
     # per camera: t, c, f and the image size
     params = np.array([[*cam.pose.t, cam.cx, cam.cy, cam.fx, cam.fy, cam.width, cam.height]
                        for cam in cameras]).reshape(-1, 9)
-    # corners - t on every camera, as one difference of flat rows
-    shifted = corners.reshape(1, -1) - np.tile(params[:, :3], 8 * n)
-    p_cam = shifted.reshape(len(params), n, 8, 3) @ rotations
+    p_cam = (corners[None] - params[:, None, None, :3]) @ rotations
     # each (8, C, n), so that the steps below run over whole rows of boxes
     x, y, z = np.ascontiguousarray(p_cam.transpose(3, 2, 0, 1))
     in_front = z > DEPTH_EPSILON

@@ -1,5 +1,6 @@
 """End-to-end variant pipelines and their comparison artifacts."""
 
+import copy
 import dataclasses
 import json
 
@@ -352,6 +353,21 @@ class TestSharedFrameWork:
             "evaluate_3d": 6,
             "overlap_region_filter": 3,
         }
+
+    def test_shared_scores_are_copied_per_report(self, small_scene):
+        """Editing one report's ap_2d or metrics_3d, down to a class's row,
+        leaves the reports that share its score as they were."""
+        comparison = compare_variants(small_scene, PipelineConfig(gen=SMALL_GEN))
+        reports = [comparison.reports[v.value] for v in VARIANT_ORDER]
+        before = copy.deepcopy([r.to_dict() for r in reports])
+        for edited, report in enumerate(reports):
+            assert report.ap_2d and all(b["per_class"] for b in report.metrics_3d.values())
+            report.ap_2d.clear()
+            for block in report.metrics_3d.values():
+                for row in block["per_class"].values():
+                    row.clear()
+                block["mean"].clear()
+            assert [r.to_dict() for r in reports[edited + 1:]] == before[edited + 1:]
 
     @pytest.mark.parametrize("supplied", [False, True], ids=["simulated", "supplied"])
     def test_projects_each_named_camera_once_per_frame(self, small_scene, monkeypatch, supplied):
