@@ -59,7 +59,9 @@ class EstimatorConfig:
     extent_quantile: symmetric trim fraction for planar extents.
     """
 
-    dim_priors: dict = field(default_factory=lambda: dict(CLASS_DIMS))
+    dim_priors: dict[str, tuple[float, float, float]] = field(
+        default_factory=lambda: dict(CLASS_DIMS)
+    )
     yaw_mode: str = "pca"
     min_points: int = 5
     range_gate_m: float = 3.0

@@ -40,6 +40,7 @@ import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from itertools import groupby
 from types import UnionType
 from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -97,6 +98,7 @@ VARIANT_ORDER = (
 
 VARIANT_NAMES = tuple(v.value for v in VARIANT_ORDER)
 REGIONS = ("all", "overlap")
+_type_hints = cache(get_type_hints)  # per dataclass, for section_from_dict
 
 
 @dataclass(frozen=True)
@@ -197,8 +199,14 @@ def _tuples(value):
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field's type hint: a number is an int or a
-    float but not a bool, an int field takes no float, and a tuple field
-    takes a list or tuple whose elements fit too."""
+    float but not a bool, an int field takes no float, a tuple field takes a
+    list or tuple whose elements fit too, a dict field takes an object whose
+    keys and values fit, and a section (a dataclass) is checked as it is built."""
+    if hint in (int, float):
+        number = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, number) and not isinstance(value, bool)
+    if is_dataclass(hint):
+        return True
     origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
@@ -206,35 +214,56 @@ def _fits(value, hint) -> bool:
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         return len(value) == len(args) and all(map(_fits, value, args))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items()
+        )
     if origin in (Union, UnionType):
         return any(_fits(value, arg) for arg in args)
-    if hint in (int, float):
-        number = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, number) and not isinstance(value, bool)
     return isinstance(value, hint)
 
 
-def _check_types(cls, data: dict, prefix: str) -> None:
-    """Raise TypeError naming the first of cls's fields whose value in data
-    does not fit its type; sections (dataclass fields) are checked as they
-    are built."""
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        hint = hints[f.name]
-        if f.name in data and not is_dataclass(hint) and not _fits(data[f.name], hint):
-            text = hint.__name__ if get_origin(hint) is None else str(hint)
-            raise TypeError(f"{prefix}{f.name} must be {text}, got {data[f.name]!r}")
+def _from_json(hint, value, path: str):
+    """A checked field value as its dataclass holds it: lists as tuples, and
+    a section, or each element of a tuple of sections, built from its object."""
+    if is_dataclass(hint):
+        return section_from_dict(hint, value, f"{path}.")
+    if get_origin(hint) is tuple and is_dataclass(element := get_args(hint)[0]):
+        return tuple(record_from_dict(element, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _tuples(value)
 
 
 def section_from_dict(cls, data, prefix: str):
-    """cls built from a JSON object, lists as tuples; omitted fields keep
-    their defaults, data that is no object or a value of the wrong type
-    raises TypeError naming the section or prefix + its key, and
-    cls.__init__ rejects an unknown key with TypeError."""
+    """cls built from a JSON object, the one reader of configs, spec sections
+    and the rig; a section field, or each element of a tuple of them, is
+    built under its path (rig.cameras[2].pose.).  An omitted field keeps its
+    default unless it has none or is FILE_REQUIRED.  SchemaError names the
+    path of a non-object, a missing key or a value of the wrong type."""
     if not isinstance(data, dict):
-        raise TypeError(f"{prefix[:-1]} must be an object, got {data!r}")
-    _check_types(cls, data, prefix)
-    return cls(**{k: _tuples(v) for k, v in data.items()})
+        raise SchemaError(f"{prefix[:-1]} must be an object, got {data!r}")
+    hints = _type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name not in data:
+            if f.default is f.default_factory is MISSING or f.metadata.get("required"):
+                raise SchemaError(f"{prefix[:-1]}: missing required key {f.name!r}")
+        elif not _fits(data[f.name], hint):
+            text = hint.__name__ if get_origin(hint) is None else str(hint)
+            raise SchemaError(f"{prefix}{f.name} must be {text}, got {data[f.name]!r}")
+    # fields in field order, as checked above, then unknown keys for cls to reject
+    keys = dict.fromkeys([*hints, *data])
+    return cls(**{k: _from_json(hints.get(k), data[k], f"{prefix}{k}") for k in keys if k in data})
+
+
+def record_from_dict(cls, data, path: str):
+    """section_from_dict(cls, data, path + "."), re-raising cls.__init__'s
+    TypeError (an unknown key) or ValueError as SchemaError under path."""
+    try:
+        return section_from_dict(cls, data, f"{path}.")
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def check_sections(data: dict, names, what: str) -> None:
@@ -253,17 +282,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
     """Inverse of config_to_dict; omitted fields keep their defaults.
 
     Raises ValueError naming the first key that is no PipelineConfig field
-    (check_sections), and TypeError naming the first value of the wrong
-    type.
+    (check_sections), and SchemaError naming the first value of the wrong
+    type (section_from_dict).
     """
     check_sections(data, [f.name for f in fields(PipelineConfig)], "config")
-    _check_types(PipelineConfig, data, "")
-    return PipelineConfig(**{
-        f.name: _tuples(data[f.name]) if f.default_factory is MISSING
-        else section_from_dict(f.default_factory, data[f.name], f"{f.name}.")
-        for f in fields(PipelineConfig)
-        if f.name in data
-    })
+    return section_from_dict(PipelineConfig, data, "")
 
 
 def nms_greedy(detections, iou_threshold: float):

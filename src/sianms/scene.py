@@ -23,6 +23,8 @@ DEPTH_EPSILON = 1e-6
 
 # A point cloud is a plain (N, 3) float64 array in the vehicle frame.
 PointCloud = np.ndarray
+# Metadata of a field that a file must hold, though code may take its default.
+FILE_REQUIRED = {"required": True}
 
 
 class BehindCamera(ValueError):
@@ -97,8 +99,8 @@ class Pose:
     q is a unit quaternion in (w, x, y, z) order, t the camera position.
     """
 
-    q: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
-    t: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    q: tuple[float, float, float, float] = field(default=(1.0, 0.0, 0.0, 0.0), metadata=FILE_REQUIRED)
+    t: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0), metadata=FILE_REQUIRED)
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(float(c) for c in self.q))
@@ -129,7 +131,7 @@ class CameraModel:
     cy: float
     width: float
     height: float
-    pose: Pose = field(default_factory=Pose)
+    pose: Pose = field(default_factory=Pose, metadata=FILE_REQUIRED)
 
     def __post_init__(self):
         if self.fx <= 0.0 or self.fy <= 0.0:
@@ -255,7 +257,7 @@ class CameraRig:
     """
 
     cameras: tuple[CameraModel, ...]
-    adjacency: tuple[tuple[str, str], ...] = ()
+    adjacency: tuple[tuple[str, str], ...] = field(default=(), metadata=FILE_REQUIRED)
 
     def __post_init__(self):
         object.__setattr__(self, "cameras", tuple(self.cameras))

@@ -5,7 +5,10 @@ clouds may live inline, as a list of [x, y, z] rows under the frame's
 "lidar": {"inline": ...}, or in a binary side file of little-endian 32-bit
 floats, row-major xyz triples, referenced by a path relative to the scene
 file. Malformed input raises SchemaError carrying the JSON path of the
-offending element.
+offending element. Every record of every file is checked for missing and
+unknown keys; the scene's rig, like a config or spec, is read by
+pipeline.section_from_dict, so a camera's constructor error is named by its
+path too (rig.cameras[2]: focal lengths must be positive).
 
 Inline clouds and detection records are written in bulk: their numbers are
 formatted by one call to json's C encoder (a cloud's at once, a frame's
@@ -27,8 +30,8 @@ import numpy as np
 
 from .matching import MatchedPair, MatchResult
 from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, check_sections,
-                       config_from_dict, json_value, section_from_dict)
-from .scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject, as_point_cloud
+                       config_from_dict, json_value, record_from_dict, section_from_dict)
+from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, as_point_cloud
 from .synthgen import GenSpec, RigSpec
 
 
@@ -36,12 +39,18 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _get(mapping, key, path: str):
-    if not isinstance(mapping, dict):
-        _fail(path, f"expected an object, got {type(mapping).__name__}")
-    if key not in mapping:
-        _fail(path, f"missing required key '{key}'")
-    return mapping[key]
+def _record(value, path: str, keys: tuple, optional: tuple = ()) -> dict:
+    """value, checked to be an object that holds every one of keys and no
+    key outside keys and optional."""
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            _fail(path, f"missing required key '{key}'")
+    for key in value:
+        if key not in keys and key not in optional:
+            _fail(path, f"unknown key {key!r}; expected {', '.join(keys + optional)}")
+    return value
 
 
 def _num(value, path: str) -> float:
@@ -134,46 +143,14 @@ def _dump_json(path, payload) -> None:
 # -- cameras and scenes -------------------------------------------------------
 
 
-def _camera_from_dict(data, path: str) -> CameraModel:
-    pose_data = _get(data, "pose", path)
-    pose = Pose(
-        q=tuple(_floats(_get(pose_data, "q", f"{path}.pose"), f"{path}.pose.q", 4)),
-        t=tuple(_floats(_get(pose_data, "t", f"{path}.pose"), f"{path}.pose.t", 3)),
-    )
-    return CameraModel(
-        id=_str(_get(data, "id", path), f"{path}.id"),
-        fx=_num(_get(data, "fx", path), f"{path}.fx"),
-        fy=_num(_get(data, "fy", path), f"{path}.fy"),
-        cx=_num(_get(data, "cx", path), f"{path}.cx"),
-        cy=_num(_get(data, "cy", path), f"{path}.cy"),
-        width=_num(_get(data, "width", path), f"{path}.width"),
-        height=_num(_get(data, "height", path), f"{path}.height"),
-        pose=pose,
-    )
-
-
 def rig_to_dict(rig: CameraRig) -> dict:
     return json_value(rig)
 
 
 def rig_from_dict(data, path: str = "rig") -> CameraRig:
-    cameras = tuple(
-        _camera_from_dict(c, f"{path}.cameras[{i}]")
-        for i, c in enumerate(_list(_get(data, "cameras", path), f"{path}.cameras"))
-    )
-    adjacency = []
-    for i, pair in enumerate(_list(_get(data, "adjacency", path), f"{path}.adjacency")):
-        items = _list(pair, f"{path}.adjacency[{i}]", 2)
-        adjacency.append(
-            (
-                _str(items[0], f"{path}.adjacency[{i}][0]"),
-                _str(items[1], f"{path}.adjacency[{i}][1]"),
-            )
-        )
-    try:
-        return CameraRig(cameras=cameras, adjacency=tuple(adjacency))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    """The rig at path, read like a config section: every camera and pose
+    field and the adjacency must be present, and no other key."""
+    return record_from_dict(CameraRig, data, path)
 
 
 def _box_to_list(box: Box3D) -> list[float]:
@@ -251,8 +228,7 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
 
 
 def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
-    if not isinstance(lidar, dict):
-        _fail(path, f"expected an object, got {type(lidar).__name__}")
+    _record(lidar, path, (), ("bin_file", "inline"))
     if ("inline" in lidar) == ("bin_file" in lidar):
         _fail(path, "expected exactly one of 'inline' or 'bin_file'")
     if "inline" in lidar:
@@ -273,29 +249,27 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
 
 def load_scene(path) -> Scene:
     path = Path(path)
-    data = _load_json(path)
-    rig = rig_from_dict(_get(data, "rig", "$"), "rig")
+    data = _record(_load_json(path), "$", ("rig", "frames"))
+    rig = rig_from_dict(data["rig"], "rig")
     frames = []
-    for i, frame_data in enumerate(_list(_get(data, "frames", "$"), "frames")):
+    for i, frame_data in enumerate(_list(data["frames"], "frames")):
         fpath = f"frames[{i}]"
+        _record(frame_data, fpath, ("objects", "lidar", "index"))
         objects = []
-        for j, obj in enumerate(
-            _list(_get(frame_data, "objects", fpath), f"{fpath}.objects")
-        ):
+        for j, obj in enumerate(_list(frame_data["objects"], f"{fpath}.objects")):
             opath = f"{fpath}.objects[{j}]"
+            _record(obj, opath, ("uid", "class", "box"))
             objects.append(
                 SceneObject(
-                    uid=_uid(_get(obj, "uid", opath), f"{opath}.uid"),
-                    class_id=_str(_get(obj, "class", opath), f"{opath}.class"),
-                    box=_box_from_list(_get(obj, "box", opath), f"{opath}.box"),
+                    uid=_uid(obj["uid"], f"{opath}.uid"),
+                    class_id=_str(obj["class"], f"{opath}.class"),
+                    box=_box_from_list(obj["box"], f"{opath}.box"),
                 )
             )
-        cloud = _load_cloud(
-            _get(frame_data, "lidar", fpath), path.parent, f"{fpath}.lidar"
-        )
+        cloud = _load_cloud(frame_data["lidar"], path.parent, f"{fpath}.lidar")
         frames.append(
             Frame(
-                index=_int(_get(frame_data, "index", fpath), f"{fpath}.index"),
+                index=_int(frame_data["index"], f"{fpath}.index"),
                 objects=tuple(objects),
                 cloud=cloud,
             )
@@ -375,7 +349,9 @@ def load_detection_records(path) -> list[tuple[int, Detection2D]]:
     records = []
     for i, rec in enumerate(_list(data, "$")):
         rpath = f"$[{i}]"
-        bbox = _floats(_get(rec, "bbox", rpath), f"{rpath}.bbox", 4)
+        _record(rec, rpath, ("bbox", "camera_id", "class", "score", "frame"),
+                ("embedding", "truth_uid"))
+        bbox = _floats(rec["bbox"], f"{rpath}.bbox", 4)
         embedding = None
         if "embedding" in rec:
             embedding = np.asarray(_floats(rec["embedding"], f"{rpath}.embedding"), dtype=float)
@@ -384,16 +360,16 @@ def load_detection_records(path) -> list[tuple[int, Detection2D]]:
             truth_uid = _uid(truth_uid, f"{rpath}.truth_uid")
         try:
             det = Detection2D(
-                camera_id=_str(_get(rec, "camera_id", rpath), f"{rpath}.camera_id"),
+                camera_id=_str(rec["camera_id"], f"{rpath}.camera_id"),
                 bbox=BBox2D(x_min=bbox[0], y_min=bbox[1], x_max=bbox[2], y_max=bbox[3]),
-                class_id=_str(_get(rec, "class", rpath), f"{rpath}.class"),
-                score=_num(_get(rec, "score", rpath), f"{rpath}.score"),
+                class_id=_str(rec["class"], f"{rpath}.class"),
+                score=_num(rec["score"], f"{rpath}.score"),
                 embedding=embedding,
                 truth_uid=truth_uid,
             )
         except ValueError as exc:
             raise SchemaError(f"{rpath}: {exc}") from exc
-        records.append((_int(_get(rec, "frame", rpath), f"{rpath}.frame"), det))
+        records.append((_int(rec["frame"], f"{rpath}.frame"), det))
     return records
 
 
@@ -436,26 +412,24 @@ def write_matches(path, rig: CameraRig, detections_by_frame_map: dict, matches_b
 
 
 def load_matches(path) -> dict:
-    data = _load_json(path)
-    cameras = [
-        _str(c, f"cameras[{i}]")
-        for i, c in enumerate(_list(_get(data, "cameras", "$"), "cameras"))
-    ]
+    data = _record(_load_json(path), "$", ("cameras", "adjacency", "pairs"))
+    cameras = [_str(c, f"cameras[{i}]") for i, c in enumerate(_list(data["cameras"], "cameras"))]
     adjacency = []
-    for i, pair in enumerate(_list(_get(data, "adjacency", "$"), "adjacency")):
+    for i, pair in enumerate(_list(data["adjacency"], "adjacency")):
         items = _list(pair, f"adjacency[{i}]", 2)
         adjacency.append(
             (_str(items[0], f"adjacency[{i}][0]"), _str(items[1], f"adjacency[{i}][1]"))
         )
     pairs = []
-    for i, rec in enumerate(_list(_get(data, "pairs", "$"), "pairs")):
+    for i, rec in enumerate(_list(data["pairs"], "pairs")):
         rpath = f"pairs[{i}]"
+        _record(rec, rpath, ("frame", "a", "b", "distance"))
         pairs.append(
             {
-                "frame": _int(_get(rec, "frame", rpath), f"{rpath}.frame"),
-                "a": _int(_get(rec, "a", rpath), f"{rpath}.a"),
-                "b": _int(_get(rec, "b", rpath), f"{rpath}.b"),
-                "distance": _num(_get(rec, "distance", rpath), f"{rpath}.distance"),
+                "frame": _int(rec["frame"], f"{rpath}.frame"),
+                "a": _int(rec["a"], f"{rpath}.a"),
+                "b": _int(rec["b"], f"{rpath}.b"),
+                "distance": _num(rec["distance"], f"{rpath}.distance"),
             }
         )
     return {"cameras": cameras, "adjacency": adjacency, "pairs": pairs}
@@ -522,15 +496,16 @@ def load_boxes(path) -> dict:
     out: dict[int, list[PredBox]] = {}
     for i, rec in enumerate(_list(data, "$")):
         rpath = f"$[{i}]"
-        merged = _get(rec, "merged", rpath)
+        _record(rec, rpath, ("merged", "frame", "class", "score", "box", "n_sources"))
+        merged = rec["merged"]
         if not isinstance(merged, bool):
             _fail(f"{rpath}.merged", f"expected a boolean, got {type(merged).__name__}")
         box = PredBox(
-            frame=_int(_get(rec, "frame", rpath), f"{rpath}.frame"),
-            class_id=_str(_get(rec, "class", rpath), f"{rpath}.class"),
-            score=_num(_get(rec, "score", rpath), f"{rpath}.score"),
-            box=_box_from_list(_get(rec, "box", rpath), f"{rpath}.box"),
-            n_sources=_int(_get(rec, "n_sources", rpath), f"{rpath}.n_sources"),
+            frame=_int(rec["frame"], f"{rpath}.frame"),
+            class_id=_str(rec["class"], f"{rpath}.class"),
+            score=_num(rec["score"], f"{rpath}.score"),
+            box=_box_from_list(rec["box"], f"{rpath}.box"),
+            n_sources=_int(rec["n_sources"], f"{rpath}.n_sources"),
             merged=merged,
         )
         out.setdefault(box.frame, []).append(box)

@@ -84,7 +84,7 @@ class GenSpec:
     seed: int = 0
     n_frames: int = 10
     objects_per_frame: tuple[int, int] = (6, 10)
-    class_mix: dict = field(
+    class_mix: dict[str, float] = field(
         default_factory=lambda: {"car": 0.5, "pedestrian": 0.3, "cyclist": 0.2}
     )
     radius_range: tuple[float, float] = (8.0, 30.0)

@@ -54,17 +54,20 @@ from sianms.metrics import (
     iou2d,
     score_order,
 )
-from sianms.pipeline import VARIANT_ORDER, PipelineConfig, RunReport, Variant
+from sianms.pipeline import VARIANT_ORDER, PipelineConfig, RunReport, SchemaError, Variant
 from sianms.scene import (
     DEPTH_EPSILON,
     BBox2D,
+    CameraModel,
+    CameraRig,
     Detection2D,
+    Pose,
     angular_extent,
     box_corners,
     extent_midpoint,
     project_points,
 )
-from sianms.sceneio import _box_to_list
+from sianms.sceneio import _box_to_list, _floats, _list, _num, _str
 from sianms.synthgen import GenSpec, _visible_faces, embedding_provider
 
 
@@ -1040,6 +1043,53 @@ def rig_to_dict_reference(rig) -> dict:
         "cameras": [_camera_to_dict_reference(c) for c in rig.cameras],
         "adjacency": [list(pair) for pair in rig.adjacency],
     }
+
+
+def _key_reference(mapping, key, path: str):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{path}: expected an object, got {type(mapping).__name__}")
+    if key not in mapping:
+        raise SchemaError(f"{path}: missing required key '{key}'")
+    return mapping[key]
+
+
+def _camera_from_dict_reference(data, path: str):
+    pose_data = _key_reference(data, "pose", path)
+    pose = Pose(
+        q=tuple(_floats(_key_reference(pose_data, "q", f"{path}.pose"), f"{path}.pose.q", 4)),
+        t=tuple(_floats(_key_reference(pose_data, "t", f"{path}.pose"), f"{path}.pose.t", 3)),
+    )
+    return CameraModel(
+        id=_str(_key_reference(data, "id", path), f"{path}.id"),
+        fx=_num(_key_reference(data, "fx", path), f"{path}.fx"),
+        fy=_num(_key_reference(data, "fy", path), f"{path}.fy"),
+        cx=_num(_key_reference(data, "cx", path), f"{path}.cx"),
+        cy=_num(_key_reference(data, "cy", path), f"{path}.cy"),
+        width=_num(_key_reference(data, "width", path), f"{path}.width"),
+        height=_num(_key_reference(data, "height", path), f"{path}.height"),
+        pose=pose,
+    )
+
+
+def rig_from_dict_reference(data, path: str = "rig"):
+    """sceneio.rig_from_dict, each field read by hand."""
+    cameras = tuple(
+        _camera_from_dict_reference(c, f"{path}.cameras[{i}]")
+        for i, c in enumerate(_list(_key_reference(data, "cameras", path), f"{path}.cameras"))
+    )
+    adjacency = []
+    for i, pair in enumerate(_list(_key_reference(data, "adjacency", path), f"{path}.adjacency")):
+        items = _list(pair, f"{path}.adjacency[{i}]", 2)
+        adjacency.append(
+            (
+                _str(items[0], f"{path}.adjacency[{i}][0]"),
+                _str(items[1], f"{path}.adjacency[{i}][1]"),
+            )
+        )
+    try:
+        return CameraRig(cameras=cameras, adjacency=tuple(adjacency))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 # The table renderers that the row model in pipeline.py replaced.

@@ -480,3 +480,55 @@ def test_eval_3d_scores_as_run_does(scored_run, region, capsys):
                  "--region", region, "--json"]) == 0
     classes = json.loads(capsys.readouterr().out)["classes"]
     assert classes and classes == report["metrics_3d"][region]["per_class"]
+
+
+class TestRigIsReadLikeAConfig:
+    """A scene whose rig the reader refuses exits 2 with the JSON path of the
+    offending camera, from every subcommand that loads the scene."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rig: rig["cameras"][1].update(fx=0.0), "rig.cameras[1]: focal lengths must be positive"),
+        (lambda rig: rig["cameras"][1].update(fy=-1), "rig.cameras[1]: focal lengths must be positive"),
+        (lambda rig: rig["cameras"][1].update(width=0), "rig.cameras[1]: image dimensions must be positive"),
+        (lambda rig: rig["cameras"][1]["pose"].update(q=[1.0, 1.0, 0.0, 0.0]),
+         "rig.cameras[1]: quaternion norm 1.4142135623730951 deviates from 1"),
+        (lambda rig: rig["cameras"][1].update(typo_fx=400.0),
+         "rig.cameras[1]: CameraModel.__init__() got an unexpected keyword argument 'typo_fx'"),
+        (lambda rig: rig["cameras"][1]["pose"].update(r=[0.0, 0.0, 0.0]),
+         "rig.cameras[1]: Pose.__init__() got an unexpected keyword argument 'r'"),
+        (lambda rig: rig["cameras"][1].pop("pose"), "rig.cameras[1]: missing required key 'pose'"),
+        (lambda rig: rig.pop("adjacency"), "rig: missing required key 'adjacency'"),
+    ], ids=["fx_zero", "fy_negative", "width_zero", "non_unit_q", "camera_key", "pose_key",
+            "no_pose", "no_adjacency"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "eval-3d"])
+    def test_bad_rig_is_two(self, tmp_path, scene_dir, capsys, command, edit, message):
+        data = json.loads((scene_dir / "scene.json").read_text())
+        edit(data["rig"])
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        if command == "eval-3d":
+            boxes = tmp_path / "boxes.json"
+            boxes.write_text("[]")
+            argv = ["eval-3d", "--pred", str(boxes), "--gt", str(scene)]
+        else:
+            argv = [command, "--scene", str(scene), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"schema error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("estimator", "dim_priors", {"car": [4.5, 1.9], "pedestrian": [0.6, 0.6, 1.7],
+                                     "cyclist": [1.8, 0.6, 1.7]}),
+        ("estimator", "dim_priors", {"car": "abc", "pedestrian": [0.6, 0.6, 1.7],
+                                     "cyclist": [1.8, 0.6, 1.7]}),
+        ("gen", "class_mix", {"car": "0.5"}),
+    ], ids=["two_number_prior", "string_prior", "string_weight"])
+    def test_malformed_mapping_is_two(self, tmp_path, scene_dir, capsys, section, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        assert main(["compare", "--scene", str(scene_dir / "scene.json"),
+                     "--config", str(config), "--out", str(out)]) == 2
+        assert f"schema error: config: {section}.{key} must be dict[" in capsys.readouterr().err
+        assert not out.exists()

@@ -14,7 +14,7 @@ from sianms.losses import LossConfig
 from sianms.matching import MatchedPair, MatchResult
 from sianms.metrics import EvalConfig2D, EvalConfig3D
 from sianms.pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict, config_to_dict
-from sianms.scene import BBox2D, Box3D, Detection2D
+from sianms.scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose
 from sianms.sceneio import (
     SchemaError,
     detections_by_frame,
@@ -24,6 +24,8 @@ from sianms.sceneio import (
     load_matches,
     load_scene,
     matches_against_detections,
+    rig_from_dict,
+    rig_to_dict,
     write_boxes,
     write_comparison,
     write_detections,
@@ -32,7 +34,7 @@ from sianms.sceneio import (
 )
 from sianms.synthgen import CLASS_DIMS, GenSpec, RigSpec, generate_frame, make_rig, simulate_detections
 
-from _oracles import config_from_dict_reference, config_to_dict_reference
+from _oracles import config_from_dict_reference, config_to_dict_reference, rig_from_dict_reference
 from conftest import build_scene
 
 
@@ -844,3 +846,165 @@ class TestComparisonFiles:
         csv_text = (tmp_path / "cmp.csv").read_text()
         assert csv_text.splitlines()[0].startswith("section,region,class,metric")
         assert (tmp_path / "cmp.txt").read_text()
+
+
+def _unit_quaternion(values):
+    norm = float(np.linalg.norm(values))
+    return tuple(float(v) / norm for v in values)
+
+
+CAMERA_IDS = st.lists(st.text(max_size=6), max_size=6, unique=True)
+POSES = st.builds(
+    Pose,
+    q=st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda q: np.linalg.norm(q) > 1e-3)
+    .map(_unit_quaternion),
+    t=st.tuples(FINITE, FINITE, FINITE),
+)
+
+
+@st.composite
+def _rigs(draw):
+    """Rigs of any size, with cameras of their own pose and intrinsics and any
+    adjacency between two distinct cameras."""
+    ids = draw(CAMERA_IDS)
+    positive = st.floats(1e-6, 1e6)
+    cameras = tuple(
+        CameraModel(
+            id=cam_id, fx=draw(positive), fy=draw(positive), cx=draw(FINITE), cy=draw(FINITE),
+            width=draw(positive), height=draw(positive), pose=draw(POSES),
+        )
+        for cam_id in ids
+    )
+    adjacency = ()
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+        adjacency = tuple(draw(st.lists(pairs, max_size=8)))
+    return CameraRig(cameras=cameras, adjacency=adjacency)
+
+
+class TestRigReader:
+    """The rig is read by section_from_dict, as configs are, against the
+    hand-written reader it replaced (tests/_oracles.py)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rig=_rigs())
+    def test_round_trip(self, rig):
+        data = json.loads(json.dumps(rig_to_dict(rig)))
+        assert rig_from_dict(data) == rig == rig_from_dict_reference(data)
+
+    def test_integers_read_as_the_reference_reads_them(self, tiny_scene):
+        data = rig_to_dict(tiny_scene[0].rig)
+        data["cameras"][0].update(fx=400, width=800)
+        data["cameras"][0]["pose"]["t"] = [0, 1, 2]
+        assert rig_from_dict(data) == rig_from_dict_reference(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rig: rig["cameras"][1]["pose"].update(q=[1.0, 0.0]),
+         "rig.cameras[1].pose.q must be tuple[float, float, float, float], got [1.0, 0.0]"),
+        (lambda rig: rig["cameras"][1].update(fx=True), "rig.cameras[1].fx must be float, got True"),
+        (lambda rig: rig["cameras"][1].update(pose=[]), "rig.cameras[1].pose must be an object, got []"),
+        (lambda rig: rig["cameras"].append(5), "rig.cameras[4] must be an object, got 5"),
+        (lambda rig: rig["cameras"][1].pop("fx"), "rig.cameras[1]: missing required key 'fx'"),
+        (lambda rig: rig["cameras"][1]["pose"].pop("t"), "rig.cameras[1].pose: missing required key 't'"),
+        (lambda rig: rig.pop("cameras"), "rig: missing required key 'cameras'"),
+        (lambda rig: rig.update(extra=1),
+         "rig: CameraRig.__init__() got an unexpected keyword argument 'extra'"),
+        (lambda rig: rig["cameras"][2].update(id="cam0"), "rig: camera ids must be unique"),
+    ], ids=["pose_q", "bool_fx", "list_pose", "int_camera", "no_fx", "no_t", "no_cameras",
+            "rig_key", "duplicate_id"])
+    def test_error_names_the_path(self, tiny_scene, edit, message):
+        data = json.loads(json.dumps(rig_to_dict(tiny_scene[0].rig)))
+        edit(data)
+        with pytest.raises(SchemaError) as err:
+            rig_from_dict(data)
+        assert str(err.value) == message
+
+
+class TestUnknownRecordKeys:
+    """Every record of every file is checked for keys it does not read."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(extra=1), "$: unknown key 'extra'; expected rig, frames"),
+        (lambda d: d["frames"][1].update(extra=1),
+         "frames[1]: unknown key 'extra'; expected objects, lidar, index"),
+        (lambda d: d["frames"][1]["objects"][0].update(boxx=[1.0]),
+         "frames[1].objects[0]: unknown key 'boxx'; expected uid, class, box"),
+        (lambda d: d["frames"][1]["lidar"].update(extra=1),
+         "frames[1].lidar: unknown key 'extra'; expected bin_file, inline"),
+    ], ids=["scene", "frame", "object", "lidar"])
+    def test_scene(self, tmp_path, tiny_scene, edit, message):
+        path = tmp_path / "scene.json"
+        write_scene(path, tiny_scene[0])
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_scene(path)
+        assert str(err.value) == message
+
+    def test_detections(self, tmp_path):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([{
+            "frame": 0, "camera_id": "cam0", "class": "car", "score": 0.5,
+            "bbox": [0.0, 0.0, 5.0, 5.0], "truth_uid": None, "scroe": 0.5,
+        }]))
+        with pytest.raises(SchemaError) as err:
+            load_detection_records(path)
+        assert str(err.value) == (
+            "$[0]: unknown key 'scroe'; "
+            "expected bbox, camera_id, class, score, frame, embedding, truth_uid"
+        )
+
+    def test_boxes(self, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps([{
+            "frame": 0, "class": "car", "score": 0.5, "box": [0.0, 0.0, 0.0, 4.5, 1.9, 1.6, 0.0],
+            "n_sources": 2, "merged": True, "mergd": False,
+        }]))
+        with pytest.raises(SchemaError) as err:
+            load_boxes(path)
+        assert str(err.value) == (
+            "$[0]: unknown key 'mergd'; expected merged, frame, class, score, box, n_sources"
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(extra=1), "$: unknown key 'extra'; expected cameras, adjacency, pairs"),
+        (lambda d: d["pairs"][0].update(extra=1),
+         "pairs[0]: unknown key 'extra'; expected frame, a, b, distance"),
+    ], ids=["file", "pair"])
+    def test_matches(self, tmp_path, edit, message):
+        data = {"cameras": ["cam0", "cam1"], "adjacency": [["cam0", "cam1"]],
+                "pairs": [{"frame": 0, "a": 0, "b": 1, "distance": 0.25}]}
+        edit(data)
+        path = tmp_path / "matches.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_matches(path)
+        assert str(err.value) == message
+
+
+class TestMappingHints:
+    """dim_priors and class_mix are checked key and value, not only as dicts."""
+
+    @pytest.mark.parametrize("data, text", [
+        ({"estimator": {"dim_priors": dict(CLASS_DIMS, car=[4.5, 1.9])}},
+         "estimator.dim_priors must be dict[str, tuple[float, float, float]], got "),
+        ({"estimator": {"dim_priors": dict(CLASS_DIMS, car="abc")}},
+         "estimator.dim_priors must be dict[str, tuple[float, float, float]], got "),
+        ({"estimator": {"dim_priors": dict(CLASS_DIMS, car=[4.5, 1.9, True])}},
+         "estimator.dim_priors must be dict[str, tuple[float, float, float]], got "),
+        ({"gen": {"class_mix": {"car": "0.5"}}}, "gen.class_mix must be dict[str, float], got "),
+        ({"gen": {"class_mix": {"car": [0.5]}}}, "gen.class_mix must be dict[str, float], got "),
+    ], ids=["two_numbers", "string", "bool", "string_weight", "list_weight"])
+    def test_malformed_entry_names_the_key(self, tmp_path, data, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"config: {text}")
+
+    def test_priors_are_checked_for_shape_not_sign(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"estimator": {"dim_priors": {"car": [-1, 0.0, 1e300]}}}))
+        assert load_config(path).estimator.dim_priors == {"car": (-1, 0.0, 1e300)}
