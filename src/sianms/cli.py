@@ -185,7 +185,7 @@ def _simulated(scene, cfg) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    scene = load_scene(args.scene)
+    scene = load_scene(args.scene, clouds=False)
     cfg = load_config(args.config, _overrides(args))
     dets = _simulated(scene, cfg)
     write_detections(args.out, dets)
@@ -324,7 +324,7 @@ def cmd_eval_reid(args) -> int:
 
 def cmd_eval_3d(args) -> int:
     boxes_by_frame = load_boxes(args.pred)
-    scene = load_scene(args.gt)
+    scene = load_scene(args.gt, clouds=False)
     region = args.region
     # in load_boxes order, which breaks score ties
     boxes = [b for frame_boxes in boxes_by_frame.values() for b in frame_boxes]

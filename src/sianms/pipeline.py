@@ -74,7 +74,7 @@ from .metrics import (
 )
 from .reid_eval import REID_KEYS, REID_RATES, accumulate, evaluate_frame
 from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, box_corners, box_image_extents
-from .synthgen import GenSpec, simulate_detections
+from .synthgen import GenSpec, _simulate_projected
 
 
 class SchemaError(ValueError):
@@ -127,7 +127,7 @@ class PipelineConfig:
 class Frame:
     index: int
     objects: tuple[SceneObject, ...]
-    cloud: np.ndarray
+    cloud: np.ndarray | None  # None when the scene is loaded without clouds
 
 
 @dataclass(frozen=True)
@@ -356,9 +356,10 @@ def _process_frame(rig, frame, views, working, matches, variant, cfg, dropped):
     return boxes
 
 
-def frame_truth(rig, frame):
+def frame_truth(rig, frame, projection=None):
     """(2D records, 3D ground truth by region) of a frame, from one
-    projection of its boxes on the whole rig.
+    projection of its boxes on the whole rig: projection, if given, is
+    box_image_extents(rig.cameras, corners) of the frame's boxes.
 
     The 2D records are the projected boxes with pixel height and truncation
     ratio.  The 3D ground truth of "all" holds every object; "overlap" keeps
@@ -366,8 +367,9 @@ def frame_truth(rig, frame):
     overlap_region_filter's rule, counted from the same clipped projections
     as the 2D records.
     """
-    corners = box_corners(obj.box for obj in frame.objects)
-    raw, clipped, visible = box_image_extents(rig.cameras, corners)
+    if projection is None:
+        projection = box_image_extents(rig.cameras, box_corners(obj.box for obj in frame.objects))
+    raw, clipped, visible = projection
     n_visible = visible.sum(axis=0)
     per_camera = list(zip(rig.cameras, clipped.tolist(), raw.tolist(), visible.tolist()))
     records = []
@@ -478,9 +480,10 @@ def _once(compute):
 def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     """Process one frame for every run; returns the seconds of shared work.
 
-    The detections, the 2D ground-truth records, the 3D ground truth with its
-    overlap subset and one CameraView per rig camera that a detection names
-    are built once and shared by every variant; an exception there is
+    The detections and the 2D ground-truth records, both from one projection
+    of the frame's boxes on the rig, the 3D ground truth with its overlap
+    subset and one CameraView per rig camera that a detection names are
+    built once and shared by every variant; an exception there is
     recorded under the frame by every variant.  The matching variants match
     the same working set, the frame's detections, so match_adjacent and
     evaluate_frame run once, at the first variant that needs them, and their
@@ -491,11 +494,12 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     """
     started = time.perf_counter()
     try:
+        projection = box_image_extents(rig.cameras, box_corners(obj.box for obj in frame.objects))
         if detections is not None:
             frame_dets = list(detections.get(frame.index, []))
         else:
-            frame_dets = simulate_detections(rig, frame.objects, cfg.gen, frame.index)
-        truth[frame.index] = frame_truth(rig, frame)
+            frame_dets = _simulate_projected(rig, frame.objects, cfg.gen, frame.index, projection)
+        truth[frame.index] = frame_truth(rig, frame, projection)
         named = {det.camera_id for det in frame_dets}
         views = {
             cam.id: camera_view(cam, frame.cloud)

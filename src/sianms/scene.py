@@ -139,12 +139,12 @@ class CameraModel:
         if self.width <= 0.0 or self.height <= 0.0:
             raise ValueError("image dimensions must be positive")
 
-    @property
+    @cached_property
     def hfov(self) -> float:
         """Horizontal field of view in radians."""
         return 2.0 * math.atan(self.width / (2.0 * self.fx))
 
-    @property
+    @cached_property
     def yaw(self) -> float:
         """Azimuth of the optical axis in the vehicle frame."""
         axis = self.pose.rotation @ np.array([0.0, 0.0, 1.0])

@@ -227,10 +227,14 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
         out.write("\n")
 
 
-def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
+def _check_lidar(lidar, path: str) -> None:
+    """A frame's lidar record holds exactly one of 'inline' or 'bin_file'."""
     _record(lidar, path, (), ("bin_file", "inline"))
     if ("inline" in lidar) == ("bin_file" in lidar):
         _fail(path, "expected exactly one of 'inline' or 'bin_file'")
+
+
+def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
     if "inline" in lidar:
         cloud = _float_rows(lidar["inline"], f"{path}.inline", 3)
     else:
@@ -247,7 +251,14 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def load_scene(path) -> Scene:
+def load_scene(path, clouds: bool = True) -> Scene:
+    """The scene file at path, every record checked.
+
+    With clouds=False each frame's lidar record has its keys checked but its
+    cloud is neither read nor checked, and each Frame's cloud is None: that
+    reads what simulate and eval-3d use, the rig and each frame's index and
+    objects, without the clouds' cost.
+    """
     path = Path(path)
     data = _record(_load_json(path), "$", ("rig", "frames"))
     rig = rig_from_dict(data["rig"], "rig")
@@ -266,7 +277,9 @@ def load_scene(path) -> Scene:
                     box=_box_from_list(obj["box"], f"{opath}.box"),
                 )
             )
-        cloud = _load_cloud(frame_data["lidar"], path.parent, f"{fpath}.lidar")
+        lidar = frame_data["lidar"]
+        _check_lidar(lidar, f"{fpath}.lidar")
+        cloud = _load_cloud(lidar, path.parent, f"{fpath}.lidar") if clouds else None
         frames.append(
             Frame(
                 index=_int(frame_data["index"], f"{fpath}.index"),

@@ -10,6 +10,13 @@ a truncated slice of its surface), plus ground clutter.
 Object yaw is sampled within roughly +-80 degrees of the object's azimuth.
 A purely geometric box fitter cannot tell front from back, so ground truth
 keeps headings in the branch recoverable from the viewing direction.
+
+A frame is built in two passes.  The loop over objects makes every random
+draw in order (class, placement, yaw, point count, then each point's face
+and its two offsets on it) and decides face visibility and areas in Python
+floats; one array expression then places every object's points on the
+stacked faces.  The results, and the generator state after each draw, are
+bit for bit those of sampling each object inside the loop.
 """
 
 from __future__ import annotations
@@ -17,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -216,45 +225,111 @@ def _complement_arcs(wedges) -> list[tuple[float, float]]:
 _P_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def _choice(p: np.ndarray, rng, size=None):
+def _choice(p, rng, size=None):
     """rng.choice(len(p), size, p=p) without its argument handling: the same
     uniform draws through the same cdf, so the same indices and generator
-    state.  Like rng.choice, raises ValueError unless p is nonnegative and
-    sums to 1 (so also for a NaN)."""
-    cdf = p.cumsum()
-    if not (abs(cdf[-1] - 1.0) <= _P_ATOL and min(p.tolist()) >= 0.0):
-        raise ValueError(f"probabilities must be nonnegative and sum to 1, got {p.tolist()}")
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    state.  The cdf is built in Python floats: accumulate makes cumsum's
+    left-to-right adds, and every entry is then divided by the last.  One
+    draw is placed by bisect_right, size draws by one searchsorted.  Like
+    rng.choice, raises ValueError unless p is nonnegative and sums to 1 (so
+    also for a NaN)."""
+    p = [float(v) for v in p]
+    cdf = list(accumulate(p))
+    if not (abs(cdf[-1] - 1.0) <= _P_ATOL and min(p) >= 0.0):
+        raise ValueError(f"probabilities must be nonnegative and sum to 1, got {p}")
+    total = cdf[-1]
+    cdf = [c / total for c in cdf]
+    if size is None:
+        return bisect_right(cdf, rng.random())
+    return np.array(cdf).searchsorted(rng.random(size), side="right")
 
 
-def _sample_arc(arcs, rng) -> float:
+def _arc_shares(arcs) -> list[float]:
+    """Each arc's share of the arcs' total length, summed by numpy (which
+    adds pairwise from 8 arcs on)."""
     lengths = np.array([width for _, width in arcs])
-    idx = int(_choice(lengths / lengths.sum(), rng))
-    start, width = arcs[idx]
-    return wrap_angle(start + rng.uniform(0.0, width))
+    return (lengths / lengths.sum()).tolist()
 
 
-def _visible_faces(box: Box3D):
-    """Faces of the box visible from the origin, as sampling rectangles.
+def _faces_origin(normal, center) -> bool:
+    """Whether normal . center < 0, as np.dot(normal, center) decides it.
 
-    Each entry is (center, axis_u, axis_v, half_u, half_v) in vehicle frame.
+    np.dot goes through BLAS, which may fuse a multiply and an add and so
+    round differently from t0 + t1 + t2.  Both are within about 3.3e-16 *
+    (|t0| + |t1| + |t2|) of the exact value, so the Python sum decides the
+    sign only when it is far outside that band (and above where products
+    could underflow); np.dot decides the rest, non-finite input included.
+    """
+    t0, t1, t2 = normal[0] * center[0], normal[1] * center[1], normal[2] * center[2]
+    total = t0 + t1 + t2
+    if abs(total) > 1e-9 * (abs(t0) + abs(t1) + abs(t2)) + 1e-300:
+        return total < 0.0
+    return float(np.dot(normal, center)) < 0.0
+
+
+# (normal axis, u axis, v axis) of the face pairs, in face order
+_FACE_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _visible_faces(box: Box3D) -> list[tuple]:
+    """Faces of the box visible from the origin, as sampling rows.
+
+    Each row is (center xyz, axis_u xyz, axis_v xyz, half_u, half_v) in the
+    vehicle frame, in the order +x, -x, +y, -y, +z, -z of the box axes.  A
+    face is visible when its outward normal points back at the origin.
+    Each face center is center +- half * axis, one coordinate at a time, so
+    it has the bits of the array expression.
     """
     c, s = math.cos(box.theta), math.sin(box.theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    hl, hw, hh = box.l / 2.0, box.w / 2.0, box.h / 2.0
-    ex, ey, ez = rot[:, 0], rot[:, 1], rot[:, 2]
-    center = box.center
-    faces = [
-        (center + hl * ex, ey, ez, hw, hh, ex),
-        (center - hl * ex, ey, ez, hw, hh, -ex),
-        (center + hw * ey, ex, ez, hl, hh, ey),
-        (center - hw * ey, ex, ez, hl, hh, -ey),
-        (center + hh * ez, ex, ey, hl, hw, ez),
-        (center - hh * ez, ex, ey, hl, hw, -ez),
-    ]
-    visible = [f for f in faces if float(np.dot(f[5], f[0])) < 0.0]
-    return [f[:5] for f in visible]
+    axes = ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
+    halves = (box.l / 2.0, box.w / 2.0, box.h / 2.0)
+    x, y, z = float(box.x), float(box.y), float(box.z)
+    rows = []
+    for k, u, v in _FACE_AXES:
+        (ax, ay, az), half = axes[k], halves[k]
+        sampling = (*axes[u], *axes[v], halves[u], halves[v])
+        front = (x + half * ax, y + half * ay, z + half * az)
+        if _faces_origin((ax, ay, az), front):
+            rows.append(front + sampling)
+        back = (x - half * ax, y - half * ay, z - half * az)
+        if _faces_origin((-ax, -ay, -az), back):
+            rows.append(back + sampling)
+    return rows
+
+
+def _face_draws(faces, n_points: int, rng):
+    """The draws of n_points on faces, in sampling order: an area-weighted
+    face index per point, then the u offsets, then the v offsets.
+
+    A box shows at most 3 faces, and numpy sums fewer than 8 terms left to
+    right, so accumulate's last entry is areas.sum() bit for bit.
+    """
+    areas = [4.0 * hu * hv for *_, hu, hv in faces]
+    total = list(accumulate(areas))[-1]
+    choices = _choice([a / total for a in areas], rng, n_points)
+    offsets_u = rng.uniform(-1.0, 1.0, size=n_points)
+    offsets_v = rng.uniform(-1.0, 1.0, size=n_points)
+    return choices, offsets_u, offsets_v
+
+
+def _surface_points(faces, draws) -> np.ndarray:
+    """The points of every draw, in draw order, from one array expression.
+
+    faces holds the face rows of every sampled box, stacked, and draws one
+    (first row, choices, offsets_u, offsets_v) per box; each point is
+    center + (ou * hu) * axis_u + (ov * hv) * axis_v of its face, the same
+    elementwise steps whether one box is sampled or many.
+    """
+    if not draws:
+        return np.zeros((0, 3))
+    firsts, choices, offsets_u, offsets_v = zip(*draws)
+    choices = np.concatenate(choices) + np.repeat(firsts, [len(c) for c in choices])
+    face = np.array(faces)[choices]
+    return (
+        face[:, 0:3]
+        + (np.concatenate(offsets_u) * face[:, 9])[:, None] * face[:, 3:6]
+        + (np.concatenate(offsets_v) * face[:, 10])[:, None] * face[:, 6:9]
+    )
 
 
 def sample_surface_points(box: Box3D, n_points: int, rng) -> np.ndarray:
@@ -262,17 +337,7 @@ def sample_surface_points(box: Box3D, n_points: int, rng) -> np.ndarray:
     faces = _visible_faces(box)
     if not faces or n_points <= 0:
         return np.zeros((0, 3))
-    areas = np.array([4.0 * hu * hv for _, _, _, hu, hv in faces])
-    choices = _choice(areas / areas.sum(), rng, n_points)
-    offsets_u = rng.uniform(-1.0, 1.0, size=n_points)
-    offsets_v = rng.uniform(-1.0, 1.0, size=n_points)
-    center, axis_u, axis_v, half_u, half_v = (np.array(column) for column in zip(*faces))
-    # center + (ou * hu) * axis_u + (ov * hv) * axis_v per point, in that order
-    return (
-        center[choices]
-        + (offsets_u * half_u[choices])[:, None] * axis_u[choices]
-        + (offsets_v * half_v[choices])[:, None] * axis_v[choices]
-    )
+    return _surface_points(faces, [(0, *_face_draws(faces, n_points, rng))])
 
 
 def generate_frame(rig: CameraRig, spec: GenSpec, frame_index: int):
@@ -280,25 +345,32 @@ def generate_frame(rig: CameraRig, spec: GenSpec, frame_index: int):
 
     Deterministic per (spec.seed, frame_index).  Object uids are unique
     across frames.  Each object's LiDAR points lie on its surface; clutter
-    sits on the ground plane.
+    sits on the ground plane.  The loop over objects makes every random
+    draw, in order; the surface points of all objects are then built at
+    once from the stacked faces and draws.
     """
     rng = np.random.default_rng([spec.seed, 0, frame_index])
     wedges = overlap_wedges(rig)
-    complement = _complement_arcs(wedges)
+    complement = _complement_arcs(wedges) or wedges
+    # the arcs an object is placed on, in a wedge or outside, with their shares
+    inside = (wedges, _arc_shares(wedges)) if wedges else None
+    outside = (complement, _arc_shares(complement))
     n_objects = int(rng.integers(spec.objects_per_frame[0], spec.objects_per_frame[1] + 1))
     classes = list(spec.class_mix.keys())
     weights = np.array([spec.class_mix[c] for c in classes], dtype=float)
-    weights /= weights.sum()
+    weights = (weights / weights.sum()).tolist()
     objects = []
     centers = []
-    clouds = []
+    faces = []
+    draws = []
     for k in range(n_objects):
-        cls = classes[int(_choice(weights, rng))]
+        cls = classes[_choice(weights, rng)]
         l, w, h = CLASS_DIMS[cls]
         for _attempt in range(40):
             in_wedge = rng.random() < spec.overlap_fraction
-            arcs = wedges if (in_wedge and wedges) else (complement or wedges)
-            azimuth = _sample_arc(arcs, rng)
+            arcs, shares = inside if (in_wedge and inside) else outside
+            start, width = arcs[_choice(shares, rng)]
+            azimuth = wrap_angle(start + rng.uniform(0.0, width))
             radius = rng.uniform(*spec.radius_range)
             x, y = radius * math.cos(azimuth), radius * math.sin(azimuth)
             if all(math.hypot(x - cx, y - cy) >= MIN_CENTER_SPACING for cx, cy in centers):
@@ -309,15 +381,18 @@ def generate_frame(rig: CameraRig, spec: GenSpec, frame_index: int):
         objects.append(SceneObject(uid=uid, class_id=cls, box=box))
         centers.append((x, y))
         n_pts = int(rng.integers(spec.lidar_points_range[0], spec.lidar_points_range[1] + 1))
-        clouds.append(sample_surface_points(box, n_pts, rng))
+        visible = _visible_faces(box)
+        if visible and n_pts > 0:
+            draws.append((len(faces), *_face_draws(visible, n_pts, rng)))
+            faces += visible
+    cloud = _surface_points(faces, draws)
     if spec.clutter_points > 0:
         radii = spec.radius_range[1] * np.sqrt(rng.uniform(0.0, 1.0, spec.clutter_points))
         angles = rng.uniform(-math.pi, math.pi, spec.clutter_points)
         clutter = np.column_stack(
             [radii * np.cos(angles), radii * np.sin(angles), np.full(spec.clutter_points, GROUND_Z)]
         )
-        clouds.append(clutter)
-    cloud = np.vstack(clouds) if clouds else np.zeros((0, 3))
+        cloud = np.vstack([cloud, clutter])
     return objects, cloud
 
 
@@ -365,13 +440,19 @@ def simulate_detections(
     the noise per detection).  Detections are dropped with miss_rate, or when jitter
     collapses the bbox.
     """
+    projection = box_image_extents(rig.cameras, box_corners(obj.box for obj in objects))
+    return _simulate_projected(rig, objects, spec, frame_index, projection)
+
+
+def _simulate_projected(rig, objects, spec, frame_index, projection) -> list[Detection2D]:
+    """simulate_detections, given the objects' projection on the rig as
+    box_image_extents(rig.cameras, corners) returns it."""
     rng = np.random.default_rng([spec.seed, 1, frame_index])
     detections = []
-    corners = box_corners(obj.box for obj in objects)
     # an object's anchor is drawn from its own uid-seeded generator at its
     # first detection and reused for the rest
     anchors = [None] * len(objects)
-    _, extents, visible = box_image_extents(rig.cameras, corners)
+    _, extents, visible = projection
     for cam, cam_extents, cam_visible in zip(rig.cameras, extents.tolist(), visible.tolist()):
         for k, (obj, bbox, seen) in enumerate(zip(objects, cam_extents, cam_visible)):
             if not seen:

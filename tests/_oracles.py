@@ -31,6 +31,12 @@ From box_image_extents_reference on are the code that one projection on
 the whole rig and the distance table's reuse replaced: box extents
 projected one camera at a time, and tp_errors recomputing the distance of
 each matched pair.  The package must give their results bit for bit.
+
+From visible_faces_reference on are the code that frame generation in
+array passes replaced: the per-box face arrays with their np.dot visibility
+test, the camera yaw and field of view recomputed at every read, and the
+frame loop that samples each object's surface as it goes.  The package
+must give their results bit for bit.
 """
 
 import dataclasses
@@ -58,17 +64,21 @@ from sianms.pipeline import VARIANT_ORDER, PipelineConfig, RunReport, SchemaErro
 from sianms.scene import (
     DEPTH_EPSILON,
     BBox2D,
+    Box3D,
     CameraModel,
     CameraRig,
     Detection2D,
     Pose,
+    SceneObject,
     angular_extent,
     box_corners,
     extent_midpoint,
     project_points,
+    wrap_angle,
 )
 from sianms.sceneio import _box_to_list, _floats, _list, _num, _str
-from sianms.synthgen import GenSpec, _visible_faces, embedding_provider
+from sianms.synthgen import (CLASS_DIMS, GROUND_Z, MIN_CENTER_SPACING, YAW_HALF_RANGE, GenSpec,
+                             _complement_arcs, embedding_provider, overlap_wedges)
 
 
 def brute_force_assignment(costs, masked=None):
@@ -455,7 +465,7 @@ def box3d_to_bbox2d_reference(cam, box, clip=True):
 
 def sample_surface_points_reference(box, n_points, rng) -> np.ndarray:
     """synthgen.sample_surface_points, one point per loop step."""
-    faces = _visible_faces(box)
+    faces = visible_faces_reference(box)
     if not faces or n_points <= 0:
         return np.zeros((0, 3))
     areas = np.array([4.0 * hu * hv for _, _, _, hu, hv in faces])
@@ -1506,3 +1516,86 @@ def tp_errors_reference(matched_pairs):
     ase = float(np.mean([1.0 - aligned_iou3d(p, g) for p, g in pairs]))
     aoe = float(np.mean([abs(wrap_angle_reference(p.theta - g.theta)) for p, g in pairs]))
     return ate, ase, aoe
+
+
+def visible_faces_reference(box):
+    """Faces of the box visible from the origin, as sampling rectangles.
+
+    Each entry is (center, axis_u, axis_v, half_u, half_v) in vehicle frame.
+    """
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    hl, hw, hh = box.l / 2.0, box.w / 2.0, box.h / 2.0
+    ex, ey, ez = rot[:, 0], rot[:, 1], rot[:, 2]
+    center = box.center
+    faces = [
+        (center + hl * ex, ey, ez, hw, hh, ex),
+        (center - hl * ex, ey, ez, hw, hh, -ex),
+        (center + hw * ey, ex, ez, hl, hh, ey),
+        (center - hw * ey, ex, ez, hl, hh, -ey),
+        (center + hh * ez, ex, ey, hl, hw, ez),
+        (center - hh * ez, ex, ey, hl, hw, -ez),
+    ]
+    visible = [f for f in faces if float(np.dot(f[5], f[0])) < 0.0]
+    return [f[:5] for f in visible]
+
+
+def camera_hfov_reference(cam) -> float:
+    """CameraModel.hfov as a plain property, recomputed at every read."""
+    return 2.0 * math.atan(cam.width / (2.0 * cam.fx))
+
+
+def camera_yaw_reference(cam) -> float:
+    """CameraModel.yaw as a plain property: the optical axis rotated into the
+    vehicle frame at every read."""
+    axis = cam.pose.rotation @ np.array([0.0, 0.0, 1.0])
+    return math.atan2(axis[1], axis[0])
+
+
+def _sample_arc_reference(arcs, rng) -> float:
+    lengths = np.array([width for _, width in arcs])
+    idx = int(choice_reference(lengths / lengths.sum(), rng))
+    start, width = arcs[idx]
+    return wrap_angle(start + rng.uniform(0.0, width))
+
+
+def generate_frame_reference(rig, spec, frame_index):
+    """synthgen.generate_frame with each object's surface sampled inside the
+    loop, rng.choice for every weighted draw and the per-point sampler."""
+    rng = np.random.default_rng([spec.seed, 0, frame_index])
+    wedges = overlap_wedges(rig)
+    complement = _complement_arcs(wedges)
+    n_objects = int(rng.integers(spec.objects_per_frame[0], spec.objects_per_frame[1] + 1))
+    classes = list(spec.class_mix.keys())
+    weights = np.array([spec.class_mix[c] for c in classes], dtype=float)
+    weights /= weights.sum()
+    objects = []
+    centers = []
+    clouds = []
+    for k in range(n_objects):
+        cls = classes[int(choice_reference(weights, rng))]
+        l, w, h = CLASS_DIMS[cls]
+        for _attempt in range(40):
+            in_wedge = rng.random() < spec.overlap_fraction
+            arcs = wedges if (in_wedge and wedges) else (complement or wedges)
+            azimuth = _sample_arc_reference(arcs, rng)
+            radius = rng.uniform(*spec.radius_range)
+            x, y = radius * math.cos(azimuth), radius * math.sin(azimuth)
+            if all(math.hypot(x - cx, y - cy) >= MIN_CENTER_SPACING for cx, cy in centers):
+                break
+        yaw = wrap_angle(azimuth + rng.uniform(-YAW_HALF_RANGE, YAW_HALF_RANGE))
+        box = Box3D(x=x, y=y, z=GROUND_Z + h / 2.0, l=l, w=w, h=h, theta=yaw)
+        uid = frame_index * 10000 + k
+        objects.append(SceneObject(uid=uid, class_id=cls, box=box))
+        centers.append((x, y))
+        n_pts = int(rng.integers(spec.lidar_points_range[0], spec.lidar_points_range[1] + 1))
+        clouds.append(sample_surface_points_reference(box, n_pts, rng))
+    if spec.clutter_points > 0:
+        radii = spec.radius_range[1] * np.sqrt(rng.uniform(0.0, 1.0, spec.clutter_points))
+        angles = rng.uniform(-math.pi, math.pi, spec.clutter_points)
+        clutter = np.column_stack(
+            [radii * np.cos(angles), radii * np.sin(angles), np.full(spec.clutter_points, GROUND_Z)]
+        )
+        clouds.append(clutter)
+    cloud = np.vstack(clouds) if clouds else np.zeros((0, 3))
+    return objects, cloud

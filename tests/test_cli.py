@@ -1,13 +1,15 @@
 """Command-line interface, exercised in process."""
 
 import json
+import shutil
 
 import pytest
 
 import sianms.pipeline as pipeline_module
 from sianms.cli import main
 from sianms.pipeline import REGIONS, PipelineConfig, config_to_dict
-from sianms.sceneio import write_scene
+from sianms.pipeline import SchemaError
+from sianms.sceneio import load_scene, write_scene
 from sianms.synthgen import GenSpec, RigSpec, benchmark_gen_spec, make_rig
 
 from conftest import build_scene
@@ -531,4 +533,73 @@ class TestRigIsReadLikeAConfig:
         assert main(["compare", "--scene", str(scene_dir / "scene.json"),
                      "--config", str(config), "--out", str(out)]) == 2
         assert f"schema error: config: {section}.{key} must be dict[" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _break_bin(scene):
+    (scene.parent / "scene_frame0001.bin").unlink()
+
+
+def _break_inline(edit):
+    def apply(scene):
+        data = json.loads(scene.read_text())
+        edit(data["frames"][1]["lidar"]["inline"])
+        scene.write_text(json.dumps(data))
+    return apply
+
+
+class TestCommandsThatSkipClouds:
+    """simulate and eval-3d read only the rig and each frame's objects: a
+    scene whose cloud load_scene refuses gives them exit 0 and the bytes of
+    the intact scene, while run and compare still exit 2."""
+
+    @staticmethod
+    def _outputs(scene, boxes, out, capsys):
+        capsys.readouterr()
+        assert main(["simulate", "--scene", str(scene), "--out", str(out / "dets.json")]) == 0
+        texts = [(out / "dets.json").read_bytes()]
+        for region in REGIONS:
+            capsys.readouterr()
+            assert main(["eval-3d", "--pred", str(boxes), "--gt", str(scene),
+                         "--region", region, "--csv"]) == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    @pytest.mark.parametrize("lidar_bin, breaking, message", [
+        (True, _break_bin, r"frames\[1\]\.lidar\.bin_file: file not found"),
+        (False, _break_inline(lambda rows: rows[2].__setitem__(1, float("nan"))),
+         r"frames\[1\]\.lidar: a cloud holds non-finite coordinates"),
+        (False, _break_inline(lambda rows: rows[2].pop()),
+         r"frames\[1\]\.lidar\.inline\[2\]: expected 3 elements, got 2"),
+    ], ids=["missing_bin", "non_finite_inline", "ragged_inline"])
+    def test_same_bytes_without_the_cloud(self, tmp_path, spec_file, run_dir, capsys,
+                                          lidar_bin, breaking, message):
+        intact = tmp_path / "intact"
+        argv = ["generate", "--spec", str(spec_file), "--out", str(intact)]
+        assert main(argv + ["--lidar-bin"] * lidar_bin) == 0
+        broken = tmp_path / "broken"
+        shutil.copytree(intact, broken)
+        breaking(broken / "scene.json")
+        boxes = run_dir / "boxes.json"
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        want = self._outputs(intact / "scene.json", boxes, tmp_path / "a", capsys)
+        assert self._outputs(broken / "scene.json", boxes, tmp_path / "b", capsys) == want
+        with pytest.raises(SchemaError, match=message):
+            load_scene(broken / "scene.json")
+        for command in (["run", "--variant", "sianms"], ["compare"]):
+            out = tmp_path / command[0]
+            assert main([command[0], "--scene", str(broken / "scene.json"), *command[1:],
+                         "--out", str(out)]) == 2
+            assert not out.exists()
+
+    def test_lidar_record_keys_are_still_checked(self, tmp_path, scene_dir, capsys):
+        data = json.loads((scene_dir / "scene.json").read_text())
+        data["frames"][1]["lidar"]["bin_file"] = "scene_frame0001.bin"
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data))
+        out = tmp_path / "dets.json"
+        assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 2
+        assert "frames[1].lidar: expected exactly one of 'inline' or 'bin_file'" in (
+            capsys.readouterr().err)
         assert not out.exists()

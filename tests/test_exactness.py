@@ -4,7 +4,9 @@ The range gate, the trimmed extents and the 3D-to-2D box projection are
 computed with index arithmetic instead of np.quantile, np.histogram,
 np.median and project_points; every box on a camera is projected at once;
 frustums are filtered against a cloud projected once per camera;
-surface points are sampled without a per-point loop; inline clouds are
+surface points are sampled without a per-point loop, and a frame's
+points are placed after all its draws, with face visibility decided in
+Python floats and the camera angles cached; inline clouds are
 formatted apart from the rest of the scene file; detection files are laid
 out by hand around one json call per frame; the loaders build arrays with
 np.fromiter; weighted draws skip rng.choice; the loss primitives skip
@@ -20,9 +22,11 @@ _oracles.py, on random inputs and on every frustum and box of the
 benchmark scenes.
 """
 
+import dataclasses
 import math
 import struct
 from dataclasses import astuple
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -82,6 +86,7 @@ from sianms.scene import (
     BBox2D,
     Box3D,
     CameraModel,
+    CameraRig,
     Detection2D,
     Pose,
     SceneObject,
@@ -90,6 +95,7 @@ from sianms.scene import (
     box_image_extents,
     matrix_to_quat,
     project_points,
+    quat_to_matrix,
     wrap_angle,
 )
 from sianms.sceneio import _float_rows, write_detections, write_scene
@@ -98,9 +104,12 @@ from sianms.synthgen import (
     GenSpec,
     RigSpec,
     _choice,
+    _faces_origin,
+    _visible_faces,
     benchmark_gen_spec,
     generate_frame,
     make_rig,
+    overlap_wedges,
     sample_surface_points,
     simulate_detections,
 )
@@ -110,6 +119,8 @@ from _oracles import (
     bbox2d_via_project_points,
     box3d_to_bbox2d_reference,
     box_corners_one_box_reference,
+    camera_hfov_reference,
+    camera_yaw_reference,
     box_image_extents_reference,
     choice_reference,
     cross_entropy_reference,
@@ -118,6 +129,7 @@ from _oracles import (
     evaluate_3d_reference,
     filter_frustum_reference,
     float_rows_reference,
+    generate_frame_reference,
     inline_scene_text_reference,
     interpolated_precision_samples_reference,
     match_3d_reference,
@@ -131,6 +143,7 @@ from _oracles import (
     tp_flags_2d_reference,
     tp_flags_3d_reference,
     visible_camera_count_reference,
+    visible_faces_reference,
     wrap_angle_reference,
 )
 from conftest import build_scene
@@ -981,6 +994,172 @@ class TestSurfaceSampling:
         sample_surface_points(box, 50, rng)
         sample_surface_points_reference(box, 50, reference_rng)
         assert rng.random() == reference_rng.random()
+
+
+def _uneven_ring() -> CameraRig:
+    """Nine cameras at uneven yaws with uneven fields of view, so the rig
+    has nine overlap wedges of nine different widths."""
+    base = make_rig(RigSpec(n_cameras=9, yaw_spacing_deg=40.0, hfov_deg=50.0))
+    yaws = (0.0, 37.0, 81.0, 118.0, 160.0, 205.0, 242.0, 290.0, 323.0)
+    hfovs = (52.0, 61.0, 47.0, 55.0, 58.0, 49.0, 66.0, 53.0, 47.0)
+    forward = quat_to_matrix(base.cameras[0].pose.q)  # the camera at yaw 0
+    cameras = []
+    for cam, yaw, hfov in zip(base.cameras, yaws, hfovs):
+        c, s = math.cos(math.radians(yaw)), math.sin(math.radians(yaw))
+        rot_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        q = matrix_to_quat(rot_z @ forward)
+        fx = (cam.width / 2.0) / math.tan(math.radians(hfov) / 2.0)
+        cameras.append(dataclasses.replace(cam, fx=fx, fy=fx, pose=Pose(q=q)))
+    return CameraRig(cameras=tuple(cameras), adjacency=base.adjacency)
+
+
+GEN_RIGS = {
+    "one": make_rig(RigSpec(n_cameras=1)),
+    "bench6": make_rig(RIGS["bench6"]),
+    "ring8": make_rig(RIGS["ring8"]),
+    "uneven9": _uneven_ring(),
+}
+
+
+def _ordered(pairs):
+    return pairs.map(lambda p: tuple(sorted(p)))
+
+
+GEN_SPECS = st.builds(
+    GenSpec,
+    seed=st.integers(0, 2**32 - 1),
+    objects_per_frame=_ordered(st.tuples(st.integers(0, 12), st.integers(0, 12))),
+    class_mix=st.sampled_from([{"car": 1.0}, {"pedestrian": 2.0}, {"cyclist": 0.3, "car": 0.7}])
+    | st.dictionaries(st.sampled_from(sorted(CLASS_DIMS)), st.floats(0.01, 5.0), min_size=1),
+    radius_range=st.sampled_from([(0.0, 6.0), (0.0, 0.0), (0.0, 2.0), (8.0, 30.0)])
+    | _ordered(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0))),
+    overlap_fraction=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    lidar_points_range=st.sampled_from([(0, 0), (1, 1), (60, 120)])
+    | _ordered(st.tuples(st.integers(-5, 200), st.integers(-5, 200))),
+    clutter_points=st.sampled_from([0, 300]) | st.integers(0, 400),
+)
+
+
+def _assert_frame_matches(rig, spec, frame_index):
+    """generate_frame against the loop that samples each object as it
+    goes: objects field for field, as float bits, and the cloud's bits."""
+    objects, cloud = generate_frame(rig, spec, frame_index)
+    want_objects, want_cloud = generate_frame_reference(rig, spec, frame_index)
+    assert [(o.uid, o.class_id) for o in objects] == [(o.uid, o.class_id) for o in want_objects]
+    assert _float_bits([v for o in objects for v in astuple(o.box)]) == _float_bits(
+        [v for o in want_objects for v in astuple(o.box)]
+    )
+    assert _same_bits(cloud, want_cloud)
+    return objects, cloud
+
+
+class TestFrameGeneration:
+    """generate_frame makes every draw in the object loop and builds the
+    surface points of all objects in one pass; the oracle samples each
+    object inside the loop, with rng.choice and per-box face arrays."""
+
+    def test_the_uneven_ring_has_nine_unequal_wedges(self):
+        widths = [width for _, width in overlap_wedges(GEN_RIGS["uneven9"])]
+        assert len(widths) == 9 and len(set(widths)) == 9
+
+    @EXAMPLES
+    @given(rig=st.sampled_from(sorted(GEN_RIGS)), spec=GEN_SPECS, frame_index=st.integers(0, 3))
+    def test_matches_the_per_object_loop(self, rig, spec, frame_index):
+        _assert_frame_matches(GEN_RIGS[rig], spec, frame_index)
+
+    @pytest.mark.parametrize("rig, spec, frames", [
+        ("bench6", benchmark_gen_spec(5), 100),
+        ("bench6", benchmark_gen_spec(7, noisy=True), 50),
+        ("ring8", GenSpec(seed=3), 20),
+        ("bench6", GenSpec(seed=11, radius_range=(0.0, 6.0)), 20),
+        ("uneven9", GenSpec(seed=12, overlap_fraction=0.9), 20),
+    ], ids=["generate-io", "noisy", "ring8", "radius-0-6", "uneven9"])
+    def test_every_frame_of_a_scene(self, rig, spec, frames):
+        n_points = sum(len(_assert_frame_matches(GEN_RIGS[rig], spec, i)[1]) for i in range(frames))
+        assert n_points > frames * spec.clutter_points
+
+    @EXAMPLES
+    @given(areas=st.lists(st.floats(1e-4, 1e4) | st.sampled_from([1e-300, 1.0, 1e300]),
+                          min_size=1, max_size=7))
+    def test_area_total_is_numpys_sum(self, areas):
+        """A box shows at most 3 faces; numpy sums up to 7 terms left to
+        right, as accumulate does."""
+        assert _float_bits([list(accumulate(areas))[-1]]) == _float_bits([float(np.sum(areas))])
+
+    def test_origin_inside_a_box_samples_nothing(self):
+        spec = GenSpec(seed=4, objects_per_frame=(1, 1), radius_range=(0.0, 0.0), clutter_points=0)
+        objects, cloud = _assert_frame_matches(GEN_RIGS["bench6"], spec, 0)
+        assert len(objects) == 1 and cloud.shape == (0, 3)
+
+    def test_rng_left_in_the_same_state(self):
+        """The draws after the last object (the clutter) come out the same, so
+        every object's draws used the generator as the loop did."""
+        spec = GenSpec(seed=8, lidar_points_range=(0, 3), clutter_points=5)
+        for index in range(10):
+            _, cloud = _assert_frame_matches(GEN_RIGS["ring8"], spec, index)
+            assert len(cloud) >= 5
+
+
+class TestFaceVisibility:
+    """_faces_origin decides normal . center < 0 from the Python sum of the
+    products outside a band around 0 and with np.dot inside it."""
+
+    def test_a_face_plane_through_the_origin(self):
+        # the -x face of this box has its center at the origin's x, so the
+        # dot product with its normal is exactly 0: not visible
+        box = Box3D(x=2.25, y=0.0, z=-0.9, l=4.5, w=1.9, h=1.6, theta=0.0)
+        assert not _faces_origin((-1.0, -0.0, -0.0), (0.0, 0.0, -0.9))
+        faces = _visible_faces(box)
+        want = visible_faces_reference(box)
+        assert len(faces) == len(want) == 1  # the bottom face only
+        assert _float_bits(list(faces[0])) == _float_bits(
+            [v for part in want[0] for v in np.atleast_1d(part).tolist()]
+        )
+
+    def test_inside_the_band_np_dot_decides(self):
+        """x * x - x * x is 0 in Python; a fused multiply-add leaves the
+        rounding error of x * x, of either sign."""
+        rng = np.random.default_rng(0)
+        for x in rng.uniform(0.1, 30.0, 500).tolist():
+            normal, center = (x, -x, 0.0), (x, x, 0.0)
+            assert _faces_origin(normal, center) == (float(np.dot(normal, center)) < 0.0)
+
+    def test_near_grazing_faces(self):
+        """Boxes placed so that one face plane passes within about 1e-12 m
+        of the origin: every face row, visibility included, has the bits of
+        the per-box arrays the np.dot test was made on."""
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            theta = rng.uniform(-math.pi, math.pi)
+            c, s = math.cos(theta), math.sin(theta)
+            l, w, h = rng.uniform(0.5, 5.0, 3).tolist()
+            along = rng.uniform(-20.0, 20.0)
+            tiny = rng.uniform(-1e-12, 1e-12)
+            # the -x face center sits along the box's y axis, tiny off the plane
+            x = -s * along + c * (l / 2.0 + tiny)
+            y = c * along + s * (l / 2.0 + tiny)
+            box = Box3D(x=x, y=y, z=rng.uniform(-2.0, 2.0), l=l, w=w, h=h, theta=theta)
+            faces = _visible_faces(box)
+            want = visible_faces_reference(box)
+            assert [_float_bits(list(f)) for f in faces] == [
+                _float_bits([v for part in f for v in np.atleast_1d(part).tolist()]) for f in want
+            ]
+
+    def test_non_finite_input_goes_to_np_dot(self):
+        for center in [(math.inf, 0.0, 0.0), (math.nan, 1.0, 1.0), (-math.inf, 0.0, 0.0)]:
+            assert _faces_origin((1.0, 0.0, 0.0), center) == (
+                float(np.dot((1.0, 0.0, 0.0), center)) < 0.0
+            )
+
+
+class TestCameraAngles:
+    @pytest.mark.parametrize("rig", sorted(GEN_RIGS))
+    def test_cached_yaw_and_hfov_are_the_property_values(self, rig):
+        for cam in GEN_RIGS[rig].cameras:
+            fresh = dataclasses.replace(cam)
+            assert _float_bits([fresh.yaw]) == _float_bits([camera_yaw_reference(cam)])
+            assert _float_bits([fresh.hfov]) == _float_bits([camera_hfov_reference(cam)])
+            assert fresh.yaw is fresh.yaw and fresh.hfov is fresh.hfov
 
 
 class TestSimulateDetections:

@@ -184,7 +184,7 @@ class TestInputChecks:
 
     def test_missing_prior_fails_before_the_first_frame(self, small_scene, monkeypatch):
         calls = []
-        monkeypatch.setattr(pipeline_module, "simulate_detections", lambda *a: calls.append(a))
+        monkeypatch.setattr(pipeline_module, "_simulate_projected", lambda *a: calls.append(a))
         classes = {obj.class_id for f in small_scene.frames for obj in f.objects}
         assert classes - {"car"}
         cfg = PipelineConfig(
@@ -320,7 +320,7 @@ class TestSharedFrameWork:
             assert shared == alone
 
     def test_simulates_each_frame_once(self, small_scene, monkeypatch):
-        calls = _counting(monkeypatch, "simulate_detections")
+        calls = _counting(monkeypatch, "_simulate_projected")
         compare_variants(small_scene, PipelineConfig(gen=SMALL_GEN))
         assert [args[3] for args in calls] == [f.index for f in small_scene.frames]
 
