@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import groupby
 from pathlib import Path
 
@@ -92,6 +93,7 @@ def _flag_parents():
     return gen, config, fmt
 
 
+@cache  # parse_args leaves the parser as it is, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     gen, config, fmt = _flag_parents()
     parser = _Parser(prog="sianms", description=__doc__.strip().splitlines()[0])

@@ -98,7 +98,6 @@ VARIANT_ORDER = (
 
 VARIANT_NAMES = tuple(v.value for v in VARIANT_ORDER)
 REGIONS = ("all", "overlap")
-_type_hints = cache(get_type_hints)  # per dataclass, for section_from_dict
 
 
 @dataclass(frozen=True)
@@ -197,6 +196,24 @@ def _tuples(value):
     return value
 
 
+@cache
+def _hint_facts(hint) -> tuple:
+    """(is a section, get_origin, get_args) of a field's type hint, worked
+    out once per hint for _fits and _from_json."""
+    return is_dataclass(hint), get_origin(hint), get_args(hint)
+
+
+@cache
+def _section_fields(cls) -> tuple[dict, frozenset]:
+    """The type hint of each field of a section class, in field order, and
+    the names of the fields that have no default or are FILE_REQUIRED;
+    worked out once per class for section_from_dict."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}, frozenset(
+        f.name for f in fields(cls) if f.default is f.default_factory is MISSING or f.metadata.get("required")
+    )
+
+
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field's type hint: a number is an int or a
     float but not a bool, an int field takes no float, a tuple field takes a
@@ -205,9 +222,9 @@ def _fits(value, hint) -> bool:
     if hint in (int, float):
         number = numbers.Integral if hint is int else numbers.Real
         return isinstance(value, number) and not isinstance(value, bool)
-    if is_dataclass(hint):
+    section, origin, args = _hint_facts(hint)
+    if section:
         return True
-    origin, args = get_origin(hint), get_args(hint)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             return False
@@ -223,43 +240,53 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _from_json(hint, value, path: str):
+def _from_json(hint, value, path: str, in_record: bool):
     """A checked field value as its dataclass holds it: lists as tuples, and
     a section, or each element of a tuple of sections, built from its object."""
-    if is_dataclass(hint):
-        return section_from_dict(hint, value, f"{path}.")
-    if get_origin(hint) is tuple and is_dataclass(element := get_args(hint)[0]):
-        return tuple(record_from_dict(element, v, f"{path}[{i}]") for i, v in enumerate(value))
+    section, origin, args = _hint_facts(hint)
+    if section:
+        return section_from_dict(hint, value, f"{path}.", in_record)
+    if origin is tuple and _hint_facts(args[0])[0]:
+        return tuple(record_from_dict(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     return _tuples(value)
 
 
-def section_from_dict(cls, data, prefix: str):
+def section_from_dict(cls, data, prefix: str, in_record: bool = False):
     """cls built from a JSON object, the one reader of configs, spec sections
     and the rig; a section field, or each element of a tuple of them, is
     built under its path (rig.cameras[2].pose.).  An omitted field keeps its
     default unless it has none or is FILE_REQUIRED.  SchemaError names the
-    path of a non-object, a missing key or a value of the wrong type."""
+    path of a non-object, a missing key or a value of the wrong type, and
+    that of a section whose constructor raises ValueError (gen: unknown
+    class 'truck'), unless the section is part of a record, which
+    record_from_dict names instead (in_record)."""
     if not isinstance(data, dict):
         raise SchemaError(f"{prefix[:-1]} must be an object, got {data!r}")
-    hints = _type_hints(cls)
-    for f in fields(cls):
-        hint = hints[f.name]
-        if f.name not in data:
-            if f.default is f.default_factory is MISSING or f.metadata.get("required"):
-                raise SchemaError(f"{prefix[:-1]}: missing required key {f.name!r}")
-        elif not _fits(data[f.name], hint):
+    hints, required = _section_fields(cls)
+    for name, hint in hints.items():
+        if name not in data:
+            if name in required:
+                raise SchemaError(f"{prefix[:-1]}: missing required key {name!r}")
+        elif not _fits(data[name], hint):
             text = hint.__name__ if get_origin(hint) is None else str(hint)
-            raise SchemaError(f"{prefix}{f.name} must be {text}, got {data[f.name]!r}")
+            raise SchemaError(f"{prefix}{name} must be {text}, got {data[name]!r}")
     # fields in field order, as checked above, then unknown keys for cls to reject
     keys = dict.fromkeys([*hints, *data])
-    return cls(**{k: _from_json(hints.get(k), data[k], f"{prefix}{k}") for k in keys if k in data})
+    kwargs = {k: _from_json(hints.get(k), data[k], f"{prefix}{k}", in_record) for k in keys if k in data}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if in_record or not prefix:
+            raise
+        raise SchemaError(f"{prefix[:-1]}: {exc}") from exc
 
 
 def record_from_dict(cls, data, path: str):
     """section_from_dict(cls, data, path + "."), re-raising cls.__init__'s
-    TypeError (an unknown key) or ValueError as SchemaError under path."""
+    TypeError (an unknown key) or ValueError, or one of a section within
+    it, as SchemaError under path."""
     try:
-        return section_from_dict(cls, data, f"{path}.")
+        return section_from_dict(cls, data, f"{path}.", in_record=True)
     except SchemaError:
         raise
     except (TypeError, ValueError) as exc:

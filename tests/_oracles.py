@@ -479,12 +479,16 @@ def sample_surface_points_reference(box, n_points, rng) -> np.ndarray:
     return pts
 
 
-def inline_scene_text_reference(scene) -> str:
-    """The text sceneio.write_scene writes for a scene with inline clouds:
-    the whole payload, clouds as nested lists, through one json.dumps."""
+def scene_text_reference(scene, lidar_bin: bool = False) -> str:
+    """The text sceneio.write_scene writes for a scene at scene.json: the
+    whole payload through one json.dumps, clouds as nested lists or, with
+    lidar_bin, as the names of their side files."""
     frames = []
     for frame in scene.frames:
-        cloud = np.asarray(frame.cloud, dtype=float)
+        if lidar_bin:
+            lidar = {"bin_file": f"scene_frame{frame.index:04d}.bin"}
+        else:
+            lidar = {"inline": [[float(v) for v in row] for row in np.asarray(frame.cloud, dtype=float)]}
         frames.append(
             {
                 "index": frame.index,
@@ -492,7 +496,7 @@ def inline_scene_text_reference(scene) -> str:
                     {"uid": obj.uid, "class": obj.class_id, "box": _box_to_list(obj.box)}
                     for obj in frame.objects
                 ],
-                "lidar": {"inline": [[float(v) for v in row] for row in cloud]},
+                "lidar": lidar,
             }
         )
     payload = {"rig": rig_to_dict_reference(scene.rig), "frames": frames}

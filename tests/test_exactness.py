@@ -25,7 +25,7 @@ benchmark scenes.
 import dataclasses
 import math
 import struct
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import accumulate
 
 import numpy as np
@@ -130,7 +130,6 @@ from _oracles import (
     filter_frustum_reference,
     float_rows_reference,
     generate_frame_reference,
-    inline_scene_text_reference,
     interpolated_precision_samples_reference,
     match_3d_reference,
     merge_frustums_reference,
@@ -139,6 +138,7 @@ from _oracles import (
     positive_pair_term_reference,
     range_gate_reference,
     sample_surface_points_reference,
+    scene_text_reference,
     simulate_detections_reference,
     tp_flags_2d_reference,
     tp_flags_3d_reference,
@@ -1224,7 +1224,7 @@ class TestInlineSceneText:
         cloud = np.array(values[: len(values) // 3 * 3], dtype=float).reshape(-1, 3)
         scene = _one_frame_scene(cloud)
         text = _written_text(tmp_path_factory.mktemp("scene"), scene)
-        assert text == inline_scene_text_reference(scene)
+        assert text == scene_text_reference(scene)
 
     @pytest.mark.parametrize(
         "cloud",
@@ -1239,15 +1239,15 @@ class TestInlineSceneText:
     )
     def test_edge_cases(self, tmp_path, cloud):
         scene = _one_frame_scene(cloud)
-        assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+        assert _written_text(tmp_path, scene) == scene_text_reference(scene)
 
     def test_class_name_that_looks_like_a_cloud(self, tmp_path):
         scene = _one_frame_scene([[1.0, 2.0, 3.0]], class_id='"inline": null')
-        assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+        assert _written_text(tmp_path, scene) == scene_text_reference(scene)
 
     def test_benchmark_scene(self, tmp_path, clean_scene):
         scene = Scene(rig=clean_scene.rig, frames=clean_scene.frames[:5])
-        assert _written_text(tmp_path, scene) == inline_scene_text_reference(scene)
+        assert _written_text(tmp_path, scene) == scene_text_reference(scene)
 
 
 TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "%", "%s", ", ", "pé-7", "雪", "cam0"])
@@ -1256,6 +1256,83 @@ BBOX_VALUES = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.integers(-(10**20), 10**20)
 )
+
+
+POSITIVE_BOX_VALUES = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([1, 4.5, 1e16])
+
+
+@st.composite
+def _objects(draw):
+    x, y, z, theta = draw(st.tuples(*[FINITE_CLOUD_VALUES | st.integers(-9, 9)] * 4))
+    l, w, h = draw(st.tuples(*[POSITIVE_BOX_VALUES] * 3))
+    return SceneObject(
+        uid=draw(st.integers(-(2**70), 2**70) | TEXTS),
+        class_id=draw(TEXTS),
+        box=Box3D(x, y, z, l, w, h, theta),
+    )
+
+
+@st.composite
+def _scenes(draw):
+    frames = tuple(
+        Frame(
+            index=index,
+            objects=tuple(draw(st.lists(_objects(), max_size=3))),
+            cloud=np.array(draw(st.lists(st.tuples(*[FINITE_CLOUD_VALUES] * 3), max_size=4)), dtype=float),
+        )
+        for index in draw(st.lists(st.integers(0, 10**5), unique=True, max_size=3))
+    )
+    return Scene(rig=make_rig(RigSpec(n_cameras=2, yaw_spacing_deg=90.0, hfov_deg=120.0)), frames=frames)
+
+
+BOX = Box3D(8.0, 1.0, -0.9, 4.5, 1.9, 1.6, 0.2)
+
+
+class TestSceneText:
+    """write_scene in both cloud formats against one json.dumps of the whole
+    payload (scene_text_reference), and each side file against the cloud."""
+
+    @staticmethod
+    def _check(tmp_path, scene, lidar_bin):
+        path = tmp_path / "scene.json"
+        with np.errstate(over="ignore"):  # side files hold float32, which values above 3.4e38 overflow
+            write_scene(path, scene, lidar_bin=lidar_bin)
+        assert path.read_text(encoding="utf-8") == scene_text_reference(scene, lidar_bin)
+        side_files = sorted(f.name for f in tmp_path.iterdir() if f.suffix == ".bin")
+        if lidar_bin:
+            assert side_files == sorted(f"scene_frame{frame.index:04d}.bin" for frame in scene.frames)
+            for frame in scene.frames:
+                blob = (tmp_path / f"scene_frame{frame.index:04d}.bin").read_bytes()
+                with np.errstate(over="ignore"):
+                    assert blob == np.asarray(frame.cloud, dtype="<f4").tobytes()
+        else:
+            assert side_files == []
+
+    @EXAMPLES
+    @given(scene=_scenes(), lidar_bin=st.booleans())
+    def test_matches_one_json_dumps(self, tmp_path_factory, scene, lidar_bin):
+        self._check(tmp_path_factory.mktemp("scene"), scene, lidar_bin)
+
+    @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
+    @pytest.mark.parametrize(
+        "objects",
+        [
+            (SceneObject(3, "car", BOX), SceneObject(-(2**70), "car", BOX)),
+            (SceneObject("ped-7", "car", BOX), SceneObject('"%s雪', "car", BOX)),
+            (SceneObject(3, 'say "car"', BOX),),
+            (SceneObject(3, "%s %d %%", BOX), SceneObject("%s", "%r", BOX)),
+            (SceneObject(3, "pé-7 雪 \U0001f697", BOX),),
+            (),
+            None,
+        ],
+        ids=["int_uids", "str_uids", "quote_class", "percent_class", "non_ascii_class", "no_objects",
+             "no_frames"],
+    )
+    def test_edge_cases(self, tmp_path, objects, lidar_bin):
+        """Frame 0 holds the objects (no frame at all for None); frame 1 has none."""
+        scene = _one_frame_scene([[1.0, -2.5, 3.25], [0.0, -0.0, 1e16]])
+        frames = () if objects is None else (replace(scene.frames[0], objects=objects), scene.frames[1])
+        self._check(tmp_path, Scene(rig=scene.rig, frames=frames), lidar_bin)
 
 
 @st.composite

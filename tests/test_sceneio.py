@@ -1,5 +1,6 @@
 """JSON and binary persistence for scenes, detections, matches, and boxes."""
 
+import gc
 import json
 import tracemalloc
 from dataclasses import astuple, replace
@@ -17,12 +18,14 @@ from sianms.pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_d
 from sianms.scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose
 from sianms.sceneio import (
     SchemaError,
+    _load_json,
     detections_by_frame,
     load_boxes,
     load_config,
     load_detection_records,
     load_matches,
     load_scene,
+    load_spec,
     matches_against_detections,
     rig_from_dict,
     rig_to_dict,
@@ -830,6 +833,70 @@ class TestConfigRoundTripProperty:
         with pytest.raises(SchemaError) as err:
             load_config(None, overrides={"eval.region": "all"})
         assert str(err.value) == f"config: {want.value}"
+
+
+class TestSectionErrors:
+    """A config or spec section's constructor ValueError is named by the
+    section; its unknown-key TypeError keeps the constructor's text."""
+
+    @pytest.mark.parametrize("load, data, message", [
+        (load_config, {"gen": {"class_mix": {"truck": 1.0}}}, "config: gen: unknown class 'truck'"),
+        (load_config, {"estimator": {"min_points": 0}}, "config: estimator: min_points must be >= 1"),
+        (load_config, {"loss": {"alpha": 2.0}}, "config: loss: need 0 <= alpha < beta"),
+        (load_spec, {"gen": {"objects_per_frame": [5, 3]}},
+         "spec: gen: objects_per_frame must have low <= high, got (5, 3)"),
+        (load_spec, {"rig": {"hfov_deg": 200.0}}, "spec: rig: hfov_deg must be in (0, 180)"),
+    ], ids=["config_gen", "config_estimator", "config_loss", "spec_gen", "spec_rig"])
+    def test_value_error_names_the_section(self, tmp_path, load, data, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("load, what, section, cls", [
+        (load_config, "config", "gen", GenSpec),
+        (load_config, "config", "estimator", EstimatorConfig),
+        (load_spec, "spec", "gen", GenSpec),
+        (load_spec, "spec", "rig", RigSpec),
+    ], ids=["config_gen", "config_estimator", "spec_gen", "spec_rig"])
+    def test_unknown_key_text_is_the_constructors(self, tmp_path, load, what, section, cls):
+        with pytest.raises(TypeError) as want:
+            cls(no_such_key=1)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({section: {"no_such_key": 1}}))
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert str(err.value) == f"{what}: {want.value}"
+
+
+class TestLoadJsonCollector:
+    """_load_json parses with the cyclic collector paused and leaves the
+    collector as it found it, after a good file and after invalid JSON."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("text, value", [
+        ('{"a": [[1.0, 2.0], []]}', {"a": [[1.0, 2.0], []]}),
+        ('{"a": [1.0,', None),
+    ], ids=["good", "invalid"])
+    def test_state_is_restored(self, tmp_path, monkeypatch, enabled, text, value):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        during = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if value is not None:
+                assert _load_json(path) == value
+            else:
+                with pytest.raises(SchemaError, match="invalid JSON"):
+                    _load_json(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
 
 
 class TestComparisonFiles:
