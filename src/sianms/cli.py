@@ -41,7 +41,7 @@ from .pipeline import (
     run_pipeline,
     text_cell,
 )
-from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, accumulate, evaluate_frame
+from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, UnscorablePair, accumulate, evaluate_frame
 from .scene import CameraModel, CameraRig, Pose
 from .sceneio import (
     SchemaError,
@@ -311,7 +311,7 @@ def cmd_eval_reid(args) -> int:
     frame_stats = []
     for frame in sorted(results):
         frame_dets = [det for f, det in records if f == frame]
-        frame_stats.append(evaluate_frame(results[frame], frame_dets, rig))
+        frame_stats.append(evaluate_frame(results[frame], frame_dets, rig, frame))
     stats = accumulate(frame_stats).as_dict()
     text = (
         "precision {precision:.4f}\nrecall {recall:.4f}\nf_score {f_score:.4f}\n"
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, UnscorablePair) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except (MissingTruth, MissingEmbedding) as exc:

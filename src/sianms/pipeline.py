@@ -36,7 +36,7 @@ common), each report holding its own copy.
 from __future__ import annotations
 
 import copy
-import numbers
+import re
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -203,15 +203,38 @@ def _hint_facts(hint) -> tuple:
     return is_dataclass(hint), get_origin(hint), get_args(hint)
 
 
+def fail(path: str, message: str):
+    """Raise SchemaError for message at a JSON path; the top level of a
+    config or spec has the path '', its loader prefixing config: or spec:."""
+    raise SchemaError(f"{path}: {message}" if path else message)
+
+
+def json_object(value, path: str, keys: tuple, optional: tuple = ()) -> dict:
+    """value, checked to be an object that holds every one of keys and no
+    key outside keys and optional: the one key check of every JSON object
+    read, from a config section to a scene file's frame record."""
+    if not isinstance(value, dict):
+        fail(path, f"expected an object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            fail(path, f"missing required key '{key}'")
+    for key in value:
+        if key not in keys and key not in optional:
+            fail(path, f"unknown key {key!r}; expected {', '.join(keys + optional)}")
+    return value
+
+
 @cache
-def _section_fields(cls) -> tuple[dict, frozenset]:
-    """The type hint of each field of a section class, in field order, and
-    the names of the fields that have no default or are FILE_REQUIRED;
-    worked out once per class for section_from_dict."""
+def _section_fields(cls) -> tuple[dict, tuple, tuple]:
+    """The type hint of each field of a section class, and the names of the
+    fields that have no default or are FILE_REQUIRED and of the others, all
+    in field order; worked out once per class for section_from_dict."""
     hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}, frozenset(
+    required = tuple(
         f.name for f in fields(cls) if f.default is f.default_factory is MISSING or f.metadata.get("required")
     )
+    optional = tuple(f.name for f in fields(cls) if f.name not in required)
+    return {f.name: hints[f.name] for f in fields(cls)}, required, optional
 
 
 def _fits(value, hint) -> bool:
@@ -220,8 +243,7 @@ def _fits(value, hint) -> bool:
     list or tuple whose elements fit too, a dict field takes an object whose
     keys and values fit, and a section (a dataclass) is checked as it is built."""
     if hint in (int, float):
-        number = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, number) and not isinstance(value, bool)
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
     section, origin, args = _hint_facts(hint)
     if section:
         return True
@@ -240,65 +262,37 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _from_json(hint, value, path: str, in_record: bool):
+def _from_json(hint, value, path: str):
     """A checked field value as its dataclass holds it: lists as tuples, and
     a section, or each element of a tuple of sections, built from its object."""
     section, origin, args = _hint_facts(hint)
     if section:
-        return section_from_dict(hint, value, f"{path}.", in_record)
+        return section_from_dict(hint, value, f"{path}.")
     if origin is tuple and _hint_facts(args[0])[0]:
-        return tuple(record_from_dict(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(section_from_dict(args[0], v, f"{path}[{i}].") for i, v in enumerate(value))
     return _tuples(value)
 
 
-def section_from_dict(cls, data, prefix: str, in_record: bool = False):
+def section_from_dict(cls, data, prefix: str):
     """cls built from a JSON object, the one reader of configs, spec sections
     and the rig; a section field, or each element of a tuple of them, is
     built under its path (rig.cameras[2].pose.).  An omitted field keeps its
     default unless it has none or is FILE_REQUIRED.  SchemaError names the
-    path of a non-object, a missing key or a value of the wrong type, and
-    that of a section whose constructor raises ValueError (gen: unknown
-    class 'truck'), unless the section is part of a record, which
-    record_from_dict names instead (in_record)."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{prefix[:-1]} must be an object, got {data!r}")
-    hints, required = _section_fields(cls)
+    path of a bad key (json_object), of a value of the wrong type and of the
+    object whose constructor raises ValueError (rig.cameras[2].pose: ...)."""
+    path = prefix[:-1]
+    hints, required, optional = _section_fields(cls)
+    json_object(data, path, required, optional)
     for name, hint in hints.items():
-        if name not in data:
-            if name in required:
-                raise SchemaError(f"{prefix[:-1]}: missing required key {name!r}")
-        elif not _fits(data[name], hint):
-            text = hint.__name__ if get_origin(hint) is None else str(hint)
+        if name in data and not _fits(data[name], hint):
+            # the hint without module paths, as in tuple[CameraModel, ...]
+            text = hint.__name__ if get_origin(hint) is None else re.sub(r"\b\w+\.", "", str(hint))
             raise SchemaError(f"{prefix}{name} must be {text}, got {data[name]!r}")
-    # fields in field order, as checked above, then unknown keys for cls to reject
-    keys = dict.fromkeys([*hints, *data])
-    kwargs = {k: _from_json(hints.get(k), data[k], f"{prefix}{k}", in_record) for k in keys if k in data}
+    kwargs = {k: _from_json(h, data[k], f"{prefix}{k}") for k, h in hints.items() if k in data}
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        if in_record or not prefix:
-            raise
-        raise SchemaError(f"{prefix[:-1]}: {exc}") from exc
-
-
-def record_from_dict(cls, data, path: str):
-    """section_from_dict(cls, data, path + "."), re-raising cls.__init__'s
-    TypeError (an unknown key) or ValueError, or one of a section within
-    it, as SchemaError under path."""
-    try:
-        return section_from_dict(cls, data, f"{path}.", in_record=True)
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
-def check_sections(data: dict, names, what: str) -> None:
-    """Raise ValueError naming the first key of data that is not one of
-    names, so a misspelled or unsupported section is not silently ignored."""
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise ValueError(f"unknown section {unknown[0]!r}; a {what} reads {', '.join(names)}")
+        fail(path, str(exc))
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -308,11 +302,9 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 def config_from_dict(data: dict) -> PipelineConfig:
     """Inverse of config_to_dict; omitted fields keep their defaults.
 
-    Raises ValueError naming the first key that is no PipelineConfig field
-    (check_sections), and SchemaError naming the first value of the wrong
+    Raises SchemaError naming the first unknown key or value of the wrong
     type (section_from_dict).
     """
-    check_sections(data, [f.name for f in fields(PipelineConfig)], "config")
     return section_from_dict(PipelineConfig, data, "")
 
 
@@ -539,7 +531,7 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
         return time.perf_counter() - started
     shared_s = time.perf_counter() - started
     match = _once(lambda: match_adjacent(rig, frame_dets, cfg.resolved_tau))
-    reid = _once(lambda: evaluate_frame(match(), frame_dets, rig))
+    reid = _once(lambda: evaluate_frame(match(), frame_dets, rig, frame.index))
     for run in runs:
         started = time.perf_counter()
         try:

@@ -7,6 +7,10 @@ pair; that is exactly the population the matcher scores.  Counts per frame:
 * FP: produced pair with differing truth uids.
 * FN: candidate pair sharing a truth uid that was not produced.
 * TN: candidate pair with differing truth uids correctly left unmatched.
+
+A produced pair that is no candidate (a detection paired with itself, or
+two of one camera, of non-adjacent cameras or of two classes) is neither TP
+nor FP, so it is refused rather than dropped.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ REID_KEYS = REID_RATES + ("tp", "fp", "fn", "tn")
 
 class MissingTruth(ValueError):
     """A detection lacks the truth uid needed for evaluation."""
+
+
+class UnscorablePair(ValueError):
+    """A produced pair is no candidate pair, so it cannot be scored."""
 
 
 @dataclass(frozen=True)
@@ -60,16 +68,26 @@ class ReidStats:
         }
 
 
-def evaluate_frame(matches: MatchResult, detections, rig: CameraRig) -> ReidStats:
-    """Score one frame's produced pairs against truth uids.
+def evaluate_frame(matches: MatchResult, detections, rig: CameraRig, frame: int) -> ReidStats:
+    """Score the produced pairs of the frame with index frame against truth uids.
 
     Candidate universes are built once per unordered adjacent camera pair.
-    Raises MissingTruth when any detection lacks a truth uid.
+    Raises MissingTruth when any detection lacks a truth uid, and
+    UnscorablePair, naming the frame, when a produced pair is no candidate.
     """
     detections = list(detections)
     for det in detections:
         if det.truth_uid is None:
             raise MissingTruth(f"detection in camera {det.camera_id!r} lacks truth_uid")
+    adjacent = {frozenset(pair) for pair in rig.adjacency}
+    for pair in matches.pairs:
+        a, b = pair.a, pair.b
+        if a.class_id != b.class_id or frozenset((a.camera_id, b.camera_id)) not in adjacent:
+            raise UnscorablePair(
+                f"frame {frame}: pair of a {a.class_id!r} in camera {a.camera_id!r} and a "
+                f"{b.class_id!r} in camera {b.camera_id!r} is no same-class pair across "
+                "adjacent cameras"
+            )
     by_camera: dict[str, list[Detection2D]] = {}
     for det in detections:
         by_camera.setdefault(det.camera_id, []).append(det)

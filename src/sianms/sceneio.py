@@ -5,10 +5,11 @@ clouds may live inline, as a list of [x, y, z] rows under the frame's
 "lidar": {"inline": ...}, or in a binary side file of little-endian 32-bit
 floats, row-major xyz triples, referenced by a path relative to the scene
 file. Malformed input raises SchemaError carrying the JSON path of the
-offending element. Every record of every file is checked for missing and
-unknown keys; the scene's rig, like a config or spec, is read by
-pipeline.section_from_dict, so a camera's constructor error is named by its
-path too (rig.cameras[2]: focal lengths must be positive).
+offending element. Every JSON object read, a record or a config section,
+has its keys checked by pipeline.json_object (frames[1].objects[0]:
+unknown key 'boxx'; expected uid, class, box); the scene's rig, like a
+config or spec, is read by pipeline.section_from_dict, so a constructor's
+error is named by its object's path (rig.cameras[2].pose: ...).
 
 Scene frames, inline clouds and detection records are written in bulk:
 each is laid into the indent-2 layout by one % template, with a frame's
@@ -34,59 +35,41 @@ from pathlib import Path
 import numpy as np
 
 from .matching import MatchedPair, MatchResult
-from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, check_sections,
-                       config_from_dict, json_value, record_from_dict, section_from_dict)
+from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, config_from_dict, fail,
+                       json_object, json_value, section_from_dict)
 from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, as_point_cloud
 from .synthgen import GenSpec, RigSpec
 
 
-def _fail(path: str, message: str):
-    raise SchemaError(f"{path}: {message}")
-
-
-def _record(value, path: str, keys: tuple, optional: tuple = ()) -> dict:
-    """value, checked to be an object that holds every one of keys and no
-    key outside keys and optional."""
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    for key in keys:
-        if key not in value:
-            _fail(path, f"missing required key '{key}'")
-    for key in value:
-        if key not in keys and key not in optional:
-            _fail(path, f"unknown key {key!r}; expected {', '.join(keys + optional)}")
-    return value
-
-
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
+        fail(path, f"expected a number, got {type(value).__name__}")
     return float(value)
 
 
 def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
+        fail(path, f"expected an integer, got {type(value).__name__}")
     return value
 
 
 def _uid(value, path: str) -> int | str:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        _fail(path, f"expected an integer or a string, got {type(value).__name__}")
+        fail(path, f"expected an integer or a string, got {type(value).__name__}")
     return value
 
 
 def _str(value, path: str) -> str:
     if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
+        fail(path, f"expected a string, got {type(value).__name__}")
     return value
 
 
 def _list(value, path: str, length: int | None = None) -> list:
     if not isinstance(value, list):
-        _fail(path, f"expected a list, got {type(value).__name__}")
+        fail(path, f"expected a list, got {type(value).__name__}")
     if length is not None and len(value) != length:
-        _fail(path, f"expected {length} elements, got {len(value)}")
+        fail(path, f"expected {length} elements, got {len(value)}")
     return value
 
 
@@ -159,10 +142,10 @@ def rig_to_dict(rig: CameraRig) -> dict:
     return json_value(rig)
 
 
-def rig_from_dict(data, path: str = "rig") -> CameraRig:
-    """The rig at path, read like a config section: every camera and pose
+def rig_from_dict(data) -> CameraRig:
+    """A scene file's rig, read like a config section: every camera and pose
     field and the adjacency must be present, and no other key."""
-    return record_from_dict(CameraRig, data, path)
+    return section_from_dict(CameraRig, data, "rig.")
 
 
 def _box_to_list(box: Box3D) -> list[float]:
@@ -252,9 +235,9 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
 
 def _check_lidar(lidar, path: str) -> None:
     """A frame's lidar record holds exactly one of 'inline' or 'bin_file'."""
-    _record(lidar, path, (), ("bin_file", "inline"))
+    json_object(lidar, path, (), ("bin_file", "inline"))
     if ("inline" in lidar) == ("bin_file" in lidar):
-        _fail(path, "expected exactly one of 'inline' or 'bin_file'")
+        fail(path, "expected exactly one of 'inline' or 'bin_file'")
 
 
 def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
@@ -263,10 +246,10 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
     else:
         bin_path = scene_dir / _str(lidar["bin_file"], f"{path}.bin_file")
         if not bin_path.is_file():
-            _fail(f"{path}.bin_file", f"file not found: {bin_path}")
+            fail(f"{path}.bin_file", f"file not found: {bin_path}")
         blob = bin_path.read_bytes()
         if len(blob) % 12 != 0:
-            _fail(f"{path}.bin_file", f"byte length is not a multiple of 12: {bin_path}")
+            fail(f"{path}.bin_file", f"byte length is not a multiple of 12: {bin_path}")
         cloud = np.frombuffer(blob, dtype="<f4").reshape(-1, 3).astype(float)
     try:
         return as_point_cloud(cloud)
@@ -283,16 +266,16 @@ def load_scene(path, clouds: bool = True) -> Scene:
     objects, without the clouds' cost.
     """
     path = Path(path)
-    data = _record(_load_json(path), "$", ("rig", "frames"))
-    rig = rig_from_dict(data["rig"], "rig")
+    data = json_object(_load_json(path), "$", ("rig", "frames"))
+    rig = rig_from_dict(data["rig"])
     frames = []
     for i, frame_data in enumerate(_list(data["frames"], "frames")):
         fpath = f"frames[{i}]"
-        _record(frame_data, fpath, ("objects", "lidar", "index"))
+        json_object(frame_data, fpath, ("objects", "lidar", "index"))
         objects = []
         for j, obj in enumerate(_list(frame_data["objects"], f"{fpath}.objects")):
             opath = f"{fpath}.objects[{j}]"
-            _record(obj, opath, ("uid", "class", "box"))
+            json_object(obj, opath, ("uid", "class", "box"))
             objects.append(
                 SceneObject(
                     uid=_uid(obj["uid"], f"{opath}.uid"),
@@ -385,8 +368,8 @@ def load_detection_records(path) -> list[tuple[int, Detection2D]]:
     records = []
     for i, rec in enumerate(_list(data, "$")):
         rpath = f"$[{i}]"
-        _record(rec, rpath, ("bbox", "camera_id", "class", "score", "frame"),
-                ("embedding", "truth_uid"))
+        json_object(rec, rpath, ("bbox", "camera_id", "class", "score", "frame"),
+                    ("embedding", "truth_uid"))
         bbox = _floats(rec["bbox"], f"{rpath}.bbox", 4)
         embedding = None
         if "embedding" in rec:
@@ -448,7 +431,7 @@ def write_matches(path, rig: CameraRig, detections_by_frame_map: dict, matches_b
 
 
 def load_matches(path) -> dict:
-    data = _record(_load_json(path), "$", ("cameras", "adjacency", "pairs"))
+    data = json_object(_load_json(path), "$", ("cameras", "adjacency", "pairs"))
     cameras = [_str(c, f"cameras[{i}]") for i, c in enumerate(_list(data["cameras"], "cameras"))]
     adjacency = []
     for i, pair in enumerate(_list(data["adjacency"], "adjacency")):
@@ -459,7 +442,7 @@ def load_matches(path) -> dict:
     pairs = []
     for i, rec in enumerate(_list(data["pairs"], "pairs")):
         rpath = f"pairs[{i}]"
-        _record(rec, rpath, ("frame", "a", "b", "distance"))
+        json_object(rec, rpath, ("frame", "a", "b", "distance"))
         pairs.append(
             {
                 "frame": _int(rec["frame"], f"{rpath}.frame"),
@@ -532,10 +515,10 @@ def load_boxes(path) -> dict:
     out: dict[int, list[PredBox]] = {}
     for i, rec in enumerate(_list(data, "$")):
         rpath = f"$[{i}]"
-        _record(rec, rpath, ("merged", "frame", "class", "score", "box", "n_sources"))
+        json_object(rec, rpath, ("merged", "frame", "class", "score", "box", "n_sources"))
         merged = rec["merged"]
         if not isinstance(merged, bool):
-            _fail(f"{rpath}.merged", f"expected a boolean, got {type(merged).__name__}")
+            fail(f"{rpath}.merged", f"expected a boolean, got {type(merged).__name__}")
         box = PredBox(
             frame=_int(rec["frame"], f"{rpath}.frame"),
             class_id=_str(rec["class"], f"{rpath}.class"),
@@ -569,12 +552,13 @@ def apply_overrides(data: dict, overrides: dict) -> dict:
 def _load_object(path, overrides: dict | None, what: str, build):
     """build(data) of the JSON object in an optional file plus overrides
     (apply_overrides); SchemaError, prefixed with what, for a file holding
-    no object and for a TypeError or ValueError of build."""
+    no object, for an override through a value that is no object and for a
+    ValueError of build."""
     data = {}
     if path is not None:
         data = _load_json(path)
         if not isinstance(data, dict):
-            _fail(what, f"expected an object, got {type(data).__name__}")
+            fail(what, f"expected an object, got {type(data).__name__}")
     try:
         return build(apply_overrides(data, overrides or {}))
     except (TypeError, ValueError) as exc:
@@ -589,7 +573,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
 
 
 def _spec_from_dict(data: dict) -> tuple[RigSpec, GenSpec]:
-    check_sections(data, ("rig", "gen"), "spec")
+    json_object(data, "", (), ("rig", "gen"))
     return (section_from_dict(RigSpec, data.get("rig", {}), "rig."),
             section_from_dict(GenSpec, data.get("gen", {}), "gen."))
 

@@ -138,6 +138,22 @@ class TestEval:
         assert stats["precision"] == 1.0
         assert stats["recall"] == 1.0
 
+    def test_eval_reid_same_camera_pair_is_two(self, tmp_path, capsys):
+        det = {"frame": 0, "camera_id": "cam0", "class": "car", "score": 0.5,
+               "bbox": [0.0, 0.0, 5.0, 5.0], "embedding": [0.0], "truth_uid": 1}
+        detections = tmp_path / "dets.json"
+        detections.write_text(json.dumps([det, dict(det, bbox=[9.0, 0.0, 14.0, 5.0])]))
+        matches = tmp_path / "matches.json"
+        matches.write_text(json.dumps({"cameras": ["cam0", "cam1"], "adjacency": [["cam0", "cam1"]],
+                                       "pairs": [{"frame": 0, "a": 0, "b": 1, "distance": 0.0}]}))
+        assert main(["eval-reid", "--matches", str(matches), "--detections", str(detections)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "schema error: frame 0: pair of a 'car' in camera 'cam0' and a 'car' in camera "
+            "'cam0' is no same-class pair across adjacent cameras\n"
+        )
+
     @pytest.mark.parametrize("region", ["all", "overlap"])
     def test_eval_3d(self, run_dir, scene_dir, region, capsys):
         code = main(["eval-3d", "--pred", str(run_dir / "boxes.json"),
@@ -392,13 +408,50 @@ class TestConfigSections:
         code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
                      "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"config: gen must be an object, got {gen!r}" in capsys.readouterr().err
+        kind = type(gen).__name__
+        assert capsys.readouterr().err == f"schema error: config: gen: expected an object, got {kind}\n"
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"gen": gen}))
         code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "gen")])
         assert code == 2
-        assert f"spec: gen must be an object, got {gen!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"schema error: spec: gen: expected an object, got {kind}\n"
         assert not (tmp_path / "out").exists() and not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("what, data, message", [
+        ("config", {"gen": {"sed": 3}},
+         "config: gen: unknown key 'sed'; expected seed, n_frames, objects_per_frame, class_mix, "
+         "radius_range, overlap_fraction, embed_dim, embed_noise, miss_rate, bbox_jitter_px, "
+         "lidar_points_range, clutter_points"),
+        ("config", {"gnn": {}},
+         "config: unknown key 'gnn'; expected gen, loss, estimator, eval2d, eval3d, tau, nms_iou"),
+        ("spec", {"estimator": {}}, "spec: unknown key 'estimator'; expected rig, gen"),
+    ], ids=["config_key", "config_section", "spec_section"])
+    def test_unknown_key_text(self, tmp_path, scene_dir, capsys, what, data, message):
+        path = tmp_path / f"{what}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        if what == "spec":
+            argv = ["generate", "--spec", str(path), "--out", str(out)]
+        else:
+            argv = ["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                    "--config", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"schema error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["spec", "config"])
+    def test_list_file_with_override_is_two(self, tmp_path, scene_dir, capsys, what):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        out = tmp_path / "out"
+        if what == "spec":
+            argv = ["generate", "--spec", str(path), "--seed", "3", "--out", str(out)]
+        else:
+            argv = ["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                    "--config", str(path), "--tau", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"schema error: {what}: expected an object, got list\n"
+        assert not out.exists()
 
     def test_override_into_non_object_config_section_is_two(self, tmp_path, scene_dir, capsys):
         config = tmp_path / "config.json"
@@ -493,11 +546,11 @@ class TestRigIsReadLikeAConfig:
         (lambda rig: rig["cameras"][1].update(fy=-1), "rig.cameras[1]: focal lengths must be positive"),
         (lambda rig: rig["cameras"][1].update(width=0), "rig.cameras[1]: image dimensions must be positive"),
         (lambda rig: rig["cameras"][1]["pose"].update(q=[1.0, 1.0, 0.0, 0.0]),
-         "rig.cameras[1]: quaternion norm 1.4142135623730951 deviates from 1"),
+         "rig.cameras[1].pose: quaternion norm 1.4142135623730951 deviates from 1 by more than 1e-9"),
         (lambda rig: rig["cameras"][1].update(typo_fx=400.0),
-         "rig.cameras[1]: CameraModel.__init__() got an unexpected keyword argument 'typo_fx'"),
+         "rig.cameras[1]: unknown key 'typo_fx'; expected id, fx, fy, cx, cy, width, height, pose"),
         (lambda rig: rig["cameras"][1]["pose"].update(r=[0.0, 0.0, 0.0]),
-         "rig.cameras[1]: Pose.__init__() got an unexpected keyword argument 'r'"),
+         "rig.cameras[1].pose: unknown key 'r'; expected q, t"),
         (lambda rig: rig["cameras"][1].pop("pose"), "rig.cameras[1]: missing required key 'pose'"),
         (lambda rig: rig.pop("adjacency"), "rig: missing required key 'adjacency'"),
     ], ids=["fx_zero", "fy_negative", "width_zero", "non_unit_q", "camera_key", "pose_key",
