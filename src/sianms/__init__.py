@@ -4,233 +4,7 @@ Detections from adjacent cameras are matched by embedding distance with a
 Hungarian assignment, their LiDAR frustums merged when they share points,
 and a deterministic estimator fits one 3D box per object. Four pipeline
 variants quantify what the matching and merging buy on synthetic scenes.
+
+The package root exports nothing: import from the submodules, as in
+``from sianms.pipeline import compare_variants``.
 """
-
-from .estimator import EstimatorConfig, TooFewPoints, estimate_box
-from .frustum import (
-    CameraView,
-    DegenerateExtent,
-    EmptyFrustum,
-    Frustum,
-    MergeRejected,
-    camera_view,
-    central_axis_of_pair,
-    filter_frustum,
-    merge_frustums,
-)
-from .losses import (
-    BatchLossBreakdown,
-    LossConfig,
-    MismatchedDims,
-    Proposal,
-    batch_loss,
-    contrastive_pair_terms,
-    cross_entropy,
-    negative_pair_term,
-    ohem_select,
-    positive_pair_term,
-    smooth_l1,
-)
-from .matching import (
-    DistanceMatrix,
-    MatchedPair,
-    MatchResult,
-    MissingEmbedding,
-    build_distance_matrix,
-    hungarian,
-    match_adjacent,
-)
-from .metrics import (
-    EvalConfig2D,
-    EvalConfig3D,
-    Gt2D,
-    Gt3D,
-    Pred2D,
-    Pred3D,
-    aligned_iou3d,
-    ap_2d,
-    ap_3d,
-    evaluate_3d,
-    iou2d,
-    match_3d,
-    overlap_region_filter,
-    tp_errors,
-    visible_camera_count,
-)
-from .pipeline import (
-    VARIANT_ORDER,
-    Comparison,
-    Frame,
-    PipelineConfig,
-    PipelineResult,
-    PredBox,
-    RunReport,
-    Scene,
-    Variant,
-    compare_variants,
-    config_from_dict,
-    config_to_dict,
-    nms_greedy,
-    run_pipeline,
-)
-from .reid_eval import MissingTruth, ReidStats, accumulate, evaluate_frame
-from .scene import (
-    BBox2D,
-    BehindCamera,
-    Box3D,
-    CameraModel,
-    CameraRig,
-    Detection2D,
-    Pose,
-    SceneObject,
-    angular_extent,
-    box3d_to_bbox2d,
-    extent_midpoint,
-    extent_width,
-    matrix_to_quat,
-    project_point,
-    project_points,
-    quat_to_matrix,
-    unproject_pixel,
-    wrap_angle,
-)
-from .sceneio import (
-    SchemaError,
-    load_boxes,
-    load_config,
-    load_detection_records,
-    load_matches,
-    load_scene,
-    matches_against_detections,
-    write_boxes,
-    write_comparison,
-    write_detections,
-    write_matches,
-    write_report,
-    write_scene,
-)
-from .synthgen import (
-    CLASS_DIMS,
-    GROUND_Z,
-    GenSpec,
-    NoOverlap,
-    RigSpec,
-    benchmark_gen_spec,
-    embedding_provider,
-    generate_frame,
-    make_rig,
-    overlap_wedges,
-    sample_surface_points,
-    simulate_detections,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BBox2D",
-    "BatchLossBreakdown",
-    "BehindCamera",
-    "Box3D",
-    "CLASS_DIMS",
-    "CameraModel",
-    "CameraRig",
-    "CameraView",
-    "Comparison",
-    "DegenerateExtent",
-    "Detection2D",
-    "DistanceMatrix",
-    "EmptyFrustum",
-    "EstimatorConfig",
-    "EvalConfig2D",
-    "EvalConfig3D",
-    "Frame",
-    "Frustum",
-    "GROUND_Z",
-    "GenSpec",
-    "Gt2D",
-    "Gt3D",
-    "LossConfig",
-    "MatchResult",
-    "MatchedPair",
-    "MergeRejected",
-    "MismatchedDims",
-    "MissingEmbedding",
-    "MissingTruth",
-    "NoOverlap",
-    "PipelineConfig",
-    "PipelineResult",
-    "Pose",
-    "Pred2D",
-    "Pred3D",
-    "PredBox",
-    "Proposal",
-    "ReidStats",
-    "RigSpec",
-    "RunReport",
-    "Scene",
-    "SceneObject",
-    "SchemaError",
-    "TooFewPoints",
-    "VARIANT_ORDER",
-    "Variant",
-    "accumulate",
-    "aligned_iou3d",
-    "angular_extent",
-    "ap_2d",
-    "ap_3d",
-    "batch_loss",
-    "benchmark_gen_spec",
-    "box3d_to_bbox2d",
-    "build_distance_matrix",
-    "camera_view",
-    "central_axis_of_pair",
-    "compare_variants",
-    "config_from_dict",
-    "config_to_dict",
-    "contrastive_pair_terms",
-    "cross_entropy",
-    "embedding_provider",
-    "estimate_box",
-    "evaluate_3d",
-    "evaluate_frame",
-    "extent_midpoint",
-    "extent_width",
-    "filter_frustum",
-    "generate_frame",
-    "hungarian",
-    "iou2d",
-    "load_boxes",
-    "load_config",
-    "load_detection_records",
-    "load_matches",
-    "load_scene",
-    "make_rig",
-    "match_3d",
-    "match_adjacent",
-    "matches_against_detections",
-    "matrix_to_quat",
-    "merge_frustums",
-    "negative_pair_term",
-    "nms_greedy",
-    "ohem_select",
-    "overlap_region_filter",
-    "overlap_wedges",
-    "positive_pair_term",
-    "project_point",
-    "project_points",
-    "quat_to_matrix",
-    "run_pipeline",
-    "sample_surface_points",
-    "simulate_detections",
-    "smooth_l1",
-    "tp_errors",
-    "unproject_pixel",
-    "visible_camera_count",
-    "wrap_angle",
-    "write_boxes",
-    "write_comparison",
-    "write_detections",
-    "write_matches",
-    "write_report",
-    "write_scene",
-]

@@ -45,7 +45,6 @@ from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, UnscorablePair, accu
 from .scene import CameraModel, CameraRig, Pose
 from .sceneio import (
     SchemaError,
-    apply_overrides,
     detections_by_frame,
     load_config,
     load_detection_records,
@@ -231,8 +230,8 @@ def _report_text(report) -> str:
 
 
 def _loaded_detections(path, scene, cfg) -> dict:
-    """The detections file by frame, its classes and cameras checked
-    against the config and the scene's rig."""
+    """The detections file by frame, its classes, cameras and frames checked
+    against the config and the scene (check_inputs)."""
     dets = detections_by_frame(load_detection_records(path))
     check_inputs(scene, cfg, dets)
     return dets

@@ -142,11 +142,6 @@ def _combined_hull(extent_a, extent_b) -> tuple[float, float]:
     return start, width
 
 
-def central_axis_of_pair(extent_a, extent_b) -> float:
-    """Circular mean of the two outermost angles across both extents."""
-    return _hull_axis(*_combined_hull(extent_a, extent_b))
-
-
 def _hull_axis(start: float, width: float) -> float:
     """Circular mean of a _combined_hull's two boundary angles."""
     end = start + width

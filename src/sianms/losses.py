@@ -120,14 +120,6 @@ def negative_pair_term(a, b, cfg: LossConfig):
     return _pair_term(a, b, cfg, positive=False)
 
 
-def contrastive_pair_terms(reference, positive, negative, cfg: LossConfig):
-    """Double-margin contrastive loss of one (reference, positive, negative)
-    triple; returns (value, grad_ref, grad_pos, grad_neg)."""
-    pos_val, pos_gr, pos_gp = positive_pair_term(reference, positive, cfg)
-    neg_val, neg_gr, neg_gn = negative_pair_term(reference, negative, cfg)
-    return pos_val + neg_val, pos_gr + neg_gr, pos_gp, neg_gn
-
-
 def ohem_select(positive_pairs, negative_pairs, negative_losses) -> list[int]:
     """Hard negative mining: indices of the min(|P|, |N|) largest-loss
     negatives, ties broken by ascending pair index."""

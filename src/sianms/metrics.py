@@ -293,11 +293,6 @@ def _normalized_ap(tp_flags, n_gt) -> float:
     return float(clipped.sum() / len(clipped)) / (1.0 - MIN_PRECISION_3D)
 
 
-def ap_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, float]:
-    """Per-class 3D AP, averaged over the configured distance thresholds."""
-    return {cls: row["ap"] for cls, row in evaluate_3d(predictions, ground_truth, cfg).items()}
-
-
 def evaluate_3d(predictions, ground_truth, cfg: EvalConfig3D) -> dict[str, dict]:
     """AP plus error metrics per class; errors use matches at the configured
     tp_error_threshold and are None when that class has no matches.

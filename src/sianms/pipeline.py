@@ -446,7 +446,8 @@ def _frame_error(frame: Frame, exc: Exception) -> dict:
 def check_inputs(scene: Scene, cfg: PipelineConfig, detections: dict | None = None) -> None:
     """Raise SchemaError unless every class of the scene's objects and of the
     detections has an estimator.dim_priors entry and every detection names a
-    rig camera, so that such inputs fail once, before the first frame."""
+    rig camera and a frame of the scene, so that such inputs fail once,
+    before the first frame."""
     dets = [det for frame_dets in (detections or {}).values() for det in frame_dets]
     classes = {obj.class_id for frame in scene.frames for obj in frame.objects}
     classes.update(det.class_id for det in dets)
@@ -456,6 +457,9 @@ def check_inputs(scene: Scene, cfg: PipelineConfig, detections: dict | None = No
     unknown = sorted({det.camera_id for det in dets} - {cam.id for cam in scene.rig.cameras})
     if unknown:
         raise SchemaError(f"detections: camera {unknown[0]!r} is not in the rig")
+    strays = sorted(set(detections or {}) - {frame.index for frame in scene.frames})
+    if strays:
+        raise SchemaError(f"detections: frame {strays[0]} is not in the scene")
 
 
 def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:

@@ -21,14 +21,8 @@ import numpy as np
 
 DEPTH_EPSILON = 1e-6
 
-# A point cloud is a plain (N, 3) float64 array in the vehicle frame.
-PointCloud = np.ndarray
 # Metadata of a field that a file must hold, though code may take its default.
 FILE_REQUIRED = {"required": True}
-
-
-class BehindCamera(ValueError):
-    """Raised when a projected point sits at or behind the image plane."""
 
 
 def wrap_angle(theta):
@@ -303,30 +297,6 @@ def as_point_cloud(points) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("a cloud holds non-finite coordinates")
     return arr
-
-
-def project_point(cam: CameraModel, point, depth_epsilon: float = DEPTH_EPSILON):
-    """Project one vehicle-frame point; returns (u, v, depth).
-
-    Raises BehindCamera when the camera-frame depth is <= depth_epsilon.
-    """
-    p_cam = cam.pose.rotation.T @ (np.asarray(point, dtype=float) - cam.pose.translation)
-    depth = float(p_cam[2])
-    if depth <= depth_epsilon:
-        raise BehindCamera(f"depth {depth!r} <= {depth_epsilon!r} in camera {cam.id!r}")
-    u = cam.cx + cam.fx * p_cam[0] / depth
-    v = cam.cy + cam.fy * p_cam[1] / depth
-    return float(u), float(v), depth
-
-
-def unproject_pixel(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
-    """Inverse of project_point for a given camera-frame depth."""
-    if depth <= 0.0:
-        raise ValueError("depth must be positive")
-    p_cam = np.array(
-        [(u - cam.cx) / cam.fx * depth, (v - cam.cy) / cam.fy * depth, depth]
-    )
-    return cam.pose.rotation @ p_cam + cam.pose.translation
 
 
 def project_points(cam: CameraModel, points, depth_epsilon: float = DEPTH_EPSILON):

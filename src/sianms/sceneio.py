@@ -258,7 +258,8 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
 
 
 def load_scene(path, clouds: bool = True) -> Scene:
-    """The scene file at path, every record checked.
+    """The scene file at path, every record checked; no two frames share an
+    index.
 
     With clouds=False each frame's lidar record has its keys checked but its
     cloud is neither read nor checked, and each Frame's cloud is None: that
@@ -269,6 +270,7 @@ def load_scene(path, clouds: bool = True) -> Scene:
     data = json_object(_load_json(path), "$", ("rig", "frames"))
     rig = rig_from_dict(data["rig"])
     frames = []
+    seen = {}  # frame index -> position in the frames list
     for i, frame_data in enumerate(_list(data["frames"], "frames")):
         fpath = f"frames[{i}]"
         json_object(frame_data, fpath, ("objects", "lidar", "index"))
@@ -286,13 +288,11 @@ def load_scene(path, clouds: bool = True) -> Scene:
         lidar = frame_data["lidar"]
         _check_lidar(lidar, f"{fpath}.lidar")
         cloud = _load_cloud(lidar, path.parent, f"{fpath}.lidar") if clouds else None
-        frames.append(
-            Frame(
-                index=_int(frame_data["index"], f"{fpath}.index"),
-                objects=tuple(objects),
-                cloud=cloud,
-            )
-        )
+        index = _int(frame_data["index"], f"{fpath}.index")
+        if index in seen:
+            fail(f"{fpath}.index", f"frame {index} repeats frames[{seen[index]}].index")
+        seen[index] = i
+        frames.append(Frame(index=index, objects=tuple(objects), cloud=cloud))
     return Scene(rig=rig, frames=tuple(frames))
 
 
@@ -537,23 +537,22 @@ def load_boxes(path) -> dict:
 def apply_overrides(data: dict, overrides: dict) -> dict:
     """data with each override set in place; overrides use dotted paths into
     data, e.g. {"gen.seed": 7, "tau": 0.9}. A path through a value that is
-    no object raises TypeError naming that key."""
+    no object leaves that value in place, for the key check to name."""
     for dotted, value in overrides.items():
         *sections, key = dotted.split(".")
         target = data
         for section in sections:
-            target = target.setdefault(section, {})
-            if not isinstance(target, dict):
-                raise TypeError(f"{section} must be an object, got {target!r}")
-        target[key] = value
+            if isinstance(target, dict):
+                target = target.setdefault(section, {})
+        if isinstance(target, dict):
+            target[key] = value
     return data
 
 
 def _load_object(path, overrides: dict | None, what: str, build):
     """build(data) of the JSON object in an optional file plus overrides
     (apply_overrides); SchemaError, prefixed with what, for a file holding
-    no object, for an override through a value that is no object and for a
-    ValueError of build."""
+    no object and for a ValueError of build."""
     data = {}
     if path is not None:
         data = _load_json(path)
@@ -561,7 +560,7 @@ def _load_object(path, overrides: dict | None, what: str, build):
             fail(what, f"expected an object, got {type(data).__name__}")
     try:
         return build(apply_overrides(data, overrides or {}))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ from sianms.losses import (
     smooth_l1,
 )
 from sianms.matching import hungarian
-from sianms.metrics import EvalConfig2D, EvalConfig3D, Gt2D, Gt3D, Pred2D, Pred3D, ap_2d, ap_3d, aligned_iou3d, iou2d, match_3d, tp_errors
+from sianms.metrics import EvalConfig2D, EvalConfig3D, Gt2D, Gt3D, Pred2D, Pred3D, ap_2d, evaluate_3d, iou2d, match_3d, tp_errors
 from sianms.pipeline import Variant
 from sianms.scene import BBox2D, Box3D, box3d_to_bbox2d, wrap_angle
 from sianms.synthgen import (
@@ -395,7 +395,7 @@ def test_08_average_precision_oracles_and_hand_values():
                 box=Box3D(x=fx, y=fy, z=GROUND_Z + 0.8, l=4.5, w=1.9, h=1.6,
                           theta=0.0)))
         cfg = EvalConfig3D()
-        got = ap_3d(preds, gts, cfg)["car"]
+        got = evaluate_3d(preds, gts, cfg)["car"]["ap"]
         want = ap3d_reference(preds, gts, cfg.center_distance_thresholds)
         worst_3d = max(worst_3d, abs(got - want))
     assert worst_3d <= 1e-9
@@ -412,7 +412,7 @@ def test_08_average_precision_oracles_and_hand_values():
     assert abs(ase - 0.5) <= 1e-12
     assert abs(aoe - math.pi / 4.0) <= 1e-12
     assert ate == 0.0
-    print(f"PASS: ap_2d within {worst_2d:.2e} of oracle, ap_3d within "
+    print(f"PASS: ap_2d within {worst_2d:.2e} of oracle, 3D AP within "
           f"{worst_3d:.2e}, hand values exact")
 
 

@@ -207,6 +207,16 @@ class TestExitCodes:
         assert "class_mix" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_frame_index_is_two(self, tmp_path, scene_dir, capsys):
+        data = json.loads((scene_dir / "scene.json").read_text())
+        data["frames"][1]["index"] = 0
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["compare", "--scene", str(scene), "--out", str(out)]) == 2
+        assert "frames[1].index: frame 0 repeats frames[0].index" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_three(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
@@ -246,7 +256,8 @@ class TestInputsBeforeTheFirstFrame:
     @pytest.mark.parametrize("key, value, message", [
         ("camera_id", "cam9", "detections: camera 'cam9' is not in the rig"),
         ("class", "truck", "no prior for class 'truck'"),
-    ], ids=["camera", "class"])
+        ("frame", 7, "detections: frame 7 is not in the scene"),
+    ], ids=["camera", "class", "frame"])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_detection_outside_rig_or_priors_is_two(
         self, tmp_path, scene_dir, capsys, command, key, value, message
@@ -459,7 +470,7 @@ class TestConfigSections:
         code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
                      "--config", str(config), "--seed", "3", "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "config: gen must be an object, got 5" in capsys.readouterr().err
+        assert "config: gen: expected an object, got int" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_override_into_non_object_spec_section_is_two(self, tmp_path, capsys):
@@ -468,7 +479,7 @@ class TestConfigSections:
         code = main(["generate", "--spec", str(spec), "--seed", "1",
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "spec: gen must be an object, got 5" in capsys.readouterr().err
+        assert "spec: gen: expected an object, got int" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

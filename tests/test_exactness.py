@@ -1622,7 +1622,7 @@ def _by_class(preds, gts):
 
 
 class TestGreedyMatcher:
-    """ap_2d and ap_3d call the matcher one class at a time, as they called
+    """ap_2d and evaluate_3d call the matcher one class at a time, as they called
     the old flag functions, which keyed ground truth by group alone."""
 
     @EXAMPLES

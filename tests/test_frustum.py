@@ -10,12 +10,10 @@ from sianms.frustum import (
     EmptyFrustum,
     Frustum,
     MergeRejected,
-    central_axis_of_pair,
     filter_frustum,
     merge_frustums,
 )
 from sianms.scene import BBox2D, Detection2D, wrap_angle
-from sianms.synthgen import RigSpec, make_rig
 
 from _oracles import inside_bbox_reference
 
@@ -172,11 +170,17 @@ class TestMergeFrustums:
 
 
 class TestCentralAxisOfPair:
+    """The merged axis is the circular mean of the hull's two boundaries."""
+
     def test_mean_of_boundaries(self):
-        axis = central_axis_of_pair((-0.2, 0.0), (0.1, 0.4))
-        assert axis == pytest.approx(0.1)
+        cloud = np.array([[1.0, 0.0, 0.0]])
+        fa = _frustum_from_indices(cloud, [0], (-0.2, 0.0))
+        fb = _frustum_from_indices(cloud, [0], (0.1, 0.4))
+        assert merge_frustums(fa, fb).central_axis == pytest.approx(0.1)
 
     def test_wraps_at_pi(self):
         # hull runs from pi-0.2 counterclockwise to pi+0.2: midpoint is pi
-        axis = central_axis_of_pair((math.pi - 0.2, math.pi - 0.1), (math.pi - 0.05, -math.pi + 0.2))
-        assert abs(axis) == pytest.approx(math.pi, abs=1e-9)
+        cloud = np.array([[-1.0, 0.0, 0.0]])
+        fa = _frustum_from_indices(cloud, [0], (math.pi - 0.2, math.pi - 0.1))
+        fb = _frustum_from_indices(cloud, [0], (math.pi - 0.05, -math.pi + 0.2))
+        assert abs(merge_frustums(fa, fb).central_axis) == pytest.approx(math.pi, abs=1e-9)

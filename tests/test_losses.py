@@ -12,7 +12,6 @@ from sianms.losses import (
     MismatchedDims,
     Proposal,
     batch_loss,
-    contrastive_pair_terms,
     cross_entropy,
     negative_pair_term,
     ohem_select,
@@ -138,15 +137,6 @@ class TestPairTerms:
                 _, ga, gb = term(a, b, CFG)
                 grad_check(lambda v: term(v, b, CFG)[0], a, ga)
                 grad_check(lambda v: term(a, v, CFG)[0], b, gb)
-
-    def test_triple_composition(self):
-        rng = np.random.default_rng(35)
-        ref, pos, neg = rng.standard_normal((3, 6))
-        value, g_ref, g_pos, g_neg = contrastive_pair_terms(ref, pos, neg, CFG)
-        pv = positive_pair_term(ref, pos, CFG)[0]
-        nv = negative_pair_term(ref, neg, CFG)[0]
-        assert value == pytest.approx(pv + nv)
-        grad_check(lambda v: contrastive_pair_terms(v, pos, neg, CFG)[0], ref, g_ref)
 
 
 class TestOhemSelect:

@@ -14,7 +14,6 @@ from sianms.metrics import (
     Pred3D,
     aligned_iou3d,
     ap_2d,
-    ap_3d,
     evaluate_3d,
     iou2d,
     match_3d,
@@ -252,12 +251,12 @@ class TestAp3d:
                    box=_b3((0, 0, 0), (4, 2, 2), 0.0))]
         preds = [Pred3D(group="f0", class_id="car", score=0.9,
                         box=_b3((0, 0, 0), (4, 2, 2), 0.0))]
-        assert ap_3d(preds, gt, EvalConfig3D())["car"] == pytest.approx(1.0)
+        assert evaluate_3d(preds, gt, EvalConfig3D())["car"]["ap"] == pytest.approx(1.0)
 
     def test_empty_predictions(self):
         gt = [Gt3D(group="f0", class_id="car",
                    box=_b3((0, 0, 0), (4, 2, 2), 0.0))]
-        assert ap_3d([], gt, EvalConfig3D())["car"] == 0.0
+        assert evaluate_3d([], gt, EvalConfig3D())["car"]["ap"] == 0.0
 
     def test_matches_reference(self):
         rng = np.random.default_rng(23)
@@ -281,7 +280,7 @@ class TestAp3d:
                     group=frame, class_id="car", score=float(rng.uniform(0.1, 1.0)),
                     box=_b3((c[0], c[1], GROUND_Z + 0.8), (4.5, 1.9, 1.6), 0.0)))
             cfg = EvalConfig3D()
-            got = ap_3d(preds, gt, cfg)
+            got = {cls: row["ap"] for cls, row in evaluate_3d(preds, gt, cfg).items()}
             want = _oracle_ap3d_by_class(preds, gt, cfg)
             assert set(got) == set(want)
             for cls in got:

@@ -206,6 +206,10 @@ class TestInputChecks:
         dets[2][-1] = _det(small_scene.rig.cameras[0].id, (0, 0, 10, 10), 0.9, cls="truck")
         with pytest.raises(SchemaError, match="no prior for class 'truck'"):
             check_inputs(small_scene, cfg, dets)
+        dets[2].pop()
+        dets[7] = dets.pop(1)
+        with pytest.raises(SchemaError, match="^detections: frame 7 is not in the scene$"):
+            check_inputs(small_scene, cfg, dets)
 
 
 class TestRunReport:

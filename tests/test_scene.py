@@ -8,7 +8,6 @@ from scipy.spatial.transform import Rotation
 
 from sianms.scene import (
     BBox2D,
-    BehindCamera,
     Box3D,
     CameraModel,
     CameraRig,
@@ -19,10 +18,8 @@ from sianms.scene import (
     extent_midpoint,
     extent_width,
     matrix_to_quat,
-    project_point,
     project_points,
     quat_to_matrix,
-    unproject_pixel,
     wrap_angle,
 )
 
@@ -179,37 +176,6 @@ class TestBox3D:
 
 
 class TestProjection:
-    def test_project_unproject_round_trip(self):
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            cam = random_camera(rng)
-            axis = cam.pose.rotation @ np.array([0.0, 0.0, 1.0])
-            point = cam.pose.translation + axis * rng.uniform(2.0, 20.0) \
-                + cam.pose.rotation @ np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0])
-            u, v, depth = project_point(cam, point)
-            np.testing.assert_allclose(unproject_pixel(cam, u, v, depth), point, atol=1e-9)
-
-    def test_behind_camera_raises(self):
-        cam = CameraModel(id="c", fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=10.0, height=10.0)
-        # identity pose: optical axis is +z, so a point below it is behind
-        with pytest.raises(BehindCamera):
-            project_point(cam, np.array([0.0, 0.0, -1.0]))
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(22)
-        cam = random_camera(rng)
-        points = rng.uniform(-10.0, 10.0, (200, 3))
-        uv, depth, valid = project_points(cam, points)
-        for i, point in enumerate(points):
-            if valid[i]:
-                u, v, d = project_point(cam, point)
-                np.testing.assert_allclose(uv[i], [u, v], atol=1e-9)
-                assert depth[i] == pytest.approx(d)
-            else:
-                assert np.isnan(uv[i]).all()
-                with pytest.raises(BehindCamera):
-                    project_point(cam, point)
-
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(23)
         cam = random_camera(rng)
@@ -219,11 +185,8 @@ class TestProjection:
         np.testing.assert_array_equal(valid, valid_ref)
         np.testing.assert_allclose(uv[valid, 0], u_ref[valid], atol=1e-9)
         np.testing.assert_allclose(uv[valid, 1], v_ref[valid], atol=1e-9)
-
-    def test_unproject_rejects_nonpositive_depth(self):
-        cam = CameraModel(id="c", fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1.0, height=1.0)
-        with pytest.raises(ValueError):
-            unproject_pixel(cam, 0.0, 0.0, 0.0)
+        assert (~valid).any()
+        assert np.isnan(uv[~valid]).all()
 
 
 class TestBox3dToBbox2d:

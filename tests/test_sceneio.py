@@ -110,6 +110,17 @@ class TestSceneRoundTrip:
             load_scene(path)
         assert "index" in str(err.value)
 
+    @pytest.mark.parametrize("clouds", [True, False], ids=["clouds", "no-clouds"])
+    def test_repeated_frame_index_reports_path(self, tmp_path, tiny_scene, clouds):
+        scene, _ = tiny_scene
+        path = tmp_path / "scene.json"
+        write_scene(path, scene)
+        data = json.loads(path.read_text())
+        data["frames"][1]["index"] = data["frames"][0]["index"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=r"^frames\[1\]\.index: frame 0 repeats frames\[0\]\.index$"):
+            load_scene(path, clouds=clouds)
+
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_nan_box_dimension_reports_path(self, tmp_path, tiny_scene, dim):
         scene, _ = tiny_scene
