@@ -36,12 +36,11 @@ common), each report holding its own copy.
 from __future__ import annotations
 
 import copy
-import re
 import time
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from types import UnionType
 from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -196,11 +195,31 @@ def _tuples(value):
     return value
 
 
+# The kind of JSON value each type hint expects, as error texts name it.
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "a boolean",
+          list: "a list", tuple: "a list", dict: "an object", type(None): "null"}
+# The value types a number hint takes in one pass over a list's types: an int
+# or a float but not a bool, and no float for an int hint.
+_NUMBERS = {float: {int, float}, int: {int}}
+
+
 @cache
 def _hint_facts(hint) -> tuple:
-    """(is a section, get_origin, get_args) of a field's type hint, worked
-    out once per hint for _fits and _from_json."""
-    return is_dataclass(hint), get_origin(hint), get_args(hint)
+    """(is a section, get_origin, get_args, the kind of value it expects, and
+    for a tuple of one number hint, or of rows of n of one, that hint's
+    _NUMBERS and n) of a type hint, worked out once per hint for _misfit and
+    _from_json."""
+    section, origin, args = is_dataclass(hint), get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        kind = " or ".join(_hint_facts(arg)[3] for arg in args)
+    else:
+        kind = "an object" if section else _KINDS.get(origin or hint)
+    numbers = row = None
+    if origin is tuple and len(set(args) - {Ellipsis}) == 1:
+        numbers, (_, inner, inner_args, _, inner_numbers, _) = _NUMBERS.get(args[0]), _hint_facts(args[0])
+        if inner is tuple and inner_numbers:
+            numbers, row = inner_numbers, len(inner_args)
+    return section, origin, args, kind, numbers, row
 
 
 def fail(path: str, message: str):
@@ -209,63 +228,101 @@ def fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}" if path else message)
 
 
-def json_object(value, path: str, keys: tuple, optional: tuple = ()) -> dict:
-    """value, checked to be an object that holds every one of keys and no
-    key outside keys and optional: the one key check of every JSON object
-    read, from a config section to a scene file's frame record."""
+def _misfit(value, hint):
+    """None when a JSON value fits a type hint, else (the path from value to
+    its innermost element that does not, the text saying what that element
+    should be): a number is an int or a float but not a bool, an int takes no
+    float, a tuple a list of its length and a dict an object whose elements
+    fit, a union one of its members, object anything, and a section (a
+    dataclass) is checked as it is built.  A value that fits builds no text;
+    a list of numbers, or of rows of them, is first checked by its types."""
+    if type(value) is hint:
+        return None
+    section, origin, args, kind, numbers, row = _hint_facts(hint)
+    if section or hint is object:
+        return None
+    if hint is float or hint is int:
+        if isinstance(value, (int, hint)) and not isinstance(value, bool):
+            return None
+    elif origin is tuple and isinstance(value, (list, tuple)):
+        variadic = args[-1] is Ellipsis
+        if not variadic and len(value) != len(args):
+            return "", f"expected {len(args)} elements, got {len(value)}"
+        if numbers is not None and (
+            set(map(type, value)) <= numbers if row is None else
+            set(map(type, value)) <= {list} and set(map(len, value)) <= {row}
+            and set(map(type, chain.from_iterable(value))) <= numbers
+        ):
+            return None
+        for i, item in enumerate(value):
+            misfit = _misfit(item, args[0] if variadic else args[i])
+            if misfit:
+                return f"[{i}]{misfit[0]}", misfit[1]
+        return None
+    elif origin is dict and isinstance(value, dict):
+        for key, item in value.items():
+            misfit = _misfit(key, args[0])
+            if misfit:
+                return f" key {key!r}", misfit[1]
+            misfit = _misfit(item, args[1])
+            if misfit:
+                return f".{key}{misfit[0]}", misfit[1]
+        return None
+    elif origin in (Union, UnionType):
+        if type(value) in args or any(_misfit(value, arg) is None for arg in args):
+            return None
+    elif origin is None and isinstance(value, hint):
+        return None
+    return "", f"expected {kind}, got {type(value).__name__}"
+
+
+def checked(value, hint, path: str):
+    """value, checked to fit hint (_misfit); SchemaError names the innermost
+    element that does not, under path."""
+    misfit = _misfit(value, hint)
+    if misfit:
+        fail(path + misfit[0], misfit[1])
+    return value
+
+
+def json_object(value, path: str, fields: dict, optional: dict = {}) -> dict:
+    """value, checked to be an object that holds every key of fields, no key
+    outside fields and optional, and under each key a value that fits the
+    key's type hint (_misfit); every key is checked before any value.  The
+    one check of every JSON object read, from a config section to a scene
+    file's frame record; a value's path is its key under path (under '' and
+    the file root '$', the key alone)."""
     if not isinstance(value, dict):
         fail(path, f"expected an object, got {type(value).__name__}")
-    for key in keys:
+    for key in fields:
         if key not in value:
             fail(path, f"missing required key '{key}'")
     for key in value:
-        if key not in keys and key not in optional:
-            fail(path, f"unknown key {key!r}; expected {', '.join(keys + optional)}")
+        if key not in fields and key not in optional:
+            fail(path, f"unknown key {key!r}; expected {', '.join([*fields, *optional])}")
+    for key, item in value.items():
+        misfit = _misfit(item, fields[key] if key in fields else optional[key])
+        if misfit:
+            fail((key if path in ("", "$") else f"{path}.{key}") + misfit[0], misfit[1])
     return value
 
 
 @cache
-def _section_fields(cls) -> tuple[dict, tuple, tuple]:
-    """The type hint of each field of a section class, and the names of the
-    fields that have no default or are FILE_REQUIRED and of the others, all
-    in field order; worked out once per class for section_from_dict."""
-    hints = get_type_hints(cls)
-    required = tuple(
-        f.name for f in fields(cls) if f.default is f.default_factory is MISSING or f.metadata.get("required")
-    )
-    optional = tuple(f.name for f in fields(cls) if f.name not in required)
+def _section_fields(cls) -> tuple[dict, dict, dict]:
+    """The type hint of each field of a section class, of those that have no
+    default or are FILE_REQUIRED and of the others, all in field order;
+    worked out once per class for section_from_dict."""
+    hints, required, optional = get_type_hints(cls), {}, {}
+    for f in fields(cls):
+        file_required = f.default is f.default_factory is MISSING or f.metadata.get("required")
+        (required if file_required else optional)[f.name] = hints[f.name]
     return {f.name: hints[f.name] for f in fields(cls)}, required, optional
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field's type hint: a number is an int or a
-    float but not a bool, an int field takes no float, a tuple field takes a
-    list or tuple whose elements fit too, a dict field takes an object whose
-    keys and values fit, and a section (a dataclass) is checked as it is built."""
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    section, origin, args = _hint_facts(hint)
-    if section:
-        return True
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items()
-        )
-    if origin in (Union, UnionType):
-        return any(_fits(value, arg) for arg in args)
-    return isinstance(value, hint)
 
 
 def _from_json(hint, value, path: str):
     """A checked field value as its dataclass holds it: lists as tuples, and
     a section, or each element of a tuple of sections, built from its object."""
-    section, origin, args = _hint_facts(hint)
+    section, origin, args = _hint_facts(hint)[:3]
     if section:
         return section_from_dict(hint, value, f"{path}.")
     if origin is tuple and _hint_facts(args[0])[0]:
@@ -278,16 +335,11 @@ def section_from_dict(cls, data, prefix: str):
     and the rig; a section field, or each element of a tuple of them, is
     built under its path (rig.cameras[2].pose.).  An omitted field keeps its
     default unless it has none or is FILE_REQUIRED.  SchemaError names the
-    path of a bad key (json_object), of a value of the wrong type and of the
-    object whose constructor raises ValueError (rig.cameras[2].pose: ...)."""
+    path of a bad key or of a value of the wrong type (json_object) and of
+    the object whose constructor raises ValueError (rig.cameras[2].pose: ...)."""
     path = prefix[:-1]
     hints, required, optional = _section_fields(cls)
     json_object(data, path, required, optional)
-    for name, hint in hints.items():
-        if name in data and not _fits(data[name], hint):
-            # the hint without module paths, as in tuple[CameraModel, ...]
-            text = hint.__name__ if get_origin(hint) is None else re.sub(r"\b\w+\.", "", str(hint))
-            raise SchemaError(f"{prefix}{name} must be {text}, got {data[name]!r}")
     kwargs = {k: _from_json(h, data[k], f"{prefix}{k}") for k, h in hints.items() if k in data}
     try:
         return cls(**kwargs)

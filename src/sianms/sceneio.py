@@ -6,10 +6,12 @@ clouds may live inline, as a list of [x, y, z] rows under the frame's
 floats, row-major xyz triples, referenced by a path relative to the scene
 file. Malformed input raises SchemaError carrying the JSON path of the
 offending element. Every JSON object read, a record or a config section,
-has its keys checked by pipeline.json_object (frames[1].objects[0]:
-unknown key 'boxx'; expected uid, class, box); the scene's rig, like a
-config or spec, is read by pipeline.section_from_dict, so a constructor's
-error is named by its object's path (rig.cameras[2].pose: ...).
+has its keys and then its values checked by pipeline.json_object, each
+value against its key's type hint (frames[1].objects[0]: unknown key 'boxx';
+expected uid, class, box, or $[0].bbox[3]: expected a number, got bool); the
+scene's rig, like a config or spec, is read by pipeline.section_from_dict,
+so a constructor's error is named by its object's path (rig.cameras[2].pose:
+...).
 
 Scene frames, inline clouds and detection records are written in bulk:
 each is laid into the indent-2 layout by one % template, with a frame's
@@ -35,70 +37,16 @@ from pathlib import Path
 import numpy as np
 
 from .matching import MatchedPair, MatchResult
-from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, config_from_dict, fail,
-                       json_object, json_value, section_from_dict)
+from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, checked, config_from_dict,
+                       fail, json_object, json_value, section_from_dict)
 from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, as_point_cloud
 from .synthgen import GenSpec, RigSpec
 
 
-def _num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        fail(path, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _uid(value, path: str) -> int | str:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        fail(path, f"expected an integer or a string, got {type(value).__name__}")
-    return value
-
-
-def _str(value, path: str) -> str:
-    if not isinstance(value, str):
-        fail(path, f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _list(value, path: str, length: int | None = None) -> list:
-    if not isinstance(value, list):
-        fail(path, f"expected a list, got {type(value).__name__}")
-    if length is not None and len(value) != length:
-        fail(path, f"expected {length} elements, got {len(value)}")
-    return value
-
-
-def _all_numbers(values) -> bool:
-    """Whether every value is an int or a float (so not a bool)."""
-    return set(map(type, values)) <= {int, float}
-
-
-def _floats(value, path: str, length: int | None = None) -> list[float]:
-    values = _list(value, path, length)
-    if not _all_numbers(values):
-        for i, v in enumerate(values):
-            _num(v, f"{path}[{i}]")
-    return [float(v) for v in values]
-
-
 def _float_rows(value, path: str, length: int) -> np.ndarray:
-    """A list of rows of `length` numbers as an (n, length) float array.
-
-    The whole list is checked at once; only a list that fails the check is
-    walked row by row, so that the SchemaError names the offending element.
-    """
-    rows = _list(value, path)
-    if not (
-        set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {length}
-        and _all_numbers(chain.from_iterable(rows))
-    ):
-        rows = [_floats(row, f"{path}[{i}]", length) for i, row in enumerate(rows)]
+    """A list of rows of `length` numbers, checked by pipeline.checked, as an
+    (n, length) float array."""
+    rows = checked(value, tuple[tuple[(float,) * length], ...], path)
     return np.fromiter(chain.from_iterable(rows), float, len(rows) * length).reshape(-1, length)
 
 
@@ -152,12 +100,16 @@ def _box_to_list(box: Box3D) -> list[float]:
     return [box.x, box.y, box.z, box.l, box.w, box.h, box.theta]
 
 
-def _box_from_list(data, path: str) -> Box3D:
-    x, y, z, l, w, h, theta = _floats(data, path, 7)
+# A box as a file holds it: x, y, z, l, w, h, theta.
+_BOX = tuple[(float,) * 7]
+
+
+def _box_from_record(rec: dict, path: str) -> Box3D:
+    """The Box3D under a checked record's "box" key; path is the record's."""
     try:
-        return Box3D(x=x, y=y, z=z, l=l, w=w, h=h, theta=theta)
+        return Box3D(*map(float, rec["box"]))
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{path}.box: {exc}") from exc
 
 
 # An inline cloud row as json.dumps(indent=2) lays it out at the depth the
@@ -233,9 +185,16 @@ def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
         out.write(("\n  ]" if frames else "]") + f',\n  "rig": {rig}\n}}\n')
 
 
+# The type hint of each key of a scene file's records.
+_SCENE = {"rig": CameraRig, "frames": list}
+_FRAME = {"objects": list, "lidar": dict, "index": int}
+_SCENE_OBJECT = {"uid": int | str, "class": str, "box": _BOX}
+
+
 def _check_lidar(lidar, path: str) -> None:
-    """A frame's lidar record holds exactly one of 'inline' or 'bin_file'."""
-    json_object(lidar, path, (), ("bin_file", "inline"))
+    """A frame's lidar record holds exactly one of 'inline' or 'bin_file',
+    whose value _load_cloud checks if it reads the cloud."""
+    json_object(lidar, path, {}, {"bin_file": object, "inline": object})
     if ("inline" in lidar) == ("bin_file" in lidar):
         fail(path, "expected exactly one of 'inline' or 'bin_file'")
 
@@ -244,7 +203,7 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
     if "inline" in lidar:
         cloud = _float_rows(lidar["inline"], f"{path}.inline", 3)
     else:
-        bin_path = scene_dir / _str(lidar["bin_file"], f"{path}.bin_file")
+        bin_path = scene_dir / checked(lidar["bin_file"], str, f"{path}.bin_file")
         if not bin_path.is_file():
             fail(f"{path}.bin_file", f"file not found: {bin_path}")
         blob = bin_path.read_bytes()
@@ -259,7 +218,7 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
 
 def load_scene(path, clouds: bool = True) -> Scene:
     """The scene file at path, every record checked; no two frames share an
-    index.
+    index and no two objects of a frame a uid.
 
     With clouds=False each frame's lidar record has its keys checked but its
     cloud is neither read nor checked, and each Frame's cloud is None: that
@@ -267,28 +226,27 @@ def load_scene(path, clouds: bool = True) -> Scene:
     objects, without the clouds' cost.
     """
     path = Path(path)
-    data = json_object(_load_json(path), "$", ("rig", "frames"))
+    data = json_object(_load_json(path), "$", _SCENE)
     rig = rig_from_dict(data["rig"])
     frames = []
     seen = {}  # frame index -> position in the frames list
-    for i, frame_data in enumerate(_list(data["frames"], "frames")):
+    for i, frame_data in enumerate(data["frames"]):
         fpath = f"frames[{i}]"
-        json_object(frame_data, fpath, ("objects", "lidar", "index"))
+        json_object(frame_data, fpath, _FRAME)
         objects = []
-        for j, obj in enumerate(_list(frame_data["objects"], f"{fpath}.objects")):
+        uids = {}  # uid -> position in the frame's objects list
+        for j, obj in enumerate(frame_data["objects"]):
             opath = f"{fpath}.objects[{j}]"
-            json_object(obj, opath, ("uid", "class", "box"))
-            objects.append(
-                SceneObject(
-                    uid=_uid(obj["uid"], f"{opath}.uid"),
-                    class_id=_str(obj["class"], f"{opath}.class"),
-                    box=_box_from_list(obj["box"], f"{opath}.box"),
-                )
-            )
+            json_object(obj, opath, _SCENE_OBJECT)
+            uid = obj["uid"]
+            if uid in uids:
+                fail(f"{opath}.uid", f"uid {uid!r} repeats {fpath}.objects[{uids[uid]}].uid")
+            uids[uid] = j
+            objects.append(SceneObject(uid=uid, class_id=obj["class"], box=_box_from_record(obj, opath)))
         lidar = frame_data["lidar"]
         _check_lidar(lidar, f"{fpath}.lidar")
         cloud = _load_cloud(lidar, path.parent, f"{fpath}.lidar") if clouds else None
-        index = _int(frame_data["index"], f"{fpath}.index")
+        index = frame_data["index"]
         if index in seen:
             fail(f"{fpath}.index", f"frame {index} repeats frames[{seen[index]}].index")
         seen[index] = i
@@ -361,34 +319,29 @@ def write_detections(path, detections_by_frame: dict) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+# The type hint of each required and optional key of a detection record.
+_DETECTION = {"bbox": tuple[float, float, float, float], "camera_id": str, "class": str,
+              "score": float, "frame": int}
+_DETECTION_OPTIONAL = {"embedding": tuple[float, ...], "truth_uid": int | str | None}
+
+
 def load_detection_records(path) -> list[tuple[int, Detection2D]]:
     """Flat (frame, detection) list preserving file order; match files index
     into this list."""
-    data = _load_json(path)
     records = []
-    for i, rec in enumerate(_list(data, "$")):
+    for i, rec in enumerate(checked(_load_json(path), list, "$")):
         rpath = f"$[{i}]"
-        json_object(rec, rpath, ("bbox", "camera_id", "class", "score", "frame"),
-                    ("embedding", "truth_uid"))
-        bbox = _floats(rec["bbox"], f"{rpath}.bbox", 4)
-        embedding = None
-        if "embedding" in rec:
-            embedding = np.asarray(_floats(rec["embedding"], f"{rpath}.embedding"), dtype=float)
-        truth_uid = rec.get("truth_uid")
-        if truth_uid is not None:
-            truth_uid = _uid(truth_uid, f"{rpath}.truth_uid")
+        json_object(rec, rpath, _DETECTION, _DETECTION_OPTIONAL)
+        embedding = rec.get("embedding")
+        if embedding is not None:
+            embedding = np.asarray([float(v) for v in embedding], dtype=float)
         try:
-            det = Detection2D(
-                camera_id=_str(rec["camera_id"], f"{rpath}.camera_id"),
-                bbox=BBox2D(x_min=bbox[0], y_min=bbox[1], x_max=bbox[2], y_max=bbox[3]),
-                class_id=_str(rec["class"], f"{rpath}.class"),
-                score=_num(rec["score"], f"{rpath}.score"),
-                embedding=embedding,
-                truth_uid=truth_uid,
-            )
+            det = Detection2D(camera_id=rec["camera_id"], bbox=BBox2D(*map(float, rec["bbox"])),
+                              class_id=rec["class"], score=float(rec["score"]), embedding=embedding,
+                              truth_uid=rec.get("truth_uid"))
         except ValueError as exc:
             raise SchemaError(f"{rpath}: {exc}") from exc
-        records.append((_int(rec["frame"], f"{rpath}.frame"), det))
+        records.append((rec["frame"], det))
     return records
 
 
@@ -430,28 +383,18 @@ def write_matches(path, rig: CameraRig, detections_by_frame_map: dict, matches_b
     _dump_json(path, payload)
 
 
+_MATCHES = {"cameras": tuple[str, ...], "adjacency": tuple[tuple[str, str], ...], "pairs": list}
+_PAIR = {"frame": int, "a": int, "b": int, "distance": float}
+
+
 def load_matches(path) -> dict:
-    data = json_object(_load_json(path), "$", ("cameras", "adjacency", "pairs"))
-    cameras = [_str(c, f"cameras[{i}]") for i, c in enumerate(_list(data["cameras"], "cameras"))]
-    adjacency = []
-    for i, pair in enumerate(_list(data["adjacency"], "adjacency")):
-        items = _list(pair, f"adjacency[{i}]", 2)
-        adjacency.append(
-            (_str(items[0], f"adjacency[{i}][0]"), _str(items[1], f"adjacency[{i}][1]"))
-        )
+    data = json_object(_load_json(path), "$", _MATCHES)
     pairs = []
-    for i, rec in enumerate(_list(data["pairs"], "pairs")):
-        rpath = f"pairs[{i}]"
-        json_object(rec, rpath, ("frame", "a", "b", "distance"))
-        pairs.append(
-            {
-                "frame": _int(rec["frame"], f"{rpath}.frame"),
-                "a": _int(rec["a"], f"{rpath}.a"),
-                "b": _int(rec["b"], f"{rpath}.b"),
-                "distance": _num(rec["distance"], f"{rpath}.distance"),
-            }
-        )
-    return {"cameras": cameras, "adjacency": adjacency, "pairs": pairs}
+    for i, rec in enumerate(data["pairs"]):
+        json_object(rec, f"pairs[{i}]", _PAIR)
+        pairs.append({"frame": rec["frame"], "a": rec["a"], "b": rec["b"], "distance": float(rec["distance"])})
+    return {"cameras": list(data["cameras"]), "adjacency": [tuple(p) for p in data["adjacency"]],
+            "pairs": pairs}
 
 
 def matches_against_detections(matches_payload: dict, records) -> dict:
@@ -510,23 +453,16 @@ def write_boxes(path, boxes_by_frame: dict) -> None:
     _dump_json(path, records)
 
 
+_PRED_BOX = {"merged": bool, "frame": int, "class": str, "score": float, "box": _BOX, "n_sources": int}
+
+
 def load_boxes(path) -> dict:
-    data = _load_json(path)
     out: dict[int, list[PredBox]] = {}
-    for i, rec in enumerate(_list(data, "$")):
+    for i, rec in enumerate(checked(_load_json(path), list, "$")):
         rpath = f"$[{i}]"
-        json_object(rec, rpath, ("merged", "frame", "class", "score", "box", "n_sources"))
-        merged = rec["merged"]
-        if not isinstance(merged, bool):
-            fail(f"{rpath}.merged", f"expected a boolean, got {type(merged).__name__}")
-        box = PredBox(
-            frame=_int(rec["frame"], f"{rpath}.frame"),
-            class_id=_str(rec["class"], f"{rpath}.class"),
-            score=_num(rec["score"], f"{rpath}.score"),
-            box=_box_from_list(rec["box"], f"{rpath}.box"),
-            n_sources=_int(rec["n_sources"], f"{rpath}.n_sources"),
-            merged=merged,
-        )
+        json_object(rec, rpath, _PRED_BOX)
+        box = PredBox(frame=rec["frame"], class_id=rec["class"], score=float(rec["score"]),
+                      box=_box_from_record(rec, rpath), n_sources=rec["n_sources"], merged=rec["merged"])
         out.setdefault(box.frame, []).append(box)
     return out
 
@@ -553,11 +489,7 @@ def _load_object(path, overrides: dict | None, what: str, build):
     """build(data) of the JSON object in an optional file plus overrides
     (apply_overrides); SchemaError, prefixed with what, for a file holding
     no object and for a ValueError of build."""
-    data = {}
-    if path is not None:
-        data = _load_json(path)
-        if not isinstance(data, dict):
-            fail(what, f"expected an object, got {type(data).__name__}")
+    data = {} if path is None else _load_json(path)
     try:
         return build(apply_overrides(data, overrides or {}))
     except ValueError as exc:
@@ -572,7 +504,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
 
 
 def _spec_from_dict(data: dict) -> tuple[RigSpec, GenSpec]:
-    json_object(data, "", (), ("rig", "gen"))
+    json_object(data, "", {}, {"rig": RigSpec, "gen": GenSpec})
     return (section_from_dict(RigSpec, data.get("rig", {}), "rig."),
             section_from_dict(GenSpec, data.get("gen", {}), "gen."))
 

@@ -76,7 +76,7 @@ from sianms.scene import (
     project_points,
     wrap_angle,
 )
-from sianms.sceneio import _box_to_list, _floats, _list, _num, _str
+from sianms.sceneio import _box_to_list
 from sianms.synthgen import (CLASS_DIMS, GROUND_Z, MIN_CENTER_SPACING, YAW_HALF_RANGE, GenSpec,
                              _complement_arcs, embedding_provider, overlap_wedges)
 
@@ -1059,51 +1059,75 @@ def rig_to_dict_reference(rig) -> dict:
     }
 
 
-def _key_reference(mapping, key, path: str):
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(mapping).__name__}")
-    if key not in mapping:
-        raise SchemaError(f"{path}: missing required key '{key}'")
-    return mapping[key]
+def _object_reference(value, path: str, keys: tuple) -> dict:
+    """value, checked by hand to be an object with every one of keys and no other."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise SchemaError(f"{path}: missing required key '{key}'")
+    for key in value:
+        if key not in keys:
+            raise SchemaError(f"{path}: unknown key {key!r}; expected {', '.join(keys)}")
+    return value
+
+
+def _string_reference(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{path}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _number_reference(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _list_reference(value, path: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{path}: expected {length} elements, got {len(value)}")
+    return value
+
+
+def _numbers_reference(value, path: str, length: int) -> tuple:
+    items = _list_reference(value, path, length)
+    return tuple(_number_reference(v, f"{path}[{i}]") for i, v in enumerate(items))
+
+
+def _built_reference(cls, path: str, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+_CAMERA_KEYS = ("id", "fx", "fy", "cx", "cy", "width", "height", "pose")
 
 
 def _camera_from_dict_reference(data, path: str):
-    pose_data = _key_reference(data, "pose", path)
-    pose = Pose(
-        q=tuple(_floats(_key_reference(pose_data, "q", f"{path}.pose"), f"{path}.pose.q", 4)),
-        t=tuple(_floats(_key_reference(pose_data, "t", f"{path}.pose"), f"{path}.pose.t", 3)),
-    )
-    return CameraModel(
-        id=_str(_key_reference(data, "id", path), f"{path}.id"),
-        fx=_num(_key_reference(data, "fx", path), f"{path}.fx"),
-        fy=_num(_key_reference(data, "fy", path), f"{path}.fy"),
-        cx=_num(_key_reference(data, "cx", path), f"{path}.cx"),
-        cy=_num(_key_reference(data, "cy", path), f"{path}.cy"),
-        width=_num(_key_reference(data, "width", path), f"{path}.width"),
-        height=_num(_key_reference(data, "height", path), f"{path}.height"),
-        pose=pose,
-    )
+    data = _object_reference(data, path, _CAMERA_KEYS)
+    camera = {"id": _string_reference(data["id"], f"{path}.id")}
+    for key in _CAMERA_KEYS[1:-1]:
+        camera[key] = _number_reference(data[key], f"{path}.{key}")
+    pose = _object_reference(data["pose"], f"{path}.pose", ("q", "t"))
+    q = _numbers_reference(pose["q"], f"{path}.pose.q", 4)
+    t = _numbers_reference(pose["t"], f"{path}.pose.t", 3)
+    return _built_reference(CameraModel, path, pose=_built_reference(Pose, f"{path}.pose", q=q, t=t), **camera)
 
 
 def rig_from_dict_reference(data, path: str = "rig"):
-    """sceneio.rig_from_dict, each field read by hand."""
-    cameras = tuple(
-        _camera_from_dict_reference(c, f"{path}.cameras[{i}]")
-        for i, c in enumerate(_list(_key_reference(data, "cameras", path), f"{path}.cameras"))
-    )
+    """sceneio.rig_from_dict, each key and value checked and read by hand."""
+    data = _object_reference(data, path, ("cameras", "adjacency"))
+    cameras = _list_reference(data["cameras"], f"{path}.cameras")
     adjacency = []
-    for i, pair in enumerate(_list(_key_reference(data, "adjacency", path), f"{path}.adjacency")):
-        items = _list(pair, f"{path}.adjacency[{i}]", 2)
-        adjacency.append(
-            (
-                _str(items[0], f"{path}.adjacency[{i}][0]"),
-                _str(items[1], f"{path}.adjacency[{i}][1]"),
-            )
-        )
-    try:
-        return CameraRig(cameras=cameras, adjacency=tuple(adjacency))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    for i, pair in enumerate(_list_reference(data["adjacency"], f"{path}.adjacency")):
+        items = _list_reference(pair, f"{path}.adjacency[{i}]", 2)
+        adjacency.append(tuple(_string_reference(v, f"{path}.adjacency[{i}][{k}]") for k, v in enumerate(items)))
+    cameras = tuple(_camera_from_dict_reference(c, f"{path}.cameras[{i}]") for i, c in enumerate(cameras))
+    return _built_reference(CameraRig, path, cameras=cameras, adjacency=tuple(adjacency))
 
 
 # The table renderers that the row model in pipeline.py replaced.

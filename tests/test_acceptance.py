@@ -28,8 +28,6 @@ from sianms.scene import BBox2D, Box3D, box3d_to_bbox2d, wrap_angle
 from sianms.synthgen import (
     CLASS_DIMS,
     GROUND_Z,
-    RigSpec,
-    make_rig,
     overlap_wedges,
     sample_surface_points,
 )

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -217,6 +218,19 @@ class TestExitCodes:
         assert "frames[1].index: frame 0 repeats frames[0].index" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_object_uid_is_two(self, tmp_path, scene_dir, capsys):
+        data = json.loads((scene_dir / "scene.json").read_text())
+        objects = data["frames"][0]["objects"]
+        objects[2]["uid"] = objects[0]["uid"]
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["compare", "--scene", str(scene), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"schema error: frames[0].objects[2].uid: uid {objects[0]['uid']!r} repeats "
+            "frames[0].objects[0].uid\n")
+        assert not out.exists()
+
     def test_missing_file_is_three(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--scene", str(tmp_path / "absent.json"),
@@ -387,7 +401,7 @@ class TestConfigSections:
         code = main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
                      "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "config: tau must be float | None, got [1.0]" in capsys.readouterr().err
+        assert capsys.readouterr().err == "schema error: config: tau: expected a number or null, got list\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["objects_per_frame", "radius_range", "lidar_points_range"])
@@ -398,7 +412,7 @@ class TestConfigSections:
         path.write_text(json.dumps(spec))
         code = main(["generate", "--spec", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"spec: gen.{key} must be " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"schema error: spec: gen.{key}: expected 2 elements, got 1\n"
         assert not (tmp_path / "out").exists()
 
     def test_every_config_section_is_read(self, tmp_path, scene_dir):
@@ -548,6 +562,69 @@ def test_eval_3d_scores_as_run_does(scored_run, region, capsys):
     assert classes and classes == report["metrics_3d"][region]["per_class"]
 
 
+def _edited(tmp_path, source, edit):
+    """The path of a copy of the JSON file source, in tmp_path, with edit applied."""
+    data = json.loads(source.read_text())
+    edit(data)
+    path = tmp_path / source.name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _written(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestOneValueGrammar:
+    """A value of the wrong type, in any file any reader reads, is a schema
+    error in one grammar that names the innermost element at fault."""
+
+    GRAMMAR = re.compile(r"schema error: (config: |spec: )?\S+: expected (.+, got \w+|\d+ elements, got \d+)\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (lambda t, scene, spec, run: ["run", "--scene", str(scene), "--variant", "sianms", "--config",
+                                      _written(t, {"nms_iou": "0.5"})],
+         "config: nms_iou: expected a number, got str"),
+        (lambda t, scene, spec, run: ["generate", "--spec", _written(t, {"rig": {"width": 400.5}})],
+         "spec: rig.width: expected an integer, got float"),
+        (lambda t, scene, spec, run: ["simulate", "--scene", _edited(
+            t, scene, lambda d: d["rig"]["cameras"][0].update(cy="200"))],
+         "rig.cameras[0].cy: expected a number, got str"),
+        (lambda t, scene, spec, run: ["simulate", "--scene", _edited(
+            t, scene, lambda d: d["frames"][0]["objects"][1].update({"class": 3}))],
+         "frames[0].objects[1].class: expected a string, got int"),
+        (lambda t, scene, spec, run: ["simulate", "--scene", _edited(
+            t, scene, lambda d: d["frames"][1].update(index="1"))],
+         "frames[1].index: expected an integer, got str"),
+        (lambda t, scene, spec, run: ["run", "--variant", "sianms", "--scene", _edited(
+            t, scene, lambda d: d["frames"][1].update(lidar={"bin_file": 7}))],
+         "frames[1].lidar.bin_file: expected a string, got int"),
+        (lambda t, scene, spec, run: ["run", "--variant", "sianms", "--scene", str(scene), "--detections",
+                                      _edited(t, run / "detections.json", lambda d: d[2].update(score="0.5"))],
+         "$[2].score: expected a number, got str"),
+        (lambda t, scene, spec, run: ["eval-reid", "--detections", str(run / "detections.json"), "--matches",
+                                      _edited(t, run / "matches.json", lambda d: d["pairs"][0].update(a=0.0))],
+         "pairs[0].a: expected an integer, got float"),
+        (lambda t, scene, spec, run: ["eval-3d", "--gt", str(scene), "--pred",
+                                      _edited(t, run / "boxes.json", lambda d: d[1]["box"].pop())],
+         "$[1].box: expected 7 elements, got 6"),
+    ], ids=["config", "spec", "rig", "scene_object", "frame_index", "bin_file", "detection",
+            "match", "boxes"])
+    def test_every_reader(self, tmp_path, scene_dir, spec_file, run_dir, capsys, argv, text):
+        out = tmp_path / "out"
+        argv = argv(tmp_path, scene_dir / "scene.json", spec_file, run_dir)
+        if argv[0] in ("generate", "simulate", "run"):
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"schema error: {text}\n"
+        assert self.GRAMMAR.fullmatch(err) and " must be " not in err
+        assert not out.exists()
+
+
 class TestRigIsReadLikeAConfig:
     """A scene whose rig the reader refuses exits 2 with the JSON path of the
     offending camera, from every subcommand that loads the scene."""
@@ -583,20 +660,20 @@ class TestRigIsReadLikeAConfig:
         assert capsys.readouterr().err.startswith(f"schema error: {message}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, key, value", [
+    @pytest.mark.parametrize("section, key, value, text", [
         ("estimator", "dim_priors", {"car": [4.5, 1.9], "pedestrian": [0.6, 0.6, 1.7],
-                                     "cyclist": [1.8, 0.6, 1.7]}),
+                                     "cyclist": [1.8, 0.6, 1.7]}, "car: expected 3 elements, got 2"),
         ("estimator", "dim_priors", {"car": "abc", "pedestrian": [0.6, 0.6, 1.7],
-                                     "cyclist": [1.8, 0.6, 1.7]}),
-        ("gen", "class_mix", {"car": "0.5"}),
+                                     "cyclist": [1.8, 0.6, 1.7]}, "car: expected a list, got str"),
+        ("gen", "class_mix", {"car": "0.5"}, "car: expected a number, got str"),
     ], ids=["two_number_prior", "string_prior", "string_weight"])
-    def test_malformed_mapping_is_two(self, tmp_path, scene_dir, capsys, section, key, value):
+    def test_malformed_mapping_is_two(self, tmp_path, scene_dir, capsys, section, key, value, text):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({section: {key: value}}))
         out = tmp_path / "out"
         assert main(["compare", "--scene", str(scene_dir / "scene.json"),
                      "--config", str(config), "--out", str(out)]) == 2
-        assert f"schema error: config: {section}.{key} must be dict[" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"schema error: config: {section}.{key}.{text}\n"
         assert not out.exists()
 
 

@@ -1,6 +1,5 @@
 """Re-identification scoring against truth identities."""
 
-import numpy as np
 import pytest
 
 from sianms.matching import MatchedPair, MatchResult

@@ -279,7 +279,7 @@ class TestUidTypes:
         with pytest.raises(SchemaError) as err:
             load_detection_records(path)
         name = type(uid).__name__
-        assert str(err.value) == f"$[0].truth_uid: expected an integer or a string, got {name}"
+        assert str(err.value) == f"$[0].truth_uid: expected an integer or a string or null, got {name}"
         scene, _ = tiny_scene
         path = tmp_path / "scene.json"
         write_scene(path, scene)
@@ -289,6 +289,24 @@ class TestUidTypes:
         with pytest.raises(SchemaError) as err:
             load_scene(path)
         assert str(err.value) == f"frames[0].objects[0].uid: expected an integer or a string, got {name}"
+
+
+def test_uids_repeat_across_frames_only(tmp_path, tiny_scene):
+    """A uid names one object of its frame; another frame may use it again."""
+    path = tmp_path / "scene.json"
+    write_scene(path, tiny_scene[0])
+    data = json.loads(path.read_text())
+    for frame in data["frames"]:
+        for j, obj in enumerate(frame["objects"]):
+            obj["uid"] = j
+    path.write_text(json.dumps(data))
+    assert [[obj.uid for obj in frame.objects] for frame in load_scene(path).frames] == [
+        list(range(len(frame["objects"]))) for frame in data["frames"]]
+    data["frames"][1]["objects"][2]["uid"] = 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as err:
+        load_scene(path)
+    assert str(err.value) == "frames[1].objects[2].uid: uid 1 repeats frames[1].objects[1].uid"
 
 
 def _bits(values) -> bytes:
@@ -348,7 +366,8 @@ class TestRoundTripProperty:
         frames = []
         for index in range(n_frames):
             objects, cloud = generate_frame(rig, gen, index)
-            objects = tuple(replace(obj, uid=data.draw(UIDS)) for obj in objects)
+            uids = data.draw(st.lists(UIDS, min_size=len(objects), max_size=len(objects), unique=True))
+            objects = tuple(replace(obj, uid=uid) for obj, uid in zip(objects, uids))
             frames.append(Frame(index=index, objects=objects, cloud=cloud))
         scene = Scene(rig=rig, frames=tuple(frames))
         root = tmp_path_factory.mktemp("round-trip")
@@ -704,31 +723,44 @@ class TestConfig:
         assert cfg.loss.alpha == 0.25
         assert cfg.loss.beta == base.loss.beta
 
-    @pytest.mark.parametrize(
-        "data, key",
-        [
-            ({"tau": [1.0]}, "tau"),
-            ({"tau": "0.9"}, "tau"),
-            ({"nms_iou": True}, "nms_iou"),
-            ({"gen": {"seed": 3.0}}, "gen.seed"),
-            ({"gen": {"n_frames": False}}, "gen.n_frames"),
-            ({"gen": {"objects_per_frame": [1]}}, "gen.objects_per_frame"),
-            ({"gen": {"objects_per_frame": [1, 2, 3]}}, "gen.objects_per_frame"),
-            ({"gen": {"radius_range": [8.0, "30"]}}, "gen.radius_range"),
-            ({"gen": {"lidar_points_range": [60.0, 120.0]}}, "gen.lidar_points_range"),
-            ({"gen": {"class_mix": [["car", 1.0]]}}, "gen.class_mix"),
-            ({"loss": {"alpha": None}}, "loss.alpha"),
-            ({"estimator": {"yaw_mode": 1}}, "estimator.yaw_mode"),
-            ({"estimator": {"min_points": 5.0}}, "estimator.min_points"),
-            ({"eval3d": {"center_distance_thresholds": [1.0, True]}}, "eval3d.center_distance_thresholds"),
-            ({"eval3d": {"center_distance_thresholds": 1.0}}, "eval3d.center_distance_thresholds"),
-        ],
-    )
-    def test_wrong_type_names_the_key(self, tmp_path, data, key):
+    @pytest.mark.parametrize("data, text", [
+        pytest.param({"tau": [1.0]},
+                     "tau: expected a number or null, got list", id="data0-tau"),
+        pytest.param({"tau": "0.9"},
+                     "tau: expected a number or null, got str", id="data1-tau"),
+        pytest.param({"nms_iou": True},
+                     "nms_iou: expected a number, got bool", id="data2-nms_iou"),
+        pytest.param({"gen": {"seed": 3.0}},
+                     "gen.seed: expected an integer, got float", id="data3-gen.seed"),
+        pytest.param({"gen": {"n_frames": False}},
+                     "gen.n_frames: expected an integer, got bool", id="data4-gen.n_frames"),
+        pytest.param({"gen": {"objects_per_frame": [1]}},
+                     "gen.objects_per_frame: expected 2 elements, got 1", id="data5-gen.objects_per_frame"),
+        pytest.param({"gen": {"objects_per_frame": [1, 2, 3]}},
+                     "gen.objects_per_frame: expected 2 elements, got 3", id="data6-gen.objects_per_frame"),
+        pytest.param({"gen": {"radius_range": [8.0, "30"]}},
+                     "gen.radius_range[1]: expected a number, got str", id="data7-gen.radius_range"),
+        pytest.param({"gen": {"lidar_points_range": [60.0, 120.0]}},
+                     "gen.lidar_points_range[0]: expected an integer, got float", id="data8-gen.lidar_points_range"),
+        pytest.param({"gen": {"class_mix": [["car", 1.0]]}},
+                     "gen.class_mix: expected an object, got list", id="data9-gen.class_mix"),
+        pytest.param({"loss": {"alpha": None}},
+                     "loss.alpha: expected a number, got NoneType", id="data10-loss.alpha"),
+        pytest.param({"estimator": {"yaw_mode": 1}},
+                     "estimator.yaw_mode: expected a string, got int", id="data11-estimator.yaw_mode"),
+        pytest.param({"estimator": {"min_points": 5.0}},
+                     "estimator.min_points: expected an integer, got float", id="data12-estimator.min_points"),
+        pytest.param({"eval3d": {"center_distance_thresholds": [1.0, True]}},
+                     "eval3d.center_distance_thresholds[1]: expected a number, got bool", id="data13-eval3d.center_distance_thresholds"),
+        pytest.param({"eval3d": {"center_distance_thresholds": 1.0}},
+                     "eval3d.center_distance_thresholds: expected a list, got float", id="data14-eval3d.center_distance_thresholds"),
+    ])
+    def test_wrong_type_names_the_key(self, tmp_path, data, text):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(SchemaError, match=rf"^config: {key} must be .*, got "):
+        with pytest.raises(SchemaError) as err:
             load_config(path)
+        assert str(err.value) == f"config: {text}"
 
     def test_numbers_take_either_json_number_type(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -993,8 +1025,8 @@ class TestRigReader:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rig: rig["cameras"][1]["pose"].update(q=[1.0, 0.0]),
-         "rig.cameras[1].pose.q must be tuple[float, float, float, float], got [1.0, 0.0]"),
-        (lambda rig: rig["cameras"][1].update(fx=True), "rig.cameras[1].fx must be float, got True"),
+         "rig.cameras[1].pose.q: expected 4 elements, got 2"),
+        (lambda rig: rig["cameras"][1].update(fx=True), "rig.cameras[1].fx: expected a number, got bool"),
         (lambda rig: rig["cameras"][1].update(pose=[]), "rig.cameras[1].pose: expected an object, got list"),
         (lambda rig: rig["cameras"].append(5), "rig.cameras[4]: expected an object, got int"),
         (lambda rig: rig["cameras"][1].pop("fx"), "rig.cameras[1]: missing required key 'fx'"),
@@ -1002,7 +1034,7 @@ class TestRigReader:
         (lambda rig: rig.pop("cameras"), "rig: missing required key 'cameras'"),
         (lambda rig: rig.update(extra=1), "rig: unknown key 'extra'; expected cameras, adjacency"),
         (lambda rig: rig["cameras"][2].update(id="cam0"), "rig: camera ids must be unique"),
-        (lambda rig: rig.update(cameras=5), "rig.cameras must be tuple[CameraModel, ...], got 5"),
+        (lambda rig: rig.update(cameras=5), "rig.cameras: expected a list, got int"),
         (lambda rig: rig["cameras"][1]["pose"].update(q=[1.0, 1.0, 0.0, 0.0]),
          "rig.cameras[1].pose: quaternion norm 1.4142135623730951 deviates from 1 by more than 1e-9"),
     ], ids=["pose_q", "bool_fx", "list_pose", "int_camera", "no_fx", "no_t", "no_cameras",
@@ -1012,6 +1044,9 @@ class TestRigReader:
         edit(data)
         with pytest.raises(SchemaError) as err:
             rig_from_dict(data)
+        assert str(err.value) == message
+        with pytest.raises(SchemaError) as err:
+            rig_from_dict_reference(data)
         assert str(err.value) == message
 
 
@@ -1083,20 +1118,20 @@ class TestMappingHints:
 
     @pytest.mark.parametrize("data, text", [
         ({"estimator": {"dim_priors": dict(CLASS_DIMS, car=[4.5, 1.9])}},
-         "estimator.dim_priors must be dict[str, tuple[float, float, float]], got "),
+         "estimator.dim_priors.car: expected 3 elements, got 2"),
         ({"estimator": {"dim_priors": dict(CLASS_DIMS, car="abc")}},
-         "estimator.dim_priors must be dict[str, tuple[float, float, float]], got "),
+         "estimator.dim_priors.car: expected a list, got str"),
         ({"estimator": {"dim_priors": dict(CLASS_DIMS, car=[4.5, 1.9, True])}},
-         "estimator.dim_priors must be dict[str, tuple[float, float, float]], got "),
-        ({"gen": {"class_mix": {"car": "0.5"}}}, "gen.class_mix must be dict[str, float], got "),
-        ({"gen": {"class_mix": {"car": [0.5]}}}, "gen.class_mix must be dict[str, float], got "),
+         "estimator.dim_priors.car[2]: expected a number, got bool"),
+        ({"gen": {"class_mix": {"car": "0.5"}}}, "gen.class_mix.car: expected a number, got str"),
+        ({"gen": {"class_mix": {"car": [0.5]}}}, "gen.class_mix.car: expected a number, got list"),
     ], ids=["two_numbers", "string", "bool", "string_weight", "list_weight"])
     def test_malformed_entry_names_the_key(self, tmp_path, data, text):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError) as err:
             load_config(path)
-        assert str(err.value).startswith(f"config: {text}")
+        assert str(err.value) == f"config: {text}"
 
     def test_priors_are_checked_for_shape_not_sign(self, tmp_path):
         path = tmp_path / "cfg.json"
