@@ -30,6 +30,9 @@ across-yaw coordinates gives all four planar extents, which np.quantile's
 linear rule blends in Python floats. Bins, quantiles and the median
 follow numpy's own arithmetic, so boxes are bit-identical to calling
 np.histogram, np.quantile and np.median per window and per axis.
+
+The frustum keeps each fit's outcome, so the pipeline variants, which
+frustum.filter_frustum hands the same frustum, share one fit.
 """
 
 from __future__ import annotations
@@ -265,12 +268,27 @@ def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D
 
     Deterministic and invariant to point order.  Raises TooFewPoints when
     the frustum holds fewer than cfg.min_points points, KeyError when the
-    class has no dimension prior.
+    class has no dimension prior.  The frustum keeps the outcome under the
+    class and the config object's id (a config holds a dict, so it cannot
+    be hashed; it is kept with the outcome, so no later config takes its
+    id): a repeated call returns the same Box3D, or raises a fresh
+    TooFewPoints with the same message.
     """
     prior = cfg.dim_priors[class_id]
+    key = (class_id, id(cfg))
+    fit = frustum.boxes.get(key)
+    if fit is None:
+        fit = frustum.boxes[key] = (cfg, _fit(frustum, prior, cfg))
+    if isinstance(fit[1], str):
+        raise TooFewPoints(fit[1])
+    return fit[1]
+
+
+def _fit(frustum: Frustum, prior, cfg: EstimatorConfig) -> Box3D | str:
+    """estimate_box's work: the box, or TooFewPoints' message."""
     points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
     if len(points) < cfg.min_points:
-        raise TooFewPoints(f"{len(points)} points < min_points {cfg.min_points}")
+        return f"{len(points)} points < min_points {cfg.min_points}"
     gate = max(cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
     gated = _range_gate(points, gate, frustum.extent, prior[2])
     if len(gated) < cfg.min_points:

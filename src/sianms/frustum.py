@@ -3,16 +3,19 @@
 A frustum is the set of LiDAR points whose projection falls inside one 2D
 detection's bbox.  The cloud is projected once per camera into a CameraView,
 the points in front of that camera with their pixel coordinates, and every
-detection of the camera is filtered against that view.  Two frustums from a
-matched cross-camera detection pair are merged only when they share at least
-one point (exact coordinate identity); sharing none is treated as evidence
-the match was spurious.
+detection of the camera is filtered against that view.  The view keeps the
+outcome of each filter run on it, so a repeated request, as the pipeline
+variants make for the detections they share, is answered without filtering
+twice; the frustums' point arrays are read-only, as their callers share
+them.  Two frustums from a matched cross-camera detection pair are merged
+only when they share at least one point (exact coordinate identity);
+sharing none is treated as evidence the match was spurious.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,13 +52,15 @@ class Frustum:
     """Points selected by one or two detections plus their viewing geometry.
 
     extent is the (theta_min, theta_max) azimuth interval the frustum
-    subtends; central_axis its circular midpoint, in (-pi, pi].
+    subtends; central_axis its circular midpoint, in (-pi, pi].  boxes is
+    estimator.estimate_box's memo of the fits made on this frustum.
     """
 
     points: np.ndarray
     extent: tuple[float, float]
     central_axis: float
     sources: tuple[Detection2D, ...] = ()
+    boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sources) > 2:
@@ -70,12 +75,14 @@ class Frustum:
 @dataclass(frozen=True, eq=False)
 class CameraView:
     """A cloud as one camera sees it: the points at depth > DEPTH_EPSILON,
-    in cloud order, and their pixel coordinates u and v."""
+    in cloud order, and their pixel coordinates u and v.  frustums is
+    filter_frustum's memo of the filters run on this view."""
 
     camera_id: str
     points: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    frustums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def camera_view(cam: CameraModel, cloud: np.ndarray) -> CameraView:
@@ -97,13 +104,28 @@ def filter_frustum(
 
     cloud is a CameraView of cam, or an (N, 3) array that is viewed first.
     Points at depth <= DEPTH_EPSILON are excluded.  Raises EmptyFrustum when
-    nothing survives, and ValueError for a view of another camera.
+    nothing survives, and ValueError for a view of another camera.  The
+    view keeps the outcome under (cam, bbox, source): a repeated call
+    returns the same Frustum, or raises a fresh EmptyFrustum with the same
+    message.
     """
     view = cloud if isinstance(cloud, CameraView) else camera_view(cam, cloud)
     if view.camera_id != cam.id:
         raise ValueError(
             f"view of camera {view.camera_id!r} filtered for camera {cam.id!r}"
         )
+    key = (cam, bbox, source)
+    frustum = view.frustums.get(key)
+    if frustum is None:
+        frustum = view.frustums[key] = _select(cam, bbox, view, source)
+    if isinstance(frustum, str):
+        raise EmptyFrustum(frustum)
+    return frustum
+
+
+def _select(cam, bbox, view, source) -> Frustum | str:
+    """filter_frustum's work: the Frustum, or EmptyFrustum's message (an
+    exception kept in the memo would hold its traceback's frames alive)."""
     inside = (
         (view.u >= bbox.x_min)
         & (view.u <= bbox.x_max)
@@ -111,11 +133,13 @@ def filter_frustum(
         & (view.v <= bbox.y_max)
     )
     if not inside.any():
-        raise EmptyFrustum(f"no points inside bbox in camera {cam.id!r}")
+        return f"no points inside bbox in camera {cam.id!r}"
+    points = view.points[inside]
+    points.flags.writeable = False
     extent = angular_extent(cam, bbox)
     sources = (source,) if source is not None else ()
     return Frustum(
-        points=view.points[inside],
+        points=points,
         extent=extent,
         central_axis=extent_midpoint(extent),
         sources=sources,
@@ -170,8 +194,10 @@ def merge_frustums(a: Frustum, b: Frustum) -> Frustum:
     merged = list(dict.fromkeys(rows_a + rows_b))
     start, width = _combined_hull(a.extent, b.extent)
     extent = (wrap_angle(start), wrap_angle(start + width))
+    points = np.array(merged, dtype=float).reshape(-1, 3)
+    points.flags.writeable = False
     return Frustum(
-        points=np.array(merged, dtype=float).reshape(-1, 3),
+        points=points,
         extent=extent,
         central_axis=_hull_axis(start, width),
         sources=a.sources + b.sources,

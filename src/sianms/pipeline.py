@@ -23,14 +23,18 @@ too few points are counted as drops.
 All variants run in one loop over the frames: each frame's detections,
 ground truth and camera views (its cloud projected once on each camera its
 detections name) are built once, then every variant processes the frame and
-filters its frustums against those views.  A frame whose processing raises
-is recorded under errors and skipped by the variants it reached (all of them
-when building its detections, ground truth or views raised, 2d+embedding and
-sianms when their matching raised); the run continues with the remaining
-frames.  Scoring is shared the same way: variants with the same input over
-the same frames get one 2D AP (per working set) and one set of 3D metrics
-(per working set and fit rule, which original and 2d+embedding have in
-common), each report holding its own copy.
+filters its frustums against those views.  Every variant makes its own
+filter_frustum and estimate_box calls, but a view keeps each frustum
+filtered on it and a frustum each box fitted to it, so that work is done
+once per frame, by the first variant that asks, and the others get the
+same Frustum and Box3D, or the same drop.  A frame whose processing
+raises is recorded under errors and skipped by the variants it reached
+(all of them when building its detections, ground truth or views raised,
+2d+embedding and sianms when their matching raised); the run continues
+with the remaining frames.  Scoring is shared the same way: variants with
+the same input over the same frames get one 2D AP (per working set) and
+one set of 3D metrics (per working set and fit rule, which original and
+2d+embedding have in common), each report holding its own copy.
 """
 
 from __future__ import annotations
@@ -563,9 +567,11 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     the same working set, the frame's detections, so match_adjacent and
     evaluate_frame run once, at the first variant that needs them, and their
     result, or the exception they raised, serves both; the seconds they take
-    count toward that variant.  Each variant then fits its boxes on its own,
-    so an exception there is recorded by that variant only.  The views are
-    dropped on return.
+    count toward that variant.  Each variant then filters and fits its boxes
+    through its own calls, so an exception there is recorded by that variant
+    only; a repeated filter or fit is a lookup in the views (filter_frustum,
+    estimate_box), and its work counts toward the first variant that asks.
+    The views, and all they keep, are dropped on return.
     """
     started = time.perf_counter()
     try:

@@ -23,13 +23,16 @@ pure-Python encoder's cost. A scene file is written frame by frame, one
 cloud's text at a time, so writing it holds a small fraction of the file in
 memory, not copies of all of it. JSON is parsed with the cyclic garbage
 collector paused, as json.loads builds no reference cycles and would
-otherwise set off a collector pass every few hundred lists it builds.
+otherwise set off a collector pass every few hundred lists it builds; a
+scene stays paused through the walk over its records too, so that no pass
+walks the parsed lists before they are dropped.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -50,19 +53,27 @@ def _float_rows(value, path: str, length: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), float, len(rows) * length).reshape(-1, length)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; leave it as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path) -> object:
     """The JSON value in the file at path, parsed with the cyclic garbage
     collector paused; the collector is left as it was found."""
     text = Path(path).read_text(encoding="utf-8")
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    finally:
-        if enabled:
-            gc.enable()
+    with _collector_paused():
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _json_numbers(values: list) -> list[str]:
@@ -223,10 +234,17 @@ def load_scene(path, clouds: bool = True) -> Scene:
     With clouds=False each frame's lidar record has its keys checked but its
     cloud is neither read nor checked, and each Frame's cloud is None: that
     reads what simulate and eval-3d use, the rig and each frame's index and
-    objects, without the clouds' cost.
+    objects, without the clouds' cost.  The cyclic collector stays paused
+    until the parsed records are dropped (_collector_paused).
     """
     path = Path(path)
-    data = json_object(_load_json(path), "$", _SCENE)
+    with _collector_paused():
+        return _scene_from_json(_load_json(path), path, clouds)
+
+
+def _scene_from_json(data, path: Path, clouds: bool) -> Scene:
+    """load_scene's walk over the parsed file data."""
+    json_object(data, "$", _SCENE)
     rig = rig_from_dict(data["rig"])
     frames = []
     seen = {}  # frame index -> position in the frames list
@@ -327,13 +345,19 @@ _DETECTION_OPTIONAL = {"embedding": tuple[float, ...], "truth_uid": int | str | 
 
 def load_detection_records(path) -> list[tuple[int, Detection2D]]:
     """Flat (frame, detection) list preserving file order; match files index
-    into this list."""
+    into this list.  Every embedding has the length of the file's first
+    ($[1].embedding: expected 16 elements, got 1); a record may have none."""
     records = []
+    dim = None  # the length of the file's first embedding
     for i, rec in enumerate(checked(_load_json(path), list, "$")):
         rpath = f"$[{i}]"
         json_object(rec, rpath, _DETECTION, _DETECTION_OPTIONAL)
         embedding = rec.get("embedding")
         if embedding is not None:
+            if dim is None:
+                dim = len(embedding)
+            elif len(embedding) != dim:
+                fail(f"{rpath}.embedding", f"expected {dim} elements, got {len(embedding)}")
             embedding = np.asarray([float(v) for v in embedding], dtype=float)
         try:
             det = Detection2D(camera_id=rec["camera_id"], bbox=BBox2D(*map(float, rec["bbox"])),

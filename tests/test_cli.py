@@ -271,7 +271,8 @@ class TestInputsBeforeTheFirstFrame:
         ("camera_id", "cam9", "detections: camera 'cam9' is not in the rig"),
         ("class", "truck", "no prior for class 'truck'"),
         ("frame", 7, "detections: frame 7 is not in the scene"),
-    ], ids=["camera", "class", "frame"])
+        ("embedding", [1.0], "].embedding: expected 16 elements, got 1"),
+    ], ids=["camera", "class", "frame", "embedding"])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_detection_outside_rig_or_priors_is_two(
         self, tmp_path, scene_dir, capsys, command, key, value, message

@@ -66,11 +66,34 @@ class TestDeterminism:
         box = _make_box(12.0, 3.0, 0.9)
         rng = np.random.default_rng(1)
         pts = sample_surface_points(box, 150, rng)
-        f = _frustum_around(box, pts)
-        a = estimate_box(f, "car", CFG)
-        b = estimate_box(f, "car", CFG)
+        # two frustums, so that the second fit is not the first one kept
+        a = estimate_box(_frustum_around(box, pts), "car", CFG)
+        b = estimate_box(_frustum_around(box, pts), "car", CFG)
         assert (a.x, a.y, a.z, a.theta) == (b.x, b.y, b.z, b.theta)
         assert (a.l, a.w, a.h) == (b.l, b.w, b.h)
+
+    def test_fit_is_kept_per_class_and_config(self):
+        """A frustum answers a repeated class and config object with the
+        same box, or a new TooFewPoints with the same text; another class or
+        config object is fitted afresh, even one made after a config is
+        dropped, whose id it may take."""
+        box = _make_box(12.0, 3.0, 0.9)
+        f = _frustum_around(box, sample_surface_points(box, 150, np.random.default_rng(1)))
+        kept = estimate_box(f, "car", CFG)
+        assert estimate_box(f, "car", CFG) is kept
+        assert estimate_box(f, "pedestrian", CFG).l < kept.l
+        assert estimate_box(f, "car", EstimatorConfig(yaw_mode="frustum-axis")).theta == f.central_axis
+        few = EstimatorConfig(min_points=1000)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(TooFewPoints) as raised:
+                estimate_box(f, "car", few)
+            texts.append(raised.value)
+        assert texts[0] is not texts[1] and str(texts[0]) == str(texts[1])
+        for _ in range(20):
+            with pytest.raises(TooFewPoints):
+                estimate_box(f, "car", EstimatorConfig(min_points=1000))
+            assert estimate_box(f, "car", EstimatorConfig()) == kept
 
     def test_permutation_invariant(self):
         box = _make_box(12.0, 3.0, 0.9)

@@ -10,6 +10,7 @@ from sianms.frustum import (
     EmptyFrustum,
     Frustum,
     MergeRejected,
+    camera_view,
     filter_frustum,
     merge_frustums,
 )
@@ -45,6 +46,33 @@ class TestFrustumType:
 
 
 class TestFilterFrustum:
+    def test_view_keeps_each_filter(self, front_cam):
+        """A view answers a repeated camera, bbox and source with the same
+        Frustum, or a new EmptyFrustum with the same text; any other input,
+        or a raw cloud, is filtered afresh."""
+        cloud = np.random.default_rng(60).uniform(-30.0, 30.0, (2000, 3))
+        view = camera_view(front_cam, cloud)
+        w, h = front_cam.width, front_cam.height
+        bbox, det = BBox2D(0.3 * w, 0.3 * h, 0.7 * w, 0.7 * h), _detection()
+        kept = filter_frustum(front_cam, bbox, view, source=det)
+        assert filter_frustum(front_cam, bbox, view, source=det) is kept
+        assert filter_frustum(front_cam, BBox2D(0.3 * w, 0.3 * h, 0.7 * w, 0.7 * h), view, source=det) is kept
+        others = [
+            filter_frustum(front_cam, bbox, view, source=_detection()),
+            filter_frustum(front_cam, bbox, view),
+            filter_frustum(front_cam, bbox, cloud, source=det),
+        ]
+        assert all(o is not kept and o.points.tolist() == kept.points.tolist() for o in others)
+        assert [o.sources for o in others] != [kept.sources] * 3
+        assert len(filter_frustum(front_cam, BBox2D(0.0, 0.0, w, h), view, source=det)) > len(kept)
+        assert not kept.points.flags.writeable
+        empties = []
+        for _ in range(2):
+            with pytest.raises(EmptyFrustum) as empty:
+                filter_frustum(front_cam, BBox2D(0.0, 0.0, 0.0, 0.0), view, source=det)
+            empties.append(empty.value)
+        assert empties[0] is not empties[1] and str(empties[0]) == str(empties[1])
+
     def test_matches_reference_predicate(self, front_cam):
         rng = np.random.default_rng(60)
         cloud = rng.uniform(-30.0, 30.0, (2000, 3))

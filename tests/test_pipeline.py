@@ -2,17 +2,20 @@
 
 import copy
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sianms.estimator as estimator_module
 import sianms.frustum as frustum_module
 import sianms.pipeline as pipeline_module
-from sianms.estimator import EstimatorConfig, estimate_box
-from sianms.frustum import camera_view, filter_frustum, merge_frustums
+from sianms.estimator import EstimatorConfig, TooFewPoints, estimate_box
+from sianms.frustum import EmptyFrustum, camera_view, filter_frustum, merge_frustums
 from sianms.pipeline import (
     Frame,
     PipelineConfig,
@@ -309,6 +312,16 @@ class _RaisingDetections:
         raise RuntimeError("corrupt detections entry")
 
 
+def _with_drops(scene):
+    """(config, detections) of a compare on scene in which every frame has
+    an empty frustum, and some fits too few points."""
+    dets = simulate_all(scene, SMALL_GEN)
+    for frame_dets in dets.values():
+        # a zero-area bbox in an image corner holds no point
+        frame_dets.append(dataclasses.replace(frame_dets[0], bbox=BBox2D(0.0, 0.0, 0.0, 0.0)))
+    return PipelineConfig(gen=SMALL_GEN, estimator=EstimatorConfig(min_points=100)), dets
+
+
 class TestSharedFrameWork:
     """compare_variants runs every variant in one loop over the frames."""
 
@@ -337,6 +350,101 @@ class TestSharedFrameWork:
             c["boxes_3d"] + c["dropped_too_few_points"] for c in counts
         )
         assert len(filters) == sum(c["detections_2d"] for c in counts)
+
+    def test_filter_and_fit_run_once_per_distinct_input(self, small_scene, monkeypatch):
+        """Every variant calls filter_frustum and estimate_box, as many times
+        as its report implies, but a frame's view filters each detection
+        once and a frustum is fitted once: the later calls get the same
+        Frustum and Box3D, whose shared points are read-only."""
+        cfg = PipelineConfig(gen=SMALL_GEN)
+        dets = simulate_all(small_scene, SMALL_GEN)
+        filters, estimates = _counting(monkeypatch, "filter_frustum"), _counting(monkeypatch, "estimate_box")
+        made = {}  # function name -> (args, result) of each call that returned
+        for module, name in [(frustum_module, "_select"), (estimator_module, "_fit"),
+                             (pipeline_module, "merge_frustums")]:
+            calls, real = made.setdefault(name, []), getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, calls=calls, real=real: calls.append((a, real(*a))) or calls[-1][1])
+        comparison = compare_variants(small_scene, cfg, detections=dets)
+        counts = [r.counts for r in comparison.reports.values()]
+        assert not any(r.errors for r in comparison.reports.values())
+        assert len(estimates) == sum(c["boxes_3d"] + c["dropped_too_few_points"] for c in counts)
+        assert len(filters) == sum(c["detections_2d"] for c in counts)
+        # the call lists hold every detection and frustum, so ids are unique
+        selects, fits = made["_select"], made["_fit"]
+        every_det = [det for frame_dets in dets.values() for det in frame_dets]
+        assert sorted(id(args[3]) for args, _ in selects) == sorted(map(id, every_det))
+        assert len({id(args[0]) for args, _ in fits}) == len(fits)
+        assert {id(args[0]) for args, _ in fits} == {id(args[0]) for args in estimates}
+        assert len(selects) < len(filters) and len(fits) < len(estimates)
+        frustums = [frustum for _, frustum in selects + made["merge_frustums"]]
+        assert made["merge_frustums"] and all(not f.points.flags.writeable for f in frustums)
+        with pytest.raises(ValueError, match="read-only"):
+            frustums[0].points[0, 0] = 0.0
+
+    def test_frame_work_is_freed_with_the_frame(self, small_scene, monkeypatch):
+        """The views, frustums and their memos, kept drops included, form no
+        reference cycle: with the cyclic collector paused, none is alive
+        after compare returns."""
+        cfg, dets = _with_drops(small_scene)
+        refs = []
+        for name in ("camera_view", "filter_frustum", "merge_frustums"):
+            real = getattr(pipeline_module, name)
+
+            def keeping(*args, real=real, **kwargs):
+                made = real(*args, **kwargs)
+                refs.append(weakref.ref(made))
+                return made
+
+            monkeypatch.setattr(pipeline_module, name, keeping)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            comparison = compare_variants(small_scene, cfg, detections=dets)
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) > len(small_scene.frames) and alive == []
+        counts = comparison.reports[Variant.SIANMS.value].counts
+        assert counts["dropped_empty_frustum"] and counts["dropped_too_few_points"]
+
+    def test_kept_drops_reach_every_variant_as_fresh_exceptions(self, small_scene, monkeypatch):
+        """An empty frustum and a fit with too few points are raised again,
+        as new exceptions with the first one's type and text, to each later
+        variant that asks; every report is the one it is when no call finds
+        a kept outcome, drop counts included."""
+        cfg, dets = _with_drops(small_scene)
+        raised = {}  # detection or frustum -> exceptions raised for it
+        for name, kind in (("filter_frustum", EmptyFrustum), ("estimate_box", TooFewPoints)):
+            real = getattr(pipeline_module, name)
+
+            def raising(first, *args, real=real, kind=kind, **kwargs):
+                try:
+                    return real(first, *args, **kwargs)
+                except kind as exc:
+                    # a detection's filter, or a frustum's fit
+                    raised.setdefault(kwargs.get("source", first), []).append(exc)
+                    raise
+
+            monkeypatch.setattr(pipeline_module, name, raising)
+        kept = compare_variants(small_scene, cfg, detections=dets)
+        repeated = [excs for excs in raised.values() if len(excs) > 1]
+        assert {type(excs[0]) for excs in repeated} == {EmptyFrustum, TooFewPoints}
+        for excs in raised.values():
+            assert len(set(map(id, excs))) == len(excs)
+            assert {(type(e), str(e)) for e in excs} == {(type(excs[0]), str(excs[0]))}
+        # a fresh view per call: nothing is found kept, as before the memo
+        real = frustum_module.filter_frustum
+        monkeypatch.setattr(pipeline_module, "filter_frustum",
+                            lambda cam, bbox, view, source: real(cam, bbox, dataclasses.replace(view), source=source))
+        unkept = compare_variants(small_scene, cfg, detections=dets)
+        for name in VARIANT_NAMES:
+            got, want = kept.reports[name].to_dict(), unkept.reports[name].to_dict()
+            del got["runtime_s"], want["runtime_s"]
+            assert got == want and not got["errors"]
+            assert got["counts"]["dropped_empty_frustum"] == len(dets)
+            assert got["counts"]["dropped_too_few_points"] > 0
+            assert kept.results[name].boxes == unkept.results[name].boxes
 
     def test_shared_stages_run_once_per_distinct_input(self, small_scene, monkeypatch):
         """2d+embedding and sianms match one working set, so each frame is

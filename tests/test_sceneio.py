@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sianms.sceneio as sceneio_module
 from sianms.estimator import EstimatorConfig
 from sianms.losses import LossConfig
 from sianms.matching import MatchedPair, MatchResult
@@ -474,6 +475,26 @@ class TestMalformedNumbers:
             load_detection_records(self._detections_file(tmp_path, embedding))
         assert str(err.value) == f"$[1].embedding{message}"
 
+    @pytest.mark.parametrize("first, later, message", [
+        ([0.1, 0.2, 0.3], [1.0], "$[2].embedding: expected 3 elements, got 1"),
+        ([1.0], [0.1, 0.2], "$[2].embedding: expected 1 elements, got 2"),
+        ([], [0.1], "$[2].embedding: expected 0 elements, got 1"),
+        ([0.1, 0.2], [0.3, 0.4], None),
+    ])
+    def test_embedding_lengths(self, tmp_path, first, later, message):
+        """Every embedding of a file has the length of its first; a record
+        may have none."""
+        path = self._detections_file(tmp_path, first)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps(data + [dict(data[0], embedding=later)]))
+        if message is None:
+            records = load_detection_records(path)
+            assert [r[1].embedding is None for r in records] == [True, False, False]
+            return
+        with pytest.raises(SchemaError) as err:
+            load_detection_records(path)
+        assert str(err.value) == message
+
     def test_int_embedding_loads_as_floats(self, tmp_path):
         records = load_detection_records(self._detections_file(tmp_path, [1, 0, -2]))
         embedding = records[1][1].embedding
@@ -928,8 +949,35 @@ class TestSectionErrors:
 
 
 class TestLoadJsonCollector:
-    """_load_json parses with the cyclic collector paused and leaves the
-    collector as it found it, after a good file and after invalid JSON."""
+    """_load_json parses with the cyclic collector paused, load_scene keeps
+    it paused through the walk over the records, and both leave the
+    collector as they found it, after a good file and after a bad one."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("broken", [False, True], ids=["good", "bad_record"])
+    def test_load_scene_walks_its_records_paused(self, tmp_path, tiny_scene, monkeypatch, enabled, broken):
+        scene, _ = tiny_scene
+        path = tmp_path / "scene.json"
+        write_scene(path, scene)
+        if broken:
+            data = json.loads(path.read_text())
+            data["frames"][1]["objects"][0]["boxx"] = 1
+            path.write_text(json.dumps(data))
+        during = []
+        check = sceneio_module.json_object
+        monkeypatch.setattr(sceneio_module, "json_object", lambda *a: during.append(gc.isenabled()) or check(*a))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if broken:
+                with pytest.raises(SchemaError, match="frames\\[1\\].objects\\[0\\]: unknown key 'boxx'"):
+                    load_scene(path)
+            else:
+                assert len(load_scene(path, clouds=False).frames) == len(scene.frames)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(during) > len(scene.frames) and not any(during)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("text, value", [
