@@ -18,27 +18,29 @@ surface extents (the prior floor absorbs the shrink). Vertical extents stay
 min/max because ground points share the objects' ground plane and cannot
 be vertical outliers.
 
-The range gate scores up to 191 range windows per frustum with a fixed
-number of array operations instead of a loop over windows: one sort by
-range and one gather of the points in that order; per-point azimuth
-bins, found by one search against the bin edges, turned into per-window
-counts by one prefix sum of one-hot rows; and one block of per-window
-height ranks (windows x largest window small integers) sorted row-wise
-for the height quantiles. The winning window's median range is read
-straight from the sorted ranges. One sorted two-row block of along- and
-across-yaw coordinates gives all four planar extents, which np.quantile's
-linear rule blends in Python floats. Bins, quantiles and the median
-follow numpy's own arithmetic, so boxes are bit-identical to calling
-np.histogram, np.quantile and np.median per window and per axis.
+The fit runs on a ragged batch of frustums, their points concatenated,
+with a fixed number of array operations instead of loops over windows:
+the range gate scores every window of every frustum at once (see
+_range_gate), and the rotation into each frustum's yaw runs over the
+batch too.  What numpy computes in an order that depends on the array it
+runs on stays per frustum: the sums behind the principal axis, the sort
+of the along- and across-yaw rows whose quantiles give the planar
+extents, and the height extremes.  Bins, quantiles and the median follow
+numpy's own arithmetic, so boxes are bit-identical to calling
+np.histogram, np.quantile and np.median per window and per axis, one
+frustum at a time.
 
-The frustum keeps each fit's outcome, so the pipeline variants, which
-frustum.filter_frustum hands the same frustum, share one fit.
+estimate_boxes fits a batch and keeps each outcome in its frustum, and
+estimate_box is its one-request call.  The pipeline hands estimate_boxes
+each variant's fits of a frame, so every later estimate_box call on
+those frustums is a lookup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,26 +84,37 @@ class EstimatorConfig:
 _AZ_BINS = 8
 # bin k's upper edge is k * (span / _AZ_BINS), as np.linspace spaces them
 _EDGE_STEPS = np.arange(1.0, _AZ_BINS + 1.0)
-# row b counts one point into bin b; the out-of-range bin _AZ_BINS counts nowhere
-_BIN_ONE_HOT = np.eye(_AZ_BINS + 1, _AZ_BINS, dtype=np.intp)
+# a product with it counts the true entries of each row of bin flags
+_PER_BIN = np.ones(_AZ_BINS)
 # the height quantiles of vertical coverage, as a column against windows
 _HEIGHT_QS = np.array([[0.05], [0.95]])
 
 
-def _histogram_bins(values: np.ndarray, span: float) -> np.ndarray:
-    """Bin of each value in np.histogram(values, _AZ_BINS, range=(0, span)).
+def _below_edges(values: np.ndarray, span) -> np.ndarray:
+    """Whether each value lies below each upper bin edge of
+    np.histogram(values, _AZ_BINS, range=(0, span)): a (len(values),
+    _AZ_BINS) block, so that a value's bin is the number of edges at or
+    below it (_histogram_bins).
 
-    values must be non-negative, as np.mod returns them; values past span
-    get the out-of-range bin _AZ_BINS.  numpy estimates a bin as
+    span is one float, or one per value.  values must be non-negative, as
+    np.mod returns them; a value past span is below no edge, which puts it
+    in the out-of-range bin _AZ_BINS.  numpy estimates a bin as
     values / span * _AZ_BINS and moves it by one where it lies outside the
     linspace edges, closing the last bin at span.  That estimate is off by
     at most one bin, so its corrected bin is exactly the number of inner
-    edges at or below the value, which one search against those edges
-    gives.  The float just above span ends the last bin.
+    edges at or below the value.  The float just above span ends the last
+    bin.
     """
+    span = np.asarray(span, dtype=float)[..., None]
     edges = _EDGE_STEPS * (span / _AZ_BINS)
-    edges[-1] = math.nextafter(span, math.inf)
-    return edges.searchsorted(values, side="right")
+    edges[..., -1] = np.nextafter(span[..., 0], np.inf)
+    return values[:, None] < edges
+
+
+def _histogram_bins(values: np.ndarray, span) -> np.ndarray:
+    """Bin of each value in np.histogram(values, _AZ_BINS, range=(0, span)),
+    _AZ_BINS past span: the edges _below_edges holds each value against."""
+    return _AZ_BINS - _below_edges(values, span).sum(axis=1)
 
 
 def _range_gate(
@@ -129,94 +142,174 @@ def _range_gate(
     re-centers on the median range of the winning window and keeps all
     points within half_width of it.
 
-    All windows are scored at once.  The points are gathered in range order
-    once; each one's azimuth bin is found once, and every window's bin
-    counts are differences of one prefix sum of one-hot bin rows.  The
-    height quantiles come from one block holding each window's height ranks
-    in a row, padded past the window's end with n and sorted row-wise:
-    windows x largest window small integers, which sort faster than floats.
-    Every window holds its first point, so np.quantile's past-the-end rule
-    only fires for one-point windows; clipping the upper index gives that
-    point, as +0.0 where numpy keeps -0.0.  That, and which of a tied -0.0
-    and +0.0 a rank picks, only flips the sign of a zero span and score,
-    which argmax does not tell apart.  The window holds every point ranged
-    from its start to its end, so it opens at the first range tied with its
-    start, and its median is np.median's: the middle value, or the mean of
-    the two middle ones.
+    This is the one-frustum call of _range_gates, which gates a ragged
+    batch: the frustums' points concatenated, segment s running from
+    bounds[s] to bounds[s + 1].  Each segment is sorted by range on its
+    own, and its window ends come from one search of its sorted ranges;
+    from there on every array spans the whole batch, with windows and
+    points in segment order.  Each point's azimuth bin is counted against
+    its segment's edges, and every window's bin counts are differences of
+    one prefix sum of one-hot bin rows over the batch.
+
+    Height quantiles come from blocks of per-window height ranks: the ranks
+    of all the batch's heights, one row per window gathered from a
+    stride-1 view of them padded with the sentinel n, filled with n past
+    the window's end and sorted row-wise, in the smallest integer type that
+    holds n.  A window holds only its own segment's points, so ranking the
+    whole batch at once orders each window's heights.  Every window holds
+    its first point, so np.quantile's past-the-end rule only fires for
+    one-point windows; clipping the upper index gives that point, as +0.0
+    where numpy keeps -0.0.  That, and which of a tied -0.0 and +0.0 a rank
+    picks, only flips the sign of a zero span and score, which argmax does
+    not tell apart.
+
+    Only the windows that can still win get a height block.  With finite
+    coordinates, as every loaded cloud has, a window's azimuth-only score
+    A (count times azimuth coverage) is a non-negative float and its
+    vertical coverage c is at most 1, so its score rounds A * c to at most
+    A * 1 = A: rounding is monotone, and a product with a factor of 1 is
+    exact.  The score of the segment's first best window by A alone is one
+    of its scores, so the segment's top score T is at least that bound.  A
+    window with A below the bound scores at most A, strictly below T, and
+    can be neither the best nor the first of the tied best windows, so
+    argmax over the other windows, in window order, picks the same one.
+    The bound's own window reaches it, so the set is never empty; a
+    negative coverage only lowers the bound and widens the set.
+
+    The window holds every point ranged from its start to its end, so it
+    opens at the first range tied with its start, and its median is
+    np.median's: the middle value, or the mean of the two middle ones.
     """
+    bounds = (0, len(points))
+    return points[_range_gates(points, bounds, (half_width,), (extent,), (prior_h,))]
+
+
+def _range_gates(points, bounds, half_widths, extents, prior_hs) -> np.ndarray:
+    """The mask of the points _range_gate keeps, for each segment
+    points[bounds[s]:bounds[s + 1]] gated with half_widths[s], extents[s]
+    and prior_hs[s]; every segment holds a point."""
     n = len(points)
+    sizes = np.diff(bounds)
     ranges = np.hypot(points[:, 0], points[:, 1])
-    order = np.argsort(ranges, kind="stable")
-    ordered = points[order]
-    sorted_r = ranges[order]
-    stride = max(1, n // 96)
-    starts = np.arange(0, n, stride)
-    ends = sorted_r.searchsorted(sorted_r[::stride] + 2.0 * half_width, side="right")
+    orders, starts, ends = [], [], []
+    for lo, hi, half_width in zip(bounds, bounds[1:], half_widths):
+        seg = ranges[lo:hi]
+        by_range = seg.argsort(kind="stable")
+        sorted_seg = seg[by_range]
+        stride = max(1, (hi - lo) // 96)
+        orders.append(by_range)
+        starts.append(np.arange(lo, hi, stride))
+        ends.append(sorted_seg.searchsorted(sorted_seg[::stride] + 2.0 * half_width, side="right"))
+    n_windows = list(map(len, starts))
+    window_bounds = [0, *accumulate(n_windows)]
+    order = np.concatenate(orders) + np.repeat(bounds[:-1], sizes)
+    starts = np.concatenate(starts)
+    ends = np.concatenate(ends) + np.repeat(bounds[:-1], n_windows)
     lengths = ends - starts
-    score = lengths
-    az_width = (extent[1] - extent[0]) % (2.0 * math.pi)
-    if az_width > 1e-9:
-        rel_az = np.mod(np.arctan2(ordered[:, 1], ordered[:, 0]) - extent[0], 2.0 * math.pi)
-        cumulative = np.zeros((n + 1, _AZ_BINS), dtype=np.intp)
-        np.cumsum(_BIN_ONE_HOT[_histogram_bins(rel_az, az_width)], axis=0, out=cumulative[1:])
+    sorted_r = ranges[order]
+    ordered = points[order]
+    score = lengths.astype(float)
+    spans = np.array([(hi - lo) % (2.0 * math.pi) for lo, hi in extents])
+    wide = spans > 1e-9
+    if wide.any():
+        first_az = np.repeat([lo for lo, _ in extents], sizes)
+        rel_az = np.mod(np.arctan2(ordered[:, 1], ordered[:, 0]) - first_az, 2.0 * math.pi)
+        # a value lies in the first bin whose upper edge it is below
+        in_bin = _below_edges(rel_az, np.repeat(spans, sizes))
+        np.not_equal(in_bin[:, 1:], in_bin[:, :-1], out=in_bin[:, 1:])
+        cumulative = np.zeros((n + 1, _AZ_BINS), dtype=np.int32)
+        np.cumsum(in_bin, axis=0, out=cumulative[1:])
         counts = cumulative[ends] - cumulative[starts]
         # every window holds a point, so 0.04 * lengths > 0, and an integer
         # count reaches it exactly when it reaches max(1, ceil(0.04 * lengths))
-        threshold = 0.04 * lengths
-        score = score * ((counts >= threshold[:, None]).sum(axis=1) / _AZ_BINS)
-    if prior_h > 1e-9:
+        covered = ((counts >= 0.04 * lengths[:, None]) @ _PER_BIN) / _AZ_BINS
+        score = lengths * np.where(np.repeat(wide, n_windows), covered, 1.0)
+    best = _first_best(score, window_bounds)
+    tall = np.flatnonzero(np.array(prior_hs) > 1e-9)
+    if len(tall):
         heights = ordered[:, 2]
         by_height = heights.argsort()
         # sorting height ranks sorts heights; a small integer type sorts fastest
         rank_type = np.promote_types(np.int16, np.min_scalar_type(n))
         ranks = np.empty(n, rank_type)
         ranks[by_height] = np.arange(n, dtype=rank_type)
-        longest = int(lengths.max())
-        padded = np.concatenate((ranks, np.full(longest, n, rank_type)))
-        # row w views padded[starts[w] : starts[w] + longest]
-        item = padded.itemsize
-        windows = np.ndarray((len(starts), longest), rank_type, buffer=padded, strides=(stride * item, item))
-        block = windows.copy()
-        block[np.arange(longest, dtype=rank_type) >= lengths.astype(rank_type)[:, None]] = n
-        block.sort(axis=1)
-        # np.quantile's linear rule, one row per quantile
-        virtual = (lengths - 1) * _HEIGHT_QS
-        lower = np.floor(virtual)
-        gamma = virtual - lower
-        lo = lower.astype(np.intp)
-        row = np.arange(len(starts))
-        sorted_h = heights[by_height]
-        a = sorted_h[block[row, lo]]
-        b = sorted_h[block[row, np.minimum(lo + 1, lengths - 1)]]
-        diff = b - a
-        q05, q95 = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
-        score = score * np.minimum((q95 - q05) / prior_h, 1.0)
-    best = int(score.argmax())
+        padded = np.concatenate((ranks, np.full(int(lengths.max()), n, rank_type)))
+        window_h = np.repeat(prior_hs, n_windows)
+
+        def scored(windows):
+            span = _height_spans(heights[by_height], padded, starts[windows], lengths[windows])
+            return score[windows] * np.minimum(span / window_h[windows], 1.0)
+
+        bound = np.full(len(sizes), np.inf)
+        bound[tall] = scored(best[tall])
+        contenders = np.flatnonzero(~(score < np.repeat(bound, n_windows)))
+        final = np.full(len(score), -np.inf)
+        final[contenders] = scored(contenders)
+        best[tall] = _first_best(final, window_bounds)[tall]
     # the window runs from the first range tied with its start to its end
-    first = int(sorted_r.searchsorted(sorted_r[best * stride], side="left"))
-    middle, odd = divmod(first + int(ends[best]), 2)
-    if odd:
-        median = float(sorted_r[middle])
-    else:
-        below, above = sorted_r[middle - 1 : middle + 1].tolist()
-        median = (below + above) / 2.0
-    return points[np.abs(ranges - median) <= half_width]
+    tie_head = np.ones(n, bool)
+    np.not_equal(sorted_r[1:], sorted_r[:-1], out=tie_head[1:])
+    tie_head[bounds[:-1]] = True
+    run_first = np.maximum.accumulate(np.where(tie_head, np.arange(n), 0))
+    middle, odd = np.divmod(run_first[starts[best]] + ends[best], 2)
+    median = np.where(odd, sorted_r[middle], (sorted_r[middle - 1] + sorted_r[middle]) / 2.0)
+    return np.abs(ranges - np.repeat(median, sizes)) <= np.repeat(half_widths, sizes)
 
 
-def _principal_axis_angle(xy: np.ndarray) -> float:
-    """Orientation of the dominant scatter direction, in (-pi/2, pi/2]."""
-    n = len(xy)
+def _first_best(values: np.ndarray, bounds) -> np.ndarray:
+    """np.argmax of each segment values[bounds[s]:bounds[s + 1]], as an
+    index into values."""
+    return np.array([lo + int(values[lo:hi].argmax()) for lo, hi in zip(bounds, bounds[1:])])
+
+
+def _height_spans(sorted_h, padded, starts, lengths) -> np.ndarray:
+    """The 5%-95% height span of each window, as np.quantile gives it:
+    padded holds the height rank of each point, in window order, followed
+    by sentinels, and sorted_h the heights in rank order."""
+    n = len(sorted_h)
+    longest = int(lengths.max())
+    rank_type, item = padded.dtype, padded.itemsize
+    # row r views padded[r : r + longest]
+    rows = np.ndarray((n, longest), rank_type, buffer=padded, strides=(item, item))
+    block = rows[starts]
+    # the rank type holds every length, and compares fastest
+    block[np.arange(longest, dtype=rank_type) >= lengths.astype(rank_type)[:, None]] = n
+    block.sort(axis=1)
+    # np.quantile's linear rule, one row per quantile
+    virtual = (lengths - 1) * _HEIGHT_QS
+    lower = np.floor(virtual)
+    gamma = virtual - lower
+    lo = lower.astype(np.intp)
+    row = np.arange(len(starts))
+    a = sorted_h[block[row, lo]]
+    b = sorted_h[block[row, np.minimum(lo + 1, lengths - 1)]]
+    diff = b - a
+    q05, q95 = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    return q95 - q05
+
+
+def _principal_axis_angles(xy: np.ndarray, bounds) -> list[float]:
+    """Orientation of the dominant scatter direction of each segment
+    xy[bounds[s]:bounds[s + 1]], in (-pi/2, pi/2].  Each sum runs on its
+    segment's own slice, which numpy sums in the order it sums a frustum's
+    own array: axis 0 of the (n, 2) view row by row, and a row pairwise,
+    whether it is one row or one of three."""
+    sizes = np.diff(bounds)
+    pairs = list(zip(bounds, bounds[1:]))
     # .sum() / n is np.mean's own arithmetic, axis by axis
-    u, v = (xy - xy.sum(axis=0) / n).T
-    sxx = float((u * u).sum() / n)
-    syy = float((v * v).sum() / n)
-    sxy = float((u * v).sum() / n)
-    angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
-    if angle <= -math.pi / 2.0:
-        angle += math.pi
-    elif angle > math.pi / 2.0:
-        angle -= math.pi
-    return angle
+    means = np.array([xy[lo:hi].sum(axis=0) for lo, hi in pairs]) / sizes[:, None]
+    u, v = (xy - np.repeat(means, sizes, axis=0)).T
+    moments = np.array([u * u, v * v, u * v])
+    angles = []
+    for (lo, hi), n in zip(pairs, sizes.tolist()):
+        sxx, syy, sxy = (moments[:, lo:hi].sum(axis=1) / n).tolist()
+        angle = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+        if angle <= -math.pi / 2.0:
+            angle += math.pi
+        elif angle > math.pi / 2.0:
+            angle -= math.pi
+        angles.append(angle)
+    return angles
 
 
 def _disambiguate(line_angle: float, reference: float) -> float:
@@ -248,72 +341,148 @@ def _lerp(a: float, b: float, t: float) -> float:
 
 def _trimmed_extents(rows: np.ndarray, quantile: float) -> np.ndarray:
     """The quantile and 1 - quantile points of each row, as np.quantile
-    gives them: row w's are [0, w] and [1, w] of the (2, W) result.  One
-    row-wise sort, then numpy's arithmetic on the four values each row
-    needs, in Python floats: the same IEEE operations."""
-    n = rows.shape[1]
-    lo_a, lo_b, lo_t = _linear_rule(n, quantile)
-    hi_a, hi_b, hi_t = _linear_rule(n, 1.0 - quantile)
-    picked = np.sort(rows, axis=1)[:, [lo_a, lo_b, hi_a, hi_b]].tolist()
-    return np.array(
+    gives them: row w's are [0, w] and [1, w] of the (2, W) result.  The
+    one-segment call of _segment_extents."""
+    return np.array(_segment_extents(rows, (0, rows.shape[1]), quantile)[0])
+
+
+def _segment_extents(rows: np.ndarray, bounds, quantile: float) -> list:
+    """[[the quantile point of each row], [its 1 - quantile point]] of each
+    segment rows[:, bounds[s]:bounds[s + 1]], in Python floats.  Each
+    segment's rows are sorted apart, as a frustum's own rows are (which of
+    a tied -0.0 and +0.0 comes first depends on the array sorted), and
+    numpy's arithmetic on the four values each row needs runs in Python
+    floats: the same IEEE operations."""
+    ordered, picks, weights = [], [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        ordered.append(np.sort(rows[:, lo:hi], axis=1))
+        lo_a, lo_b, lo_t = _linear_rule(hi - lo, quantile)
+        hi_a, hi_b, hi_t = _linear_rule(hi - lo, 1.0 - quantile)
+        picks += [lo + lo_a, lo + lo_b, lo + hi_a, lo + hi_b]
+        weights.append((lo_t, hi_t))
+    picked = np.concatenate(ordered, axis=1)[:, picks].tolist()
+    return [
         [
-            [_lerp(row[0], row[1], lo_t) for row in picked],
-            [_lerp(row[2], row[3], hi_t) for row in picked],
+            [_lerp(row[4 * s], row[4 * s + 1], lo_t) for row in picked],
+            [_lerp(row[4 * s + 2], row[4 * s + 3], hi_t) for row in picked],
         ]
-    )
+        for s, (lo_t, hi_t) in enumerate(weights)
+    ]
 
 
 def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D:
     """Fit an oriented box to a frustum's points.
 
-    Deterministic and invariant to point order.  Raises TooFewPoints when
-    the frustum holds fewer than cfg.min_points points, KeyError when the
-    class has no dimension prior.  The frustum keeps the outcome under the
-    class and the config object's id (a config holds a dict, so it cannot
-    be hashed; it is kept with the outcome, so no later config takes its
-    id): a repeated call returns the same Box3D, or raises a fresh
-    TooFewPoints with the same message.
+    Deterministic and invariant to point order.  Raises KeyError when the
+    class has no dimension prior, TooFewPoints when the frustum holds fewer
+    than cfg.min_points points, and Box3D's ValueError when a prior is not
+    positive.  This is the one-request call of estimate_boxes, so a fit a
+    batch already made is a lookup: a repeated call returns the same Box3D,
+    or raises a fresh exception of the same type and message.
     """
-    prior = cfg.dim_priors[class_id]
-    key = (class_id, id(cfg))
-    fit = frustum.boxes.get(key)
-    if fit is None:
-        fit = frustum.boxes[key] = (cfg, _fit(frustum, prior, cfg))
-    if isinstance(fit[1], str):
-        raise TooFewPoints(fit[1])
-    return fit[1]
+    cfg.dim_priors[class_id]  # KeyError for a class without a prior
+    estimate_boxes([(frustum, class_id)], cfg)
+    fit = frustum.boxes[(class_id, id(cfg))][1]
+    if not isinstance(fit, Box3D):
+        kind, message = fit
+        raise kind(message)
+    return fit
 
 
-def _fit(frustum: Frustum, prior, cfg: EstimatorConfig) -> Box3D | str:
-    """estimate_box's work: the box, or TooFewPoints' message."""
-    points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
-    if len(points) < cfg.min_points:
-        return f"{len(points)} points < min_points {cfg.min_points}"
-    gate = max(cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1]))
-    gated = _range_gate(points, gate, frustum.extent, prior[2])
-    if len(gated) < cfg.min_points:
-        gated = points
+def estimate_boxes(requests, cfg: EstimatorConfig) -> None:
+    """Fit every (frustum, class_id) request whose outcome its frustum does
+    not keep yet, all in one pass, and keep each outcome in the frustum.
+
+    A frustum keeps an outcome under the class and the config object's id
+    (a config holds a dict, so it cannot be hashed; it is kept with the
+    outcome, so no later config takes its id): the Box3D, or the type and
+    message of the exception its fit raises (an exception kept in the memo
+    would hold its traceback's frames alive).  A request whose class has no
+    dimension prior is left to estimate_box, which raises its KeyError.
+    """
+    batch = {}  # (frustum id, class) -> (frustum, class, prior), in request order
+    for frustum, class_id in requests:
+        prior = cfg.dim_priors.get(class_id)
+        if prior is not None and (class_id, id(cfg)) not in frustum.boxes:
+            batch.setdefault((id(frustum), class_id), (frustum, class_id, prior))
+    if batch:
+        _fit_batch(list(batch.values()), cfg)
+
+
+def _fit_batch(batch, cfg: EstimatorConfig) -> None:
+    """estimate_boxes' work: the outcome of each (frustum, class, prior) of
+    batch, kept in the frustum.  The frustums that hold enough points are
+    gated, rotated and measured as one concatenated array; the sums, sorts
+    and extremes of each frustum run on its own slice of it, as numpy's
+    order of summation and its order of tied zeros depend on the array
+    they run on."""
+    fits = []  # (frustum, key, prior, points) of the frustums with enough points
+    for frustum, class_id, prior in batch:
+        key = (class_id, id(cfg))
+        points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
+        if len(points) < cfg.min_points:
+            message = f"{len(points)} points < min_points {cfg.min_points}"
+            frustum.boxes[key] = (cfg, (TooFewPoints, message))
+        else:
+            fits.append((frustum, key, prior, points))
+    if not fits:
+        return
+    bounds = [0, *accumulate(len(points) for *_, points in fits)]
+    points = np.concatenate([points for *_, points in fits])
+    keep = _range_gates(
+        points,
+        bounds,
+        [max(cfg.range_gate_m, 0.75 * math.hypot(prior[0], prior[1])) for _, _, prior, _ in fits],
+        [frustum.extent for frustum, *_ in fits],
+        [prior[2] for _, _, prior, _ in fits],
+    )
+    # a frustum whose gate keeps fewer than min_points is fitted to all
+    kept = np.add.reduceat(keep, bounds[:-1], dtype=np.intp)
+    refit = kept < cfg.min_points
+    for s in np.flatnonzero(refit).tolist():
+        keep[bounds[s] : bounds[s + 1]] = True
+    gated = points[keep]
+    bounds = [0, *accumulate(np.where(refit, np.diff(bounds), kept).tolist())]
+    frustums = [frustum for frustum, *_ in fits]
     if cfg.yaw_mode == "frustum-axis":
-        yaw = frustum.central_axis
+        yaws = [frustum.central_axis for frustum in frustums]
     else:
-        line = _principal_axis_angle(gated[:, :2])
-        yaw = _disambiguate(line, frustum.central_axis)
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+        yaws = [
+            _disambiguate(line, frustum.central_axis)
+            for line, frustum in zip(_principal_axis_angles(gated[:, :2], bounds), frustums)
+        ]
+    sizes = np.diff(bounds)
+    # math's cos and sin, as a frustum fitted alone uses
+    cos_y = np.repeat([math.cos(yaw) for yaw in yaws], sizes)
+    sin_y = np.repeat([math.sin(yaw) for yaw in yaws], sizes)
     x_col, y_col = gated[:, 0], gated[:, 1]
     # rows: along (x cos + y sin) and across (-x sin + y cos) the yaw
-    (lo_along, lo_across), (hi_along, hi_across) = _trimmed_extents(
+    extents = _segment_extents(
         np.array([x_col * cos_y + y_col * sin_y, -x_col * sin_y + y_col * cos_y]),
+        bounds,
         cfg.extent_quantile,
-    ).tolist()
-    center_along = 0.5 * (lo_along + hi_along)
-    center_across = 0.5 * (lo_across + hi_across)
-    x = center_along * cos_y - center_across * sin_y
-    y = center_along * sin_y + center_across * cos_y
-    z_min, z_max = float(gated[:, 2].min()), float(gated[:, 2].max())
-    dims = [
-        min(max(extent, prior_dim), 2.0 * prior_dim)
-        for extent, prior_dim in zip(
-            (hi_along - lo_along, hi_across - lo_across, z_max - z_min), prior
-        )
-    ]
-    return Box3D(x=x, y=y, z=0.5 * (z_min + z_max), l=dims[0], w=dims[1], h=dims[2], theta=yaw)
+    )
+    for (frustum, key, prior, _), yaw, (lows, highs), lo, hi in zip(
+        fits, yaws, extents, bounds, bounds[1:]
+    ):
+        (lo_along, lo_across), (hi_along, hi_across) = lows, highs
+        cos_yaw, sin_yaw = math.cos(yaw), math.sin(yaw)
+        center_along = 0.5 * (lo_along + hi_along)
+        center_across = 0.5 * (lo_across + hi_across)
+        x = center_along * cos_yaw - center_across * sin_yaw
+        y = center_along * sin_yaw + center_across * cos_yaw
+        heights = gated[lo:hi, 2]
+        z_min, z_max = float(heights.min()), float(heights.max())
+        dims = [
+            min(max(extent, prior_dim), 2.0 * prior_dim)
+            for extent, prior_dim in zip(
+                (hi_along - lo_along, hi_across - lo_across, z_max - z_min), prior
+            )
+        ]
+        try:
+            box = Box3D(
+                x=x, y=y, z=0.5 * (z_min + z_max), l=dims[0], w=dims[1], h=dims[2], theta=yaw
+            )
+        except ValueError as exc:  # a prior that is not positive
+            box = (ValueError, str(exc))
+        frustum.boxes[key] = (cfg, box)

@@ -181,20 +181,32 @@ def merge_frustums(a: Frustum, b: Frustum) -> Frustum:
     """Union of two frustums, accepted only when they share a point exactly.
 
     The merged point set keeps one copy of each coordinate triple, ordered by
-    first appearance in a then b.  Raises MergeRejected when the frustums
-    are disjoint; the caller decides how to proceed.
+    first appearance in a then b, with that first copy's bits.  Raises
+    MergeRejected when the frustums are disjoint; the caller decides how to
+    proceed.
+
+    Rows compare as their coordinates do: 0.0 == -0.0, and a row holding
+    NaN equals no other row.  Adding 0.0 turns -0.0 into 0.0, so one
+    stable sort of the rows of a then b puts equal rows next to each other,
+    first appearance first, and a NaN row next to none it equals.
     """
-    # tuples of floats compare as the coordinates do: 0.0 == -0.0, and a
-    # row holding NaN equals no other row
-    rows_a = list(map(tuple, a.points.tolist()))
-    rows_b = list(map(tuple, b.points.tolist()))
-    if set(rows_a).isdisjoint(rows_b):
+    if not len(a) or not len(b):
         raise MergeRejected("frustums share no point")
-    # dict keys keep the first of equal rows, in insertion order
-    merged = list(dict.fromkeys(rows_a + rows_b))
+    rows = np.concatenate((a.points, b.points), dtype=float)
+    keys = rows + 0.0
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    heads = np.ones(len(rows), bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=heads[1:])
+    heads = np.flatnonzero(heads)
+    # a group holds a point of a in its first row and one of b in its last
+    firsts = order[heads]
+    lasts = order[np.append(heads[1:], len(rows)) - 1]
+    if not np.any((firsts < len(a)) & (lasts >= len(a))):
+        raise MergeRejected("frustums share no point")
     start, width = _combined_hull(a.extent, b.extent)
     extent = (wrap_angle(start), wrap_angle(start + width))
-    points = np.array(merged, dtype=float).reshape(-1, 3)
+    points = rows[np.sort(firsts)]
     points.flags.writeable = False
     return Frustum(
         points=points,

@@ -27,7 +27,10 @@ filters its frustums against those views.  Every variant makes its own
 filter_frustum and estimate_box calls, but a view keeps each frustum
 filtered on it and a frustum each box fitted to it, so that work is done
 once per frame, by the first variant that asks, and the others get the
-same Frustum and Box3D, or the same drop.  A frame whose processing
+same Frustum and Box3D, or the same drop.  A variant's fits of a frame
+are first handed to estimate_boxes, which fits the frustums no variant
+has fitted yet in one batched pass; its estimate_box calls then only look
+the boxes up.  A frame whose processing
 raises is recorded under errors and skipped by the variants it reached
 (all of them when building its detections, ground truth or views raised,
 2d+embedding and sianms when their matching raised); the run continues
@@ -50,7 +53,7 @@ from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .estimator import EstimatorConfig, TooFewPoints, estimate_box
+from .estimator import EstimatorConfig, TooFewPoints, estimate_box, estimate_boxes
 from .frustum import (
     DegenerateExtent,
     EmptyFrustum,
@@ -400,6 +403,9 @@ def _process_frame(rig, frame, views, working, matches, variant, cfg, dropped):
 
     views maps camera id to the frame's CameraView on that camera; matches
     is the working set's MatchResult, which sianms fits its pairs from.
+    The variant's fits go to estimate_boxes as one batch, so its
+    estimate_box calls, one per fit in order, are lookups that return the
+    box or raise the fit's drop or error where the fit stands.
     """
     frustums = {}  # detection -> its Frustum, None when empty
     for det in working:
@@ -418,6 +424,7 @@ def _process_frame(rig, frame, views, working, matches, variant, cfg, dropped):
             fits.append((frustum, pair.a.class_id, score, 2, merged))
         singles = matches.unmatched
     fits += [(frustums[det], det.class_id, det.score, 1, False) for det in singles]
+    estimate_boxes([(fit[0], fit[1]) for fit in fits if fit[0] is not None], cfg.estimator)
     boxes = []
     for frustum, class_id, score, n_sources, merged in fits:
         if frustum is None:
@@ -539,7 +546,10 @@ _MATCHING = (Variant.EMBEDDING_2D, Variant.SIANMS)
 
 def _once(compute):
     """A function that calls compute() at its first call only, and at every
-    call returns what that call returned or raises what it raised."""
+    call returns what that call returned or raises what it raised: the
+    exception itself at the first call, a copy of it at each later one.
+    Only the copy is kept, which has no traceback, so no traceback keeps
+    the caller's frame alive, and with it whatever the frame holds."""
     outcome = []
 
     def shared():
@@ -547,10 +557,11 @@ def _once(compute):
             try:
                 outcome.append((compute(), None))
             except Exception as exc:  # noqa: BLE001 - raised again at every call
-                outcome.append((None, exc))
+                outcome.append((None, copy.copy(exc)))
+                raise
         value, exc = outcome[0]
         if exc is not None:
-            raise exc
+            raise copy.copy(exc)
         return value
 
     return shared

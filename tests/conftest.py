@@ -19,6 +19,8 @@ from sianms.synthgen import (
     simulate_detections,
 )
 
+import _oracles
+
 
 def build_scene(rig, gen: GenSpec) -> Scene:
     frames = []
@@ -33,6 +35,16 @@ def simulate_all(scene: Scene, gen: GenSpec) -> dict:
         frame.index: simulate_detections(scene.rig, frame.objects, gen, frame.index)
         for frame in scene.frames
     }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kept_gate_references():
+    """range_gate_reference's results by input, kept for the session, so
+    that the one-frustum fit's and the batched fit's every-frustum tests
+    on the noisy benchmark run its loop over windows once per frustum."""
+    _oracles.kept_gates = {}
+    yield _oracles.kept_gates
+    _oracles.kept_gates = None
 
 
 @pytest.fixture(scope="session")

@@ -171,6 +171,21 @@ class TestMergeFrustums:
         assert merged.extent[0] == pytest.approx(math.pi - 0.2)
         assert wrap_angle(merged.extent[1]) == pytest.approx(-math.pi + 0.15)
 
+    def test_first_copy_wins_across_signed_zeros_and_duplicates(self):
+        """a repeats a row, once with -0.0 for 0.0, and b holds it with the
+        other signs: every copy is one point, kept with the bits of its first
+        appearance in a, and the shared row alone accepts the merge."""
+        a_rows = [[-0.0, 1.0, 0.0], [2.0, 3.0, 4.0], [0.0, 1.0, -0.0], [2.0, 3.0, 4.0], [5.0, 5.0, 5.0]]
+        b_rows = [[7.0, 8.0, 9.0], [0.0, 1.0, 0.0], [7.0, 8.0, 9.0], [-0.0, 1.0, -0.0]]
+        fa = Frustum(points=np.array(a_rows), extent=(0.0, 0.2), central_axis=0.1)
+        fb = Frustum(points=np.array(b_rows), extent=(0.1, 0.3), central_axis=0.2)
+        merged = merge_frustums(fa, fb)
+        want = np.array([[-0.0, 1.0, 0.0], [2.0, 3.0, 4.0], [5.0, 5.0, 5.0], [7.0, 8.0, 9.0]])
+        assert merged.points.tobytes() == want.tobytes()
+        alone = Frustum(points=np.array(a_rows[1:4]), extent=(0.0, 0.2), central_axis=0.1)
+        with pytest.raises(MergeRejected):
+            merge_frustums(alone, Frustum(points=np.array(b_rows[:1]), extent=(0.1, 0.3), central_axis=0.2))
+
     def test_disjoint_rejected(self):
         cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         fa = _frustum_from_indices(cloud, [0], (0.0, 0.1))

@@ -354,13 +354,14 @@ class TestSharedFrameWork:
     def test_filter_and_fit_run_once_per_distinct_input(self, small_scene, monkeypatch):
         """Every variant calls filter_frustum and estimate_box, as many times
         as its report implies, but a frame's view filters each detection
-        once and a frustum is fitted once: the later calls get the same
-        Frustum and Box3D, whose shared points are read-only."""
+        once, and a frustum is fitted once, in the batch of the first
+        variant that asks for it: the later calls get the same Frustum and
+        Box3D, whose shared points are read-only."""
         cfg = PipelineConfig(gen=SMALL_GEN)
         dets = simulate_all(small_scene, SMALL_GEN)
         filters, estimates = _counting(monkeypatch, "filter_frustum"), _counting(monkeypatch, "estimate_box")
         made = {}  # function name -> (args, result) of each call that returned
-        for module, name in [(frustum_module, "_select"), (estimator_module, "_fit"),
+        for module, name in [(frustum_module, "_select"), (estimator_module, "_fit_batch"),
                              (pipeline_module, "merge_frustums")]:
             calls, real = made.setdefault(name, []), getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, calls=calls, real=real: calls.append((a, real(*a))) or calls[-1][1])
@@ -370,12 +371,13 @@ class TestSharedFrameWork:
         assert len(estimates) == sum(c["boxes_3d"] + c["dropped_too_few_points"] for c in counts)
         assert len(filters) == sum(c["detections_2d"] for c in counts)
         # the call lists hold every detection and frustum, so ids are unique
-        selects, fits = made["_select"], made["_fit"]
+        selects, batches = made["_select"], made["_fit_batch"]
         every_det = [det for frame_dets in dets.values() for det in frame_dets]
         assert sorted(id(args[3]) for args, _ in selects) == sorted(map(id, every_det))
-        assert len({id(args[0]) for args, _ in fits}) == len(fits)
-        assert {id(args[0]) for args, _ in fits} == {id(args[0]) for args in estimates}
-        assert len(selects) < len(filters) and len(fits) < len(estimates)
+        fitted = [frustum for (batch, _), _ in batches for frustum, _, _ in batch]
+        assert len({id(frustum) for frustum in fitted}) == len(fitted)
+        assert {id(frustum) for frustum in fitted} == {id(args[0]) for args in estimates}
+        assert len(selects) < len(filters) and len(batches) < len(fitted) < len(estimates)
         frustums = [frustum for _, frustum in selects + made["merge_frustums"]]
         assert made["merge_frustums"] and all(not f.points.flags.writeable for f in frustums)
         with pytest.raises(ValueError, match="read-only"):
@@ -384,7 +386,8 @@ class TestSharedFrameWork:
     def test_frame_work_is_freed_with_the_frame(self, small_scene, monkeypatch):
         """The views, frustums and their memos, kept drops included, form no
         reference cycle: with the cyclic collector paused, none is alive
-        after compare returns."""
+        after compare returns.  That holds too when every frame's matching
+        raises, whose exception the frame's matching variants share."""
         cfg, dets = _with_drops(small_scene)
         refs = []
         for name in ("camera_view", "filter_frustum", "merge_frustums"):
@@ -396,17 +399,31 @@ class TestSharedFrameWork:
                 return made
 
             monkeypatch.setattr(pipeline_module, name, keeping)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            comparison = compare_variants(small_scene, cfg, detections=dets)
-            alive = [ref() for ref in refs if ref() is not None]
-        finally:
-            if enabled:
-                gc.enable()
-        assert len(refs) > len(small_scene.frames) and alive == []
-        counts = comparison.reports[Variant.SIANMS.value].counts
-        assert counts["dropped_empty_frustum"] and counts["dropped_too_few_points"]
+
+        def failing(rig, detections, tau):
+            raise RuntimeError("injected matching failure")
+
+        n_frames = len(small_scene.frames)
+        for matcher in ("working", "raising"):
+            if matcher == "raising":
+                monkeypatch.setattr(pipeline_module, "match_adjacent", failing)
+            refs.clear()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                comparison = compare_variants(small_scene, cfg, detections=dets)
+                alive = [ref() for ref in refs if ref() is not None]
+            finally:
+                if enabled:
+                    gc.enable()
+            assert len(refs) > n_frames and alive == [], matcher
+            reports = comparison.reports
+            # with the matching failing, sianms drops nothing: original does
+            variant = Variant.SIANMS if matcher == "working" else Variant.ORIGINAL
+            counts = reports[variant.value].counts
+            assert counts["dropped_empty_frustum"] and counts["dropped_too_few_points"]
+            errors = [e["error"] for e in reports[Variant.SIANMS.value].errors]
+            assert errors == ([] if matcher == "working" else ["RuntimeError: injected matching failure"] * n_frames)
 
     def test_kept_drops_reach_every_variant_as_fresh_exceptions(self, small_scene, monkeypatch):
         """An empty frustum and a fit with too few points are raised again,
