@@ -30,10 +30,12 @@ numpy's own arithmetic, so boxes are bit-identical to calling
 np.histogram, np.quantile and np.median per window and per axis, one
 frustum at a time.
 
-estimate_boxes fits a batch and keeps each outcome in its frustum, and
-estimate_box is its one-request call.  The pipeline hands estimate_boxes
+estimate_boxes fits a batch and keeps each box in its frustum, and
+estimate_box is its one-request call.  A frustum with fewer than
+min_points points is never fitted: estimate_box raises TooFewPoints for it
+from its size, so only boxes are kept.  The pipeline hands estimate_boxes
 each variant's fits of a frame, so every later estimate_box call on
-those frustums is a lookup.
+those frustums is a check of the frustum's size and a lookup.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class TooFewPoints(ValueError):
 class EstimatorConfig:
     """Box fitting parameters.
 
-    dim_priors: per-class (l, w, h) used as dimension floor (and 2x cap).
+    dim_priors: per-class (l, w, h) used as dimension floor (and 2x cap),
+        each finite and positive.
     yaw_mode: 'pca' or 'frustum-axis'.
     min_points: frustums below this size raise TooFewPoints.
     range_gate_m: half-width floor of the median-range gate.
@@ -79,6 +82,9 @@ class EstimatorConfig:
             raise ValueError("min_points must be >= 1")
         if not 0.0 <= self.extent_quantile < 0.5:
             raise ValueError("extent_quantile must be in [0, 0.5)")
+        for class_id, prior in self.dim_priors.items():
+            if not all(0.0 < dim < math.inf for dim in prior):
+                raise ValueError(f"dim_priors[{class_id!r}] must be finite and positive, got {prior!r}")
 
 
 _AZ_BINS = 8
@@ -93,8 +99,8 @@ _HEIGHT_QS = np.array([[0.05], [0.95]])
 def _below_edges(values: np.ndarray, span) -> np.ndarray:
     """Whether each value lies below each upper bin edge of
     np.histogram(values, _AZ_BINS, range=(0, span)): a (len(values),
-    _AZ_BINS) block, so that a value's bin is the number of edges at or
-    below it (_histogram_bins).
+    _AZ_BINS) block, so that a value's bin, _AZ_BINS past span, is
+    _AZ_BINS less the number of edges it lies below.
 
     span is one float, or one per value.  values must be non-negative, as
     np.mod returns them; a value past span is below no edge, which puts it
@@ -109,12 +115,6 @@ def _below_edges(values: np.ndarray, span) -> np.ndarray:
     edges = _EDGE_STEPS * (span / _AZ_BINS)
     edges[..., -1] = np.nextafter(span[..., 0], np.inf)
     return values[:, None] < edges
-
-
-def _histogram_bins(values: np.ndarray, span) -> np.ndarray:
-    """Bin of each value in np.histogram(values, _AZ_BINS, range=(0, span)),
-    _AZ_BINS past span: the edges _below_edges holds each value against."""
-    return _AZ_BINS - _below_edges(values, span).sum(axis=1)
 
 
 def _range_gate(
@@ -374,59 +374,53 @@ def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D
     """Fit an oriented box to a frustum's points.
 
     Deterministic and invariant to point order.  Raises KeyError when the
-    class has no dimension prior, TooFewPoints when the frustum holds fewer
-    than cfg.min_points points, and Box3D's ValueError when a prior is not
-    positive.  This is the one-request call of estimate_boxes, so a fit a
-    batch already made is a lookup: a repeated call returns the same Box3D,
-    or raises a fresh exception of the same type and message.
+    class has no dimension prior and TooFewPoints when the frustum holds
+    fewer than cfg.min_points points, the latter from the frustum's size
+    alone, at every call.  Otherwise a fit that estimate_boxes or an
+    earlier call already made is a lookup, and a repeated call returns the
+    same Box3D; a fit not made yet is a batch of one.
     """
-    cfg.dim_priors[class_id]  # KeyError for a class without a prior
-    estimate_boxes([(frustum, class_id)], cfg)
-    fit = frustum.boxes[(class_id, id(cfg))][1]
-    if not isinstance(fit, Box3D):
-        kind, message = fit
-        raise kind(message)
-    return fit
+    prior = cfg.dim_priors[class_id]  # KeyError for a class without a prior
+    if len(frustum) < cfg.min_points:
+        raise TooFewPoints(f"{len(frustum)} points < min_points {cfg.min_points}")
+    key = (class_id, id(cfg))
+    if key not in frustum.boxes:
+        _fit_batch([(frustum, class_id, prior)], cfg)
+    return frustum.boxes[key][1]
 
 
 def estimate_boxes(requests, cfg: EstimatorConfig) -> None:
-    """Fit every (frustum, class_id) request whose outcome its frustum does
-    not keep yet, all in one pass, and keep each outcome in the frustum.
+    """Fit every (frustum, class_id) request whose box its frustum does not
+    keep yet, all in one pass, and keep each box in the frustum.
 
-    A frustum keeps an outcome under the class and the config object's id
-    (a config holds a dict, so it cannot be hashed; it is kept with the
-    outcome, so no later config takes its id): the Box3D, or the type and
-    message of the exception its fit raises (an exception kept in the memo
-    would hold its traceback's frames alive).  A request whose class has no
-    dimension prior is left to estimate_box, which raises its KeyError.
+    A frustum keeps a box under the class and the config object's id (a
+    config holds a dict, so it cannot be hashed; it is kept with the box,
+    so no later config takes its id).  A request whose class has no
+    dimension prior, or whose frustum holds fewer than cfg.min_points
+    points, is left to estimate_box, which raises its KeyError or
+    TooFewPoints.
     """
     batch = {}  # (frustum id, class) -> (frustum, class, prior), in request order
     for frustum, class_id in requests:
         prior = cfg.dim_priors.get(class_id)
-        if prior is not None and (class_id, id(cfg)) not in frustum.boxes:
+        fittable = prior is not None and len(frustum) >= cfg.min_points
+        if fittable and (class_id, id(cfg)) not in frustum.boxes:
             batch.setdefault((id(frustum), class_id), (frustum, class_id, prior))
     if batch:
         _fit_batch(list(batch.values()), cfg)
 
 
 def _fit_batch(batch, cfg: EstimatorConfig) -> None:
-    """estimate_boxes' work: the outcome of each (frustum, class, prior) of
-    batch, kept in the frustum.  The frustums that hold enough points are
-    gated, rotated and measured as one concatenated array; the sums, sorts
-    and extremes of each frustum run on its own slice of it, as numpy's
-    order of summation and its order of tied zeros depend on the array
-    they run on."""
-    fits = []  # (frustum, key, prior, points) of the frustums with enough points
-    for frustum, class_id, prior in batch:
-        key = (class_id, id(cfg))
-        points = np.asarray(frustum.points, dtype=float).reshape(-1, 3)
-        if len(points) < cfg.min_points:
-            message = f"{len(points)} points < min_points {cfg.min_points}"
-            frustum.boxes[key] = (cfg, (TooFewPoints, message))
-        else:
-            fits.append((frustum, key, prior, points))
-    if not fits:
-        return
+    """estimate_boxes' work: the box of each (frustum, class, prior) of
+    batch, each frustum holding at least cfg.min_points points, kept in the
+    frustum.  The frustums are gated, rotated and measured as one
+    concatenated array; the sums, sorts and extremes of each frustum run on
+    its own slice of it, as numpy's order of summation and its order of
+    tied zeros depend on the array they run on."""
+    fits = [  # (frustum, key, prior, points)
+        (frustum, (class_id, id(cfg)), prior, np.asarray(frustum.points, dtype=float).reshape(-1, 3))
+        for frustum, class_id, prior in batch
+    ]
     bounds = [0, *accumulate(len(points) for *_, points in fits)]
     points = np.concatenate([points for *_, points in fits])
     keep = _range_gates(
@@ -479,10 +473,5 @@ def _fit_batch(batch, cfg: EstimatorConfig) -> None:
                 (hi_along - lo_along, hi_across - lo_across, z_max - z_min), prior
             )
         ]
-        try:
-            box = Box3D(
-                x=x, y=y, z=0.5 * (z_min + z_max), l=dims[0], w=dims[1], h=dims[2], theta=yaw
-            )
-        except ValueError as exc:  # a prior that is not positive
-            box = (ValueError, str(exc))
+        box = Box3D(x=x, y=y, z=0.5 * (z_min + z_max), l=dims[0], w=dims[1], h=dims[2], theta=yaw)
         frustum.boxes[key] = (cfg, box)

@@ -105,9 +105,9 @@ def filter_frustum(
     cloud is a CameraView of cam, or an (N, 3) array that is viewed first.
     Points at depth <= DEPTH_EPSILON are excluded.  Raises EmptyFrustum when
     nothing survives, and ValueError for a view of another camera.  The
-    view keeps the outcome under (cam, bbox, source): a repeated call
-    returns the same Frustum, or raises a fresh EmptyFrustum with the same
-    message.
+    view keeps the outcome under (cam, bbox, source), the Frustum or None
+    when it is empty: a repeated call returns the same Frustum, or raises a
+    new EmptyFrustum with the same message.
     """
     view = cloud if isinstance(cloud, CameraView) else camera_view(cam, cloud)
     if view.camera_id != cam.id:
@@ -115,17 +115,16 @@ def filter_frustum(
             f"view of camera {view.camera_id!r} filtered for camera {cam.id!r}"
         )
     key = (cam, bbox, source)
-    frustum = view.frustums.get(key)
-    if frustum is None:
+    frustum = view.frustums.get(key, False)  # None is a kept empty frustum
+    if frustum is False:
         frustum = view.frustums[key] = _select(cam, bbox, view, source)
-    if isinstance(frustum, str):
-        raise EmptyFrustum(frustum)
+    if frustum is None:
+        raise EmptyFrustum(f"no points inside bbox in camera {cam.id!r}")
     return frustum
 
 
-def _select(cam, bbox, view, source) -> Frustum | str:
-    """filter_frustum's work: the Frustum, or EmptyFrustum's message (an
-    exception kept in the memo would hold its traceback's frames alive)."""
+def _select(cam, bbox, view, source) -> Frustum | None:
+    """filter_frustum's work: the Frustum, None when no point is inside."""
     inside = (
         (view.u >= bbox.x_min)
         & (view.u <= bbox.x_max)
@@ -133,7 +132,7 @@ def _select(cam, bbox, view, source) -> Frustum | str:
         & (view.v <= bbox.y_max)
     )
     if not inside.any():
-        return f"no points inside bbox in camera {cam.id!r}"
+        return None
     points = view.points[inside]
     points.flags.writeable = False
     extent = angular_extent(cam, bbox)

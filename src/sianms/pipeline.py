@@ -23,18 +23,23 @@ too few points are counted as drops.
 All variants run in one loop over the frames: each frame's detections,
 ground truth and camera views (its cloud projected once on each camera its
 detections name) are built once, then every variant processes the frame and
-filters its frustums against those views.  Every variant makes its own
-filter_frustum and estimate_box calls, but a view keeps each frustum
-filtered on it and a frustum each box fitted to it, so that work is done
-once per frame, by the first variant that asks, and the others get the
-same Frustum and Box3D, or the same drop.  A variant's fits of a frame
+filters its frustums against those views.  When a matching variant runs,
+the frame's detections are matched, and the matches scored for
+re-identification, once, before any variant, as part of that shared work.
+Every variant makes its own filter_frustum and estimate_box calls, but a
+view keeps each frustum filtered on it and a frustum each box fitted to
+it, so that work is done once per frame, by the first variant that asks,
+and the others get the same Frustum and Box3D.  A drop is no kept
+exception: a view keeps None for an empty frustum, and a fit with too few
+points is refused from the frustum's size.  A variant's fits of a frame
 are first handed to estimate_boxes, which fits the frustums no variant
 has fitted yet in one batched pass; its estimate_box calls then only look
-the boxes up.  A frame whose processing
-raises is recorded under errors and skipped by the variants it reached
-(all of them when building its detections, ground truth or views raised,
-2d+embedding and sianms when their matching raised); the run continues
-with the remaining frames.  Scoring is shared the same way: variants with
+the boxes up.  A frame whose processing raises is recorded under errors,
+as the exception's type and text, by the variants it reached (all of them
+when building its detections, ground truth or views raised, 2d+embedding
+and sianms when their matching or its re-id scoring raised); its boxes
+and drops count for none of them, and the run continues with the
+remaining frames.  Scoring is shared the same way: variants with
 the same input over the same frames get one 2D AP (per working set) and
 one set of 3D metrics (per working set and fit rule, which original and
 2d+embedding have in common), each report holding its own copy.
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import copy
 import time
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
@@ -398,15 +404,18 @@ def _pair_frustum(pair, frustums):
         return (fr_a if pair.a.score >= pair.b.score else fr_b), False
 
 
-def _process_frame(rig, frame, views, working, matches, variant, cfg, dropped):
-    """The PredBox list of one variant on a frame's working detections.
+def _process_frame(rig, frame, views, working, matches, variant, cfg):
+    """(the PredBox list, the Counter of drops) of one variant on a frame's
+    working detections.
 
     views maps camera id to the frame's CameraView on that camera; matches
-    is the working set's MatchResult, which sianms fits its pairs from.
+    is the MatchResult of the frame's detections, sianms's working set,
+    which sianms fits its pairs from and the other variants ignore.
     The variant's fits go to estimate_boxes as one batch, so its
     estimate_box calls, one per fit in order, are lookups that return the
     box or raise the fit's drop or error where the fit stands.
     """
+    dropped = Counter()  # drop -> count: empty_frustum, too_few_points
     frustums = {}  # detection -> its Frustum, None when empty
     for det in working:
         cam = rig.camera(det.camera_id)
@@ -435,7 +444,7 @@ def _process_frame(rig, frame, views, working, matches, variant, cfg, dropped):
             dropped["too_few_points"] += 1
             continue
         boxes.append(PredBox(frame.index, class_id, float(score), box, n_sources, merged))
-    return boxes
+    return boxes, dropped
 
 
 def frame_truth(rig, frame, projection=None):
@@ -490,9 +499,7 @@ class _VariantRun:
     """One variant's per-frame outputs, gathered during one call."""
 
     variant: Variant
-    dropped: dict = field(
-        default_factory=lambda: {"empty_frustum": 0, "too_few_points": 0}
-    )
+    dropped: Counter = field(default_factory=Counter)  # of the frames processed
     errors: list = field(default_factory=list)
     boxes: dict = field(default_factory=dict)  # frame index -> PredBox list
     matches: dict = field(default_factory=dict)  # frame index -> MatchResult
@@ -502,8 +509,8 @@ class _VariantRun:
     seconds: float = 0.0
 
 
-def _frame_error(frame: Frame, exc: Exception) -> dict:
-    return {"frame": frame.index, "error": f"{type(exc).__name__}: {exc}"}
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def check_inputs(scene: Scene, cfg: PipelineConfig, detections: dict | None = None) -> None:
@@ -544,29 +551,6 @@ def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
 _MATCHING = (Variant.EMBEDDING_2D, Variant.SIANMS)
 
 
-def _once(compute):
-    """A function that calls compute() at its first call only, and at every
-    call returns what that call returned or raises what it raised: the
-    exception itself at the first call, a copy of it at each later one.
-    Only the copy is kept, which has no traceback, so no traceback keeps
-    the caller's frame alive, and with it whatever the frame holds."""
-    outcome = []
-
-    def shared():
-        if not outcome:
-            try:
-                outcome.append((compute(), None))
-            except Exception as exc:  # noqa: BLE001 - raised again at every call
-                outcome.append((None, copy.copy(exc)))
-                raise
-        value, exc = outcome[0]
-        if exc is not None:
-            raise copy.copy(exc)
-        return value
-
-    return shared
-
-
 def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     """Process one frame for every run; returns the seconds of shared work.
 
@@ -575,12 +559,14 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     subset and one CameraView per rig camera that a detection names are
     built once and shared by every variant; an exception there is
     recorded under the frame by every variant.  The matching variants match
-    the same working set, the frame's detections, so match_adjacent and
-    evaluate_frame run once, at the first variant that needs them, and their
-    result, or the exception they raised, serves both; the seconds they take
-    count toward that variant.  Each variant then filters and fits its boxes
-    through its own calls, so an exception there is recorded by that variant
-    only; a repeated filter or fit is a lookup in the views (filter_frustum,
+    the same working set, the frame's detections, so when any run matches,
+    match_adjacent and evaluate_frame run once, before the variants, and
+    their seconds count as shared work; an exception there is kept as its
+    text, which each matching variant records in place of processing the
+    frame.  Each variant then filters and fits its boxes through its own
+    calls, so an exception there is recorded by that variant only, and the
+    frame's boxes and drops count for it only when none is raised; a
+    repeated filter or fit is a lookup in the views (filter_frustum,
     estimate_box), and its work counts toward the first variant that asks.
     The views, and all they keep, are dropped on return.
     """
@@ -600,30 +586,37 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
         }
     except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
         for run in runs:
-            run.errors.append(_frame_error(frame, exc))
+            run.errors.append({"frame": frame.index, "error": _error_text(exc)})
         return time.perf_counter() - started
+    matches = reid = match_error = None
+    if any(run.variant in _MATCHING for run in runs):
+        try:
+            matches = match_adjacent(rig, frame_dets, cfg.resolved_tau)
+            reid = evaluate_frame(matches, frame_dets, rig, frame.index)
+        except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
+            match_error = _error_text(exc)
     shared_s = time.perf_counter() - started
-    match = _once(lambda: match_adjacent(rig, frame_dets, cfg.resolved_tau))
-    reid = _once(lambda: evaluate_frame(match(), frame_dets, rig, frame.index))
     for run in runs:
+        matching = run.variant in _MATCHING
+        if matching and match_error is not None:
+            run.errors.append({"frame": frame.index, "error": match_error})
+            continue
         started = time.perf_counter()
         try:
             working = frame_dets
             if run.variant is Variant.ORIGINAL_NMS:
                 working = nms_greedy(frame_dets, cfg.nms_iou)
-            matches = match() if run.variant in _MATCHING else None
-            boxes = _process_frame(
-                rig, frame, views, working, matches, run.variant, cfg, run.dropped
-            )
-            if matches is not None:
-                run.matches[frame.index] = matches
-                run.reid_frames.append(reid())
+            boxes, dropped = _process_frame(rig, frame, views, working, matches, run.variant, cfg)
         except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
-            run.errors.append(_frame_error(frame, exc))
+            run.errors.append({"frame": frame.index, "error": _error_text(exc)})
             continue
         finally:
             run.seconds += time.perf_counter() - started
+        if matching:
+            run.matches[frame.index] = matches
+            run.reid_frames.append(reid)
         run.boxes[frame.index] = boxes
+        run.dropped.update(dropped)
         run.n_detections += len(working)
         run.pred2d.extend(
             Pred2D(

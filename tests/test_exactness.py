@@ -39,7 +39,7 @@ from sianms.estimator import (
     _AZ_BINS,
     EstimatorConfig,
     TooFewPoints,
-    _histogram_bins,
+    _below_edges,
     _range_gate,
     _trimmed_extents,
     estimate_box,
@@ -404,7 +404,8 @@ class TestHistogramBins:
             lambda e: st.sampled_from([e, np.nextafter(e, 0.0), np.nextafter(e, np.inf)])
         )
         values = data.draw(st.lists(near_edges | st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=40))
-        got = _histogram_bins(np.array(values, dtype=float), span)
+        # a value's bin is _AZ_BINS less the number of upper edges it lies below
+        got = _AZ_BINS - _below_edges(np.array(values, dtype=float), span).sum(axis=1)
         assert got.tolist() == [_np_histogram_bin(v, span) for v in values]
 
     def test_estimates_numpy_corrects(self):
@@ -420,7 +421,7 @@ class TestHistogramBins:
             assert int(value / span * _AZ_BINS) == estimate
             want = _np_histogram_bin(value, span)
             assert abs(want - estimate) == 1
-            assert _histogram_bins(np.array([value]), span).tolist() == [want]
+            assert (_AZ_BINS - _below_edges(np.array([value]), span).sum(axis=1)).tolist() == [want]
 
 
 QUANTILES = st.one_of(

@@ -28,9 +28,9 @@ from conftest import build_scene
 
 EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True)
 
-# a class whose height prior is 0: its gate scores no vertical coverage, and
-# its box, of height 0, fails Box3D's check
-PRIORS = {**CLASS_DIMS, "flat": (4.0, 1.8, 0.0)}
+# a class whose height prior is below the gate's 1e-9: its gate scores no
+# vertical coverage
+PRIORS = {**CLASS_DIMS, "flat": (4.0, 1.8, 1e-12)}
 
 
 def _fields(box) -> bytes:
@@ -171,7 +171,7 @@ class TestBatchEqualsOneAtATime:
     )
     def test_ragged_batch(self, segments, yaw_mode, min_points, range_gate_m, quantile):
         """Segments below min_points and of one point, tied ranges, heights
-        of tied -0.0 and +0.0, zero-width extents, a height prior of 0, a
+        of tied -0.0 and +0.0, zero-width extents, a height prior below 1e-9, a
         class without a prior, and a frustum asked for twice in one batch."""
         cfg = EstimatorConfig(
             dim_priors=PRIORS, yaw_mode=yaw_mode, min_points=min_points,

@@ -354,11 +354,11 @@ class TestSharedFrameWork:
     def test_filter_and_fit_run_once_per_distinct_input(self, small_scene, monkeypatch):
         """Every variant calls filter_frustum and estimate_box, as many times
         as its report implies, but a frame's view filters each detection
-        once, and a frustum is fitted once, in the batch of the first
-        variant that asks for it: the later calls get the same Frustum and
-        Box3D, whose shared points are read-only."""
-        cfg = PipelineConfig(gen=SMALL_GEN)
-        dets = simulate_all(small_scene, SMALL_GEN)
+        once, and a frustum with at least min_points points is fitted once,
+        in the batch of the first variant that asks for it: the later calls
+        get the same Frustum and Box3D, whose shared points are read-only.
+        No smaller frustum reaches the batch."""
+        cfg, dets = _with_drops(small_scene)
         filters, estimates = _counting(monkeypatch, "filter_frustum"), _counting(monkeypatch, "estimate_box")
         made = {}  # function name -> (args, result) of each call that returned
         for module, name in [(frustum_module, "_select"), (estimator_module, "_fit_batch"),
@@ -376,10 +376,15 @@ class TestSharedFrameWork:
         assert sorted(id(args[3]) for args, _ in selects) == sorted(map(id, every_det))
         fitted = [frustum for (batch, _), _ in batches for frustum, _, _ in batch]
         assert len({id(frustum) for frustum in fitted}) == len(fitted)
-        assert {id(frustum) for frustum in fitted} == {id(args[0]) for args in estimates}
+        min_points = cfg.estimator.min_points
+        asked = {id(args[0]): len(args[0]) for args in estimates}
+        assert {id(frustum) for frustum in fitted} == {i for i, n in asked.items() if n >= min_points}
+        assert min(asked.values()) < min_points <= min(map(len, fitted))
         assert len(selects) < len(filters) and len(batches) < len(fitted) < len(estimates)
-        frustums = [frustum for _, frustum in selects + made["merge_frustums"]]
-        assert made["merge_frustums"] and all(not f.points.flags.writeable for f in frustums)
+        # a view keeps an empty frustum as None
+        assert None in [frustum for _, frustum in selects] and made["merge_frustums"]
+        frustums = [frustum for _, frustum in selects + made["merge_frustums"] if frustum is not None]
+        assert all(not f.points.flags.writeable for f in frustums)
         with pytest.raises(ValueError, match="read-only"):
             frustums[0].points[0, 0] = 0.0
 
@@ -424,6 +429,49 @@ class TestSharedFrameWork:
             assert counts["dropped_empty_frustum"] and counts["dropped_too_few_points"]
             errors = [e["error"] for e in reports[Variant.SIANMS.value].errors]
             assert errors == ([] if matcher == "working" else ["RuntimeError: injected matching failure"] * n_frames)
+
+    def test_failing_reid_scoring_skips_the_frame_for_the_matching_variants(self, small_scene, monkeypatch):
+        """Supplied detections without truth_uid make evaluate_frame raise on
+        every frame.  2d+embedding and sianms record its one text for each
+        frame and count none of the frame's detections, boxes or drops; the
+        other variants process every frame.  The frames' views and frustums
+        are freed with the cyclic collector paused, as when matching
+        raises."""
+        cfg, dets = _with_drops(small_scene)
+        for frame_dets in dets.values():
+            frame_dets[:] = [dataclasses.replace(det, truth_uid=None) for det in frame_dets]
+        refs = []
+        for name in ("camera_view", "filter_frustum"):
+            real = getattr(pipeline_module, name)
+
+            def keeping(*args, real=real, **kwargs):
+                made = real(*args, **kwargs)
+                refs.append(weakref.ref(made))
+                return made
+
+            monkeypatch.setattr(pipeline_module, name, keeping)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            comparison = compare_variants(small_scene, cfg, detections=dets)
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) > len(dets) and alive == []
+        reports = comparison.reports
+        errors = {name: [(e["frame"], e["error"]) for e in reports[name].errors] for name in VARIANT_NAMES}
+        text = "MissingTruth: detection in camera 'cam0' lacks truth_uid"
+        assert errors[Variant.SIANMS.value] == errors[Variant.EMBEDDING_2D.value] == [(i, text) for i in dets]
+        for name in VARIANT_NAMES:
+            counts = reports[name].counts
+            assert counts["detections_2d"] == (
+                counts["boxes_3d"] + counts["dropped_empty_frustum"] + counts["dropped_too_few_points"]
+            )
+            matching = name in (Variant.EMBEDDING_2D.value, Variant.SIANMS.value)
+            assert counts["frames_processed"] == (0 if matching else len(dets))
+            drops = (counts["dropped_empty_frustum"], counts["dropped_too_few_points"])
+            assert drops == (0, 0) if matching else all(drops)
 
     def test_kept_drops_reach_every_variant_as_fresh_exceptions(self, small_scene, monkeypatch):
         """An empty frustum and a fit with too few points are raised again,
@@ -557,9 +605,11 @@ class TestSharedFrameWork:
 class TestFrameIsolation:
     """A failure injected into one frame of a compare costs that frame only,
     and only in the variants its failing stage serves: a bad cloud or a
-    detections entry that raises in every variant, a match_adjacent that
-    raises in 2d+embedding and sianms.  Each variant still reports what it
-    would report alone on the same inputs."""
+    detections entry that raises in every variant, a match_adjacent or an
+    evaluate_frame that raises in 2d+embedding and sianms.  Each variant
+    still reports what it would report alone on the same inputs, and a
+    variant that fits one box per detection accounts for each detection of
+    the frames it processed as a box or a drop."""
 
     RIG = make_rig(RigSpec(n_cameras=4, yaw_spacing_deg=90.0, hfov_deg=100.0))
 
@@ -567,7 +617,7 @@ class TestFrameIsolation:
     @given(
         seed=st.integers(0, 2**16),
         n_frames=st.integers(2, 4),
-        failure=st.sampled_from(["cloud", "detections", "match"]),
+        failure=st.sampled_from(["cloud", "detections", "match", "reid"]),
         data=st.data(),
     )
     def test_other_frames_keep_their_boxes(self, seed, n_frames, failure, data):
@@ -587,16 +637,22 @@ class TestFrameIsolation:
         else:
             failing = (Variant.EMBEDDING_2D.value, Variant.SIANMS.value)
         scene = dataclasses.replace(scene, frames=tuple(frames))
-        broken_ids = [id(det) for det in dets[broken]] if failure == "match" else None
-        real = pipeline_module.match_adjacent
+        broken_ids = [id(det) for det in dets[broken]] if failure in ("match", "reid") else None
+        real_match, real_reid = pipeline_module.match_adjacent, pipeline_module.evaluate_frame
 
         def match_adjacent(rig, detections, tau):
-            if [id(det) for det in detections] == broken_ids:
+            if failure == "match" and [id(det) for det in detections] == broken_ids:
                 raise RuntimeError("injected matching failure")
-            return real(rig, detections, tau)
+            return real_match(rig, detections, tau)
+
+        def evaluate_frame(matches, detections, rig, frame_index):
+            if failure == "reid" and [id(det) for det in detections] == broken_ids:
+                raise RuntimeError("injected re-id scoring failure")
+            return real_reid(matches, detections, rig, frame_index)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline_module, "match_adjacent", match_adjacent)
+            patch.setattr(pipeline_module, "evaluate_frame", evaluate_frame)
             comparison = compare_variants(scene, cfg, detections=dets)
             alone = {v.value: run_pipeline(scene, v, cfg, detections=dets) for v in VARIANT_ORDER}
         for name in VARIANT_NAMES:
@@ -609,6 +665,11 @@ class TestFrameIsolation:
             shared, single = result.report.to_dict(), alone[name].report.to_dict()
             del shared["runtime_s"], single["runtime_s"]
             assert shared == single
+            counts = shared["counts"]
+            if name != Variant.SIANMS.value:
+                assert counts["detections_2d"] == (
+                    counts["boxes_3d"] + counts["dropped_empty_frustum"] + counts["dropped_too_few_points"]
+                )
 
 
 @st.composite

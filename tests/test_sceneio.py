@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -802,6 +803,7 @@ class TestConfig:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE_POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
 NONNEGATIVE = st.floats(0.0, 1e6)
 CLASS_NAMES = st.sampled_from(sorted(CLASS_DIMS))
 
@@ -840,7 +842,7 @@ PIPELINE_CONFIGS = st.builds(
     estimator=st.builds(
         EstimatorConfig,
         dim_priors=st.dictionaries(
-            CLASS_NAMES | st.text(max_size=5), st.tuples(FINITE, FINITE, FINITE), max_size=4
+            CLASS_NAMES | st.text(max_size=5), st.tuples(*[FINITE_POSITIVE] * 3), max_size=4
         ),
         yaw_mode=st.sampled_from(["pca", "frustum-axis"]),
         min_points=st.integers(1, 10**4),
@@ -1181,7 +1183,19 @@ class TestMappingHints:
             load_config(path)
         assert str(err.value) == f"config: {text}"
 
-    def test_priors_are_checked_for_shape_not_sign(self, tmp_path):
+    @pytest.mark.parametrize("prior", [
+        [math.nan, 1.9, 1.6], [4.5, math.inf, 1.6], [4.5, 1.9, 0], [-4.5, 1.9, 1.6], [4.5, 1.9, -0.0],
+    ], ids=["nan", "infinite", "zero", "negative", "negative_zero"])
+    def test_prior_not_finite_and_positive_is_refused(self, tmp_path, prior):
+        """A prior with a NaN, an infinite, a zero or a negative dimension is
+        refused as the config is read, naming its class; a tiny or a huge one
+        is not."""
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"estimator": {"dim_priors": {"car": [-1, 0.0, 1e300]}}}))
-        assert load_config(path).estimator.dim_priors == {"car": (-1, 0.0, 1e300)}
+        path.write_text(json.dumps({"estimator": {"dim_priors": dict(CLASS_DIMS, car=prior)}}))
+        with pytest.raises(SchemaError) as err:
+            load_config(path)
+        assert str(err.value) == (
+            f"config: estimator: dim_priors['car'] must be finite and positive, got {tuple(prior)!r}"
+        )
+        path.write_text(json.dumps({"estimator": {"dim_priors": {"car": [5e-324, 1e-12, 1e300]}}}))
+        assert load_config(path).estimator.dim_priors == {"car": (5e-324, 1e-12, 1e300)}
