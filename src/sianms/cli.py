@@ -42,7 +42,6 @@ from .pipeline import (
     text_cell,
 )
 from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, UnscorablePair, accumulate, evaluate_frame
-from .scene import CameraModel, CameraRig, Pose
 from .sceneio import (
     SchemaError,
     detections_by_frame,
@@ -178,17 +177,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _simulated(scene, cfg) -> dict:
-    return {
-        frame.index: simulate_detections(scene.rig, frame.objects, cfg.gen, frame.index)
-        for frame in scene.frames
-    }
-
-
 def cmd_simulate(args) -> int:
     scene = load_scene(args.scene, clouds=False)
     cfg = load_config(args.config, _overrides(args))
-    dets = _simulated(scene, cfg)
+    dets = {
+        frame.index: simulate_detections(scene.rig, frame.objects, cfg.gen, frame.index)
+        for frame in scene.frames
+    }
     write_detections(args.out, dets)
     total = sum(len(v) for v in dets.values())
     print(f"wrote {args.out}: {total} detections over {len(dets)} frames")
@@ -229,12 +224,18 @@ def _report_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loaded_detections(path, scene, cfg) -> dict:
-    """The detections file by frame, its classes, cameras and frames checked
-    against the config and the scene (check_inputs)."""
-    dets = detections_by_frame(load_detection_records(path))
-    check_inputs(scene, cfg, dets)
-    return dets
+def _pipeline_inputs(args) -> tuple:
+    """(scene, config, detections) of run and compare: detections is the
+    --detections file by frame, its classes, cameras and frames checked
+    against the config and the scene (check_inputs), or None, for the
+    pipeline to simulate them."""
+    scene = load_scene(args.scene)
+    cfg = load_config(args.config, _overrides(args))
+    dets = None
+    if args.detections is not None:
+        dets = detections_by_frame(load_detection_records(args.detections))
+        check_inputs(scene, cfg, dets)
+    return scene, cfg, dets
 
 
 def _processed_code(reports) -> int:
@@ -249,20 +250,15 @@ def _processed_code(reports) -> int:
 
 
 def cmd_run(args) -> int:
-    scene = load_scene(args.scene)
-    cfg = load_config(args.config, _overrides(args))
-    if args.detections is not None:
-        dets = _loaded_detections(args.detections, scene, cfg)
-    else:
-        dets = _simulated(scene, cfg)
+    scene, cfg, dets = _pipeline_inputs(args)
     result = run_pipeline(scene, Variant(args.variant), cfg, detections=dets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(out_dir / "report.json", result.report)
     write_boxes(out_dir / "boxes.json", result.boxes)
-    write_detections(out_dir / "detections.json", dets)
+    write_detections(out_dir / "detections.json", result.detections)
     if result.matches:
-        write_matches(out_dir / "matches.json", scene.rig, dets, result.matches)
+        write_matches(out_dir / "matches.json", scene.rig, result.detections, result.matches)
     _emit(
         result.report.to_dict(),
         args.format,
@@ -273,11 +269,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scene = load_scene(args.scene)
-    cfg = load_config(args.config, _overrides(args))
-    dets = None
-    if args.detections is not None:
-        dets = _loaded_detections(args.detections, scene, cfg)
+    scene, cfg, dets = _pipeline_inputs(args)
     comparison = compare_variants(scene, cfg, detections=dets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,30 +280,15 @@ def cmd_compare(args) -> int:
     return _processed_code(list(comparison.reports.values()))
 
 
-def _dummy_rig(cameras, adjacency) -> CameraRig:
-    models = tuple(
-        CameraModel(
-            id=cam_id, fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1, height=1,
-            pose=Pose(q=(1.0, 0.0, 0.0, 0.0), t=(0.0, 0.0, 0.0)),
-        )
-        for cam_id in cameras
-    )
-    try:
-        return CameraRig(cameras=models, adjacency=tuple(adjacency))
-    except ValueError as exc:
-        raise SchemaError(f"matches: {exc}") from exc
-
-
 def cmd_eval_reid(args) -> int:
     payload = load_matches(args.matches)
     records = load_detection_records(args.detections)
-    rig = _dummy_rig(payload["cameras"], payload["adjacency"])
     results = matches_against_detections(payload, records)
-    frame_stats = []
-    for frame in sorted(results):
-        frame_dets = [det for f, det in records if f == frame]
-        frame_stats.append(evaluate_frame(results[frame], frame_dets, rig, frame))
-    stats = accumulate(frame_stats).as_dict()
+    by_frame = detections_by_frame(records)
+    stats = accumulate(
+        evaluate_frame(results[frame], by_frame[frame], payload["adjacency"], frame)
+        for frame in sorted(results)
+    ).as_dict()
     text = (
         "precision {precision:.4f}\nrecall {recall:.4f}\nf_score {f_score:.4f}\n"
         "tp {tp}  fp {fp}  fn {fn}  tn {tn}\n".format(**stats)

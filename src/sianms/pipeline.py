@@ -20,29 +20,34 @@ pair followed by one per unmatched detection and otherwise one per
 detection, goes through one estimator loop.  Empty frustums and fits with
 too few points are counted as drops.
 
-All variants run in one loop over the frames: each frame's detections,
-ground truth and camera views (its cloud projected once on each camera its
+All variants run in one loop over the frames: each frame's detections (the
+supplied ones, else simulated here, for run and compare alike), ground
+truth and camera views (its cloud projected once on each camera its
 detections name) are built once, then every variant processes the frame and
 filters its frustums against those views.  When a matching variant runs,
 the frame's detections are matched, and the matches scored for
 re-identification, once, before any variant, as part of that shared work.
-Every variant makes its own filter_frustum and estimate_box calls, but a
-view keeps each frustum filtered on it and a frustum each box fitted to
-it, so that work is done once per frame, by the first variant that asks,
-and the others get the same Frustum and Box3D.  A drop is no kept
-exception: a view keeps None for an empty frustum, and a fit with too few
-points is refused from the frustum's size.  A variant's fits of a frame
-are first handed to estimate_boxes, which fits the frustums no variant
-has fitted yet in one batched pass; its estimate_box calls then only look
-the boxes up.  A frame whose processing raises is recorded under errors,
-as the exception's type and text, by the variants it reached (all of them
-when building its detections, ground truth or views raised, 2d+embedding
-and sianms when their matching or its re-id scoring raised); its boxes
-and drops count for none of them, and the run continues with the
-remaining frames.  Scoring is shared the same way: variants with
-the same input over the same frames get one 2D AP (per working set) and
-one set of 3D metrics (per working set and fit rule, which original and
-2d+embedding have in common), each report holding its own copy.
+Ground truth only scores: a frame with a detection that lacks a truth uid
+is processed and its matches left unscored, and a run's re-id score is None
+unless every frame it processed was scored.  Every variant makes its own
+filter_frustum and estimate_box calls, but a view keeps each frustum
+filtered on it and a frustum each box fitted to it, so that work is done
+once per frame, by the first variant that asks, and the others get the
+same Frustum and Box3D.  A drop is no kept exception: a view keeps None for
+an empty frustum, and a fit with too few points is refused from the
+frustum's size.  A variant's fits of a frame are first handed to
+estimate_boxes, which fits the frustums no variant has fitted yet in one
+batched pass; its estimate_box calls then only look the boxes up.  A frame
+whose processing raises is recorded under errors, as the exception's type
+and text, by the variants it reached (all of them when building its
+detections, ground truth or views raised, 2d+embedding and sianms when
+their matching raised, or their re-id scoring on anything but a missing
+truth uid); its boxes and drops count for none of them, and the run
+continues with the remaining frames.  Scoring is shared the same way:
+variants with the same input over the same frames get one 2D AP (per
+working set) and one set of 3D metrics (per working set and fit rule, which
+original and 2d+embedding have in common), each report holding its own
+copy.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from .metrics import (
     overlap_region_filter,
     score_order,
 )
-from .reid_eval import REID_KEYS, REID_RATES, accumulate, evaluate_frame
+from .reid_eval import REID_KEYS, REID_RATES, MissingTruth, accumulate, evaluate_frame
 from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, box_corners, box_image_extents
 from .synthgen import GenSpec, _simulate_projected
 
@@ -186,6 +191,7 @@ class PipelineResult:
     report: RunReport
     boxes: dict
     matches: dict
+    detections: dict  # frame index -> the frame's Detection2D list, supplied or simulated
 
 
 def json_value(value):
@@ -504,7 +510,7 @@ class _VariantRun:
     boxes: dict = field(default_factory=dict)  # frame index -> PredBox list
     matches: dict = field(default_factory=dict)  # frame index -> MatchResult
     pred2d: list = field(default_factory=list)
-    reid_frames: list = field(default_factory=list)
+    reid_frames: list = field(default_factory=list)  # ReidStats, None where unscored
     n_detections: int = 0
     seconds: float = 0.0
 
@@ -514,14 +520,15 @@ def _error_text(exc: Exception) -> str:
 
 
 def check_inputs(scene: Scene, cfg: PipelineConfig, detections: dict | None = None) -> None:
-    """Raise SchemaError unless every class of the scene's objects and of the
-    detections has an estimator.dim_priors entry and every detection names a
-    rig camera and a frame of the scene, so that such inputs fail once,
-    before the first frame."""
+    """Raise SchemaError unless every class that will be fitted has an
+    estimator.dim_priors entry and every detection names a rig camera and a
+    frame of the scene, so that such inputs fail once, before the first
+    frame.  The classes fitted are those of the detections, or, when
+    detections is None and the pipeline simulates them, those of the
+    scene's objects; a class only the ground truth holds needs no prior."""
     dets = [det for frame_dets in (detections or {}).values() for det in frame_dets]
-    classes = {obj.class_id for frame in scene.frames for obj in frame.objects}
-    classes.update(det.class_id for det in dets)
-    missing = sorted(classes - set(cfg.estimator.dim_priors))
+    fitted = dets if detections is not None else [obj for f in scene.frames for obj in f.objects]
+    missing = sorted({item.class_id for item in fitted} - set(cfg.estimator.dim_priors))
     if missing:
         raise SchemaError(f"config: estimator.dim_priors has no prior for class {missing[0]!r}")
     unknown = sorted({det.camera_id for det in dets} - {cam.id for cam in scene.rig.cameras})
@@ -533,42 +540,49 @@ def check_inputs(scene: Scene, cfg: PipelineConfig, detections: dict | None = No
 
 
 def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
-    """Check the scene's classes, then run the variants over one loop of the
-    frames; results in variant order.  Supplied detections are checked where
-    a detections file is loaded, not here, so that a bad entry handed in by
-    a caller stays an error of its own frame."""
-    check_inputs(scene, cfg)
+    """Check the scene's classes when the detections are simulated, then run
+    the variants over one loop of the frames; results in variant order.
+    Supplied detections are checked where a detections file is loaded, so
+    that a bad entry handed in by a caller stays an error of its own frame."""
+    if detections is None:
+        check_inputs(scene, cfg)
     runs = [_VariantRun(variant) for variant in variants]
+    dets_by_frame = {}  # frame index -> its Detection2D list
     truth = {}  # frame index -> (Gt2D list, {region: Gt3D list})
     shared_s = 0.0
     for frame in scene.frames:
-        shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, truth)
+        shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, dets_by_frame, truth)
     scores = {}  # (score, its input, frames processed) -> that score
-    return [_evaluate(scene, cfg, run, truth, shared_s, scores) for run in runs]
+    return [_evaluate(scene, cfg, run, dets_by_frame, truth, shared_s, scores) for run in runs]
 
 
 # the variants that match their working set across cameras
 _MATCHING = (Variant.EMBEDDING_2D, Variant.SIANMS)
 
 
-def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
-    """Process one frame for every run; returns the seconds of shared work.
+def _run_frame(rig, frame, runs, cfg, detections, dets_by_frame, truth) -> float:
+    """Process one frame for every run, keeping its detections in
+    dets_by_frame and its ground truth in truth; returns the seconds of
+    shared work.
 
-    The detections and the 2D ground-truth records, both from one projection
-    of the frame's boxes on the rig, the 3D ground truth with its overlap
-    subset and one CameraView per rig camera that a detection names are
-    built once and shared by every variant; an exception there is
-    recorded under the frame by every variant.  The matching variants match
-    the same working set, the frame's detections, so when any run matches,
-    match_adjacent and evaluate_frame run once, before the variants, and
-    their seconds count as shared work; an exception there is kept as its
-    text, which each matching variant records in place of processing the
-    frame.  Each variant then filters and fits its boxes through its own
-    calls, so an exception there is recorded by that variant only, and the
-    frame's boxes and drops count for it only when none is raised; a
-    repeated filter or fit is a lookup in the views (filter_frustum,
-    estimate_box), and its work counts toward the first variant that asks.
-    The views, and all they keep, are dropped on return.
+    The detections (the supplied ones, else simulated) and the 2D
+    ground-truth records, both from one projection of the frame's boxes on
+    the rig, the 3D ground truth with its overlap subset and one CameraView
+    per rig camera that a detection names are built once and shared by every
+    variant; an exception there is recorded under the frame by every
+    variant.  The matching variants match the same working set, the frame's
+    detections, so when any run matches, match_adjacent and evaluate_frame
+    run once, before the variants, and their seconds count as shared work.
+    Ground truth only scores: when a detection lacks a truth uid
+    (MissingTruth), the frame is processed and its matches left unscored.
+    Any other exception there is kept as its text, which each matching
+    variant records in place of processing the frame.  Each variant then
+    filters and fits its boxes through its own calls, so an exception there
+    is recorded by that variant only, and the frame's boxes and drops count
+    for it only when none is raised; a repeated filter or fit is a lookup in
+    the views (filter_frustum, estimate_box), and its work counts toward the
+    first variant that asks.  The views, and all they keep, are dropped on
+    return.
     """
     started = time.perf_counter()
     try:
@@ -577,6 +591,7 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
             frame_dets = list(detections.get(frame.index, []))
         else:
             frame_dets = _simulate_projected(rig, frame.objects, cfg.gen, frame.index, projection)
+        dets_by_frame[frame.index] = frame_dets
         truth[frame.index] = frame_truth(rig, frame, projection)
         named = {det.camera_id for det in frame_dets}
         views = {
@@ -592,7 +607,9 @@ def _run_frame(rig, frame, runs, cfg, detections, truth) -> float:
     if any(run.variant in _MATCHING for run in runs):
         try:
             matches = match_adjacent(rig, frame_dets, cfg.resolved_tau)
-            reid = evaluate_frame(matches, frame_dets, rig, frame.index)
+            reid = evaluate_frame(matches, frame_dets, rig.adjacency, frame.index)
+        except MissingTruth:
+            pass  # processed, unscored
         except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
             match_error = _error_text(exc)
     shared_s = time.perf_counter() - started
@@ -641,7 +658,7 @@ def evaluate_boxes(rig, boxes, ground_truth, region: str, cfg: EvalConfig3D) -> 
     return evaluate_3d(preds, ground_truth, cfg)
 
 
-def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float, scores: dict):
+def _evaluate(scene, cfg, run: _VariantRun, frame_dets: dict, truth: dict, shared_s: float, scores: dict):
     """Score one variant's gathered outputs against the frames it processed.
 
     Variants with the same input over the same frames share one score, from
@@ -669,7 +686,8 @@ def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float, scores
         for region in REGIONS:
             per_class = evaluate_boxes(scene.rig, all_boxes, gt3d[region], region, cfg.eval3d)
             scores[key_3d][region] = {"per_class": per_class, "mean": _mean_row(per_class)}
-    reid = accumulate(run.reid_frames).as_dict() if run.reid_frames else None
+    scored = run.reid_frames and None not in run.reid_frames  # every processed frame
+    reid = accumulate(run.reid_frames).as_dict() if scored else None
     counts = {
         "frames": len(scene.frames),
         "frames_processed": len(processed),
@@ -692,7 +710,7 @@ def _evaluate(scene, cfg, run: _VariantRun, truth: dict, shared_s: float, scores
         errors=run.errors,
         runtime_s=float(shared_s + run.seconds + time.perf_counter() - started),
     )
-    return PipelineResult(report=report, boxes=run.boxes, matches=run.matches)
+    return PipelineResult(report=report, boxes=run.boxes, matches=run.matches, detections=frame_dets)
 
 
 def run_pipeline(

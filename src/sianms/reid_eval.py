@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matching import MatchResult
-from .scene import CameraRig, Detection2D
+from .scene import Detection2D
 
 
 # the statistics a re-id table lists, in table order
@@ -68,8 +68,9 @@ class ReidStats:
         }
 
 
-def evaluate_frame(matches: MatchResult, detections, rig: CameraRig, frame: int) -> ReidStats:
-    """Score the produced pairs of the frame with index frame against truth uids.
+def evaluate_frame(matches: MatchResult, detections, adjacency, frame: int) -> ReidStats:
+    """Score the produced pairs of the frame with index frame against truth
+    uids; adjacency is the rig's camera pairs, all this reads of a rig.
 
     Candidate universes are built once per unordered adjacent camera pair.
     Raises MissingTruth when any detection lacks a truth uid, and
@@ -79,7 +80,7 @@ def evaluate_frame(matches: MatchResult, detections, rig: CameraRig, frame: int)
     for det in detections:
         if det.truth_uid is None:
             raise MissingTruth(f"detection in camera {det.camera_id!r} lacks truth_uid")
-    adjacent = {frozenset(pair) for pair in rig.adjacency}
+    adjacent = dict.fromkeys(map(frozenset, adjacency))  # unordered, in first-occurrence order
     for pair in matches.pairs:
         a, b = pair.a, pair.b
         if a.class_id != b.class_id or frozenset((a.camera_id, b.camera_id)) not in adjacent:
@@ -93,7 +94,7 @@ def evaluate_frame(matches: MatchResult, detections, rig: CameraRig, frame: int)
         by_camera.setdefault(det.camera_id, []).append(det)
     produced = {frozenset((id(pair.a), id(pair.b))) for pair in matches.pairs}
     tp = tn = fp = fn = 0
-    for cam_a, cam_b in rig.unordered_adjacent_pairs():
+    for cam_a, cam_b in adjacent:
         for da in by_camera.get(cam_a, []):
             for db in by_camera.get(cam_b, []):
                 if da.class_id != db.class_id:

@@ -242,6 +242,19 @@ class Detection2D:
             object.__setattr__(self, "embedding", emb)
 
 
+def check_topology(ids, adjacency) -> None:
+    """ValueError unless the camera ids are unique and each adjacency pair
+    joins two different ones; a rig and a match file hold the same topology."""
+    known = set(ids)
+    if len(known) != len(ids):
+        raise ValueError("camera ids must be unique")
+    for a, b in adjacency:
+        if a == b:
+            raise ValueError(f"self-pair {a!r} in adjacency")
+        if a not in known or b not in known:
+            raise ValueError(f"adjacency pair ({a!r}, {b!r}) references unknown camera")
+
+
 @dataclass(frozen=True)
 class CameraRig:
     """A set of cameras plus the list of camera pairs with overlapping views.
@@ -256,15 +269,7 @@ class CameraRig:
     def __post_init__(self):
         object.__setattr__(self, "cameras", tuple(self.cameras))
         object.__setattr__(self, "adjacency", tuple((a, b) for a, b in self.adjacency))
-        ids = [cam.id for cam in self.cameras]
-        if len(set(ids)) != len(ids):
-            raise ValueError("camera ids must be unique")
-        known = set(ids)
-        for a, b in self.adjacency:
-            if a == b:
-                raise ValueError(f"self-pair {a!r} in adjacency")
-            if a not in known or b not in known:
-                raise ValueError(f"adjacency pair ({a!r}, {b!r}) references unknown camera")
+        check_topology([cam.id for cam in self.cameras], self.adjacency)
 
     @cached_property
     def _by_id(self) -> dict:

@@ -42,7 +42,7 @@ import numpy as np
 from .matching import MatchedPair, MatchResult
 from .pipeline import (Frame, PipelineConfig, PredBox, Scene, SchemaError, checked, config_from_dict,
                        fail, json_object, json_value, section_from_dict)
-from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, as_point_cloud
+from .scene import BBox2D, Box3D, CameraRig, Detection2D, SceneObject, as_point_cloud, check_topology
 from .synthgen import GenSpec, RigSpec
 
 
@@ -412,7 +412,13 @@ _PAIR = {"frame": int, "a": int, "b": int, "distance": float}
 
 
 def load_matches(path) -> dict:
+    """The match file at path, every record checked and its cameras and
+    adjacency checked as a rig's are (scene.check_topology)."""
     data = json_object(_load_json(path), "$", _MATCHES)
+    try:
+        check_topology(data["cameras"], data["adjacency"])
+    except ValueError as exc:
+        fail("matches", str(exc))
     pairs = []
     for i, rec in enumerate(data["pairs"]):
         json_object(rec, f"pairs[{i}]", _PAIR)
@@ -425,7 +431,7 @@ def matches_against_detections(matches_payload: dict, records) -> dict:
     """Rebuild per-frame MatchResults from a match file and the detection
     records it indexes; unmatched lists hold that frame's remaining detections."""
     n = len(records)
-    paired_indices: dict[int, list[tuple[int, int, float]]] = {}
+    paired: dict[int, list[MatchedPair]] = {}  # frame -> its pairs, in file order
     for pair in matches_payload["pairs"]:
         for key in ("a", "b"):
             if not 0 <= pair[key] < n:
@@ -439,20 +445,13 @@ def matches_against_detections(matches_payload: dict, records) -> dict:
                     f"pairs: detection {pair[key]} belongs to frame "
                     f"{records[pair[key]][0]}, pair says {frame}"
                 )
-        paired_indices.setdefault(frame, []).append(
-            (pair["a"], pair["b"], pair["distance"])
-        )
+        a, b = records[pair["a"]][1], records[pair["b"]][1]
+        paired.setdefault(frame, []).append(MatchedPair(a=a, b=b, distance=pair["distance"]))
     results: dict[int, MatchResult] = {}
-    frames = sorted({frame for frame, _ in records})
-    for frame in frames:
-        frame_pairs = [
-            MatchedPair(a=records[a][1], b=records[b][1], distance=d)
-            for a, b, d in paired_indices.get(frame, [])
-        ]
-        used = {id(p.a) for p in frame_pairs} | {id(p.b) for p in frame_pairs}
-        unmatched = [
-            det for f, det in records if f == frame and id(det) not in used
-        ]
+    for frame, frame_dets in sorted(detections_by_frame(records).items()):
+        frame_pairs = paired.get(frame, [])
+        used = {id(det) for p in frame_pairs for det in (p.a, p.b)}
+        unmatched = [det for det in frame_dets if id(det) not in used]
         results[frame] = MatchResult(pairs=frame_pairs, unmatched=unmatched)
     return results
 
@@ -548,10 +547,7 @@ def write_comparison(path_base, comparison) -> dict:
     json_path = base.with_suffix(".json")
     csv_path = base.with_suffix(".csv")
     txt_path = base.with_suffix(".txt")
-    json_path.write_text(
-        json.dumps(comparison.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _dump_json(json_path, comparison.to_json_dict())
     csv_path.write_text(comparison.to_csv(), encoding="utf-8")
     txt_path.write_text(comparison.to_text(), encoding="utf-8")
     return {"json": json_path, "csv": csv_path, "text": txt_path}

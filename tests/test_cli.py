@@ -98,6 +98,31 @@ class TestRun:
                      "--out", str(out), "--seed", "37"])
         assert code == 0
 
+    def test_unlabeled_detections_give_the_labeled_boxes(self, tmp_path, scene_dir, run_dir, capsys):
+        """Truth uids only score: without them sianms processes every frame
+        and writes the labeled run's boxes, its re-id is unscored, and
+        eval-reid, which needs them, refuses the run's files."""
+        records = json.loads((run_dir / "detections.json").read_text())
+        assert all("truth_uid" in rec for rec in records)
+        for rec in records:
+            del rec["truth_uid"]
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps(records))
+        out = tmp_path / "run"
+        assert main(["run", "--scene", str(scene_dir / "scene.json"), "--variant", "sianms",
+                     "--detections", str(dets), "--out", str(out), "--seed", "37"]) == 0
+        assert (out / "boxes.json").read_bytes() == (run_dir / "boxes.json").read_bytes()
+        report = json.loads((out / "report.json").read_text())
+        assert report["reid"] is None and report["errors"] == []
+        assert report["counts"]["frames_processed"] == report["counts"]["frames"] == 3
+        capsys.readouterr()
+        assert main(["eval-reid", "--matches", str(out / "matches.json"),
+                     "--detections", str(out / "detections.json")]) == 2
+        camera = records[0]["camera_id"]
+        assert capsys.readouterr().err == (
+            f"schema error: input data incomplete: detection in camera {camera!r} lacks truth_uid\n"
+        )
+
 
 class TestCompare:
     def test_writes_three_files(self, tmp_path, scene_dir, capsys):
@@ -154,6 +179,23 @@ class TestEval:
             "schema error: frame 0: pair of a 'car' in camera 'cam0' and a 'car' in camera "
             "'cam0' is no same-class pair across adjacent cameras\n"
         )
+
+    @pytest.mark.parametrize("cameras, adjacency, message", [
+        (["cam0", "cam1", "cam0"], [["cam0", "cam1"]], "camera ids must be unique"),
+        (["cam0", "cam1"], [["cam0", "cam0"]], "self-pair 'cam0' in adjacency"),
+        (["cam0", "cam1"], [["cam0", "cam9"]], "adjacency pair ('cam0', 'cam9') references unknown camera"),
+    ], ids=["repeated-id", "self-pair", "unknown-camera"])
+    def test_eval_reid_bad_match_topology_is_two(self, tmp_path, capsys, cameras, adjacency, message):
+        det = {"frame": 0, "camera_id": "cam0", "class": "car", "score": 0.5,
+               "bbox": [0.0, 0.0, 5.0, 5.0], "truth_uid": 1}
+        detections = tmp_path / "dets.json"
+        detections.write_text(json.dumps([det, dict(det, camera_id="cam1")]))
+        matches = tmp_path / "matches.json"
+        matches.write_text(json.dumps({"cameras": cameras, "adjacency": adjacency, "pairs": []}))
+        assert main(["eval-reid", "--matches", str(matches), "--detections", str(detections)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error: matches: {message}\n"
 
     @pytest.mark.parametrize("region", ["all", "overlap"])
     def test_eval_3d(self, run_dir, scene_dir, region, capsys):
@@ -255,6 +297,22 @@ class TestInputsBeforeTheFirstFrame:
         assert main(self._argv(command, scene_dir, out, "--config", str(config))) == 2
         assert "estimator.dim_priors has no prior for class" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_ground_truth_only_class_needs_no_prior(self, tmp_path, scene_dir, command):
+        """Supplied detections are fitted by their own classes: a scene class
+        that no detection has needs no prior."""
+        dets = tmp_path / "dets.json"
+        assert main(["simulate", "--scene", str(scene_dir / "scene.json"), "--out", str(dets)]) == 0
+        records = json.loads(dets.read_text())
+        cars = [rec for rec in records if rec["class"] == "car"]
+        assert cars and len(cars) < len(records)
+        dets.write_text(json.dumps(cars))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": {"dim_priors": {"car": [4.5, 1.9, 1.6]}}}))
+        out = tmp_path / "out"
+        argv = self._argv(command, scene_dir, out, "--config", str(config), "--detections", str(dets))
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_eval3d_region_is_an_unknown_key(self, tmp_path, scene_dir, capsys, command):

@@ -430,16 +430,18 @@ class TestSharedFrameWork:
             errors = [e["error"] for e in reports[Variant.SIANMS.value].errors]
             assert errors == ([] if matcher == "working" else ["RuntimeError: injected matching failure"] * n_frames)
 
-    def test_failing_reid_scoring_skips_the_frame_for_the_matching_variants(self, small_scene, monkeypatch):
-        """Supplied detections without truth_uid make evaluate_frame raise on
-        every frame.  2d+embedding and sianms record its one text for each
-        frame and count none of the frame's detections, boxes or drops; the
-        other variants process every frame.  The frames' views and frustums
-        are freed with the cyclic collector paused, as when matching
-        raises."""
-        cfg, dets = _with_drops(small_scene)
-        for frame_dets in dets.values():
-            frame_dets[:] = [dataclasses.replace(det, truth_uid=None) for det in frame_dets]
+    def test_unlabeled_detections_are_processed_unscored(self, small_scene, monkeypatch):
+        """Ground truth only scores.  Supplied detections without truth_uid
+        make evaluate_frame raise MissingTruth on every frame, yet every
+        variant processes every frame: 2d+embedding and sianms report no
+        re-id score and no error, and sianms fits the boxes it fits from the
+        labeled detections.  The frames' views and frustums are freed with
+        the cyclic collector paused, as when matching raises."""
+        cfg, labeled = _with_drops(small_scene)
+        dets = {
+            index: [dataclasses.replace(det, truth_uid=None) for det in frame_dets]
+            for index, frame_dets in labeled.items()
+        }
         refs = []
         for name in ("camera_view", "filter_frustum"):
             real = getattr(pipeline_module, name)
@@ -460,18 +462,17 @@ class TestSharedFrameWork:
                 gc.enable()
         assert len(refs) > len(dets) and alive == []
         reports = comparison.reports
-        errors = {name: [(e["frame"], e["error"]) for e in reports[name].errors] for name in VARIANT_NAMES}
-        text = "MissingTruth: detection in camera 'cam0' lacks truth_uid"
-        assert errors[Variant.SIANMS.value] == errors[Variant.EMBEDDING_2D.value] == [(i, text) for i in dets]
         for name in VARIANT_NAMES:
             counts = reports[name].counts
-            assert counts["detections_2d"] == (
-                counts["boxes_3d"] + counts["dropped_empty_frustum"] + counts["dropped_too_few_points"]
-            )
-            matching = name in (Variant.EMBEDDING_2D.value, Variant.SIANMS.value)
-            assert counts["frames_processed"] == (0 if matching else len(dets))
-            drops = (counts["dropped_empty_frustum"], counts["dropped_too_few_points"])
-            assert drops == (0, 0) if matching else all(drops)
+            if name != Variant.SIANMS.value:  # which fits one box per matched pair
+                assert counts["detections_2d"] == (
+                    counts["boxes_3d"] + counts["dropped_empty_frustum"] + counts["dropped_too_few_points"]
+                )
+            assert counts["frames_processed"] == len(dets) and reports[name].errors == []
+            assert reports[name].reid is None
+        scored = run_pipeline(small_scene, Variant.SIANMS, cfg, detections=labeled)
+        assert scored.report.reid is not None
+        assert comparison.results[Variant.SIANMS.value].boxes == scored.boxes
 
     def test_kept_drops_reach_every_variant_as_fresh_exceptions(self, small_scene, monkeypatch):
         """An empty frustum and a fit with too few points are raised again,

@@ -60,7 +60,7 @@ class TestEvaluateFrame:
             ],
             unmatched=[b2],
         )
-        stats = evaluate_frame(matches, [a1, a2, b1, b2, b3], rig, 0)
+        stats = evaluate_frame(matches, [a1, a2, b1, b2, b3], rig.adjacency, 0)
         # candidates: (a1,b1)+ (a1,b2) (a1,b3) (a2,b1) (a2,b2)+ (a2,b3)
         assert stats.tp == 1  # (a1, b1)
         assert stats.fp == 1  # (a2, b3)
@@ -71,7 +71,7 @@ class TestEvaluateFrame:
         rig = _rig()
         a1 = _det("a", 1, cls="car")
         b1 = _det("b", 1, cls="pedestrian")
-        stats = evaluate_frame(MatchResult(pairs=[], unmatched=[a1, b1]), [a1, b1], rig, 0)
+        stats = evaluate_frame(MatchResult(pairs=[], unmatched=[a1, b1]), [a1, b1], rig.adjacency, 0)
         assert (stats.tp, stats.tn, stats.fp, stats.fn) == (0, 0, 0, 0)
 
     def test_nonadjacent_cameras_not_candidates(self):
@@ -79,13 +79,13 @@ class TestEvaluateFrame:
         c_cam = CameraModel(id="c", fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=1.0, height=1.0)
         rig = CameraRig(cameras=rig.cameras + (c_cam,), adjacency=rig.adjacency)
         a1, c1 = _det("a", 1), _det("c", 1)
-        stats = evaluate_frame(MatchResult(pairs=[], unmatched=[a1, c1]), [a1, c1], rig, 0)
+        stats = evaluate_frame(MatchResult(pairs=[], unmatched=[a1, c1]), [a1, c1], rig.adjacency, 0)
         assert (stats.tp, stats.tn, stats.fp, stats.fn) == (0, 0, 0, 0)
 
     def test_duplicate_adjacency_counted_once(self):
         rig = _rig(adjacency=(("a", "b"), ("b", "a")))
         a1, b1 = _det("a", 1), _det("b", 2)
-        stats = evaluate_frame(MatchResult(pairs=[], unmatched=[a1, b1]), [a1, b1], rig, 0)
+        stats = evaluate_frame(MatchResult(pairs=[], unmatched=[a1, b1]), [a1, b1], rig.adjacency, 0)
         assert stats.tn == 1
 
     def test_missing_truth_rejected(self):
@@ -94,7 +94,7 @@ class TestEvaluateFrame:
             camera_id="a", bbox=BBox2D(0, 0, 1, 1), class_id="car", score=0.5
         )
         with pytest.raises(MissingTruth):
-            evaluate_frame(MatchResult(pairs=[], unmatched=[bad]), [bad], rig, 0)
+            evaluate_frame(MatchResult(pairs=[], unmatched=[bad]), [bad], rig.adjacency, 0)
 
     @pytest.mark.parametrize("pair, message", [
         (("a1", "a1"), "pair of a 'car' in camera 'a' and a 'car' in camera 'a'"),
@@ -109,21 +109,21 @@ class TestEvaluateFrame:
         a, b = (dets[name] for name in pair)
         matches = MatchResult(pairs=[MatchedPair(a=a, b=b, distance=0.0)], unmatched=[])
         with pytest.raises(UnscorablePair) as err:
-            evaluate_frame(matches, list(dets.values()), rig, 7)
+            evaluate_frame(matches, list(dets.values()), rig.adjacency, 7)
         assert str(err.value) == f"frame 7: {message} is no same-class pair across adjacent cameras"
 
     def test_detection_in_two_pairs_is_scored(self):
         rig = _rig(adjacency=(("a", "b"), ("b", "c")))
         a1, b1, c1 = _det("a", 1), _det("b", 1), _det("c", 1)
         pairs = [MatchedPair(a=a1, b=b1, distance=0.0), MatchedPair(a=b1, b=c1, distance=0.0)]
-        stats = evaluate_frame(MatchResult(pairs=pairs, unmatched=[]), [a1, b1, c1], rig, 0)
+        stats = evaluate_frame(MatchResult(pairs=pairs, unmatched=[]), [a1, b1, c1], rig.adjacency, 0)
         assert (stats.tp, stats.fp, stats.fn, stats.tn) == (2, 0, 0, 0)
 
     def test_pair_direction_irrelevant(self):
         rig = _rig()
         a1, b1 = _det("a", 1), _det("b", 1)
         matches = MatchResult(pairs=[MatchedPair(a=b1, b=a1, distance=0.0)], unmatched=[])
-        stats = evaluate_frame(matches, [a1, b1], rig, 0)
+        stats = evaluate_frame(matches, [a1, b1], rig.adjacency, 0)
         assert stats.tp == 1
 
 
