@@ -26,6 +26,16 @@ collector paused, as json.loads builds no reference cycles and would
 otherwise set off a collector pass every few hundred lists it builds; a
 scene stays paused through the walk over its records too, so that no pass
 walks the parsed lists before they are dropped.
+
+A scene file is parsed by one walk over its top levels (the top object, its
+"frames" array, each frame and its "lidar" object), every value below them
+decoded by json's own C decoder. A read without clouds decodes each inline
+cloud with a decoder that takes each float's text for its length: that checks
+the cloud's JSON in full but builds none of its numbers, which is about half
+of parsing an inline scene. Where the walk finds no JSON, json.loads of the
+whole text raises json's own error, so either read accepts exactly the files
+json.loads does (up to _walk's note on deep nesting) and names a fault as it
+does.
 """
 
 from __future__ import annotations
@@ -65,11 +75,18 @@ def _collector_paused():
             gc.enable()
 
 
-def _load_json(path) -> object:
+def _load_json(path, walk=None) -> object:
     """The JSON value in the file at path, parsed with the cyclic garbage
-    collector paused; the collector is left as it was found."""
+    collector paused; the collector is left as it was found. With a walk
+    entry the text is read by _walked; json.loads reads it otherwise, or
+    where _walked finds no JSON, and so raises json's own error."""
     text = Path(path).read_text(encoding="utf-8")
     with _collector_paused():
+        if walk is not None:
+            try:
+                return _walked(text, walk)
+            except (ValueError, RecursionError):
+                pass
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
@@ -227,19 +244,99 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+# The parts of json's C decoder that _walk reads a scene file with.
+# _check_syntax spells every float as the length of its text, a cached small
+# int, so it checks a value's JSON in full but builds no float.
+_decode = json.JSONDecoder().raw_decode
+_check_syntax = json.JSONDecoder(parse_float=len).raw_decode
+_skip = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+
+# How _walk reads a scene file: a dict is an object whose key's value is
+# read by its entry, a list an array whose every element is read by its one
+# entry, and _UNREAD a value whose JSON is checked but which is read as None.
+# Every other value, and one not of its entry's kind, is decoded whole.
+_UNREAD = object()
+_SCENE_FILE = {"frames": [{"lidar": {"inline": None}}]}
+_CLOUD_FREE_SCENE_FILE = {"frames": [{"lidar": {"inline": _UNREAD}}]}
+
+
+def _walk(text: str, end: int, entry) -> tuple[object, int]:
+    """The JSON value after any whitespace at text[end:], read by entry (see
+    _SCENE_FILE), and the index past it; ValueError or RecursionError where
+    the text holds no JSON value there. It recurses once for each level it
+    walks, where json's C scanner would recurse, so from _walked a value
+    nests as deep before a RecursionError as it does under json.loads from
+    _load_json on Pythons that count C and Python recursion as one, 3.10
+    and 3.11. Later Pythons count them apart, and there a value below the
+    walked levels may nest a few levels deeper than json.loads allows."""
+    end = _skip(text, end).end()
+    if isinstance(entry, dict) and text.startswith("{", end):
+        value = {}
+        end = _skip(text, end + 1).end()
+        if text.startswith("}", end):
+            return value, end + 1
+        while text.startswith('"', end):
+            key, end = _scanstring(text, end + 1)
+            end = _skip(text, end).end()
+            if not text.startswith(":", end):
+                break
+            value[key], end = _walk(text, end + 1, entry.get(key))
+            end = _skip(text, end).end()
+            if text.startswith("}", end):
+                return value, end + 1
+            if not text.startswith(",", end):
+                break
+            end = _skip(text, end + 1).end()
+        raise ValueError(f"no JSON object at char {end}")
+    if isinstance(entry, list) and text.startswith("[", end):
+        value = []
+        end = _skip(text, end + 1).end()
+        if text.startswith("]", end):
+            return value, end + 1
+        while True:
+            item, end = _walk(text, end, entry[0])
+            value.append(item)
+            end = _skip(text, end).end()
+            if text.startswith("]", end):
+                return value, end + 1
+            if not text.startswith(",", end):
+                raise ValueError(f"no JSON array at char {end}")
+            end += 1
+    if entry is _UNREAD:
+        return None, _check_syntax(text, end)[1]
+    return _decode(text, end)
+
+
+def _walked(text: str, walk) -> object:
+    """The JSON value that fills text, read by _walk over walk; ValueError
+    or RecursionError where there is none. It stands where json.loads
+    stands in _load_json and calls _walk as json.loads calls its decoder,
+    one call deep, which keeps _walk's values as deep as json's."""
+    data, end = _walk(text, 0, walk)
+    if _skip(text, end).end() != len(text):
+        raise ValueError(f"extra data at char {end}")
+    return data
+
+
 def load_scene(path, clouds: bool = True) -> Scene:
     """The scene file at path, every record checked; no two frames share an
     index and no two objects of a frame a uid.
 
-    With clouds=False each frame's lidar record has its keys checked but its
-    cloud is neither read nor checked, and each Frame's cloud is None: that
-    reads what simulate and eval-3d use, the rig and each frame's index and
-    objects, without the clouds' cost.  The cyclic collector stays paused
-    until the parsed records are dropped (_collector_paused).
+    With clouds=False each frame's lidar record has its keys checked, and an
+    inline cloud is checked to be valid JSON, but none of its numbers is
+    built and neither its values nor its shape is checked; a bin_file is
+    neither read nor checked. Each Frame's cloud is then None: that reads
+    what simulate and eval-3d use, the rig and each frame's index and
+    objects, at about half the cost of parsing the clouds. Either way the
+    file is read by _walk, and a file it finds no JSON in raises json's own
+    error. The cyclic collector stays paused until the parsed records are
+    dropped (_collector_paused).
     """
     path = Path(path)
+    walk = _SCENE_FILE if clouds else _CLOUD_FREE_SCENE_FILE
     with _collector_paused():
-        return _scene_from_json(_load_json(path), path, clouds)
+        return _scene_from_json(_load_json(path, walk), path, clouds)
 
 
 def _scene_from_json(data, path: Path, clouds: bool) -> Scene:
@@ -429,7 +526,12 @@ def load_matches(path) -> dict:
 
 def matches_against_detections(matches_payload: dict, records) -> dict:
     """Rebuild per-frame MatchResults from a match file and the detection
-    records it indexes; unmatched lists hold that frame's remaining detections."""
+    records it indexes; unmatched lists hold that frame's remaining detections.
+    A detection whose camera the match file does not list is a SchemaError,
+    as no pair of it could be scored."""
+    unknown = sorted({det.camera_id for _, det in records} - set(matches_payload["cameras"]))
+    if unknown:
+        raise SchemaError(f"detections: camera {unknown[0]!r} is not in the match file's cameras")
     n = len(records)
     paired: dict[int, list[MatchedPair]] = {}  # frame -> its pairs, in file order
     for pair in matches_payload["pairs"]:

@@ -37,12 +37,18 @@ array passes replaced: the per-box face arrays with their np.dot visibility
 test, the camera yaw and field of view recomputed at every read, and the
 frame loop that samples each object's surface as it goes.  The package
 must give their results bit for bit.
+
+From load_scene_reference on is the scene read that the walk over a scene
+file's top levels replaced: json.loads of the whole text, every cloud
+number built, then sceneio's walk over the records.  For every file,
+load_scene must return an equal Scene or raise the same error.
 """
 
 import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -76,7 +82,7 @@ from sianms.scene import (
     project_points,
     wrap_angle,
 )
-from sianms.sceneio import _box_to_list
+from sianms.sceneio import _box_to_list, _collector_paused, _scene_from_json
 from sianms.synthgen import (CLASS_DIMS, GROUND_Z, MIN_CENTER_SPACING, YAW_HALF_RANGE, GenSpec,
                              _complement_arcs, embedding_provider, overlap_wedges)
 
@@ -1646,3 +1652,23 @@ def generate_frame_reference(rig, spec, frame_index):
         clouds.append(clutter)
     cloud = np.vstack(clouds) if clouds else np.zeros((0, 3))
     return objects, cloud
+
+
+def _load_json_reference(path) -> object:
+    """sceneio._load_json as it read every file: json.loads of the whole
+    text, with the cyclic collector paused."""
+    text = Path(path).read_text(encoding="utf-8")
+    with _collector_paused():
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_scene_reference(path, clouds: bool = True):
+    """sceneio.load_scene over json.loads: every cloud's numbers are built,
+    and dropped unread when clouds is False.  Its calls nest as load_scene's
+    did, so a value nests as deep before json's RecursionError."""
+    path = Path(path)
+    with _collector_paused():
+        return _scene_from_json(_load_json_reference(path), path, clouds)

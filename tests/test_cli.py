@@ -180,6 +180,21 @@ class TestEval:
             "'cam0' is no same-class pair across adjacent cameras\n"
         )
 
+    def test_eval_reid_camera_outside_match_file_is_two(self, tmp_path, capsys):
+        """A detection of a camera the match file does not list could be in
+        no pair, so scoring it as nothing would hide the mismatch."""
+        det = {"frame": 0, "camera_id": "cam6", "class": "car", "score": 0.5,
+               "bbox": [0.0, 0.0, 5.0, 5.0], "truth_uid": 1}
+        detections = tmp_path / "dets.json"
+        detections.write_text(json.dumps([det, dict(det, camera_id="cam5")]))
+        matches = tmp_path / "matches.json"
+        matches.write_text(json.dumps({"cameras": ["cam0", "cam1"], "adjacency": [["cam0", "cam1"]],
+                                       "pairs": []}))
+        assert main(["eval-reid", "--matches", str(matches), "--detections", str(detections)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "schema error: detections: camera 'cam5' is not in the match file's cameras\n"
+
     @pytest.mark.parametrize("cameras, adjacency, message", [
         (["cam0", "cam1", "cam0"], [["cam0", "cam1"]], "camera ids must be unique"),
         (["cam0", "cam1"], [["cam0", "cam0"]], "self-pair 'cam0' in adjacency"),

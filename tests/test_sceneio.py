@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -17,7 +18,7 @@ from sianms.losses import LossConfig
 from sianms.matching import MatchedPair, MatchResult
 from sianms.metrics import EvalConfig2D, EvalConfig3D
 from sianms.pipeline import Frame, PipelineConfig, PredBox, Scene, config_from_dict, config_to_dict
-from sianms.scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose
+from sianms.scene import BBox2D, Box3D, CameraModel, CameraRig, Detection2D, Pose, SceneObject
 from sianms.sceneio import (
     SchemaError,
     _load_json,
@@ -39,7 +40,8 @@ from sianms.sceneio import (
 )
 from sianms.synthgen import CLASS_DIMS, GenSpec, RigSpec, generate_frame, make_rig, simulate_detections
 
-from _oracles import config_from_dict_reference, config_to_dict_reference, rig_from_dict_reference
+from _oracles import (config_from_dict_reference, config_to_dict_reference, load_scene_reference,
+                      rig_from_dict_reference)
 from conftest import build_scene
 
 
@@ -982,28 +984,254 @@ class TestLoadJsonCollector:
         assert len(during) > len(scene.frames) and not any(during)
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("text, value", [
-        ('{"a": [[1.0, 2.0], []]}', {"a": [[1.0, 2.0], []]}),
-        ('{"a": [1.0,', None),
-    ], ids=["good", "invalid"])
-    def test_state_is_restored(self, tmp_path, monkeypatch, enabled, text, value):
+    @pytest.mark.parametrize("broken", [False, True], ids=["good", "invalid"])
+    def test_state_is_restored(self, tmp_path, monkeypatch, enabled, broken):
+        """Every decode, by the scene walk's two decoders or by json.loads
+        (for a file read as plain JSON, or a scene the walk finds no JSON
+        in), runs paused, and the collector is left as it was found."""
         path = tmp_path / "in.json"
-        path.write_text(text)
+        path.write_text(_hand_text(lidar='{"inline": [[1.5, 2.0, 3.0]%s}' % ("," if broken else "]")))
         during = []
-        loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+
+        def recording(name, decode):
+            return lambda *args, **kwargs: during.append((name, gc.isenabled())) or decode(*args, **kwargs)
+
+        for name in ("_decode", "_check_syntax"):
+            monkeypatch.setattr(sceneio_module, name, recording(name, getattr(sceneio_module, name)))
+        monkeypatch.setattr(json, "loads", recording("loads", json.loads))
+        fallback = {"loads"} if broken else set()
+        reads = [
+            (load_scene, {"_decode"} | fallback),
+            (lambda p: load_scene(p, clouds=False), {"_decode", "_check_syntax"} | fallback),
+            (_load_json, {"loads"}),
+        ]
         was = gc.isenabled()
         try:
-            (gc.enable if enabled else gc.disable)()
-            if value is not None:
-                assert _load_json(path) == value
-            else:
-                with pytest.raises(SchemaError, match="invalid JSON"):
-                    _load_json(path)
-            assert gc.isenabled() is enabled
+            for read, decoders in reads:
+                during.clear()
+                (gc.enable if enabled else gc.disable)()
+                if broken:
+                    with pytest.raises(SchemaError, match="invalid JSON"):
+                        read(path)
+                else:
+                    assert read(path)
+                assert gc.isenabled() is enabled
+                assert {name for name, _ in during} == decoders
+                assert not any(enabled_during for _, enabled_during in during)
         finally:
             (gc.enable if was else gc.disable)()
-        assert during == [False]
+
+
+# A scene text built by hand (_hand_text) on this rig, with each part
+# replaceable by any text, valid JSON or not.
+_HAND_RIG = json.dumps(rig_to_dict(make_rig(RigSpec(n_cameras=2, yaw_spacing_deg=90.0, hfov_deg=100.0))))
+_HAND_OBJECTS = '[{"uid": 7, "class": "car", "box": [8, 1, -0.9, 4.5, 1.9, 1.6, 0.25]}]'
+
+
+def _hand_text(lidar='{"inline": [[1.5, -2.0, 0.25], [3, 4, 5]]}', objects=_HAND_OBJECTS, frame=None,
+               frames=None, rest="") -> str:
+    """A two-frame scene whose first frame holds objects and lidar, or is
+    frame, and whose frames array is frames; rest follows the frames."""
+    if frame is None:
+        frame = '{"index": 0, "objects": %s, "lidar": %s}' % (objects, lidar)
+    if frames is None:
+        frames = '[%s, {"index": 1, "objects": [], "lidar": {"inline": []}}]' % frame
+    return '{"rig": %s, "frames": %s%s}' % (_HAND_RIG, frames, rest)
+
+
+def _read(load, path, clouds: bool):
+    """What load gives for the file: everything its Scene holds, floats by
+    repr and clouds by their bytes, or its exception's type and text."""
+    try:
+        scene = load(path, clouds=clouds)
+    except Exception as exc:  # noqa: BLE001 - every outcome is compared
+        return type(exc), str(exc)
+    return json.dumps(rig_to_dict(scene.rig), sort_keys=True), [
+        (repr(f.index), repr(f.objects), None if f.cloud is None else (f.cloud.shape, f.cloud.tobytes()))
+        for f in scene.frames
+    ]
+
+
+def _assert_reads_alike(path):
+    for clouds in (True, False):
+        assert _read(load_scene, path, clouds) == _read(load_scene_reference, path, clouds)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+# "id": a hand scene text, each read by load_scene and by json.loads
+_HAND_TEXTS = {
+    "valid": _hand_text(),
+    "empty-cloud-and-frames": _hand_text(lidar='{"inline": []}', frames="[]"),
+    "whitespace": " \n" + _hand_text(lidar='{ "inline" :[ [1,2,3] ,\n[4 ,5,6]] }') + "\n\t ",
+    "whitespace-empty-frames": _hand_text(frames=" [\r\n ] "),
+    "duplicate-lidar": _hand_text(frame='{"index": 0, "objects": [], "lidar": {"inline": [[1, 2, 3]]}, '
+                                        '"lidar": {"inline": [["a", 2, 3]]}}'),
+    "duplicate-lidar-last-good": _hand_text(frame='{"index": 0, "objects": [], "lidar": {"inline": [["a"]]}, '
+                                                  '"lidar": {"inline": [[1, 2, 3]]}}'),
+    "duplicate-lidar-bin-last": _hand_text(frame='{"index": 0, "objects": [], "lidar": {"inline": [[1, 2, 3]]}, '
+                                                 '"lidar": {"bin_file": "no.bin"}}'),
+    "duplicate-inline": _hand_text(lidar='{"inline": [[1, 2, 3]], "inline": [[1, 2, "x"]]}'),
+    "duplicate-inline-last-good": _hand_text(lidar='{"inline": [[1, 2, "x"]], "inline": [[1, 2, 3]]}'),
+    "duplicate-frames": _hand_text(rest=', "frames": []'),
+    "escaped-inline-key": _hand_text(lidar='{"\\u0069nline": [[1, 2, "x"]]}'),
+    "escaped-inline-key-syntax-error": _hand_text(lidar='{"\\u0069nline": [[1, 2 3]]}'),
+    "bom": "\ufeff" + _hand_text(),
+    "trailing-data": _hand_text() + " x",
+    "trailing-object": _hand_text() + "{}",
+    "empty-file": "",
+    "cloud-trailing-comma": _hand_text(lidar='{"inline": [[1, 2, 3],]}'),
+    "cloud-missing-comma": _hand_text(lidar='{"inline": [[1, 2 3]]}'),
+    "cloud-unclosed": _hand_text(lidar='{"inline": [[1, 2, 3]}'),
+    "cloud-bad-float": _hand_text(lidar='{"inline": [[1., 2, 3]]}'),
+    "cloud-bad-exponent": _hand_text(lidar='{"inline": [[1e, 2, 3]]}'),
+    "cloud-leading-zero": _hand_text(lidar='{"inline": [[01, 2, 3]]}'),
+    "cloud-bad-literal": _hand_text(lidar='{"inline": [[1, 2, tru]]}'),
+    "cloud-bad-string": _hand_text(lidar='{"inline": [["a\tb", 2, 3]]}'),
+    "cloud-unclosed-lidar": _hand_text(frame='{"index": 0, "objects": [], "lidar": {"inline": [[1, 2, 3]]'),
+    "cloud-nan": _hand_text(lidar='{"inline": [[NaN, 2, 3]]}'),
+    "cloud-infinity": _hand_text(lidar='{"inline": [[Infinity, -Infinity, 1]]}'),
+    "cloud-string-row": _hand_text(lidar='{"inline": [[1, 2, 3], "row"]}'),
+    "cloud-string-numbers": _hand_text(lidar='{"inline": [["1", "2", "3"]]}'),
+    "cloud-short-row": _hand_text(lidar='{"inline": [[1, 2]]}'),
+    "cloud-object": _hand_text(lidar='{"inline": {"x": [1, 2, 3]}}'),
+    "cloud-null": _hand_text(lidar='{"inline": null}'),
+    "cloud-deep": _hand_text(lidar='{"inline": %s}' % _DEEP),
+    "bin-file-deep": _hand_text(lidar='{"bin_file": %s}' % _DEEP),
+    "objects-deep": _hand_text(objects=_DEEP),
+    "text-in-class-and-uid": _hand_text(
+        objects='[{"uid": "\\"inline\\": [[1, 2, 3]]", "class": "\\"inline\\": [[1, 2, 3]]",'
+                ' "box": [8, 1, -0.9, 4.5, 1.9, 1.6, 0.25]}]'),
+    "text-in-key": _hand_text(lidar='{"inline": [[1, 2, 3]], "\\"inline\\": [[1, 2, 3]]": 1}'),
+    "lidar-unquoted-key": _hand_text(lidar='{inline: [[1, 2, 3]]}'),
+    "lidar-missing-colon": _hand_text(lidar='{"inline" [[1, 2, 3]]}'),
+    "lidar-trailing-comma": _hand_text(lidar='{"inline": [[1, 2, 3]],}'),
+    "lidar-control-character-key": _hand_text(lidar='{"inl\tine": [[1, 2, 3]]}'),
+    "frames-trailing-comma": _hand_text(frames='[{"index": 0, "objects": [], "lidar": {"inline": []}},]'),
+    "frames-missing-comma": _hand_text(frames='[{"index": 0, "objects": [], "lidar": {"inline": []}} {}]'),
+    "top-trailing-comma": _hand_text(rest=","),
+    "top-array": "[%s]" % _hand_text(),
+    "top-string": '"scene"',
+    "top-null": "null",
+    "top-number": "1",
+    "frames-object": _hand_text(frames='{"0": {"index": 0, "objects": [], "lidar": {"inline": []}}}'),
+    "frames-string": _hand_text(frames='"frames"'),
+    "frames-null": _hand_text(frames="null"),
+    "frame-array": _hand_text(frame='[{"index": 0, "objects": [], "lidar": {"inline": []}}]'),
+    "frame-number": _hand_text(frame="0"),
+    "frame-null": _hand_text(frame="null"),
+    "lidar-array": _hand_text(lidar="[[1, 2, 3]]"),
+    "lidar-string": _hand_text(lidar='"inline"'),
+    "lidar-null": _hand_text(lidar="null"),
+}
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    """A small two-frame scene written with inline clouds and with bin files,
+    each in its own directory: {lidar_bin: path}."""
+    rig = make_rig(RigSpec(n_cameras=2, yaw_spacing_deg=90.0, hfov_deg=100.0))
+    box = Box3D(x=8.0, y=1.0, z=-0.9, l=4.5, w=1.9, h=1.6, theta=0.25)
+    scene = Scene(rig=rig, frames=tuple(
+        Frame(index=i, objects=(SceneObject(uid=i * 10, class_id="car", box=box),),
+              cloud=np.array([[1.5, -2.0, 0.25], [3.0, 4.0, -1e-3]]) + i)
+        for i in range(2)
+    ))
+    root = tmp_path_factory.mktemp("scene-files")
+    files = {}
+    for lidar_bin in (False, True):
+        path = root / ("bin" if lidar_bin else "inline") / "scene.json"
+        path.parent.mkdir()
+        write_scene(path, scene, lidar_bin=lidar_bin)
+        files[lidar_bin] = path
+    return files
+
+
+# (where, how many bytes to cut there, what to put in their place)
+_EDITS = st.lists(st.tuples(
+    st.integers(0, 2**16),
+    st.integers(0, 3),
+    st.sampled_from([b"", b"[", b"]", b"{", b"}", b",", b":", b'"', b" ", b"0", b"-", b".", b"e", b"NaN",
+                     b"null", b"\\", b"\xef\xbb\xbf", b'"inline": [[1, 2, 3]], ', b'"lidar": {}, '])
+    | st.binary(max_size=3),
+), min_size=1, max_size=3)
+
+
+class TestSceneReadMatchesJsonLoads:
+    """load_scene reads every file as json.loads and the record walk did
+    (_oracles.load_scene_reference), with clouds and without: an equal
+    Scene, or the same exception with the same text."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lidar_bin=st.booleans(), edits=_EDITS)
+    def test_edited_scene_text(self, scene_files, lidar_bin, edits):
+        path = scene_files[lidar_bin]
+        data = path.read_bytes()
+        for at, cut, insert in edits:
+            at %= len(data) + 1
+            data = data[:at] + insert + data[at + cut:]
+        edited = path.with_name("edited.json")
+        edited.write_bytes(data)
+        _assert_reads_alike(edited)
+
+    @pytest.mark.parametrize("text", list(_HAND_TEXTS.values()), ids=list(_HAND_TEXTS))
+    def test_hand_text(self, tmp_path, text):
+        path = tmp_path / "scene.json"
+        path.write_text(text, encoding="utf-8")
+        _assert_reads_alike(path)
+
+    def test_text_in_strings_is_kept(self, tmp_path):
+        """A class and a uid that hold a cloud's text are read as strings,
+        not taken for a cloud."""
+        path = tmp_path / "scene.json"
+        path.write_text(_HAND_TEXTS["text-in-class-and-uid"])
+        for clouds in (True, False):
+            obj = load_scene(path, clouds=clouds).frames[0].objects[0]
+            assert obj.uid == obj.class_id == '"inline": [[1, 2, 3]]'
+
+    def test_invalid_cloud_names_jsons_error(self, tmp_path):
+        path = tmp_path / "scene.json"
+        text = _HAND_TEXTS["cloud-missing-comma"]
+        path.write_text(text)
+        at = text.index("2 3") + 2
+        line = text.count("\n", 0, at) + 1
+        with pytest.raises(SchemaError) as err:
+            load_scene(path, clouds=False)
+        assert str(err.value) == (
+            f"{path}: invalid JSON (Expecting ',' delimiter: line {line} column {at + 1} (char {at}))"
+        )
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="Python 3.12 and later count C and Python "
+                        "recursion apart, so the walk may read values nested a few levels deeper")
+    @pytest.mark.parametrize("where", ["top", "rig", "after-frames", "frame", "objects", "bin_file",
+                                       "inline", "in-inline"])
+    def test_nesting_limit(self, tmp_path, where):
+        """At the depth where json.loads first raises RecursionError and
+        around it, each read reads as json.loads did."""
+        template = {
+            "top": "%s",
+            "rig": '{"rig": %s, "frames": []}',
+            "after-frames": '{"frames": [], "x": %s}',
+            "frame": _hand_text(frame="%s"),
+            "objects": _hand_text(objects="%s"),
+            "bin_file": _hand_text(lidar='{"bin_file": %s}'),
+            "inline": _hand_text(lidar='{"inline": %s}'),
+            "in-inline": _hand_text(lidar='{"inline": [[1, 2, 3], %s]}'),
+        }[where]
+        path = tmp_path / "scene.json"
+
+        def nested(depth):
+            path.write_text(template.replace("%s", "[" * depth + "]" * depth, 1))
+            return path
+
+        ok, too_deep = 1, 10_000
+        while too_deep - ok > 1:
+            depth = (ok + too_deep) // 2
+            if _read(load_scene_reference, nested(depth), False)[0] is RecursionError:
+                too_deep = depth
+            else:
+                ok = depth
+        for depth in range(too_deep - 3, too_deep + 3):
+            _assert_reads_alike(nested(depth))
 
 
 class TestComparisonFiles:
