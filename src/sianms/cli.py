@@ -23,7 +23,6 @@ from functools import cache
 from itertools import groupby
 from pathlib import Path
 
-from .matching import MissingEmbedding
 from .metrics import METRICS_3D, EvalConfig3D
 from .pipeline import (
     REGIONS,
@@ -341,7 +340,7 @@ def main(argv=None) -> int:
     except (SchemaError, UnscorablePair) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (MissingTruth, MissingEmbedding) as exc:
+    except MissingTruth as exc:
         print(f"schema error: input data incomplete: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps everything to 3

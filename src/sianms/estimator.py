@@ -30,12 +30,13 @@ numpy's own arithmetic, so boxes are bit-identical to calling
 np.histogram, np.quantile and np.median per window and per axis, one
 frustum at a time.
 
-estimate_boxes fits a batch and keeps each box in its frustum, and
-estimate_box is its one-request call.  A frustum with fewer than
-min_points points is never fitted: estimate_box raises TooFewPoints for it
-from its size, so only boxes are kept.  The pipeline hands estimate_boxes
-each variant's fits of a frame, so every later estimate_box call on
-those frustums is a check of the frustum's size and a lookup.
+estimate_boxes fits a batch and keeps each box in its frustum by class and
+config value, and estimate_box is its one-request call.  A frustum with
+fewer than min_points points is never fitted: estimate_box raises
+TooFewPoints for it from its size, so only boxes are kept.  The pipeline
+hands estimate_boxes each variant's fits of a frame, so every later
+estimate_box call on those frustums is a check of the frustum's size and
+a lookup.
 """
 
 from __future__ import annotations
@@ -57,18 +58,18 @@ class TooFewPoints(ValueError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Box fitting parameters.
+    """Box fitting parameters, hashed by value without dim_priors.
 
     dim_priors: per-class (l, w, h) used as dimension floor (and 2x cap),
         each finite and positive.
     yaw_mode: 'pca' or 'frustum-axis'.
     min_points: frustums below this size raise TooFewPoints.
-    range_gate_m: half-width floor of the median-range gate.
+    range_gate_m: half-width floor of the median-range gate, finite.
     extent_quantile: symmetric trim fraction for planar extents.
     """
 
     dim_priors: dict[str, tuple[float, float, float]] = field(
-        default_factory=lambda: dict(CLASS_DIMS)
+        default_factory=lambda: dict(CLASS_DIMS), hash=False
     )
     yaw_mode: str = "pca"
     min_points: int = 5
@@ -80,6 +81,8 @@ class EstimatorConfig:
             raise ValueError("yaw_mode must be 'pca' or 'frustum-axis'")
         if self.min_points < 1:
             raise ValueError("min_points must be >= 1")
+        if not math.isfinite(self.range_gate_m):
+            raise ValueError(f"range_gate_m must be finite, got {self.range_gate_m!r}")
         if not 0.0 <= self.extent_quantile < 0.5:
             raise ValueError("extent_quantile must be in [0, 0.5)")
         for class_id, prior in self.dim_priors.items():
@@ -376,36 +379,36 @@ def estimate_box(frustum: Frustum, class_id: str, cfg: EstimatorConfig) -> Box3D
     Deterministic and invariant to point order.  Raises KeyError when the
     class has no dimension prior and TooFewPoints when the frustum holds
     fewer than cfg.min_points points, the latter from the frustum's size
-    alone, at every call.  Otherwise a fit that estimate_boxes or an
-    earlier call already made is a lookup, and a repeated call returns the
-    same Box3D; a fit not made yet is a batch of one.
+    alone, at every call.  Otherwise a fit made for the class and an equal
+    config is one lookup, so a repeated call returns the same Box3D; a fit
+    not made yet is a batch of one.
     """
     prior = cfg.dim_priors[class_id]  # KeyError for a class without a prior
     if len(frustum) < cfg.min_points:
         raise TooFewPoints(f"{len(frustum)} points < min_points {cfg.min_points}")
-    key = (class_id, id(cfg))
-    if key not in frustum.boxes:
+    box = frustum.boxes.get((class_id, cfg))
+    if box is None:
         _fit_batch([(frustum, class_id, prior)], cfg)
-    return frustum.boxes[key][1]
+        box = frustum.boxes[class_id, cfg]
+    return box
 
 
 def estimate_boxes(requests, cfg: EstimatorConfig) -> None:
     """Fit every (frustum, class_id) request whose box its frustum does not
     keep yet, all in one pass, and keep each box in the frustum.
 
-    A frustum keeps a box under the class and the config object's id (a
-    config holds a dict, so it cannot be hashed; it is kept with the box,
-    so no later config takes its id).  A request whose class has no
+    A frustum keeps a box under the class and the config's value, so an
+    equal config finds the same box.  A request whose class has no
     dimension prior, or whose frustum holds fewer than cfg.min_points
     points, is left to estimate_box, which raises its KeyError or
     TooFewPoints.
     """
-    batch = {}  # (frustum id, class) -> (frustum, class, prior), in request order
+    batch = {}  # (frustum, class) -> (frustum, class, prior), in request order
     for frustum, class_id in requests:
         prior = cfg.dim_priors.get(class_id)
         fittable = prior is not None and len(frustum) >= cfg.min_points
-        if fittable and (class_id, id(cfg)) not in frustum.boxes:
-            batch.setdefault((id(frustum), class_id), (frustum, class_id, prior))
+        if fittable and (class_id, cfg) not in frustum.boxes:
+            batch.setdefault((frustum, class_id), (frustum, class_id, prior))
     if batch:
         _fit_batch(list(batch.values()), cfg)
 
@@ -418,7 +421,7 @@ def _fit_batch(batch, cfg: EstimatorConfig) -> None:
     its own slice of it, as numpy's order of summation and its order of
     tied zeros depend on the array they run on."""
     fits = [  # (frustum, key, prior, points)
-        (frustum, (class_id, id(cfg)), prior, np.asarray(frustum.points, dtype=float).reshape(-1, 3))
+        (frustum, (class_id, cfg), prior, np.asarray(frustum.points, dtype=float).reshape(-1, 3))
         for frustum, class_id, prior in batch
     ]
     bounds = [0, *accumulate(len(points) for *_, points in fits)]
@@ -474,4 +477,4 @@ def _fit_batch(batch, cfg: EstimatorConfig) -> None:
             )
         ]
         box = Box3D(x=x, y=y, z=0.5 * (z_min + z_max), l=dims[0], w=dims[1], h=dims[2], theta=yaw)
-        frustum.boxes[key] = (cfg, box)
+        frustum.boxes[key] = box

@@ -53,7 +53,8 @@ class Frustum:
 
     extent is the (theta_min, theta_max) azimuth interval the frustum
     subtends; central_axis its circular midpoint, in (-pi, pi].  boxes is
-    estimator.estimate_box's memo of the fits made on this frustum.
+    estimator.estimate_box's memo of the fits made on this frustum, each
+    box under its class and its EstimatorConfig's value.
     """
 
     points: np.ndarray

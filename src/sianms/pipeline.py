@@ -12,42 +12,41 @@ Four variants over identical inputs:
   from the merged frustum when the pair's frustums share points, otherwise
   from the frustum of the higher-scoring detection.
 
-Every variant takes a frame through one flow.  Its working set is the
-frame's own Detection2D objects, or the subset NMS keeps; the matcher runs
-on it, once for both, for 2d+embedding and sianms; each working detection
-gets one frustum; then one list of box fits, for sianms one per matched
-pair followed by one per unmatched detection and otherwise one per
-detection, goes through one estimator loop.  Empty frustums and fits with
-too few points are counted as drops.
+PLANS declares each variant once, as a Plan of three choices: its working
+set (the frame's own Detection2D objects, or the subset NMS keeps), its fit
+rule (one box per detection, or one per matched pair, then one per
+unmatched detection) and whether it reports matches and re-id.  Each
+working detection gets one frustum, and the variant's box fits go through
+one estimator loop; empty frustums and fits with too few points are
+counted as drops.
 
 All variants run in one loop over the frames: each frame's detections (the
 supplied ones, else simulated here, for run and compare alike), ground
 truth and camera views (its cloud projected once on each camera its
-detections name) are built once, then every variant processes the frame and
-filters its frustums against those views.  When a matching variant runs,
-the frame's detections are matched, and the matches scored for
-re-identification, once, before any variant, as part of that shared work.
-Ground truth only scores: a frame with a detection that lacks a truth uid
-is processed and its matches left unscored, and a run's re-id score is None
-unless every frame it processed was scored.  Every variant makes its own
-filter_frustum and estimate_box calls, but a view keeps each frustum
-filtered on it and a frustum each box fitted to it, so that work is done
-once per frame, by the first variant that asks, and the others get the
-same Frustum and Box3D.  A drop is no kept exception: a view keeps None for
-an empty frustum, and a fit with too few points is refused from the
-frustum's size.  A variant's fits of a frame are first handed to
-estimate_boxes, which fits the frustums no variant has fitted yet in one
-batched pass; its estimate_box calls then only look the boxes up.  A frame
-whose processing raises is recorded under errors, as the exception's type
-and text, by the variants it reached (all of them when building its
-detections, ground truth or views raised, 2d+embedding and sianms when
-their matching raised, or their re-id scoring on anything but a missing
-truth uid); its boxes and drops count for none of them, and the run
-continues with the remaining frames.  Scoring is shared the same way:
-variants with the same input over the same frames get one 2D AP (per
-working set) and one set of 3D metrics (per working set and fit rule, which
-original and 2d+embedding have in common), each report holding its own
-copy.
+detections name) are built once and, when a plan reports matches, the
+detections matched and the matches scored for re-identification, once,
+before any variant.  A run keeps only what its plan changes: its boxes,
+drops, errors, working sets and time.  Ground truth only scores: a frame
+with a detection that lacks a truth uid is processed and its matches left
+unscored, and a run's re-id score is None unless every frame it processed
+was scored.  Every variant makes its own filter_frustum and estimate_box
+calls, but a view keeps each frustum filtered on it and a frustum each box
+fitted to it, so that work is done once per frame, by the first variant
+that asks, and the others get the same Frustum and Box3D.  A drop is no
+kept exception: a view keeps None for an empty frustum, and a fit with too
+few points is refused from the frustum's size.  A variant's fits of a
+frame are first handed to estimate_boxes, which fits the frustums no
+variant has fitted yet in one batched pass; its estimate_box calls then
+only look the boxes up.  A frame whose processing raises is recorded under
+errors, as the exception's type and text, by the variants it reached (all
+of them when building its detections, ground truth or views raised, those
+whose plan reports matches when matching or re-id scoring raised on
+anything but a missing truth uid); its boxes and drops count for none of
+them, and the run continues with the remaining frames.  Scoring is shared
+the same way: variants whose plans agree on the fields that set a score,
+over the same frames, get one 2D AP (working set) and one set of 3D
+metrics (working set and fit rule, on which original and 2d+embedding
+agree), each report holding its own copy.
 """
 
 from __future__ import annotations
@@ -106,22 +105,35 @@ class Variant(str, Enum):
     SIANMS = "sianms"
 
 
-VARIANT_ORDER = (
-    Variant.ORIGINAL,
-    Variant.EMBEDDING_2D,
-    Variant.ORIGINAL_NMS,
-    Variant.SIANMS,
-)
-
+VARIANT_ORDER = tuple(Variant)
 VARIANT_NAMES = tuple(v.value for v in VARIANT_ORDER)
 REGIONS = ("all", "overlap")
+
+
+class Plan(NamedTuple):
+    """The three choices the variants differ by.  Variants that agree on nms
+    share a 2D AP, and those that agree on nms and pairs a set of 3D
+    metrics; pairs needs matches."""
+
+    nms: bool  # working set: the detections nms_greedy keeps, else all of them
+    pairs: bool  # fit rule: matched pairs first, one box each, else one per detection
+    matches: bool  # reports the frame's matches and re-id
+
+
+PLANS = {
+    Variant.ORIGINAL: Plan(nms=False, pairs=False, matches=False),
+    Variant.EMBEDDING_2D: Plan(nms=False, pairs=False, matches=True),
+    Variant.ORIGINAL_NMS: Plan(nms=True, pairs=False, matches=False),
+    Variant.SIANMS: Plan(nms=False, pairs=True, matches=True),
+}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Bundle of all stage configurations.
 
-    tau defaults to the midpoint of the contrastive margins when unset.
+    tau, when set, must be positive; it defaults to the midpoint of the
+    contrastive margins when unset.  nms_iou must be in (0, 1].
     """
 
     gen: GenSpec = field(default_factory=GenSpec)
@@ -131,6 +143,12 @@ class PipelineConfig:
     eval3d: EvalConfig3D = field(default_factory=EvalConfig3D)
     tau: float | None = None
     nms_iou: float = 0.5
+
+    def __post_init__(self):
+        if self.tau is not None and not self.tau > 0.0:
+            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        if not 0.0 < self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou!r}")
 
     @property
     def resolved_tau(self) -> float:
@@ -410,16 +428,16 @@ def _pair_frustum(pair, frustums):
         return (fr_a if pair.a.score >= pair.b.score else fr_b), False
 
 
-def _process_frame(rig, frame, views, working, matches, variant, cfg):
+def _process_frame(rig, frame, views, working, matches, cfg):
     """(the PredBox list, the Counter of drops) of one variant on a frame's
     working detections.
 
     views maps camera id to the frame's CameraView on that camera; matches
-    is the MatchResult of the frame's detections, sianms's working set,
-    which sianms fits its pairs from and the other variants ignore.
-    The variant's fits go to estimate_boxes as one batch, so its
-    estimate_box calls, one per fit in order, are lookups that return the
-    box or raise the fit's drop or error where the fit stands.
+    is the MatchResult of the working detections, whose pairs are fitted
+    first, one box each, then its unmatched detections, or None for one box
+    per working detection.  The variant's fits go to estimate_boxes as one
+    batch, so its estimate_box calls, one per fit in order, are lookups that
+    return the box or raise the fit's drop or error where the fit stands.
     """
     dropped = Counter()  # drop -> count: empty_frustum, too_few_points
     frustums = {}  # detection -> its Frustum, None when empty
@@ -432,7 +450,7 @@ def _process_frame(rig, frame, views, working, matches, variant, cfg):
             dropped["empty_frustum"] += 1
     fits = []  # (frustum, class, score, n_sources, merged), pairs first
     singles = working
-    if variant is Variant.SIANMS:
+    if matches is not None:
         for pair in matches.pairs:
             frustum, merged = _pair_frustum(pair, frustums)
             score = max(pair.a.score, pair.b.score)
@@ -502,16 +520,15 @@ def _mean_row(per_class: dict) -> dict:
 
 @dataclass
 class _VariantRun:
-    """One variant's per-frame outputs, gathered during one call."""
+    """What one variant's plan makes its own during one call; the frames'
+    detections, truth, matches and re-id are kept once for every variant."""
 
     variant: Variant
+    plan: Plan
     dropped: Counter = field(default_factory=Counter)  # of the frames processed
     errors: list = field(default_factory=list)
     boxes: dict = field(default_factory=dict)  # frame index -> PredBox list
-    matches: dict = field(default_factory=dict)  # frame index -> MatchResult
-    pred2d: list = field(default_factory=list)
-    reid_frames: list = field(default_factory=list)  # ReidStats, None where unscored
-    n_detections: int = 0
+    working: dict = field(default_factory=dict)  # frame index -> its working set
     seconds: float = 0.0
 
 
@@ -546,43 +563,39 @@ def _run_variants(scene, variants, cfg, detections) -> list[PipelineResult]:
     that a bad entry handed in by a caller stays an error of its own frame."""
     if detections is None:
         check_inputs(scene, cfg)
-    runs = [_VariantRun(variant) for variant in variants]
-    dets_by_frame = {}  # frame index -> its Detection2D list
-    truth = {}  # frame index -> (Gt2D list, {region: Gt3D list})
+    runs = [_VariantRun(variant, PLANS[variant]) for variant in variants]
+    shared = {}, {}, {}  # frame index -> its detections, its truth, (matches, re-id)
     shared_s = 0.0
     for frame in scene.frames:
-        shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, dets_by_frame, truth)
-    scores = {}  # (score, its input, frames processed) -> that score
-    return [_evaluate(scene, cfg, run, dets_by_frame, truth, shared_s, scores) for run in runs]
+        shared_s += _run_frame(scene.rig, frame, runs, cfg, detections, *shared)
+    scores = {}  # (score, frames processed, the plan fields that set it) -> that score
+    return [_evaluate(scene, cfg, run, *shared, shared_s, scores) for run in runs]
 
 
-# the variants that match their working set across cameras
-_MATCHING = (Variant.EMBEDDING_2D, Variant.SIANMS)
-
-
-def _run_frame(rig, frame, runs, cfg, detections, dets_by_frame, truth) -> float:
+def _run_frame(rig, frame, runs, cfg, detections, dets_by_frame, truth, matched) -> float:
     """Process one frame for every run, keeping its detections in
-    dets_by_frame and its ground truth in truth; returns the seconds of
-    shared work.
+    dets_by_frame, its ground truth (2D records, 3D by region) in truth and,
+    when it is matched, its (MatchResult, ReidStats or None) in matched;
+    returns the seconds of shared work.
 
     The detections (the supplied ones, else simulated) and the 2D
     ground-truth records, both from one projection of the frame's boxes on
     the rig, the 3D ground truth with its overlap subset and one CameraView
     per rig camera that a detection names are built once and shared by every
     variant; an exception there is recorded under the frame by every
-    variant.  The matching variants match the same working set, the frame's
-    detections, so when any run matches, match_adjacent and evaluate_frame
-    run once, before the variants, and their seconds count as shared work.
+    variant.  Every plan that reports matches works on the frame's
+    detections, so when any does, match_adjacent and evaluate_frame run
+    once, before the variants, and their seconds count as shared work.
     Ground truth only scores: when a detection lacks a truth uid
     (MissingTruth), the frame is processed and its matches left unscored.
-    Any other exception there is kept as its text, which each matching
-    variant records in place of processing the frame.  Each variant then
-    filters and fits its boxes through its own calls, so an exception there
-    is recorded by that variant only, and the frame's boxes and drops count
-    for it only when none is raised; a repeated filter or fit is a lookup in
-    the views (filter_frustum, estimate_box), and its work counts toward the
-    first variant that asks.  The views, and all they keep, are dropped on
-    return.
+    Any other exception there is kept as its text, which each such variant
+    records in place of processing the frame.  Each variant then takes its
+    working set and fits its boxes by its plan, through its own calls, so an
+    exception there is recorded by that variant only, and the frame's boxes,
+    drops and working set count for it only when none is raised; a repeated
+    filter or fit is a lookup in the views (filter_frustum, estimate_box),
+    and its work counts toward the first variant that asks.  The views, and
+    all they keep, are dropped on return.
     """
     started = time.perf_counter()
     try:
@@ -604,7 +617,7 @@ def _run_frame(rig, frame, runs, cfg, detections, dets_by_frame, truth) -> float
             run.errors.append({"frame": frame.index, "error": _error_text(exc)})
         return time.perf_counter() - started
     matches = reid = match_error = None
-    if any(run.variant in _MATCHING for run in runs):
+    if any(run.plan.matches for run in runs):
         try:
             matches = match_adjacent(rig, frame_dets, cfg.resolved_tau)
             reid = evaluate_frame(matches, frame_dets, rig.adjacency, frame.index)
@@ -612,38 +625,26 @@ def _run_frame(rig, frame, runs, cfg, detections, dets_by_frame, truth) -> float
             pass  # processed, unscored
         except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
             match_error = _error_text(exc)
+        if match_error is None:
+            matched[frame.index] = matches, reid
     shared_s = time.perf_counter() - started
     for run in runs:
-        matching = run.variant in _MATCHING
-        if matching and match_error is not None:
+        if run.plan.matches and match_error is not None:
             run.errors.append({"frame": frame.index, "error": match_error})
             continue
         started = time.perf_counter()
         try:
-            working = frame_dets
-            if run.variant is Variant.ORIGINAL_NMS:
-                working = nms_greedy(frame_dets, cfg.nms_iou)
-            boxes, dropped = _process_frame(rig, frame, views, working, matches, run.variant, cfg)
+            working = nms_greedy(frame_dets, cfg.nms_iou) if run.plan.nms else frame_dets
+            pairs = matches if run.plan.pairs else None
+            boxes, dropped = _process_frame(rig, frame, views, working, pairs, cfg)
         except Exception as exc:  # noqa: BLE001 - frame isolation is the contract
             run.errors.append({"frame": frame.index, "error": _error_text(exc)})
             continue
         finally:
             run.seconds += time.perf_counter() - started
-        if matching:
-            run.matches[frame.index] = matches
-            run.reid_frames.append(reid)
         run.boxes[frame.index] = boxes
+        run.working[frame.index] = working
         run.dropped.update(dropped)
-        run.n_detections += len(working)
-        run.pred2d.extend(
-            Pred2D(
-                group=(frame.index, det.camera_id),
-                class_id=det.class_id,
-                score=det.score,
-                bbox=det.bbox,
-            )
-            for det in working
-        )
     return shared_s
 
 
@@ -658,42 +659,44 @@ def evaluate_boxes(rig, boxes, ground_truth, region: str, cfg: EvalConfig3D) -> 
     return evaluate_3d(preds, ground_truth, cfg)
 
 
-def _evaluate(scene, cfg, run: _VariantRun, frame_dets: dict, truth: dict, shared_s: float, scores: dict):
+def _evaluate(scene, cfg, run: _VariantRun, frame_dets, truth, matched, shared_s, scores: dict):
     """Score one variant's gathered outputs against the frames it processed.
 
-    Variants with the same input over the same frames share one score, from
-    scores: 2D AP is keyed by the working set (all detections or the NMS
-    subset) and the 3D metrics of both regions by the working set and the
-    fit rule (pairs first for sianms, else one box per detection), the two
-    things _run_frame and _process_frame choose the boxes by, so original
-    and 2d+embedding share one.  The keys are known by construction;
-    outputs are never compared.  Each report gets its own copy of a shared
-    score, so editing one report leaves the others as they were.
+    Variants over the same frames share a score in scores, keyed by the
+    plan fields that set it: 2D AP by nms, the working set, and the 3D
+    metrics of both regions by nms and pairs, the fit rule.  The keys are
+    known by construction; outputs are never compared.  A score's inputs,
+    such as a working set's Pred2D list, are built only when it is computed,
+    and a plan that reports matches takes the processed frames' matches and
+    re-id.  Each report gets its own copy of a shared score, so editing one
+    report leaves the others as they were.
     """
     started = time.perf_counter()
     processed = [f for f in scene.frames if f.index in run.boxes]
     frames = tuple(f.index for f in processed)
     all_boxes = [b for f in processed for b in run.boxes[f.index]]
     gt3d = {region: [g for f in processed for g in truth[f.index][1][region]] for region in REGIONS}
-    nms = run.variant is Variant.ORIGINAL_NMS
-    key_2d = ("2d", nms, frames)
+    key_2d = ("2d", frames, run.plan.nms)
     if key_2d not in scores:
+        pred2d = [Pred2D(group=(f.index, det.camera_id), class_id=det.class_id, score=det.score,
+                         bbox=det.bbox) for f in processed for det in run.working[f.index]]
         gt2d = [g for f in processed for g in truth[f.index][0]]
-        scores[key_2d] = ap_2d(run.pred2d, gt2d, cfg.eval2d)
-    key_3d = ("3d", nms, run.variant is Variant.SIANMS, frames)
+        scores[key_2d] = ap_2d(pred2d, gt2d, cfg.eval2d)
+    key_3d = ("3d", frames, run.plan.nms, run.plan.pairs)
     if key_3d not in scores:
         scores[key_3d] = {}
         for region in REGIONS:
             per_class = evaluate_boxes(scene.rig, all_boxes, gt3d[region], region, cfg.eval3d)
             scores[key_3d][region] = {"per_class": per_class, "mean": _mean_row(per_class)}
-    scored = run.reid_frames and None not in run.reid_frames  # every processed frame
-    reid = accumulate(run.reid_frames).as_dict() if scored else None
+    matches = {i: matched[i][0] for i in frames} if run.plan.matches else {}
+    reid_frames = [matched[i][1] for i in matches]  # ReidStats, None where unscored
+    reid = accumulate(reid_frames).as_dict() if reid_frames and None not in reid_frames else None
     counts = {
         "frames": len(scene.frames),
         "frames_processed": len(processed),
         "gt_objects": len(gt3d["all"]),
         "gt_overlap_objects": len(gt3d["overlap"]),
-        "detections_2d": run.n_detections,
+        "detections_2d": sum(len(run.working[i]) for i in frames),
         "boxes_3d": len(all_boxes),
         "merged_boxes": sum(1 for b in all_boxes if b.merged),
         "dropped_empty_frustum": run.dropped["empty_frustum"],
@@ -710,7 +713,7 @@ def _evaluate(scene, cfg, run: _VariantRun, frame_dets: dict, truth: dict, share
         errors=run.errors,
         runtime_s=float(shared_s + run.seconds + time.perf_counter() - started),
     )
-    return PipelineResult(report=report, boxes=run.boxes, matches=run.matches, detections=frame_dets)
+    return PipelineResult(report=report, boxes=run.boxes, matches=matches, detections=frame_dets)
 
 
 def run_pipeline(

@@ -361,6 +361,83 @@ class TestInputsBeforeTheFirstFrame:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"tau": -1}, "tau must be positive, got -1"),
+        ({"tau": 0}, "tau must be positive, got 0"),
+        ({"tau": float("nan")}, "tau must be positive, got nan"),
+        ({"nms_iou": 7}, "nms_iou must be in (0, 1], got 7"),
+        ({"nms_iou": -1}, "nms_iou must be in (0, 1], got -1"),
+        ({"nms_iou": 0.0}, "nms_iou must be in (0, 1], got 0.0"),
+        ({"estimator": {"range_gate_m": float("nan")}}, "estimator: range_gate_m must be finite, got nan"),
+        ({"estimator": {"range_gate_m": float("inf")}}, "estimator: range_gate_m must be finite, got inf"),
+        ({"estimator": {"range_gate_m": -float("inf")}}, "estimator: range_gate_m must be finite, got -inf"),
+    ], ids=["tau-1", "tau0", "tau-nan", "nms7", "nms-1", "nms0", "gate-nan", "gate-inf", "gate-minf"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_of_range_config_value_is_two(self, tmp_path, scene_dir, capsys, command,
+                                              config, message):
+        """A tau that is not positive failed every matched frame, an nms_iou
+        outside (0, 1] changed what NMS keeps, and a range gate that is not
+        finite switched the gate off; each is refused, naming its key."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, "--config", str(path))) == 2
+        assert capsys.readouterr().err == f"schema error: config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", "-1", "tau must be positive, got -1.0"),
+        ("--tau", "0", "tau must be positive, got 0.0"),
+        ("--nms-iou", "1.5", "nms_iou must be in (0, 1], got 1.5"),
+        ("--nms-iou", "0", "nms_iou must be in (0, 1], got 0.0"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_of_range_flag_is_two(self, tmp_path, scene_dir, capsys, command, flag, value,
+                                      message):
+        out = tmp_path / "out"
+        assert main(self._argv(command, scene_dir, out, flag, value)) == 2
+        assert capsys.readouterr().err == f"schema error: config: {message}\n"
+        assert not out.exists()
+
+    def test_range_ends_are_accepted(self, tmp_path, scene_dir):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tau": 1e-9, "nms_iou": 1, "estimator": {"range_gate_m": -5.0}}))
+        assert main(self._argv("compare", scene_dir, tmp_path / "out", "--config", str(path))) == 0
+
+    @pytest.mark.parametrize("variant", ["sianms", "original", None], ids=["sianms", "original", "compare"])
+    def test_detections_without_embeddings(self, tmp_path, scene_dir, capsys, variant):
+        """Matching reads the embeddings inside each frame, so a detections
+        file without them is an error of the matching variants in each frame
+        where two adjacent cameras hold detections, here every frame: run of
+        sianms processes no frame and exits 3, while run of original and
+        compare exit 0."""
+        dets = tmp_path / "dets.json"
+        assert main(["simulate", "--scene", str(scene_dir / "scene.json"), "--out", str(dets)]) == 0
+        records = json.loads(dets.read_text())
+        for record in records:
+            del record["embedding"]
+        dets.write_text(json.dumps(records))
+        out = tmp_path / "out"
+        command = ["compare"] if variant is None else ["run", "--variant", variant]
+        code = main([*command, "--scene", str(scene_dir / "scene.json"), "--out", str(out),
+                     "--detections", str(dets), "--json"])
+        err = capsys.readouterr().err
+        if variant == "sianms":
+            assert code == 3
+            assert err.startswith("error: no frame processed; frame 0: MissingEmbedding: detection in camera ")
+            return
+        assert code == 0
+        if variant == "original":
+            report = json.loads((out / "report.json").read_text())
+            assert report["counts"]["frames_processed"] == 3 and report["errors"] == []
+            return
+        reports = json.loads((out / "compare.json").read_text())["variants"]
+        for name, report in reports.items():
+            matching = name in ("2d+embedding", "sianms")
+            assert report["counts"]["frames_processed"] == (0 if matching else 3)
+            assert [e["frame"] for e in report["errors"]] == ([0, 1, 2] if matching else [])
+            assert all(e["error"].startswith("MissingEmbedding: ") for e in report["errors"])
+
     @pytest.mark.parametrize("name, pair", [
         ("objects_per_frame", [5, 3]), ("radius_range", [30.0, 8.0]),
         ("lidar_points_range", [120, 60]),

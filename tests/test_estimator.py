@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sianms.estimator import EstimatorConfig, TooFewPoints, estimate_box
+from sianms.estimator import EstimatorConfig, TooFewPoints, estimate_box, estimate_boxes
 from sianms.frustum import Frustum
 from sianms.scene import Box3D, wrap_angle
 from sianms.synthgen import CLASS_DIMS, GROUND_Z, sample_surface_points
@@ -73,10 +73,10 @@ class TestDeterminism:
         assert (a.l, a.w, a.h) == (b.l, b.w, b.h)
 
     def test_fit_is_kept_per_class_and_config(self):
-        """A frustum answers a repeated class and config object with the
-        same box, or a new TooFewPoints with the same text; another class or
-        config object is fitted afresh, even one made after a config is
-        dropped, whose id it may take."""
+        """A frustum answers a repeated class and config with the same box,
+        or a new TooFewPoints with the same text; another class or a config
+        of another value is fitted afresh, and the fit stays right for
+        configs made after earlier ones are dropped."""
         box = _make_box(12.0, 3.0, 0.9)
         f = _frustum_around(box, sample_surface_points(box, 150, np.random.default_rng(1)))
         kept = estimate_box(f, "car", CFG)
@@ -94,6 +94,51 @@ class TestDeterminism:
             with pytest.raises(TooFewPoints):
                 estimate_box(f, "car", EstimatorConfig(min_points=1000))
             assert estimate_box(f, "car", EstimatorConfig()) == kept
+
+    def test_equal_configs_share_a_fit(self):
+        """A frustum keeps a box by class and config value, so a distinct but
+        equal config gets the same Box3D object, from estimate_box and after
+        estimate_boxes alike."""
+        box = _make_box(12.0, 3.0, 0.9)
+        points = sample_surface_points(box, 150, np.random.default_rng(1))
+        f = _frustum_around(box, points)
+        first, second = EstimatorConfig(), EstimatorConfig(dim_priors=dict(CLASS_DIMS))
+        assert first is not second and first == second
+        kept = estimate_box(f, "car", first)
+        assert estimate_box(f, "car", second) is kept
+        assert len(f.boxes) == 1
+        g = _frustum_around(box, points)
+        estimate_boxes([(g, "car")], first)
+        assert estimate_box(g, "car", EstimatorConfig()) is g.boxes["car", first]
+
+    @pytest.mark.parametrize("change", [
+        {"dim_priors": {**CLASS_DIMS, "car": (4.0, 1.8, 1.5)}},
+        {"dim_priors": {**CLASS_DIMS, "cyclist": (1.7, 0.6, 1.7)}},
+        {"range_gate_m": 0.5},
+        {"extent_quantile": 0.2},
+        {"min_points": 4},
+        {"yaw_mode": "frustum-axis"},
+    ], ids=["car-prior", "other-prior", "range-gate", "quantile", "min-points", "yaw-mode"])
+    def test_config_of_another_value_gets_its_own_fit(self, change):
+        box = _make_box(12.0, 3.0, 0.9)
+        f = _frustum_around(box, sample_surface_points(box, 150, np.random.default_rng(1)))
+        kept = estimate_box(f, "car", CFG)
+        other = EstimatorConfig(**change)
+        assert other != CFG
+        fitted = estimate_box(f, "car", other)
+        assert fitted is not kept and estimate_box(f, "car", other) is fitted
+        assert len(f.boxes) == 2 and estimate_box(f, "car", CFG) is kept
+        # each box is the one a fresh frustum fits under its own config
+        for cfg, expected in ((CFG, kept), (other, fitted)):
+            assert estimate_box(_frustum_around(box, f.points), "car", cfg) == expected
+
+    def test_equal_configs_hash_equal(self):
+        assert hash(EstimatorConfig()) == hash(EstimatorConfig(dim_priors=dict(CLASS_DIMS)))
+        assert hash(EstimatorConfig(range_gate_m=3)) == hash(EstimatorConfig(range_gate_m=3.0))
+        # dim_priors is left out of the hash, not out of equality
+        other = EstimatorConfig(dim_priors={"car": (4.0, 1.8, 1.5)})
+        assert hash(other) == hash(CFG) and other != CFG
+        assert len({EstimatorConfig(), EstimatorConfig(), other}) == 2
 
     def test_permutation_invariant(self):
         box = _make_box(12.0, 3.0, 0.9)

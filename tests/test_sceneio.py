@@ -862,8 +862,8 @@ PIPELINE_CONFIGS = st.builds(
         center_distance_thresholds=st.lists(FINITE, min_size=1, max_size=5).map(tuple),
         tp_error_threshold=FINITE,
     ),
-    tau=st.none() | FINITE,
-    nms_iou=FINITE,
+    tau=st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+    nms_iou=st.floats(0.0, 1.0, exclude_min=True),
 )
 CONFIG_SECTIONS = ["gen", "loss", "estimator", "eval2d", "eval3d"]
 
