@@ -48,7 +48,8 @@ _CLIP_START_3D = int(round(MIN_RECALL_3D * (N_RECALL_SAMPLES_3D - 1))) + 1
 
 @dataclass(frozen=True)
 class EvalConfig2D:
-    """2D AP settings; defaults follow the Moderate difficulty convention."""
+    """2D AP settings; defaults follow the Moderate difficulty convention.
+    min_height_px and max_truncation must be finite and non-negative."""
 
     iou_threshold: float = 0.5
     min_height_px: float = 25.0
@@ -57,6 +58,9 @@ class EvalConfig2D:
     def __post_init__(self):
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ValueError("iou_threshold must be in (0, 1]")
+        for name in ("min_height_px", "max_truncation"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ agree), each report holding its own copy.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -133,7 +134,9 @@ class PipelineConfig:
     """Bundle of all stage configurations.
 
     tau, when set, must be positive; it defaults to the midpoint of the
-    contrastive margins when unset.  nms_iou must be in (0, 1].
+    contrastive margins when unset.  nms_iou must be in (0, 1].  Each eval3d
+    distance must be finite and positive; EvalConfig3D itself takes any, for
+    evaluate_3d's callers.
     """
 
     gen: GenSpec = field(default_factory=GenSpec)
@@ -149,6 +152,11 @@ class PipelineConfig:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         if not 0.0 < self.nms_iou <= 1.0:
             raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou!r}")
+        e3d = self.eval3d
+        named = [(f"center_distance_thresholds[{i}]", d) for i, d in enumerate(e3d.center_distance_thresholds)]
+        for key, value in named + [("tp_error_threshold", e3d.tp_error_threshold)]:
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"eval3d: {key} must be finite and positive, got {value!r}")
 
     @property
     def resolved_tau(self) -> float:

@@ -1,10 +1,11 @@
 """File formats: scenes, detections, matches, boxes, configs, reports.
 
-All files are UTF-8 JSON, written with indent 2 and sorted keys. LiDAR
-clouds may live inline, as a list of [x, y, z] rows under the frame's
-"lidar": {"inline": ...}, or in a binary side file of little-endian 32-bit
-floats, row-major xyz triples, referenced by a path relative to the scene
-file. Malformed input raises SchemaError carrying the JSON path of the
+All files are UTF-8 JSON with sorted keys: scene and detections files on
+one line, in json.dumps's default layout, and every other file with indent
+2. LiDAR clouds may live inline, as a list of [x, y, z] rows under the
+frame's "lidar": {"inline": ...}, or in a binary side file of little-endian
+32-bit floats, row-major xyz triples, referenced by a path relative to the
+scene file. Malformed input raises SchemaError carrying the JSON path of the
 offending element. Every JSON object read, a record or a config section,
 has its keys and then its values checked by pipeline.json_object, each
 value against its key's type hint (frames[1].objects[0]: unknown key 'boxx';
@@ -13,29 +14,28 @@ scene's rig, like a config or spec, is read by pipeline.section_from_dict,
 so a constructor's error is named by its object's path (rig.cameras[2].pose:
 ...).
 
-Scene frames, inline clouds and detection records are written in bulk:
-each is laid into the indent-2 layout by one % template, with a frame's
-numbers (or a frame's detections') formatted by one call to json's C
-encoder and a cloud's by float.__repr__, which is how json spells a finite
-float; the rig goes through json.dumps. So the files are byte-identical to
-json.dumps(payload, indent=2, sort_keys=True) at a fraction of the
-pure-Python encoder's cost. A scene file is written frame by frame, one
-cloud's text at a time, so writing it holds a small fraction of the file in
-memory, not copies of all of it. JSON is parsed with the cyclic garbage
+A scene or detections file is exactly json.dumps(payload, sort_keys=True)
+plus a newline. All of a detections file goes through one json.dumps; a
+scene file is written frame by frame, one cloud's text at a time, so
+writing it holds a small fraction of the file in memory, not copies of all
+of it. Each frame's other values and the rig go through json.dumps, and an
+inline cloud's rows through one % template of float.__repr__, which is how
+json spells a finite float. JSON is parsed with the cyclic garbage
 collector paused, as json.loads builds no reference cycles and would
 otherwise set off a collector pass every few hundred lists it builds; a
 scene stays paused through the walk over its records too, so that no pass
 walks the parsed lists before they are dropped.
 
-A scene file is parsed by one walk over its top levels (the top object, its
-"frames" array, each frame and its "lidar" object), every value below them
-decoded by json's own C decoder. A read without clouds decodes each inline
-cloud with a decoder that takes each float's text for its length: that checks
-the cloud's JSON in full but builds none of its numbers, which is about half
-of parsing an inline scene. Where the walk finds no JSON, json.loads of the
-whole text raises json's own error, so either read accepts exactly the files
-json.loads does (up to _walk's note on deep nesting) and names a fault as it
-does.
+A scene file read with its clouds is parsed by json.loads. A read without
+clouds walks the file's top levels (the top object, its "frames" array, each
+frame and its "lidar" object), every value below them decoded by json's own
+C decoder, and decodes each inline cloud with a decoder that takes each
+float's text for its length: that checks the cloud's JSON in full but builds
+none of its numbers, which is about half of parsing an inline scene. Where
+the walk finds no JSON, json.loads of the whole text raises json's own
+error, so that read too accepts exactly the files json.loads does (up to
+_walk's note on deep nesting) and names a fault as it does. Files in the
+indent-2 layout of earlier versions read as their compact text does.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +77,9 @@ def _collector_paused():
 def _load_json(path, walk=None) -> object:
     """The JSON value in the file at path, parsed with the cyclic garbage
     collector paused; the collector is left as it was found. With a walk
-    entry the text is read by _walked; json.loads reads it otherwise, or
-    where _walked finds no JSON, and so raises json's own error."""
+    entry (_CLOUD_FREE_SCENE_FILE) the text is read by _walked; json.loads
+    reads it otherwise, or where _walked finds no JSON, and so raises json's
+    own error."""
     text = Path(path).read_text(encoding="utf-8")
     with _collector_paused():
         if walk is not None:
@@ -91,18 +91,6 @@ def _load_json(path, walk=None) -> object:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _json_numbers(values: list) -> list[str]:
-    """Each number as json.dumps spells it (int and float repr, NaN,
-    Infinity), from one call to json's C encoder; TypeError for a value
-    json cannot encode."""
-    if not values:
-        return []
-    numbers = json.dumps(values)[1:-1].split(", ")
-    if len(numbers) != len(values):
-        raise TypeError("expected numbers only")
-    return numbers
 
 
 def _dump_json(path, payload) -> None:
@@ -140,77 +128,44 @@ def _box_from_record(rec: dict, path: str) -> Box3D:
         raise SchemaError(f"{path}.box: {exc}") from exc
 
 
-# An inline cloud row as json.dumps(indent=2) lays it out at the depth the
-# scene file holds it: frames, frame, "lidar", "inline", row.
-_INLINE_ROW = "          [\n            %r,\n            %r,\n            %r\n          ]"
-# A scene object's record as json.dumps(indent=2, sort_keys=True) lays it
-# out in its frame's "objects" list.
-_OBJECT = (
-    '        {\n          "box": [\n'
-    + ",\n".join(["            %s"] * 7)
-    + '\n          ],\n          "class": %s,\n          "uid": %s\n        }'
-)
-
-
-def _inline_cloud_json(cloud: np.ndarray) -> str:
-    """The text json.dumps(indent=2) gives the inline rows of an (n, 3) or
-    empty finite cloud in a scene file, in one pass over the values: json
-    spells a finite float as float.__repr__ does."""
-    if not cloud.size:
-        return "[]"
-    rows = ",\n".join([_INLINE_ROW] * len(cloud)) % tuple(cloud.ravel().tolist())
-    return f"[\n{rows}\n        ]"
-
-
-def _frame_json(frame: Frame) -> tuple[str, str]:
-    """The text json.dumps(indent=2, sort_keys=True) gives a frame record in
-    a scene file, as the parts before and after its lidar record's one key
-    and value; every number of the frame formatted by one _json_numbers call."""
-    values = [frame.index]
-    for obj in frame.objects:
-        values += _box_to_list(obj.box)
-        if not isinstance(obj.uid, str):
-            values.append(obj.uid)
-    numbers = iter(_json_numbers(values))
-    head = f'    {{\n      "index": {next(numbers)},\n      "lidar": {{\n        '
-    fields = []
-    for obj in frame.objects:
-        fields += islice(numbers, 7)
-        fields.append(encode_basestring_ascii(obj.class_id))
-        fields.append(encode_basestring_ascii(obj.uid) if isinstance(obj.uid, str) else next(numbers))
-    objects = "[\n" + ",\n".join([_OBJECT] * len(frame.objects)) + "\n      ]" if frame.objects else "[]"
-    return head, ('\n      },\n      "objects": ' + objects + "\n    }") % tuple(fields)
-
-
 def write_scene(path, scene: Scene, lidar_bin: bool = False) -> None:
     """Write a scene file; lidar_bin switches clouds to binary side files.
 
-    Every cloud is checked by as_point_cloud, and every frame record but its
-    cloud formatted, before any file is opened, so a cloud that is not
-    (N, 3) or holds a non-finite coordinate, which load_scene would refuse,
-    raises ValueError and writes nothing. The file is then written frame by
-    frame, each inline cloud's text formatted just before it is written, so
-    no more than one cloud's text is held at a time.
+    Every cloud is checked by as_point_cloud, and every frame's text but its
+    cloud built by json.dumps, before any file is opened, so a cloud that is
+    not (N, 3) or holds a non-finite coordinate, which load_scene would
+    refuse, raises ValueError, and a value json cannot encode TypeError, and
+    neither writes anything. The file is then written frame by frame, each
+    inline cloud's text formatted just before it is written, so no more than
+    one cloud's text is held at a time. A cloud row is laid out by a template:
+    json spells a finite float as float.__repr__ does.
     """
     path = Path(path)
     clouds = [as_point_cloud(frame.cloud) for frame in scene.frames]
-    frames = [_frame_json(frame) for frame in scene.frames]
-    rig = json.dumps(rig_to_dict(scene.rig), indent=2, sort_keys=True).replace("\n", "\n  ")
+    frames = [
+        (json.dumps(frame.index), json.dumps(
+            [{"box": _box_to_list(obj.box), "class": obj.class_id, "uid": obj.uid} for obj in frame.objects],
+            sort_keys=True))
+        for frame in scene.frames
+    ]
+    rig = json.dumps(rig_to_dict(scene.rig), sort_keys=True)
     bin_names = [f"{path.stem}_frame{frame.index:04d}.bin" for frame in scene.frames]
     if lidar_bin:
         for cloud, bin_name in zip(clouds, bin_names):
             (path.parent / bin_name).write_bytes(cloud.astype("<f4").tobytes())
     with path.open("w", encoding="utf-8") as out:
-        out.write('{\n  "frames": [')
-        separator = "\n"
-        for (head, tail), cloud, bin_name in zip(frames, clouds, bin_names):
+        out.write('{"frames": [')
+        separator = ""
+        for (index, objects), cloud, bin_name in zip(frames, clouds, bin_names):
             if lidar_bin:
-                lidar = f'"bin_file": {encode_basestring_ascii(bin_name)}'
+                lidar = json.dumps({"bin_file": bin_name})
             else:
-                lidar = f'"inline": {_inline_cloud_json(cloud)}'
-            out.writelines((separator, head, lidar, tail))
-            separator = ",\n"
-        out.write(("\n  ]" if frames else "]") + f',\n  "rig": {rig}\n}}\n')
+                rows = ", ".join(["[%r, %r, %r]"] * len(cloud)) % tuple(cloud.ravel().tolist())
+                lidar = '{"inline": [%s]}' % rows
+            out.writelines((separator, '{"index": ', index, ', "lidar": ', lidar, ', "objects": ', objects,
+                            "}"))
+            separator = ", "
+        out.write('], "rig": %s}\n' % rig)
 
 
 # The type hint of each key of a scene file's records.
@@ -244,7 +199,7 @@ def _load_cloud(lidar, scene_dir: Path, path: str) -> np.ndarray:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-# The parts of json's C decoder that _walk reads a scene file with.
+# The parts of json's C decoder that _walk reads a cloud-free scene with.
 # _check_syntax spells every float as the length of its text, a cached small
 # int, so it checks a value's JSON in full but builds no float.
 _decode = json.JSONDecoder().raw_decode
@@ -252,24 +207,24 @@ _check_syntax = json.JSONDecoder(parse_float=len).raw_decode
 _skip = json.decoder.WHITESPACE.match
 _scanstring = json.decoder.scanstring
 
-# How _walk reads a scene file: a dict is an object whose key's value is
+# How _walk reads a scene file without its clouds: a dict is an object whose key's value is
 # read by its entry, a list an array whose every element is read by its one
 # entry, and _UNREAD a value whose JSON is checked but which is read as None.
 # Every other value, and one not of its entry's kind, is decoded whole.
 _UNREAD = object()
-_SCENE_FILE = {"frames": [{"lidar": {"inline": None}}]}
 _CLOUD_FREE_SCENE_FILE = {"frames": [{"lidar": {"inline": _UNREAD}}]}
 
 
 def _walk(text: str, end: int, entry) -> tuple[object, int]:
     """The JSON value after any whitespace at text[end:], read by entry (see
-    _SCENE_FILE), and the index past it; ValueError or RecursionError where
-    the text holds no JSON value there. It recurses once for each level it
-    walks, where json's C scanner would recurse, so from _walked a value
-    nests as deep before a RecursionError as it does under json.loads from
-    _load_json on Pythons that count C and Python recursion as one, 3.10
-    and 3.11. Later Pythons count them apart, and there a value below the
-    walked levels may nest a few levels deeper than json.loads allows."""
+    _CLOUD_FREE_SCENE_FILE), and the index past it; ValueError or
+    RecursionError where the text holds no JSON value there. It recurses
+    once for each level it walks, where json's C scanner would recurse, so
+    from _walked a value nests as deep before a RecursionError as it does
+    under json.loads from _load_json on Pythons that count C and Python
+    recursion as one, 3.10 and 3.11. Later Pythons count them apart, and
+    there a value below the walked levels may nest a few levels deeper than
+    json.loads allows."""
     end = _skip(text, end).end()
     if isinstance(entry, dict) and text.startswith("{", end):
         value = {}
@@ -328,13 +283,13 @@ def load_scene(path, clouds: bool = True) -> Scene:
     built and neither its values nor its shape is checked; a bin_file is
     neither read nor checked. Each Frame's cloud is then None: that reads
     what simulate and eval-3d use, the rig and each frame's index and
-    objects, at about half the cost of parsing the clouds. Either way the
-    file is read by _walk, and a file it finds no JSON in raises json's own
-    error. The cyclic collector stays paused until the parsed records are
-    dropped (_collector_paused).
+    objects, at about half the cost of parsing the clouds. That read is
+    made by _walk, the full read by json.loads, and either raises json's own
+    error for a file that holds no JSON. The cyclic collector stays paused
+    until the parsed records are dropped (_collector_paused).
     """
     path = Path(path)
-    walk = _SCENE_FILE if clouds else _CLOUD_FREE_SCENE_FILE
+    walk = None if clouds else _CLOUD_FREE_SCENE_FILE
     with _collector_paused():
         return _scene_from_json(_load_json(path, walk), path, clouds)
 
@@ -372,65 +327,23 @@ def _scene_from_json(data, path: Path, clouds: bool) -> Scene:
 # -- detections ----------------------------------------------------------------
 
 
-# A detection record as json.dumps(indent=2, sort_keys=True) lays it out in
-# the file's top-level list, up to the optional "embedding"; the keys follow
-# in sorted order.
-_RECORD_HEAD = (
-    '  {\n    "bbox": [\n      %s,\n      %s,\n      %s,\n      %s\n    ],\n'
-    '    "camera_id": %s,\n    "class": %s,\n'
-)
-_EMBEDDING_SEP = ",\n      "
-
-
-def _frame_records_json(frame_index, detections) -> str:
-    """The text json.dumps(indent=2, sort_keys=True) gives one frame's
-    detection records in the detections file, every number of the frame
-    formatted by one _json_numbers call."""
-    values = [frame_index]
-    for det in detections:
-        bbox = det.bbox
-        values += (bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max, det.score)
-        if det.embedding is not None:
-            values += det.embedding.tolist()
-        if det.truth_uid is not None and not isinstance(det.truth_uid, str):
-            values.append(det.truth_uid)
-    numbers = _json_numbers(values)
-    frame = numbers[0]
-    i = 1
-    records = []
-    for det in detections:
-        text = _RECORD_HEAD % (
-            *numbers[i : i + 4],
-            encode_basestring_ascii(det.camera_id),
-            encode_basestring_ascii(det.class_id),
-        )
-        score = numbers[i + 4]
-        i += 5
-        if det.embedding is not None:
-            n = len(det.embedding)
-            embedding = _EMBEDDING_SEP.join(numbers[i : i + n])
-            text += f'    "embedding": [\n      {embedding}\n    ],\n' if n else '    "embedding": [],\n'
-            i += n
-        text += f'    "frame": {frame},\n    "score": {score}'
-        uid = det.truth_uid
-        if isinstance(uid, str):
-            text += f',\n    "truth_uid": {encode_basestring_ascii(uid)}'
-        elif uid is not None:
-            text += f',\n    "truth_uid": {numbers[i]}'
-            i += 1
-        records.append(text + "\n  }")
-    return ",\n".join(records)
-
-
 def write_detections(path, detections_by_frame: dict) -> None:
     """Write {frame: [Detection2D]} as the detections file: one record per
-    detection, frames in sorted order, built one frame at a time."""
-    chunks = [
-        _frame_records_json(frame_index, detections_by_frame[frame_index])
-        for frame_index in sorted(detections_by_frame)
-        if detections_by_frame[frame_index]
-    ]
-    text = "[\n" + ",\n".join(chunks) + "\n]\n" if chunks else "[]\n"
+    detection, frames in sorted order, "embedding" and "truth_uid" left out
+    where they are None. A value json cannot encode raises TypeError before
+    the file is opened."""
+    records = []
+    for frame_index in sorted(detections_by_frame):
+        for det in detections_by_frame[frame_index]:
+            bbox = det.bbox
+            rec = {"bbox": [bbox.x_min, bbox.y_min, bbox.x_max, bbox.y_max], "camera_id": det.camera_id,
+                   "class": det.class_id, "frame": frame_index, "score": det.score}
+            if det.embedding is not None:
+                rec["embedding"] = det.embedding.tolist()
+            if det.truth_uid is not None:
+                rec["truth_uid"] = det.truth_uid
+            records.append(rec)
+    text = json.dumps(records, sort_keys=True) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -39,9 +39,10 @@ frame loop that samples each object's surface as it goes.  The package
 must give their results bit for bit.
 
 From load_scene_reference on is the scene read that the walk over a scene
-file's top levels replaced: json.loads of the whole text, every cloud
-number built, then sceneio's walk over the records.  For every file,
-load_scene must return an equal Scene or raise the same error.
+file's top levels replaced in a read without clouds: json.loads of the
+whole text, every cloud number built, then sceneio's walk over the records.
+For every file, load_scene must return an equal Scene or raise the same
+error, with clouds and without.
 """
 
 import dataclasses
@@ -506,8 +507,8 @@ def sample_surface_points_reference(box, n_points, rng) -> np.ndarray:
 
 def scene_text_reference(scene, lidar_bin: bool = False) -> str:
     """The text sceneio.write_scene writes for a scene at scene.json: the
-    whole payload through one json.dumps, clouds as nested lists or, with
-    lidar_bin, as the names of their side files."""
+    whole payload through one json.dumps with sorted keys, clouds as nested
+    lists or, with lidar_bin, as the names of their side files."""
     frames = []
     for frame in scene.frames:
         if lidar_bin:
@@ -525,7 +526,7 @@ def scene_text_reference(scene, lidar_bin: bool = False) -> str:
             }
         )
     payload = {"rig": rig_to_dict_reference(scene.rig), "frames": frames}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def detection_records(detections_by_frame: dict) -> list[dict]:
@@ -550,8 +551,8 @@ def detection_records(detections_by_frame: dict) -> list[dict]:
 
 def detections_text_reference(detections_by_frame) -> str:
     """The text sceneio.write_detections writes: detection_records through
-    one json.dumps with the pure-Python indent-2 encoder."""
-    return json.dumps(detection_records(detections_by_frame), indent=2, sort_keys=True) + "\n"
+    one json.dumps with sorted keys and json's default separators."""
+    return json.dumps(detection_records(detections_by_frame), sort_keys=True) + "\n"
 
 
 def float_rows_reference(rows, length) -> np.ndarray:

@@ -371,13 +371,37 @@ class TestInputsBeforeTheFirstFrame:
         ({"estimator": {"range_gate_m": float("nan")}}, "estimator: range_gate_m must be finite, got nan"),
         ({"estimator": {"range_gate_m": float("inf")}}, "estimator: range_gate_m must be finite, got inf"),
         ({"estimator": {"range_gate_m": -float("inf")}}, "estimator: range_gate_m must be finite, got -inf"),
-    ], ids=["tau-1", "tau0", "tau-nan", "nms7", "nms-1", "nms0", "gate-nan", "gate-inf", "gate-minf"])
+        ({"eval2d": {"min_height_px": float("nan")}},
+         "eval2d: min_height_px must be finite and non-negative, got nan"),
+        ({"eval2d": {"min_height_px": -1}}, "eval2d: min_height_px must be finite and non-negative, got -1"),
+        ({"eval2d": {"max_truncation": float("inf")}},
+         "eval2d: max_truncation must be finite and non-negative, got inf"),
+        ({"eval2d": {"max_truncation": -0.5}},
+         "eval2d: max_truncation must be finite and non-negative, got -0.5"),
+        ({"eval3d": {"center_distance_thresholds": [-1.0]}},
+         "eval3d: center_distance_thresholds[0] must be finite and positive, got -1.0"),
+        ({"eval3d": {"center_distance_thresholds": [1.0, float("nan")]}},
+         "eval3d: center_distance_thresholds[1] must be finite and positive, got nan"),
+        ({"eval3d": {"center_distance_thresholds": [0.5, float("inf")]}},
+         "eval3d: center_distance_thresholds[1] must be finite and positive, got inf"),
+        ({"eval3d": {"center_distance_thresholds": [0]}},
+         "eval3d: center_distance_thresholds[0] must be finite and positive, got 0"),
+        ({"eval3d": {"tp_error_threshold": float("nan")}},
+         "eval3d: tp_error_threshold must be finite and positive, got nan"),
+        ({"eval3d": {"tp_error_threshold": float("inf")}},
+         "eval3d: tp_error_threshold must be finite and positive, got inf"),
+        ({"eval3d": {"tp_error_threshold": 0.0}}, "eval3d: tp_error_threshold must be finite and positive, got 0.0"),
+    ], ids=["tau-1", "tau0", "tau-nan", "nms7", "nms-1", "nms0", "gate-nan", "gate-inf", "gate-minf",
+            "height-nan", "height-1", "trunc-inf", "trunc-neg", "dist-1", "dist-nan", "dist-inf", "dist0",
+            "tp-nan", "tp-inf", "tp0"])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_out_of_range_config_value_is_two(self, tmp_path, scene_dir, capsys, command,
                                               config, message):
         """A tau that is not positive failed every matched frame, an nms_iou
-        outside (0, 1] changed what NMS keeps, and a range gate that is not
-        finite switched the gate off; each is refused, naming its key."""
+        outside (0, 1] changed what NMS keeps, a range gate that is not
+        finite switched the gate off, a NaN 2D height bound emptied 2D AP, a
+        3D distance that is not finite and positive zeroed 3D AP and a NaN
+        error radius nulled the 3D errors; each is refused, naming its key."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -401,7 +425,10 @@ class TestInputsBeforeTheFirstFrame:
 
     def test_range_ends_are_accepted(self, tmp_path, scene_dir):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"tau": 1e-9, "nms_iou": 1, "estimator": {"range_gate_m": -5.0}}))
+        path.write_text(json.dumps({"tau": 1e-9, "nms_iou": 1, "estimator": {"range_gate_m": -5.0},
+                                    "eval2d": {"min_height_px": 0, "max_truncation": 0.0},
+                                    "eval3d": {"center_distance_thresholds": [1e-9, 1e300],
+                                               "tp_error_threshold": 1e-9}}))
         assert main(self._argv("compare", scene_dir, tmp_path / "out", "--config", str(path))) == 0
 
     @pytest.mark.parametrize("variant", ["sianms", "original", None], ids=["sianms", "original", "compare"])

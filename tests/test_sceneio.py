@@ -854,13 +854,13 @@ PIPELINE_CONFIGS = st.builds(
     eval2d=st.builds(
         EvalConfig2D,
         iou_threshold=st.floats(0.0, 1.0, exclude_min=True),
-        min_height_px=FINITE,
-        max_truncation=FINITE,
+        min_height_px=st.floats(0.0, allow_infinity=False),
+        max_truncation=st.floats(0.0, allow_infinity=False),
     ),
     eval3d=st.builds(
         EvalConfig3D,
-        center_distance_thresholds=st.lists(FINITE, min_size=1, max_size=5).map(tuple),
-        tp_error_threshold=FINITE,
+        center_distance_thresholds=st.lists(FINITE_POSITIVE, min_size=1, max_size=5).map(tuple),
+        tp_error_threshold=FINITE_POSITIVE,
     ),
     tau=st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
     nms_iou=st.floats(0.0, 1.0, exclude_min=True),
@@ -986,9 +986,10 @@ class TestLoadJsonCollector:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("broken", [False, True], ids=["good", "invalid"])
     def test_state_is_restored(self, tmp_path, monkeypatch, enabled, broken):
-        """Every decode, by the scene walk's two decoders or by json.loads
-        (for a file read as plain JSON, or a scene the walk finds no JSON
-        in), runs paused, and the collector is left as it was found."""
+        """Every decode, by the cloud-free scene walk's two decoders or by
+        json.loads (for a scene read with its clouds, a file read as plain
+        JSON, or a scene the walk finds no JSON in), runs paused, and the
+        collector is left as it was found."""
         path = tmp_path / "in.json"
         path.write_text(_hand_text(lidar='{"inline": [[1.5, 2.0, 3.0]%s}' % ("," if broken else "]")))
         during = []
@@ -1001,7 +1002,7 @@ class TestLoadJsonCollector:
         monkeypatch.setattr(json, "loads", recording("loads", json.loads))
         fallback = {"loads"} if broken else set()
         reads = [
-            (load_scene, {"_decode"} | fallback),
+            (load_scene, {"loads"}),
             (lambda p: load_scene(p, clouds=False), {"_decode", "_check_syntax"} | fallback),
             (_load_json, {"loads"}),
         ]
@@ -1232,6 +1233,50 @@ class TestSceneReadMatchesJsonLoads:
                 ok = depth
         for depth in range(too_deep - 3, too_deep + 3):
             _assert_reads_alike(nested(depth))
+
+
+def _indented(path) -> str:
+    """The file's JSON in the indent-2 layout that earlier versions wrote
+    scene and detections files in."""
+    return json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2, sort_keys=True) + "\n"
+
+
+def _detection_rows(path) -> list:
+    """Every (frame, detection) load_detection_records reads, floats by repr
+    and embeddings by their bytes."""
+    return [(frame, det.camera_id, repr(astuple(det.bbox)), det.class_id, repr(det.score),
+             None if det.embedding is None else det.embedding.tobytes(), det.truth_uid)
+            for frame, det in load_detection_records(path)]
+
+
+class TestIndentTwoFilesLoad:
+    """Scene and detections files in the indent-2 layout load as the
+    compact files written now do."""
+
+    @pytest.mark.parametrize("lidar_bin", [False, True], ids=["inline", "bin"])
+    def test_scene(self, tmp_path, tiny_scene, lidar_bin):
+        scene, _ = tiny_scene
+        compact = tmp_path / "scene.json"
+        write_scene(compact, scene, lidar_bin=lidar_bin)
+        indented = tmp_path / "indented.json"
+        indented.write_text(_indented(compact), encoding="utf-8")
+        assert "\n  " in indented.read_text(encoding="utf-8")
+        assert "\n" not in compact.read_text(encoding="utf-8").rstrip("\n")
+        _scene_equal(load_scene(indented), scene)
+        for clouds in (True, False):
+            assert _read(load_scene, indented, clouds) == _read(load_scene, compact, clouds)
+
+    def test_detections(self, tmp_path, tiny_scene):
+        scene, gen = tiny_scene
+        by_frame = {f.index: simulate_detections(scene.rig, f.objects, gen, f.index) for f in scene.frames}
+        by_frame[0].append(Detection2D("cam0", BBox2D(0, 0, 1, 1), "car", 0.5, None, "ped-7"))
+        compact = tmp_path / "dets.json"
+        write_detections(compact, by_frame)
+        indented = tmp_path / "indented.json"
+        indented.write_text(_indented(compact), encoding="utf-8")
+        rows = _detection_rows(compact)
+        assert len(rows) == sum(map(len, by_frame.values())) > 1
+        assert _detection_rows(indented) == rows
 
 
 class TestComparisonFiles:
